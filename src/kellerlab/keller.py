@@ -157,11 +157,15 @@ def _icbrt(n: int):
         return None if r is None else -r
     if n == 0:
         return 0
-    r = round(n ** (1 / 3))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand**3 == n:
-            return cand
-    return None
+    # Integer Newton from above: 2^ceil(bits/3) exceeds the cube root, and
+    # the iterates decrease strictly until they reach floor(cbrt(n)).
+    r = 1 << -(-n.bit_length() // 3)
+    while True:
+        nxt = (2 * r + n // (r * r)) // 3
+        if nxt >= r:
+            break
+        r = nxt
+    return r if r**3 == n else None
 
 
 def as_cubic_linear(F: PolyMap):

@@ -3,14 +3,20 @@
 The carrier type for everything else in the package: coefficients are
 `fractions.Fraction` (always reduced, positive denominator), monomials are
 exponent tuples aligned with an ordered variable list, and the zero
-polynomial has an empty term map.  Values are immutable after construction
-and safe to share across threads.
+polynomial has an empty term map.  Values are immutable after construction,
+safe to share across threads and picklable.
+
+`Fraction` is the interface, not the arithmetic: products and exact
+division convert their operands once to integer numerators over a common
+denominator with each monomial packed into one int, run on integers, and
+build a `Fraction` only for the terms of the result.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from heapq import heappop, heappush
 
 from .errors import ExactDivisionError, VariableMismatchError
 
@@ -32,6 +38,59 @@ def grlex_key(exps: Exponents):
 
 def lex_key(exps: Exponents):
     return exps
+
+
+# ---- integer kernel: packed monomials over a common denominator ----
+#
+# A monomial packs into one int: its total degree in the top field, then its
+# exponents, first variable most significant, so packed ints order as
+# grlex_key does.  A field holds values up to a degree bound plus one guard
+# bit above them.  The fields of a product of monomials within the bound
+# never carry into each other, and m - n sets a guard bit or goes negative
+# exactly when some exponent of n exceeds that of m.
+
+
+def _field_width(degree: int) -> int:
+    return degree.bit_length() + 1
+
+
+def _guard_mask(nvars: int, width: int) -> int:
+    guard = 0
+    for _ in range(nvars):
+        guard = (guard << width) | (1 << (width - 1))
+    return guard
+
+
+def _pack(terms, width):
+    """(common denominator, [(packed monomial, integer numerator)])."""
+    den = 1
+    for c in terms.values():
+        if c.denominator != 1:
+            den = math.lcm(den, c.denominator)
+    packed = []
+    for exps, c in terms.items():
+        key = sum(exps)
+        for e in exps:
+            key = (key << width) | e
+        packed.append((key, c.numerator * (den // c.denominator)))
+    return den, packed
+
+
+def _unpack(packed, den, nvars, width):
+    """Term map of (packed monomial, numerator) pairs over `den`; zeros dropped."""
+    mask = (1 << width) - 1
+    shifts = range((nvars - 1) * width, -1, -width)
+    if den == 1:
+        return {
+            tuple([(key >> s) & mask for s in shifts]): Fraction(c)
+            for key, c in packed
+            if c
+        }
+    return {
+        tuple([(key >> s) & mask for s in shifts]): Fraction(c, den)
+        for key, c in packed
+        if c
+    }
 
 
 class Polynomial:
@@ -69,6 +128,9 @@ class Polynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
+
+    def __reduce__(self):
+        return (Polynomial, (self.variables, self.terms))
 
     # ---- constructors ----
 
@@ -191,16 +253,20 @@ class Polynomial:
                 self.variables, {m: c * other for m, c in self.terms.items()}
             )
         self._check_same_ring(other)
+        if not self.terms or not other.terms:
+            return Polynomial.zero(self.variables)
+        width = _field_width(self.total_degree() + other.total_degree())
+        da, pa = _pack(self.terms, width)
+        db, pb = _pack(other.terms, width)
         res = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                s = res.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    res[m] = s
-                else:
-                    res.pop(m, None)
-        return Polynomial._raw(self.variables, res)
+        get = res.get
+        for ka, ca in pa:
+            for kb, cb in pb:
+                k = ka + kb
+                res[k] = get(k, 0) + ca * cb
+        return Polynomial._raw(
+            self.variables, _unpack(res.items(), da * db, len(self.variables), width)
+        )
 
     __rmul__ = __mul__
 
@@ -474,7 +540,14 @@ def make_primitive(p: Polynomial) -> Polynomial:
 
 
 def exact_div(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Quotient p/q when q divides p exactly; ExactDivisionError otherwise."""
+    """Quotient p/q when q divides p exactly; ExactDivisionError otherwise.
+
+    With p = P/dp and q = cq*Q/dq for integer P, primitive integer Q and
+    cq = content, p/q = (P/Q) * dq/(dp*cq), and by Gauss's lemma Q divides P
+    over Q only if the quotient is integral.  So P/Q is computed on
+    integers and a step whose coefficient division leaves a remainder
+    proves that q does not divide p.
+    """
     if isinstance(q, (int, Fraction)):
         q = Polynomial.constant(p.variables, q)
     p._check_same_ring(q)
@@ -482,25 +555,61 @@ def exact_div(p: Polynomial, q: Polynomial) -> Polynomial:
         raise ZeroDivisionError("division by the zero polynomial")
     if p.is_zero():
         return p
-    qlm, qlc = q.leading_term()
-    rem = dict(p.terms)
-    quot = {}
-    while rem:
-        m = max(rem, key=grlex_key)
-        c = rem[m]
-        diff = tuple(a - b for a, b in zip(m, qlm))
-        if any(e < 0 for e in diff):
-            raise ExactDivisionError("division has a remainder")
-        k = c / qlc
-        quot[diff] = k
-        for qm, qc in q.terms.items():
-            t = tuple(a + b for a, b in zip(diff, qm))
-            s = rem.get(t, Fraction(0)) - k * qc
-            if s:
-                rem[t] = s
+    nvars = len(p.variables)
+    width = _field_width(max(p.total_degree(), q.total_degree()))
+    dp, dividend = _pack(p.terms, width)
+    dq, divisor = _pack(q.terms, width)
+    cq = math.gcd(*(c for _, c in divisor))
+    divisor = [(k, c // cq) for k, c in divisor]
+    dividend.sort(reverse=True)
+    divisor.sort(reverse=True)
+    quot = _divide_packed(dividend, divisor, _guard_mask(nvars, width))
+    scale = Fraction(dq, dp * cq)
+    quot = [(k, c * scale.numerator) for k, c in quot]
+    return Polynomial._raw(p.variables, _unpack(quot, scale.denominator, nvars, width))
+
+
+def _divide_packed(dividend, divisor, guard):
+    """Integer quotient of packed term lists sorted by descending monomial.
+
+    Heap division (Monagan & Pearce, "Sparse polynomial division using a
+    heap", JSC 2011): the heap merges the dividend's terms with the streams
+    quot[j] * divisor[1:], so each remainder term is formed once, largest
+    first.  Raises ExactDivisionError at the first term that does not
+    divide.
+    """
+    (lead, lc), rest = divisor[0], divisor[1:]
+    quot = []
+    # entries (-monomial, stream, index); stream -1 is the dividend
+    heap = [(-dividend[0][0], -1, 0)]
+    while heap:
+        m = -heap[0][0]
+        c = 0
+        while heap and heap[0][0] == -m:
+            _, j, i = heappop(heap)
+            if j < 0:
+                c += dividend[i][1]
+                i += 1
+                if i < len(dividend):
+                    heappush(heap, (-dividend[i][0], -1, i))
             else:
-                rem.pop(t, None)
-    return Polynomial._raw(p.variables, quot)
+                qk, qc = quot[j]
+                c -= qc * rest[i][1]
+                i += 1
+                if i < len(rest):
+                    heappush(heap, (-(qk + rest[i][0]), j, i))
+        if not c:
+            continue
+        d = m - lead
+        if d < 0 or d & guard:
+            raise ExactDivisionError("division has a remainder")
+        s, r = divmod(c, lc)
+        if r:
+            raise ExactDivisionError("division has a remainder")
+        quot.append((d, s))
+        if rest:
+            heappush(heap, (-(d + rest[0][0]), len(quot) - 1, 0))
+    return quot
 
 
 def divides(q: Polynomial, p: Polynomial) -> bool:
@@ -686,6 +795,9 @@ class PolyMap:
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyMap is immutable")
+
+    def __reduce__(self):
+        return (PolyMap, (self.components,))
 
     @classmethod
     def identity(cls, variables):

@@ -3,8 +3,9 @@
 from fractions import Fraction
 from itertools import product
 
+from kellerlab.errors import ExactDivisionError
 from kellerlab.keller import CubicLinearForm
-from kellerlab.polyring import Polynomial, PolyMap, poly_gcd, with_variables
+from kellerlab.polyring import Polynomial, PolyMap, grlex_key, poly_gcd, with_variables
 
 
 def random_polynomial(rng, variables, max_degree=3, max_terms=4, coeff_bound=6,
@@ -134,6 +135,44 @@ def naive_mul(a: dict, b: dict):
             key = tuple(x + y for x, y in zip(m1, m2))
             out[key] = out.get(key, 0) + c1 * c2
     return {m: c for m, c in out.items() if c}
+
+
+def reference_mul(p: Polynomial, q: Polynomial) -> Polynomial:
+    """p * q by the plain Fraction double loop over exponent tuples."""
+    res = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            s = res.get(m, Fraction(0)) + c1 * c2
+            if s:
+                res[m] = s
+            else:
+                res.pop(m, None)
+    return Polynomial(p.variables, res)
+
+
+def reference_exact_div(p: Polynomial, q: Polynomial) -> Polynomial:
+    """p / q by Fraction long division, reselecting the grlex-largest
+    remainder term each step; ExactDivisionError on a remainder."""
+    qlm = max(q.terms, key=grlex_key)
+    qlc = q.terms[qlm]
+    rem = dict(p.terms)
+    quot = {}
+    while rem:
+        m = max(rem, key=grlex_key)
+        diff = tuple(a - b for a, b in zip(m, qlm))
+        if any(e < 0 for e in diff):
+            raise ExactDivisionError("division has a remainder")
+        k = rem[m] / qlc
+        quot[diff] = k
+        for qm, qc in q.terms.items():
+            t = tuple(a + b for a, b in zip(diff, qm))
+            s = rem.get(t, Fraction(0)) - k * qc
+            if s:
+                rem[t] = s
+            else:
+                rem.pop(t, None)
+    return Polynomial(p.variables, quot)
 
 
 def naive_grid_points(system, B):

@@ -132,6 +132,30 @@ def test_as_cubic_linear_rational_and_integrality():
     assert CubicLinearForm(((0, 1), (0, 0))).is_integral()
 
 
+def test_icbrt_exact_beyond_float_precision():
+    from kellerlab.keller import _icbrt
+
+    r = 10**20 + 1
+    assert _icbrt(r**3) == r
+    assert _icbrt(-(r**3)) == -r
+    assert _icbrt(r**3 + 1) is None
+    assert _icbrt(r**3 - 1) is None
+    big = 3**200 + 7
+    assert _icbrt(big**3) == big
+    assert _icbrt(big**3 - 1) is None
+    assert [_icbrt(k) for k in (0, 1, -1, 8, -27, 2, 7, 9)] == [
+        0, 1, -1, 2, -3, None, None, None
+    ]
+
+
+def test_as_cubic_linear_large_row():
+    r = 10**20 + 1
+    form = CubicLinearForm(((r, 0), (0, 0)))
+    got = as_cubic_linear(form.to_map(V))
+    assert isinstance(got, CubicLinearForm)
+    assert got.matrix == form.matrix
+
+
 def test_cubic_linear_roundtrip_random_matrices():
     rng = random.Random(515)
     for n in (2, 3, 4):

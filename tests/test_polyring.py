@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -16,7 +17,14 @@ from kellerlab.polyring import (
     substitute,
 )
 
-from _support import coprime_pair, naive_mul, random_linear_bindings, random_polynomial
+from _support import (
+    coprime_pair,
+    naive_mul,
+    random_linear_bindings,
+    random_polynomial,
+    reference_exact_div,
+    reference_mul,
+)
 
 V = ("x", "y")
 X = Polynomial.variable(V, "x")
@@ -205,3 +213,105 @@ def test_poly_map_basics():
     assert F.is_square() and F.fixes_origin()
     with pytest.raises(VariableMismatchError):
         PolyMap([X, Polynomial.variable(("z",), "z")])
+
+
+def _random_rational_polynomial(rng, variables, **kwargs):
+    """random_polynomial with each coefficient over its own denominator."""
+    p = random_polynomial(rng, variables, **kwargs)
+    return p.map_coefficients(lambda c: c / rng.choice((1, 1, 2, 3, 4, 9, 10)))
+
+
+def test_kernel_mul_matches_reference_loop():
+    rng = random.Random(707)
+    rings = [V, ("x",), ("x", "y", "z", "w")]
+    for _ in range(300):
+        ring = rng.choice(rings)
+        p = _random_rational_polynomial(rng, ring, max_degree=5, max_terms=7)
+        q = _random_rational_polynomial(rng, ring, max_degree=5, max_terms=7)
+        got = p * q
+        assert got.terms == reference_mul(p, q).terms
+        assert all(type(c) is Fraction and c for c in got.terms.values())
+
+
+def test_kernel_mul_edge_cases():
+    zero = Polynomial.zero(V)
+    p = Fraction(1, 2) * X + Fraction(2, 3) * Y**2 - 5
+    for a, b in [(zero, p), (p, zero), (zero, zero)]:
+        assert (a * b).is_zero()
+    # the xy terms cancel to zero and are dropped
+    assert ((X + Y) * (X - Y)).terms == {(2, 0): 1, (0, 2): -1}
+    assert ((X + Fraction(1, 2) * Y) * (X - Fraction(1, 2) * Y)).terms == {
+        (2, 0): 1, (0, 2): Fraction(-1, 4)
+    }
+    # a 0-variable ring
+    a = Polynomial.constant((), Fraction(3, 4))
+    b = Polynomial.constant((), Fraction(-2, 9))
+    assert (a * b).terms == {(): Fraction(-1, 6)}
+    assert (a * Polynomial.zero(())).is_zero()
+    # exponents far beyond a narrow field width
+    wide = X**200 * Y**3
+    assert wide.terms == {(200, 3): 1}
+    q = Fraction(7, 3) * X**150 + Y**301 - 1
+    assert (wide * q).terms == reference_mul(wide, q).terms
+    assert (wide * q).terms[(200, 304)] == 1
+
+
+def test_kernel_exact_div_matches_reference_loop():
+    rng = random.Random(808)
+    rings = [V, ("x",), ("x", "y", "z")]
+    for _ in range(200):
+        ring = rng.choice(rings)
+        q = _random_rational_polynomial(rng, ring, max_degree=4, max_terms=5,
+                                        allow_zero=False)
+        s = _random_rational_polynomial(rng, ring, max_degree=4, max_terms=5)
+        p = q * s
+        assert exact_div(p, q) == reference_exact_div(p, q) == s
+        # perturbed dividends usually leave a remainder; both sides must agree
+        r = p + _random_rational_polynomial(rng, ring, max_degree=3, max_terms=2)
+        try:
+            expected = reference_exact_div(r, q)
+        except ExactDivisionError:
+            with pytest.raises(ExactDivisionError):
+                exact_div(r, q)
+        else:
+            assert exact_div(r, q) == expected
+
+
+def test_kernel_exact_div_edge_cases():
+    assert exact_div(X + 1, 2 * X + 2) == Fraction(1, 2)
+    with pytest.raises(ExactDivisionError):
+        exact_div(X + 1, 2 * X + 3)
+    with pytest.raises(ExactDivisionError):
+        exact_div(X + 1, X**2 + 1)
+    with pytest.raises(ZeroDivisionError):
+        exact_div(X, Polynomial.zero(V))
+    assert exact_div(Polynomial.zero(V), X + 1).is_zero()
+    assert exact_div(Fraction(3, 2) * X * Y, Fraction(9, 4)) == Fraction(2, 3) * X * Y
+    a = Polynomial.constant((), Fraction(3, 4))
+    assert exact_div(a, Polynomial.constant((), Fraction(-2, 9))).terms == {
+        (): Fraction(-27, 8)
+    }
+    wide = X**200 * Y**3 - Fraction(1, 5) * Y**400
+    q = X**3 + Fraction(2, 7) * Y
+    assert exact_div(wide * q, q) == wide
+    assert exact_div(wide * q, wide) == q
+    with pytest.raises(ExactDivisionError):
+        exact_div(wide * q + 1, q)
+
+
+def test_pickle_roundtrip():
+    cases = [
+        Polynomial.zero(V),
+        Polynomial.zero(()),
+        Polynomial.constant((), Fraction(-7, 3)),
+        Fraction(3, 2) * X**2 * Y - Fraction(1, 7) * Y + 4,
+    ]
+    for p in cases:
+        back = pickle.loads(pickle.dumps(p))
+        assert back == p and back.variables == p.variables
+        with pytest.raises(AttributeError):
+            back.terms = {}
+    F = PolyMap([X + Fraction(1, 2) * Y**3, Y])
+    back = pickle.loads(pickle.dumps(F))
+    assert back == F and back.variables == F.variables
+    assert back.compose(PolyMap([X - Fraction(1, 2) * Y**3, Y])) == PolyMap.identity(V)

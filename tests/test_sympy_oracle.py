@@ -11,6 +11,7 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
+from kellerlab._linalg import poly_matrix_det
 from kellerlab.elim import Ideal, TermOrder, discriminant, groebner, resultant
 from kellerlab.polyring import Polynomial, make_primitive, poly_gcd, squarefree_part
 
@@ -123,3 +124,49 @@ def test_resultant_and_discriminant_match_sympy():
             ours_disc = discriminant(p, "t", d)
             theirs_disc = parse_expr(sympy.discriminant(to_tb(p), t))
             assert ours_disc == theirs_disc or ours_disc == -theirs_disc
+
+
+def test_degree4_discriminant_matches_sympy():
+    # the Sylvester matrix of (p, dp/dt) is 7 x 7: the Bareiss path with
+    # exact polynomial division
+    rng = random.Random(31341)
+    t, b = sympy.symbols("t b")
+    ring = ("t", "b")
+    checked = 0
+    while checked < 8:
+        p = random_polynomial(rng, ring, max_degree=3, max_terms=4, allow_zero=False)
+        p = p + rng.choice((1, -2, 3)) * Polynomial.variable(ring, "t") ** 4
+        if p.degree_in("t") != 4:
+            continue
+        expr = sum(
+            (sympy.Rational(c.numerator, c.denominator) * t ** m[0] * b ** m[1]
+             for m, c in p.terms.items()),
+            sympy.Integer(0),
+        )
+        theirs = sympy.Poly(sympy.discriminant(expr, t), t, b)
+        ours = discriminant(p, "t", 4)
+        assert ours == Polynomial(
+            ring,
+            {tuple(int(e) for e in m): Fraction(int(c.p), int(c.q))
+             for m, c in theirs.terms()},
+        )
+        checked += 1
+
+
+def test_5x5_poly_matrix_det_matches_sympy():
+    rng = random.Random(31342)
+    for _ in range(4):
+        rows = [
+            [
+                random_polynomial(rng, V, max_degree=2, max_terms=3, coeff_bound=4)
+                .map_coefficients(lambda c: c / rng.choice((1, 2, 3)))
+                for _ in range(5)
+            ]
+            for _ in range(5)
+        ]
+        ours = poly_matrix_det(rows)
+        assert not ours.is_zero()
+        theirs = sympy.Matrix([[to_sympy(e) for e in row] for row in rows]).det(
+            method="berkowitz"
+        )
+        assert ours == from_sympy(sympy.expand(theirs))
