@@ -90,7 +90,8 @@ class _Reporter:
     def raw(self, text):
         self.lines.append(text)
 
-    def emit(self):
+    def emit(self, path=None):
+        """Print the JSON object, or write the text lines to `path` or stdout."""
         if self.as_json:
             doc = {
                 "verb": self.verb,
@@ -98,17 +99,13 @@ class _Reporter:
                 "results": self.results,
             }
             print(json.dumps(doc, sort_keys=True))
+            return
+        text = "".join(f"{line}\n" for line in self.lines)
+        if path:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
         else:
-            for line in self.lines:
-                print(line)
-
-
-def _write_output(text: str, path):
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
+            print(text, end="")
 
 
 # ---- verb implementations ----
@@ -214,15 +211,9 @@ def _cmd_transform(args) -> int:
         raise KellerlabError(f"unknown transform {sub!r}")
     meta = {"name": f"{mf.metadata.get('name', args.mapfile)}-{sub}"}
     text = expr_io.format_map_file(expr_io.map_file_from_poly_map(out, meta))
-    if args.json:
-        doc = {
-            "verb": f"transform {sub}",
-            "inputs": {"digest": _digest(mf, sub)},
-            "results": {"map": text},
-        }
-        print(json.dumps(doc, sort_keys=True))
-    else:
-        _write_output(text, args.output)
+    rep = _Reporter(f"transform {sub}", args.json, _digest(mf, sub))
+    rep.add("map", text, line=text.removesuffix("\n"))
+    rep.emit(args.output)
     return 0
 
 
@@ -277,15 +268,9 @@ def _cmd_curve(args) -> int:
         metadata={"name": f"{mf.metadata.get('name', args.mapfile)}-{kind}"},
     )
     text = expr_io.format_system_file(sf)
-    if args.json:
-        doc = {
-            "verb": "curve",
-            "inputs": {"digest": _digest(mf, kind, args.m, args.u, args.v)},
-            "results": {"system": text},
-        }
-        print(json.dumps(doc, sort_keys=True))
-    else:
-        _write_output(text, args.output)
+    rep = _Reporter("curve", args.json, _digest(mf, kind, args.m, args.u, args.v))
+    rep.add("system", text, line=text.removesuffix("\n"))
+    rep.emit(args.output)
     return 0
 
 
@@ -295,22 +280,13 @@ def _cmd_search(args) -> int:
     except OSError as exc:
         raise KellerlabError(f"cannot read {args.sysfile}: {exc}") from exc
     system = diophantine.EquationSystem(tuple(sf.to_polynomials()))
-    report = diophantine.search_box(
-        system, args.radius, budget=args.budget, threads=args.threads
-    )
-    if args.json:
-        doc = {
-            "verb": "search",
-            "inputs": {"digest": _digest(sf, args.radius, args.budget)},
-            "results": {
-                "points": [list(p) for p in report.points],
-                "exhausted": report.exhausted,
-                "nodes": report.nodes_visited,
-            },
-        }
-        print(json.dumps(doc, sort_keys=True))
-    else:
-        print(diophantine.format_report(report), end="")
+    report = diophantine.search_box(system, args.radius, budget=args.budget)
+    rep = _Reporter("search", args.json, _digest(sf, args.radius, args.budget))
+    rep.results["points"] = [list(p) for p in report.points]
+    rep.results["exhausted"] = report.exhausted
+    rep.results["nodes"] = report.nodes_visited
+    rep.raw(diophantine.format_report(report).removesuffix("\n"))
+    rep.emit()
     return 0 if report.exhausted else 3
 
 
@@ -393,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("sysfile")
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--budget", type=int, default=diophantine.DEFAULT_NODE_BUDGET)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(fn=_cmd_search)
 
     p = sub.add_parser("hurwitz", parents=[common], help="branch-data feasibility")

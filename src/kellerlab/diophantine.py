@@ -13,7 +13,6 @@ integer point with max-norm <= B", nothing more.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from .errors import VariableMismatchError
 from .fibers import Line
@@ -172,10 +171,10 @@ class _BoxSearch:
             scores[i] = (min(touching) if touching else 10**9, i)
         self.var_order = sorted(range(self.nvars), key=lambda i: scores[i])
 
-    def run(self, root_range=None):
+    def run(self):
         eqs = [p for p in self.system.polynomials if not p.is_zero()]
         assignment = [None] * self.nvars
-        self._explore(eqs, assignment, 0, root_range)
+        self._explore(eqs, assignment)
 
     def _specialize(self, p: Polynomial, idx: int, value: int):
         terms = {}
@@ -192,7 +191,7 @@ class _BoxSearch:
                 terms.pop(key, None)
         return Polynomial._raw(p.variables, terms)
 
-    def _explore(self, eqs, assignment, depth, root_range):
+    def _explore(self, eqs, assignment):
         if self.hit_budget:
             return
         self.nodes += 1
@@ -222,20 +221,19 @@ class _BoxSearch:
                 (idx,) = touched
                 coeffs = _integer_coeff_list(p, idx)
                 for root in _integer_roots(coeffs, self.B):
-                    self._assign(eqs, assignment, idx, root, depth)
+                    self._assign(eqs, assignment, idx, root)
                 return
 
         idx = next(i for i in self.var_order if assignment[i] is None)
-        values = root_range if (depth == 0 and root_range) else range(-self.B, self.B + 1)
-        for value in values:
-            self._assign(eqs, assignment, idx, value, depth)
+        for value in range(-self.B, self.B + 1):
+            self._assign(eqs, assignment, idx, value)
 
-    def _assign(self, eqs, assignment, idx, value, depth):
+    def _assign(self, eqs, assignment, idx, value):
         if self.hit_budget:
             return
         assignment[idx] = value
         nxt = [self._specialize(p, idx, value) for p in eqs]
-        self._explore(nxt, assignment, depth + 1, None)
+        self._explore(nxt, assignment)
         assignment[idx] = None
 
 
@@ -243,50 +241,21 @@ def search_box(
     system: EquationSystem,
     B: int,
     budget: int = DEFAULT_NODE_BUDGET,
-    threads: int = 1,
 ) -> SearchReport:
     """All integer solutions with max-norm <= B, within a node budget.
 
     Every reported point is re-verified against all equations exactly.
-    `exhausted` is true iff the budget was never hit.  With threads > 1 the
-    top-level scan range is partitioned into disjoint chunks (each given an
-    equal share of the budget) whose reports merge associatively.
+    `exhausted` is true iff the budget was never hit.
     """
     if B < 0:
         raise ValueError("box radius must be non-negative")
-    if threads < 1:
-        raise ValueError("thread count must be positive")
-
-    if threads == 1:
-        engine = _BoxSearch(system, B, budget)
-        engine.run()
-        return SearchReport(
-            box_radius=B,
-            points=tuple(sorted(engine.points)),
-            exhausted=not engine.hit_budget,
-            nodes_visited=engine.nodes,
-        )
-
-    full = list(range(-B, B + 1))
-    chunk = max(1, (len(full) + threads - 1) // threads)
-    ranges = [full[i : i + chunk] for i in range(0, len(full), chunk)]
-    share = max(1, budget // len(ranges))
-
-    def work(rng):
-        engine = _BoxSearch(system, B, share)
-        engine.run(root_range=rng)
-        return engine
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        engines = list(pool.map(work, ranges))
-    points = set()
-    for e in engines:
-        points |= e.points
+    engine = _BoxSearch(system, B, budget)
+    engine.run()
     return SearchReport(
         box_radius=B,
-        points=tuple(sorted(points)),
-        exhausted=all(not e.hit_budget for e in engines),
-        nodes_visited=sum(e.nodes for e in engines),
+        points=tuple(sorted(engine.points)),
+        exhausted=not engine.hit_budget,
+        nodes_visited=engine.nodes,
     )
 
 

@@ -1,10 +1,12 @@
 """Groebner bases over Q: elimination ideals, minimal polynomials of map
 coordinates, fiber counting, and formal-degree resultants/discriminants.
 
-Buchberger with the normal selection strategy and both classical criteria;
-a hard budget (basis size, total degree) turns runaway computations into
-clean BudgetExceededError instead of hangs.  Desk scale only: elimination
-tasks with roughly n <= 4 variables and total degree <= 9.
+Buchberger with the normal selection strategy and both classical criteria,
+on polyring's packed monomials: a term order is a `MonomialLayout`, and the
+working basis holds packed ints mapped to Fractions.  A hard budget (basis
+size, total degree, field overflow) turns runaway computations into clean
+BudgetExceededError instead of hangs.  Desk scale only: elimination tasks
+with roughly n <= 4 variables and total degree <= 9.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .errors import (
     VariableMismatchError,
 )
 from .polyring import (
+    MonomialLayout,
     Polynomial,
     PolyMap,
     coefficients_in,
@@ -67,25 +70,18 @@ class TermOrder:
         return cls("block", eliminate + keep, len(eliminate))
 
     def key_function(self, variables):
-        """Map exponent tuples over `variables` to sortable keys."""
+        """Packed-monomial layout over `variables`: packed ints sort in this order."""
         variables = tuple(variables)
         if set(self.priority) != set(variables) or len(self.priority) != len(variables):
             raise VariableMismatchError(
                 "order priority is not a permutation of the ring variables"
             )
         idx = tuple(variables.index(name) for name in self.priority)
-        if self.kind == "lex":
-            return lambda e: tuple(e[i] for i in idx)
-        if self.kind == "grlex":
-            return lambda e: (sum(e), tuple(e[i] for i in idx))
-        head, tail = idx[: self.split], idx[self.split :]
-
-        def block_key(e):
-            h = tuple(e[i] for i in head)
-            t = tuple(e[i] for i in tail)
-            return (sum(h), h, sum(t), t)
-
-        return block_key
+        if self.kind == "block":
+            blocks = ((True, idx[: self.split]), (True, idx[self.split :]))
+        else:
+            blocks = ((self.kind == "grlex", idx),)
+        return MonomialLayout(blocks, _FIELD_WIDTH)
 
 
 @dataclass(frozen=True)
@@ -122,92 +118,135 @@ class GroebnerBudget:
 DEFAULT_BUDGET = GroebnerBudget()
 
 
-# ---- reduction and Buchberger ----
+# ---- reduction and Buchberger on packed monomials ----
+#
+# Polynomials are {packed monomial: Fraction} maps under the order's layout.
+# A new term that sets a guard bit overflowed its field: that raises
+# BudgetExceededError instead of wrapping into a wrong basis.
+
+_FIELD_WIDTH = 16  # bits per packed field, guard bit included
+_OVERFLOW = "exponent exceeds a packed monomial field; input beyond desk scale"
 
 
-def _monomial_divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+def _packed(p: Polynomial, layout):
+    """p as a {packed monomial: Fraction} map; no field can exceed its degree."""
+    if p.total_degree() >= 1 << (layout.width - 1):
+        raise BudgetExceededError(_OVERFLOW)
+    return {layout(m): c for m, c in p.terms.items()}
+
+
+def _unpacked(p, variables, layout) -> Polynomial:
+    unpack = layout.unpack
+    return Polynomial._raw(variables, {unpack(m): c for m, c in p.items()})
+
+
+def _sub_multiple(work, shift, factor, g, layout):
+    """work -= factor * (monomial `shift`) * g, in place."""
+    get, guard = work.get, layout.guard
+    for m, c in g.items():
+        t = m + shift
+        s = get(t)
+        if s is None:
+            if t & guard:
+                raise BudgetExceededError(_OVERFLOW)
+            work[t] = -factor * c
+            continue
+        s -= factor * c
+        if s:
+            work[t] = s
+        else:
+            del work[t]
+
+
+def _normal_form(work, basis, layout):
+    """Full normal form of `work` (consumed) modulo (lead, polynomial) pairs;
+    each step reduces the largest term by the first lead dividing it."""
+    guard = layout.guard
+    remainder = {}
+    while work:
+        m = max(work)
+        for lead, g in basis:
+            d = m - lead
+            if d >= 0 and not d & guard:
+                _sub_multiple(work, d, work[m] / g[lead], g, layout)
+                break
+        else:
+            remainder[m] = work.pop(m)
+    return remainder
+
+
+def _lcm(a, b, layout):
+    # each field of the lcm is below twice the field range: it cannot carry
+    lcm = layout(map(max, layout.unpack(a), layout.unpack(b)))
+    if lcm & layout.guard:
+        raise BudgetExceededError(_OVERFLOW)
+    return lcm
+
+
+def _s_polynomial(f, g, layout):
+    lf, lg = max(f), max(g)
+    lcm = _lcm(lf, lg, layout)
+    work = {}
+    _sub_multiple(work, lcm - lf, -1 / f[lf], f, layout)
+    _sub_multiple(work, lcm - lg, 1 / g[lg], g, layout)
+    return work
+
+
+def _monic(p):
+    lc = p[max(p)]
+    if lc == 1:
+        return p
+    return {m: c / lc for m, c in p.items()}
 
 
 def reduce_poly(p: Polynomial, basis, key) -> Polynomial:
-    """Full normal form of p modulo a list of nonzero polynomials."""
-    variables = p.variables
-    lead = [(max(g.terms, key=key), g) for g in basis]
-    work = dict(p.terms)
-    remainder = {}
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        for lm, g in lead:
-            if _monomial_divides(lm, m):
-                shift = tuple(a - b for a, b in zip(m, lm))
-                factor = c / g.terms[lm]
-                for gm, gc in g.terms.items():
-                    t = tuple(a + b for a, b in zip(shift, gm))
-                    if t == m:
-                        continue
-                    s = work.get(t, Fraction(0)) - factor * gc
-                    if s:
-                        work[t] = s
-                    else:
-                        work.pop(t, None)
-                break
-        else:
-            remainder[m] = c
-    return Polynomial._raw(variables, remainder)
+    """Full normal form of p modulo nonzero polynomials; `key` from key_function."""
+    packed = [_packed(g, key) for g in basis]
+    work = _normal_form(_packed(p, key), [(max(g), g) for g in packed], key)
+    return _unpacked(work, p.variables, key)
 
 
-def _spoly(f, g, key):
-    lf = max(f.terms, key=key)
-    lg = max(g.terms, key=key)
-    lcm = tuple(max(a, b) for a, b in zip(lf, lg))
-    mf = tuple(a - b for a, b in zip(lcm, lf))
-    mg = tuple(a - b for a, b in zip(lcm, lg))
-    sf = Polynomial._raw(f.variables, {mf: Fraction(1) / f.terms[lf]}) * f
-    sg = Polynomial._raw(g.variables, {mg: Fraction(1) / g.terms[lg]}) * g
-    return sf - sg
-
-
-def _monic(p, key):
-    lm = max(p.terms, key=key)
-    lc = p.terms[lm]
-    if lc == 1:
-        return p
-    return p.map_coefficients(lambda c: c / lc)
+def _spoly(f: Polynomial, g: Polynomial, key) -> Polynomial:
+    s = _s_polynomial(_packed(f, key), _packed(g, key), key)
+    return _unpacked(s, f.variables, key)
 
 
 def groebner(I: Ideal, order: TermOrder, budget: GroebnerBudget = DEFAULT_BUDGET) -> Ideal:
     """Reduced Groebner basis of I with respect to `order`."""
     variables = I.variables
-    key = order.key_function(variables)
-    basis = []
+    layout = order.key_function(variables)
+    guard = layout.guard
+    basis = []  # (lead, monic packed polynomial)
     for g in sorted(
-        (g for g in I.generators if not g.is_zero()),
-        key=lambda g: sorted(g.terms, key=key, reverse=True),
+        (_packed(g, layout) for g in I.generators if not g.is_zero()),
+        key=lambda g: sorted(g, reverse=True),
     ):
-        g = _monic(g, key)
-        if g not in basis:
-            basis.append(g)
+        g = _monic(g)
+        if all(g != h for _, h in basis):
+            basis.append((max(g), g))
     if not basis:
         return Ideal((Polynomial.zero(variables),))
 
-    lms = [max(g.terms, key=key) for g in basis]
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    def divides(a, b):
+        d = b - a
+        return d >= 0 and not d & guard
 
-    def lcm_of(i, j):
-        return tuple(max(a, b) for a, b in zip(lms[i], lms[j]))
-
+    # pending pairs (i, j), i < j, with the lcm of their leads
+    pairs = {
+        (i, j): _lcm(basis[i][0], basis[j][0], layout)
+        for i in range(len(basis))
+        for j in range(i + 1, len(basis))
+    }
     while pairs:
-        i, j = min(pairs, key=lambda ij: (key(lcm_of(*ij)), ij))
-        pairs.discard((i, j))
-        lcm = lcm_of(i, j)
+        i, j = min(pairs, key=lambda ij: (pairs[ij], ij))
+        lcm = pairs.pop((i, j))
         # product criterion: coprime leading monomials
-        if lcm == tuple(a + b for a, b in zip(lms[i], lms[j])):
+        if lcm == basis[i][0] + basis[j][0]:
             continue
         # chain criterion
         skip = False
         for k in range(len(basis)):
-            if k in (i, j) or not _monomial_divides(lms[k], lcm):
+            if k in (i, j) or not divides(basis[k][0], lcm):
                 continue
             pik = (min(i, k), max(i, k))
             pjk = (min(j, k), max(j, k))
@@ -216,38 +255,38 @@ def groebner(I: Ideal, order: TermOrder, budget: GroebnerBudget = DEFAULT_BUDGET
                 break
         if skip:
             continue
-        r = reduce_poly(_spoly(basis[i], basis[j], key), basis, key)
-        if r.is_zero():
+        s = _s_polynomial(basis[i][1], basis[j][1], layout)
+        r = _normal_form(s, basis, layout)
+        if not r:
             continue
-        if r.total_degree() > budget.max_degree:
+        degree = max(sum(layout.unpack(m)) for m in r)
+        if degree > budget.max_degree:
             raise BudgetExceededError(
-                f"basis element degree {r.total_degree()} exceeds budget "
+                f"basis element degree {degree} exceeds budget "
                 f"{budget.max_degree}; input beyond desk scale"
             )
-        r = _monic(r, key)
-        basis.append(r)
-        lms.append(max(r.terms, key=key))
+        r_lead = max(r)
+        r = _monic(r)
+        basis.append((r_lead, r))
         if len(basis) > budget.max_basis:
             raise BudgetExceededError(
                 f"basis size exceeds budget {budget.max_basis}; input beyond desk scale"
             )
         t = len(basis) - 1
-        pairs.update((s, t) for s in range(t))
+        pairs.update(((s, t), _lcm(basis[s][0], r_lead, layout)) for s in range(t))
 
     # minimalize (drop generators whose lead is divisible by another lead),
-    # then autoreduce every survivor against the others
+    # then autoreduce every survivor against the others; a minimal lead is
+    # divisible by no other lead, so it survives with coefficient 1
     minimal = []
-    for g in sorted(basis, key=lambda g: key(max(g.terms, key=key))):
-        lm = max(g.terms, key=key)
-        if any(_monomial_divides(max(h.terms, key=key), lm) for h in minimal):
-            continue
-        minimal.append(g)
-    for idx in range(len(minimal)):
+    for lead, g in sorted(basis, key=lambda lg: lg[0]):
+        if not any(divides(h, lead) for h, _ in minimal):
+            minimal.append((lead, g))
+    for idx, (lead, g) in enumerate(minimal):
         others = minimal[:idx] + minimal[idx + 1 :]
-        if others:
-            minimal[idx] = _monic(reduce_poly(minimal[idx], others, key), key)
-    minimal.sort(key=lambda g: key(max(g.terms, key=key)))
-    return Ideal(tuple(minimal))
+        minimal[idx] = (lead, _normal_form(dict(g), others, layout))
+    minimal.sort(key=lambda lg: lg[0])
+    return Ideal(tuple(_unpacked(g, variables, layout) for _, g in minimal))
 
 
 def eliminate(I: Ideal, keep, budget: GroebnerBudget = DEFAULT_BUDGET) -> Ideal:
@@ -375,7 +414,7 @@ def generic_fiber_degree(
     seen = {(0,) * nvars}
     while stack:
         m = stack.pop()
-        if any(_monomial_divides(lm, m) for lm in lms):
+        if any(all(a <= b for a, b in zip(lm, m)) for lm in lms):
             continue
         count += 1
         for v in range(nvars):

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heappop, heappush
+from operator import mul
 
 from .errors import ExactDivisionError, VariableMismatchError
 
@@ -42,26 +44,60 @@ def lex_key(exps: Exponents):
 
 # ---- integer kernel: packed monomials over a common denominator ----
 #
-# A monomial packs into one int: its total degree in the top field, then its
-# exponents, first variable most significant, so packed ints order as
-# grlex_key does.  A field holds values up to a degree bound plus one guard
-# bit above them.  The fields of a product of monomials within the bound
-# never carry into each other, and m - n sets a guard bit or goes negative
-# exactly when some exponent of n exceeds that of m.
+# A MonomialLayout packs a monomial into one int of fixed-width fields, each
+# with a guard bit above the values it holds.  Adding two packed monomials
+# with clear guard bits never carries from one field into the next, and sets
+# a guard bit exactly when a field overflows; m - n sets a guard bit or goes
+# negative exactly when some exponent of n exceeds that of m.
 
 
-def _field_width(degree: int) -> int:
-    return degree.bit_length() + 1
+class MonomialLayout:
+    """Packs exponent vectors into ints that sort in a term order.
+
+    `blocks` lists (graded, variable indices) pairs, most significant first,
+    covering every variable once.  Each block packs its total degree if it
+    is graded, then its exponents: grlex is one graded block, lex one
+    ungraded block, an elimination order two graded blocks.  Fields are
+    `width` bits wide, guard bit included; calling the layout packs.
+    """
+
+    __slots__ = ("width", "guard", "_mults", "_shifts")
+
+    def __init__(self, blocks, width):
+        nvars = sum(len(idx) for _, idx in blocks)
+        top = sum(len(idx) + graded for graded, idx in blocks) * width
+        mults, shifts, guard = [0] * nvars, [0] * nvars, 0
+        for graded, idx in blocks:
+            degree_unit = 0
+            if graded:
+                top -= width
+                degree_unit = 1 << top
+                guard |= degree_unit << (width - 1)
+            for i in idx:
+                top -= width
+                shifts[i] = top
+                mults[i] = (1 << top) + degree_unit
+                guard |= 1 << (top + width - 1)
+        self.width = width
+        self.guard = guard
+        self._mults = tuple(mults)
+        self._shifts = tuple(shifts)
+
+    def __call__(self, exps) -> int:
+        return sum(map(mul, exps, self._mults))
+
+    def unpack(self, key) -> Exponents:
+        mask = (1 << self.width) - 1
+        return tuple([(key >> s) & mask for s in self._shifts])
 
 
-def _guard_mask(nvars: int, width: int) -> int:
-    guard = 0
-    for _ in range(nvars):
-        guard = (guard << width) | (1 << (width - 1))
-    return guard
+@lru_cache(maxsize=128)
+def _grlex_layout(nvars: int, degree: int) -> MonomialLayout:
+    """grlex layout whose fields hold every value up to `degree`."""
+    return MonomialLayout(((True, range(nvars)),), degree.bit_length() + 1)
 
 
-def _pack(terms, width):
+def _pack(terms, layout):
     """(common denominator, [(packed monomial, integer numerator)])."""
     den = 1
     for c in terms.values():
@@ -69,28 +105,16 @@ def _pack(terms, width):
             den = math.lcm(den, c.denominator)
     packed = []
     for exps, c in terms.items():
-        key = sum(exps)
-        for e in exps:
-            key = (key << width) | e
-        packed.append((key, c.numerator * (den // c.denominator)))
+        packed.append((layout(exps), c.numerator * (den // c.denominator)))
     return den, packed
 
 
-def _unpack(packed, den, nvars, width):
+def _unpack(packed, den, layout):
     """Term map of (packed monomial, numerator) pairs over `den`; zeros dropped."""
-    mask = (1 << width) - 1
-    shifts = range((nvars - 1) * width, -1, -width)
+    unpack = layout.unpack
     if den == 1:
-        return {
-            tuple([(key >> s) & mask for s in shifts]): Fraction(c)
-            for key, c in packed
-            if c
-        }
-    return {
-        tuple([(key >> s) & mask for s in shifts]): Fraction(c, den)
-        for key, c in packed
-        if c
-    }
+        return {unpack(key): Fraction(c) for key, c in packed if c}
+    return {unpack(key): Fraction(c, den) for key, c in packed if c}
 
 
 class Polynomial:
@@ -224,11 +248,15 @@ class Polynomial:
         self._check_same_ring(other)
         res = dict(self.terms)
         for m, c in other.terms.items():
-            s = res.get(m, Fraction(0)) + c
+            s = res.get(m)
+            if s is None:
+                res[m] = c
+                continue
+            s += c
             if s:
                 res[m] = s
             else:
-                res.pop(m, None)
+                del res[m]
         return Polynomial._raw(self.variables, res)
 
     __radd__ = __add__
@@ -255,18 +283,17 @@ class Polynomial:
         self._check_same_ring(other)
         if not self.terms or not other.terms:
             return Polynomial.zero(self.variables)
-        width = _field_width(self.total_degree() + other.total_degree())
-        da, pa = _pack(self.terms, width)
-        db, pb = _pack(other.terms, width)
+        degree = self.total_degree() + other.total_degree()
+        layout = _grlex_layout(len(self.variables), degree)
+        da, pa = _pack(self.terms, layout)
+        db, pb = _pack(other.terms, layout)
         res = {}
         get = res.get
         for ka, ca in pa:
             for kb, cb in pb:
                 k = ka + kb
                 res[k] = get(k, 0) + ca * cb
-        return Polynomial._raw(
-            self.variables, _unpack(res.items(), da * db, len(self.variables), width)
-        )
+        return Polynomial._raw(self.variables, _unpack(res.items(), da * db, layout))
 
     __rmul__ = __mul__
 
@@ -314,11 +341,7 @@ class Polynomial:
             if e == 0:
                 continue
             dm = m[:idx] + (e - 1,) + m[idx + 1 :]
-            s = res.get(dm, Fraction(0)) + c * e
-            if s:
-                res[dm] = s
-            else:
-                res.pop(dm, None)
+            res[dm] = c * e
         return Polynomial._raw(self.variables, res)
 
     def homogeneous_components(self):
@@ -378,17 +401,6 @@ class Polynomial:
             if v:
                 res[m] = v
         return Polynomial._raw(self.variables, res)
-
-
-def arith(p: Polynomial, q: Polynomial, op: str) -> Polynomial:
-    """Dispatch helper for the three ring operations: add, sub, mul."""
-    if op == "add":
-        return p + q
-    if op == "sub":
-        return p - q
-    if op == "mul":
-        return p * q
-    raise ValueError(f"unknown operation {op!r}")
 
 
 def substitute(p: Polynomial, bindings, target_variables=None) -> Polynomial:
@@ -555,18 +567,17 @@ def exact_div(p: Polynomial, q: Polynomial) -> Polynomial:
         raise ZeroDivisionError("division by the zero polynomial")
     if p.is_zero():
         return p
-    nvars = len(p.variables)
-    width = _field_width(max(p.total_degree(), q.total_degree()))
-    dp, dividend = _pack(p.terms, width)
-    dq, divisor = _pack(q.terms, width)
+    layout = _grlex_layout(len(p.variables), max(p.total_degree(), q.total_degree()))
+    dp, dividend = _pack(p.terms, layout)
+    dq, divisor = _pack(q.terms, layout)
     cq = math.gcd(*(c for _, c in divisor))
     divisor = [(k, c // cq) for k, c in divisor]
     dividend.sort(reverse=True)
     divisor.sort(reverse=True)
-    quot = _divide_packed(dividend, divisor, _guard_mask(nvars, width))
+    quot = _divide_packed(dividend, divisor, layout.guard)
     scale = Fraction(dq, dp * cq)
     quot = [(k, c * scale.numerator) for k, c in quot]
-    return Polynomial._raw(p.variables, _unpack(quot, scale.denominator, nvars, width))
+    return Polynomial._raw(p.variables, _unpack(quot, scale.denominator, layout))
 
 
 def _divide_packed(dividend, divisor, guard):

@@ -175,6 +175,55 @@ def reference_exact_div(p: Polynomial, q: Polynomial) -> Polynomial:
     return Polynomial(p.variables, quot)
 
 
+def reference_key_function(order, variables):
+    """Tuple sort key of a TermOrder over `variables`: lex compares the
+    exponents in priority order, grlex the total degree first, and a block
+    order each block's degree and exponents in turn."""
+    variables = tuple(variables)
+    idx = tuple(variables.index(name) for name in order.priority)
+    if order.kind == "lex":
+        return lambda e: tuple(e[i] for i in idx)
+    if order.kind == "grlex":
+        return lambda e: (sum(e), tuple(e[i] for i in idx))
+    head, tail = idx[: order.split], idx[order.split :]
+
+    def block_key(e):
+        h = tuple(e[i] for i in head)
+        t = tuple(e[i] for i in tail)
+        return (sum(h), h, sum(t), t)
+
+    return block_key
+
+
+def reference_reduce_poly(p: Polynomial, basis, key) -> Polynomial:
+    """Full normal form of p modulo nonzero polynomials by the Fraction term
+    loop: reselect the key-largest term, reduce it by the first basis element
+    whose leading monomial divides it."""
+    lead = [(max(g.terms, key=key), g) for g in basis]
+    work = dict(p.terms)
+    remainder = {}
+    while work:
+        m = max(work, key=key)
+        c = work.pop(m)
+        for lm, g in lead:
+            if all(x <= y for x, y in zip(lm, m)):
+                shift = tuple(a - b for a, b in zip(m, lm))
+                factor = c / g.terms[lm]
+                for gm, gc in g.terms.items():
+                    t = tuple(a + b for a, b in zip(shift, gm))
+                    if t == m:
+                        continue
+                    s = work.get(t, Fraction(0)) - factor * gc
+                    if s:
+                        work[t] = s
+                    else:
+                        work.pop(t, None)
+                break
+        else:
+            remainder[m] = c
+    return Polynomial(p.variables, remainder)
+
+
 def naive_grid_points(system, B):
     """Full-grid enumeration oracle for box searches."""
     pts = []

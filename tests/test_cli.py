@@ -140,14 +140,6 @@ def test_search_budget_exit_code(capsys, cfsys):
     assert "exhausted: no" in out
 
 
-def test_search_threads_deterministic(capsys, cfsys):
-    _, out1, _ = run(capsys, "search", cfsys, "--radius", "6")
-    _, out2, _ = run(capsys, "search", cfsys, "--radius", "6", "--threads", "3")
-    points1 = [l for l in out1.splitlines() if not l.startswith(("exhausted", "nodes"))]
-    points2 = [l for l in out2.splitlines() if not l.startswith(("exhausted", "nodes"))]
-    assert points1 == points2
-
-
 def test_curve_line_kind(capsys, tri2):
     code, out, _ = run(capsys, "curve", tri2, "--kind", "line",
                        "--u", "0,0", "--v", "0,1")

