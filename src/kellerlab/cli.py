@@ -57,6 +57,16 @@ def _parse_uv(text: str, n: int):
     return u, v
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _load_map(path: str):
     try:
         mf = expr_io.load_map_file(path)
@@ -368,7 +378,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", parents=[common], help="box search on a system file")
     p.add_argument("sysfile")
     p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--budget", type=int, default=diophantine.DEFAULT_NODE_BUDGET)
+    p.add_argument(
+        "--budget",
+        type=_non_negative_int,
+        default=diophantine.DEFAULT_NODE_BUDGET,
+        help="node budget; a stopped search counts the node that tripped it, "
+        "so it reports budget + 1 nodes",
+    )
     p.set_defaults(fn=_cmd_search)
 
     p = sub.add_parser("hurwitz", parents=[common], help="branch-data feasibility")

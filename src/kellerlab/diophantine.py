@@ -1,11 +1,19 @@
 """Curve equation systems and exhaustive integer-point search in a box.
 
-Systems are cleared to integer-primitive equations on construction, so the
-search arithmetic is purely integral.  The depth-first search assigns
-variables in a heuristic order and, whenever a specialized equation involves
-exactly one unassigned variable, replaces range scanning by exact integer
-root extraction (divisor test on the constant term).  A node budget turns
-oversized searches into a reported non-exhaustive result, never a hang.
+Systems are cleared to integer-primitive equations on construction, and
+the search runs on plain ints: each equation is converted once to a map from
+exponent tuples to int coefficients.  At each node the equations are grouped
+by their monomials in the other variables, so assigning a value is one int
+dot product per group; no Fraction or Polynomial is built below the root.
+The depth-first search assigns variables in a heuristic order and, whenever
+a specialized equation involves exactly one unassigned variable, replaces
+range scanning by exact integer root extraction: a divisor test on the
+constant term for candidates up to a root bound of the polynomial, not up
+to the box radius.  Every reported point is re-verified on the system.
+
+A node budget turns oversized searches into a reported non-exhaustive
+result, never a hang.  The node at which the budget trips is counted, so a
+stopped search reports budget + 1 nodes.
 
 Reports cannot certify emptiness: "none in box" always means "no nonzero
 integer point with max-norm <= B", nothing more.
@@ -14,9 +22,11 @@ integer point with max-norm <= B", nothing more.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
+
 from .errors import VariableMismatchError
 from .fibers import Line
-from .polyring import Polynomial, PolyMap, make_primitive
+from .polyring import Polynomial, PolyMap, integer_root, make_primitive
 
 DEFAULT_NODE_BUDGET = 1_000_000
 
@@ -119,38 +129,99 @@ def format_report(report: SearchReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _integer_coeff_list(p: Polynomial, idx: int):
-    """Coefficients of powers of variable idx for a poly univariate in it."""
-    top = max(m[idx] for m in p.terms)
-    coeffs = [0] * (top + 1)
-    for m, c in p.terms.items():
-        coeffs[m[idx]] = int(c)
-    return coeffs
+def _root_bound(coeffs) -> int:
+    """Integer R >= every positive real root of sum coeffs[k] y^k.
+
+    Fujiwara's bound 2 max(|c_{d-i}/c_d|^(1/i), |c_0/(2 c_d)|^(1/d)), each
+    term rounded up with an exact integer k-th root, taken only over the
+    coefficients c_{d-i} of sign opposite to c_d: for y > 2 max those terms
+    cannot cancel c_d y^d, and the others have its sign.  With every c_k of
+    k < d negated to -|c_k| it is Fujiwara's bound on the modulus of every
+    complex root.  coeffs[-1] is nonzero.
+    """
+    d = len(coeffs) - 1
+    lead = coeffs[d]
+    r = 0
+    for i in range(1, d + 1):
+        a = coeffs[d - i]
+        if a and (a < 0) != (lead < 0):
+            scale = abs(lead) * (2 if i == d else 1)
+            # least t with t^i >= |a| / scale, i.e. t^i >= ceil(|a| / scale)
+            n = -(-abs(a) // scale)
+            t = integer_root(n, i)
+            r = max(r, t if t**i == n else t + 1)
+    return 2 * r
+
+
+def _horner(coeffs, y):
+    val = 0
+    for c in reversed(coeffs):
+        val = val * y + c
+    return val
 
 
 def _integer_roots(coeffs, B):
-    """Integer roots within [-B, B]: strip zero roots, then trial-divide the
-    constant term by the candidates in the box."""
+    """Sorted integer roots within [-B, B] of sum coeffs[k] y^k (not all 0).
+
+    Zero roots are stripped.  A nonzero root y divides the remaining
+    constant term, and |y| is at most the root bound of p(y) for y > 0 and
+    of p(-y) for y < 0, so only those candidates up to B are trial-divided
+    and then checked exactly.
+    """
     shift = 0
-    while shift < len(coeffs) and coeffs[shift] == 0:
+    while coeffs[shift] == 0:
         shift += 1
-    roots = [0] if shift > 0 else []
+    roots = [0] if shift else []
     body = coeffs[shift:]
-    if not body:
-        return roots
     c0 = body[0]
-    for y in range(-B, B + 1):
-        if y == 0 or c0 % y != 0:
+    pos = min(B, _root_bound(body))
+    neg = min(B, _root_bound([-c if k & 1 else c for k, c in enumerate(body)]))
+    for y in range(1, max(pos, neg) + 1):
+        if c0 % y:
             continue
-        val = 0
-        for c in reversed(body):
-            val = val * y + c
-        if val == 0:
+        if y <= neg and _horner(body, -y) == 0:
+            roots.append(-y)
+        if y <= pos and _horner(body, y) == 0:
             roots.append(y)
-    return sorted(set(roots))
+    return sorted(roots)
+
+
+def _support(monomial) -> int:
+    """Bit i set iff variable i occurs in the exponent tuple."""
+    mask = 0
+    for i, e in enumerate(monomial):
+        if e:
+            mask |= 1 << i
+    return mask
+
+
+def _split(terms, idx):
+    """Group {monomial: int} by the monomial with variable idx set to 0.
+
+    Returns (rest, support of rest, coefficients of idx^0, idx^1, ...) rows,
+    so specializing idx = v is one dot product per row.
+    """
+    rows = {}
+    for m, c in terms.items():
+        e = m[idx]
+        rest = m[:idx] + (0,) + m[idx + 1 :]
+        coeffs = rows.get(rest)
+        if coeffs is None:
+            coeffs = rows[rest] = []
+        if len(coeffs) <= e:
+            coeffs.extend([0] * (e + 1 - len(coeffs)))
+        coeffs[e] = c
+    return [(rest, _support(rest), coeffs) for rest, coeffs in rows.items()]
 
 
 class _BoxSearch:
+    """Depth-first search on int equations.
+
+    An equation is a pair ({exponent tuple: nonzero int}, support mask);
+    assigned variables have exponent 0 everywhere.  An empty map is the zero
+    equation, a nonempty map with mask 0 a nonzero constant.
+    """
+
     def __init__(self, system: EquationSystem, B: int, budget: int):
         self.system = system
         self.B = B
@@ -172,68 +243,74 @@ class _BoxSearch:
         self.var_order = sorted(range(self.nvars), key=lambda i: scores[i])
 
     def run(self):
-        eqs = [p for p in self.system.polynomials if not p.is_zero()]
-        assignment = [None] * self.nvars
-        self._explore(eqs, assignment)
-
-    def _specialize(self, p: Polynomial, idx: int, value: int):
-        terms = {}
-        for m, c in p.terms.items():
-            e = m[idx]
-            coef = c * value**e if e else c
-            if coef == 0:
+        eqs = []
+        for p in self.system.polynomials:
+            if p.is_zero():
                 continue
-            key = m[:idx] + (0,) + m[idx + 1 :]
-            s = terms.get(key, 0) + coef
-            if s:
-                terms[key] = s
-            else:
-                terms.pop(key, None)
-        return Polynomial._raw(p.variables, terms)
+            terms = {m: int(c) for m, c in p.terms.items()}
+            mask = 0
+            for m in terms:
+                mask |= _support(m)
+            eqs.append((terms, mask))
+        self._explore(eqs, [None] * self.nvars)
 
     def _explore(self, eqs, assignment):
-        if self.hit_budget:
-            return
         self.nodes += 1
         if self.nodes > self.budget:
             self.hit_budget = True
             return
 
-        live = []
-        for p in eqs:
-            if p.is_zero():
-                continue
-            if p.is_constant():
+        for terms, mask in eqs:
+            if terms and not mask:
                 return  # nonzero constant: contradiction, prune
-            live.append(p)
 
-        unassigned = [i for i in range(self.nvars) if assignment[i] is None]
-        if not unassigned:
+        if None not in assignment:
             point = tuple(assignment)
             if self.system.satisfied_by(point):
                 self.points.add(point)
             return
 
         # exact roots when an equation involves exactly one unassigned variable
-        for p in live:
-            touched = {i for m in p.terms for i in range(self.nvars) if m[i]}
-            if len(touched) == 1:
-                (idx,) = touched
-                coeffs = _integer_coeff_list(p, idx)
-                for root in _integer_roots(coeffs, self.B):
-                    self._assign(eqs, assignment, idx, root)
+        for terms, mask in eqs:
+            if mask and not mask & (mask - 1):
+                idx = mask.bit_length() - 1
+                ((_, _, coeffs),) = _split(terms, idx)
+                self._branch(eqs, assignment, idx, _integer_roots(coeffs, self.B))
                 return
 
         idx = next(i for i in self.var_order if assignment[i] is None)
-        for value in range(-self.B, self.B + 1):
-            self._assign(eqs, assignment, idx, value)
+        self._branch(eqs, assignment, idx, range(-self.B, self.B + 1))
 
-    def _assign(self, eqs, assignment, idx, value):
-        if self.hit_budget:
+    def _branch(self, eqs, assignment, idx, values):
+        """Explore idx = value for each value, specializing every equation."""
+        if not values:
             return
-        assignment[idx] = value
-        nxt = [self._specialize(p, idx, value) for p in eqs]
-        self._explore(nxt, assignment)
+        bit = 1 << idx
+        plans = [_split(terms, idx) if mask & bit else None for terms, mask in eqs]
+        top = max(
+            (len(row[2]) for plan in plans if plan for row in plan), default=1
+        )
+        for value in values:
+            if self.hit_budget:
+                break
+            powers = [1] * top
+            for e in range(1, top):
+                powers[e] = powers[e - 1] * value
+            children = []
+            for eq, plan in zip(eqs, plans):
+                if plan is None:
+                    children.append(eq)
+                    continue
+                terms = {}
+                mask = 0
+                for rest, rest_mask, coeffs in plan:
+                    c = sum(map(mul, coeffs, powers))
+                    if c:
+                        terms[rest] = c
+                        mask |= rest_mask
+                children.append((terms, mask))
+            assignment[idx] = value
+            self._explore(children, assignment)
         assignment[idx] = None
 
 

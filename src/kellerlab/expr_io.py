@@ -10,7 +10,9 @@ Expression grammar (recursive descent, precedence climbing):
 
 Numbers are integer or rational literals `p/q` with no embedded spaces;
 exponents are non-negative integer literals; implicit multiplication is
-forbidden.  Map files are the line-oriented format
+forbidden.  A power of a base with more than one term is expanded, so its
+degree is capped at MAX_POWER_DEGREE: `(x+y+1)^200` is a ParseError at the
+`^`, not 20301 terms.  Map files are the line-oriented format
 
     # comment
     name: some-label          (optional metadata before the header)
@@ -30,6 +32,10 @@ from fractions import Fraction
 
 from .errors import ParseError
 from .polyring import Polynomial, PolyMap
+
+# Largest total degree of an expanded power of a base with more than one
+# term.  The bundled and hard-tier maps need 3; (x+y+1)^60 must still parse.
+MAX_POWER_DEGREE = 64
 
 # ---- tokenizer ----
 
@@ -164,8 +170,15 @@ class _Parser:
     def atom(self) -> Polynomial:
         p = self.base()
         while self.cur.kind == "op" and self.cur.text == "^":
-            self.advance()
-            p = p ** self.exponent()
+            caret = self.advance()
+            e = self.exponent()
+            degree = p.total_degree() * e
+            if len(p.terms) > 1 and degree > MAX_POWER_DEGREE:
+                self.fail(
+                    f"power of degree {degree} exceeds the cap of {MAX_POWER_DEGREE}",
+                    caret,
+                )
+            p = p**e
         return p
 
     def exponent(self) -> int:
@@ -268,12 +281,16 @@ class MapFile:
     variables: tuple
     components: tuple  # expression strings
     metadata: dict = field(default_factory=dict)
+    # the components as parsed by parse_map_file; None for a hand-built file
+    parsed: tuple | None = field(default=None, compare=False, repr=False)
 
     @property
     def n(self) -> int:
         return len(self.components)
 
     def to_poly_map(self) -> PolyMap:
+        if self.parsed is not None:
+            return PolyMap(list(self.parsed))
         return PolyMap(
             [parse_polynomial(expr, self.variables) for expr in self.components]
         )
@@ -325,6 +342,7 @@ def _parse_header_lines(text):
 def parse_map_file(text: str) -> MapFile:
     metadata, variables, body = _parse_header_lines(text)
     components = []
+    parsed = []
     for lineno, line in body:
         lhs, sep, rhs = line.partition("=")
         if not sep:
@@ -335,11 +353,16 @@ def parse_map_file(text: str) -> MapFile:
             raise ParseError(f"expected component label {expected!r}", lineno, 1)
         expr = rhs.strip()
         column = len(line) - len(rhs) + 1 + (len(rhs) - len(rhs.lstrip()))
-        parse_polynomial(expr, variables, line=lineno, column=column)
+        parsed.append(parse_polynomial(expr, variables, line=lineno, column=column))
         components.append(expr)
     if not components:
         raise ParseError("map file declares no components", 1, 1)
-    return MapFile(variables=variables, components=tuple(components), metadata=metadata)
+    return MapFile(
+        variables=variables,
+        components=tuple(components),
+        metadata=metadata,
+        parsed=tuple(parsed),
+    )
 
 
 def format_map_file(mf: MapFile) -> str:
@@ -373,21 +396,31 @@ class SystemFile:
     variables: tuple
     equations: tuple  # expression strings
     metadata: dict = field(default_factory=dict)
+    # the equations as parsed by parse_system_file; None for a hand-built file
+    parsed: tuple | None = field(default=None, compare=False, repr=False)
 
     def to_polynomials(self):
+        if self.parsed is not None:
+            return list(self.parsed)
         return [parse_polynomial(expr, self.variables) for expr in self.equations]
 
 
 def parse_system_file(text: str) -> SystemFile:
     metadata, variables, body = _parse_header_lines(text)
     equations = []
+    parsed = []
     for lineno, line in body:
         expr = line.strip()
-        parse_polynomial(expr, variables, line=lineno, column=1)
+        parsed.append(parse_polynomial(expr, variables, line=lineno, column=1))
         equations.append(expr)
     if not equations:
         raise ParseError("system file declares no equations", 1, 1)
-    return SystemFile(variables=variables, equations=tuple(equations), metadata=metadata)
+    return SystemFile(
+        variables=variables,
+        equations=tuple(equations),
+        metadata=metadata,
+        parsed=tuple(parsed),
+    )
 
 
 def format_system_file(sf: SystemFile) -> str:

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from ._linalg import fraction_matrix_inverse, poly_matrix_det
 from .errors import SingularMatrixError
-from .polyring import Polynomial, PolyMap, lex_key
+from .polyring import Polynomial, PolyMap, integer_root, lex_key
 
 
 def jacobian_matrix(F: PolyMap):
@@ -152,20 +152,10 @@ def _rational_cube_root(c: Fraction):
 
 def _icbrt(n: int):
     """Exact integer cube root, or None."""
-    if n < 0:
-        r = _icbrt(-n)
-        return None if r is None else -r
-    if n == 0:
-        return 0
-    # Integer Newton from above: 2^ceil(bits/3) exceeds the cube root, and
-    # the iterates decrease strictly until they reach floor(cbrt(n)).
-    r = 1 << -(-n.bit_length() // 3)
-    while True:
-        nxt = (2 * r + n // (r * r)) // 3
-        if nxt >= r:
-            break
-        r = nxt
-    return r if r**3 == n else None
+    r = integer_root(abs(n), 3)
+    if r**3 != abs(n):
+        return None
+    return -r if n < 0 else r
 
 
 def as_cubic_linear(F: PolyMap):

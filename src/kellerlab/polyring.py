@@ -523,6 +523,20 @@ def coefficients_in(p: Polynomial, name) -> list:
 # ---- integer normalization ----
 
 
+def integer_root(n: int, k: int) -> int:
+    """floor(n^(1/k)) for an int n >= 0 and k >= 1, exactly."""
+    if n == 0:
+        return 0
+    # Integer Newton from above: 2^ceil(bits/k) exceeds the k-th root, and
+    # the iterates decrease strictly until they reach floor(n^(1/k)).
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        nxt = ((k - 1) * r + n // r ** (k - 1)) // k
+        if nxt >= r:
+            return r
+        r = nxt
+
+
 def integer_content(p: Polynomial) -> Fraction:
     """Positive rational c with p/c integral, primitive (0 for p = 0)."""
     if p.is_zero():

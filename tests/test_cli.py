@@ -180,3 +180,27 @@ def test_missing_file_is_domain_error(capsys):
     code, out, err = run(capsys, "check", "no_such_file.map")
     assert code == 1
     assert "cannot read" in err
+
+
+def test_search_rejects_negative_budget(capsys, cfsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", cfsys, "--radius", "10", "--budget=-5"])
+    assert exc.value.code == 2
+    assert "--budget" in capsys.readouterr().err
+
+
+def test_search_budget_counts_the_tripping_node(capsys, cfsys):
+    code, out, _ = run(capsys, "search", cfsys, "--radius", "10", "--budget", "0", "--json")
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["results"]["exhausted"] is False
+    assert doc["results"]["nodes"] == 1
+
+
+def test_search_exponent_bomb_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "bomb.sys"
+    path.write_text("vars: x y\n(x+y+1)^200\n")
+    code, out, err = run(capsys, "search", str(path), "--radius", "1", "--budget", "5")
+    assert code == 1
+    assert out == ""
+    assert "line 2" in err and "degree" in err

@@ -8,6 +8,8 @@ from kellerlab.diophantine import (
     curve_CF,
     curve_CFm,
     format_report,
+    _integer_roots,
+    _root_bound,
     line_preimage,
     nonzero_point_exists,
     search_box,
@@ -170,3 +172,122 @@ def test_equation_system_clears_denominators():
     (eq,) = system.polynomials
     assert eq.is_integral()
     assert eq in (P("3*x + 2*y", V), P("-3*x - 2*y", V))
+
+
+# ---- root extraction below a root bound ----
+
+
+def _planted(rng, roots, gaussian, lead, shift):
+    """Coefficients (low to high) of lead * y^shift * prod(y - r) * prod(y^2 + s^2)."""
+    coeffs = [lead]
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    for s in gaussian:
+        coeffs = [a + s * s * b for a, b in zip([0, 0] + coeffs, coeffs + [0, 0])]
+    return [0] * shift + coeffs
+
+
+def _brute_roots(coeffs, B):
+    def value(y):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = acc * y + c
+        return acc
+
+    return [y for y in range(-B, B + 1) if value(y) == 0]
+
+
+def test_integer_roots_match_trial_division():
+    rng = random.Random(4242)
+    for trial in range(160):
+        degree = rng.randint(1, 6)
+        gaussian = [rng.randint(1, 40) for _ in range(rng.randint(0, degree // 2))]
+        big = trial % 4 == 0
+        roots = [
+            rng.choice([rng.randint(-12, 12), rng.randint(-1500, 1500),
+                        rng.randint(-10**4, 10**4) if big else 7])
+            for _ in range(degree - 2 * len(gaussian))
+        ]
+        lead = rng.choice([1, -1, 2, -3, 7])
+        coeffs = _planted(rng, roots, gaussian, lead, rng.choice([0, 0, 1, 2]))
+        if big:
+            # perturb the constant term up to 10^24: usually kills every root
+            coeffs[0] += rng.choice([0, rng.randint(-10**24, 10**24)])
+        if not any(coeffs):
+            continue
+        for B in (0, 1, 5, 1000):
+            assert _integer_roots(coeffs, B) == _brute_roots(coeffs, B), (coeffs, B)
+
+
+def test_integer_roots_huge_constant():
+    c = 10**24
+    # y^2 - c: roots +-10^12 lie outside the box
+    assert _integer_roots([-c, 0, 1], 1000) == []
+    # (y - 3)(y^2 + c): the bound is about 10^12, the box keeps the scan short
+    assert _integer_roots([-3 * c, c, -3, 1], 1000) == [3]
+    # constant with zero roots stripped: y^3 (y - 999)
+    assert _integer_roots([0, 0, 0, -999, 1], 1000) == [0, 999]
+    assert _integer_roots([0, 0, 0, -999, 1], 5) == [0]
+    assert _integer_roots([5], 1000) == []
+
+
+def test_root_bound_covers_planted_roots():
+    rng = random.Random(77)
+    for _ in range(300):
+        degree = rng.randint(1, 6)
+        gaussian = [rng.randint(1, 10**6) for _ in range(rng.randint(0, degree // 2))]
+        roots = [rng.randint(-10**8, 10**8) for _ in range(degree - 2 * len(gaussian))]
+        lead = rng.choice([1, -1, 5, -11])
+        coeffs = _planted(rng, roots, gaussian, lead, 0)
+        flipped = [-c if k & 1 else c for k, c in enumerate(coeffs)]
+        pos, neg = _root_bound(coeffs), _root_bound(flipped)
+        assert all(r <= pos for r in roots) and all(-r <= neg for r in roots)
+        # on Cauchy's companion |c_d| y^d - sum |c_k| y^k it bounds every modulus
+        cauchy = [-abs(c) for c in coeffs[:-1]] + [abs(coeffs[-1])]
+        bound = _root_bound(cauchy)
+        assert isinstance(bound, int) and bound >= max(pos, neg)
+        assert all(abs(r) <= bound for r in roots + gaussian), (coeffs, bound)
+    # the box for x1 + x2 - x2^3 at x1 = 1500 shrinks to a few candidates
+    assert _root_bound([1500, 1, 0, -1]) <= 20
+    assert _root_bound([-1500, -1, 0, 1]) <= 20
+    # no coefficient opposes the leading one: no positive root
+    assert _root_bound([3, 0, 2, 1]) == 0
+
+
+# ---- pinned search results (recorded before the integer engine) ----
+
+
+def test_search_box_pinned_cf_triangular_2():
+    from kellerlab.bundled import load_bundled_system
+
+    system = EquationSystem(tuple(load_bundled_system("cf_triangular_2.sys").to_polynomials()))
+    rep = search_box(system, 1500)
+    ks = range(-11, 12)
+    expected = sorted([(k**3 - k, -k) for k in ks])
+    assert list(rep.points) == expected
+    assert rep.nodes_visited == 3025
+    assert rep.exhausted
+
+
+def _conjugated_triangular_3():
+    from kellerlab.bundled import load_bundled_map
+    from kellerlab.transforms import conjugate_by_linear
+
+    F = load_bundled_map("triangular_3.map").to_poly_map()
+    return conjugate_by_linear(F, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+
+
+def test_search_box_pinned_cf_scan_three_variables():
+    rep = search_box(curve_CF(_conjugated_triangular_3()), 40)
+    assert rep.points == ((0, -8, -9), (0, 0, 0), (0, 8, 9))
+    assert rep.nodes_visited == 6898
+    assert rep.exhausted
+
+
+def test_search_box_pinned_sum_of_squares_budget_stop():
+    system = EquationSystem((cor1_sum_of_squares(_conjugated_triangular_3()),))
+    rep = search_box(system, 200, budget=3000)
+    assert rep.points == ()
+    # the node at which the budget tripped is counted: budget + 1
+    assert rep.nodes_visited == 3001
+    assert not rep.exhausted

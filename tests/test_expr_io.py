@@ -5,6 +5,9 @@ import pytest
 
 from kellerlab.errors import ParseError
 from kellerlab.expr_io import (
+    MAX_POWER_DEGREE,
+    MapFile,
+    SystemFile,
     format_map_file,
     format_system_file,
     map_file_from_poly_map,
@@ -180,3 +183,89 @@ def test_system_file_roundtrip():
 def test_system_file_requires_equations():
     with pytest.raises(ParseError):
         parse_system_file("vars: x y\n")
+
+
+# ---- each file is parsed once ----
+
+
+def _count_parses(monkeypatch):
+    from kellerlab import expr_io
+
+    calls = []
+    real = expr_io.parse_polynomial
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(expr_io, "parse_polynomial", counting)
+    return calls
+
+
+def test_map_file_keeps_parsed_components(monkeypatch):
+    calls = _count_parses(monkeypatch)
+    mf = parse_map_file(MAP_TEXT)
+    assert len(calls) == 2
+    F = mf.to_poly_map()
+    G = mf.to_poly_map()
+    assert len(calls) == 2
+    assert F == G == PolyMap([parse_polynomial("x + y^3", V), parse_polynomial("y", V)])
+    # the parsed polynomials take no part in equality or repr
+    plain = MapFile(variables=mf.variables, components=mf.components, metadata=mf.metadata)
+    assert mf == plain
+    assert repr(mf) == repr(plain)
+    assert plain.to_poly_map() == F
+
+
+def test_system_file_keeps_parsed_equations(monkeypatch):
+    calls = _count_parses(monkeypatch)
+    sf = parse_system_file(SYS_TEXT)
+    assert len(calls) == 2
+    polys = sf.to_polynomials()
+    assert len(calls) == 2
+    assert polys == [parse_polynomial("x + y^3 - y", V), parse_polynomial("x - y", V)]
+    plain = SystemFile(variables=sf.variables, equations=sf.equations, metadata=sf.metadata)
+    assert sf == plain
+    assert repr(sf) == repr(plain)
+    assert plain.to_polynomials() == polys
+
+
+def test_parse_error_positions_unchanged():
+    with pytest.raises(ParseError) as err:
+        parse_system_file("vars: x y\nx + y\nx * * y\n")
+    assert (err.value.line, err.value.column) == (3, 5)
+    with pytest.raises(ParseError) as err:
+        parse_map_file("vars: x y\nF1 = x\nF2 =  y + )\n")
+    assert (err.value.line, err.value.column) == (3, 11)
+
+
+# ---- exponent bombs ----
+
+
+def test_power_of_multi_term_base_is_capped():
+    with pytest.raises(ParseError, match="degree") as err:
+        parse_polynomial("(x+y+1)^200", V)
+    assert (err.value.line, err.value.column) == (1, 8)
+    with pytest.raises(ParseError) as err:
+        parse_system_file("vars: x y\nx - y\n(x+y+1)^200\n")
+    assert (err.value.line, err.value.column) == (3, 8)
+    # the cap is on the degree of the power: (x^2+y)^33 has degree 66
+    with pytest.raises(ParseError):
+        parse_polynomial("(x^2+y)^33", V)
+    # repeated powers multiply
+    with pytest.raises(ParseError):
+        parse_polynomial("(x+1)^10^10", V)
+
+
+def test_powers_below_the_cap_parse():
+    assert MAX_POWER_DEGREE >= 60
+    p = parse_polynomial("(x+y+1)^60", V)
+    assert p.total_degree() == 60 and len(p.terms) == 1891
+    # a single-term base is never expanded, so it is not capped
+    assert parse_polynomial("x^200*y^3", V).total_degree() == 203
+    assert parse_polynomial(f"(2*x)^{MAX_POWER_DEGREE + 1}", V).total_degree() == (
+        MAX_POWER_DEGREE + 1
+    )
+    assert parse_polynomial(f"(x+1)^{MAX_POWER_DEGREE}", V).total_degree() == (
+        MAX_POWER_DEGREE
+    )

@@ -10,6 +10,7 @@ from kellerlab.polyring import (
     PolyMap,
     exact_div,
     integer_content,
+    integer_root,
     make_primitive,
     poly_gcd,
     squarefree_part,
@@ -314,3 +315,16 @@ def test_pickle_roundtrip():
     back = pickle.loads(pickle.dumps(F))
     assert back == F and back.variables == F.variables
     assert back.compose(PolyMap([X - Fraction(1, 2) * Y**3, Y])) == PolyMap.identity(V)
+
+
+def test_integer_root_is_exact_floor():
+    rng = random.Random(31)
+    cases = [(0, 1), (0, 5), (1, 3), (7, 1), (10**40, 2), ((10**20 + 1) ** 3, 3),
+             ((10**20 + 1) ** 3 - 1, 3), (2**64, 64), (2**64 - 1, 64)]
+    for _ in range(300):
+        k = rng.randint(1, 7)
+        r = rng.randint(0, 10**rng.randint(0, 12))
+        cases += [(r**k, k), (r**k + rng.randint(0, k * r ** max(k - 1, 0)), k)]
+    for n, k in cases:
+        r = integer_root(n, k)
+        assert r**k <= n < (r + 1) ** k, (n, k)
