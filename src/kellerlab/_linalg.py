@@ -1,7 +1,16 @@
-"""Exact matrix kernels: Fraction inverses, integer and polynomial determinants."""
+"""Exact matrix kernels.
+
+One Gauss-Jordan inverse over `Fraction` serves every inverse, including
+the integer inverse of an SL(n, Z) matrix.  One fraction-free Bareiss
+elimination serves both determinants: integer matrices divide with `//`,
+polynomial matrices with `exact_div`.  Polynomial determinants of size
+n <= 4 use cofactor expansion instead, which is faster on Jacobians of
+that size.
+"""
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .errors import SingularMatrixError
@@ -35,41 +44,10 @@ def fraction_matrix_inverse(rows):
 
 def int_matrix_det(rows) -> int:
     """Determinant of an integer matrix by fraction-free Bareiss."""
-    n = len(rows)
     a = [list(map(int, row)) for row in rows]
-    if any(len(row) != n for row in a):
+    if any(len(row) != len(a) for row in a):
         raise ValueError("matrix is not square")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        pivot = next((r for r in range(k, n) if a[r][k] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def int_matrix_adjugate(rows):
-    """Adjugate of an integer matrix (cofactor transpose)."""
-    n = len(rows)
-    a = [list(map(int, row)) for row in rows]
-    if n == 1:
-        return [(1,)]
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [a[r][c] for c in range(n) if c != j] for r in range(n) if r != i
-            ]
-            adj[j][i] = (-1) ** (i + j) * int_matrix_det(minor)
-    return [tuple(row) for row in adj]
+    return _det_bareiss(a, operator.floordiv)
 
 
 def mat_mul(a, b):
@@ -101,7 +79,7 @@ def poly_matrix_det(rows) -> Polynomial:
                 raise ValueError("entries live over different variable lists")
     if n <= 4:
         return _det_cofactor([list(row) for row in rows])
-    return _det_bareiss([list(row) for row in rows])
+    return _det_bareiss([list(row) for row in rows], exact_div)
 
 
 def _det_cofactor(a) -> Polynomial:
@@ -120,23 +98,24 @@ def _det_cofactor(a) -> Polynomial:
     return total
 
 
-def _det_bareiss(a) -> Polynomial:
+def _det_bareiss(a, divide):
+    """Determinant of the square matrix `a` (rows mutated in place) by
+    fraction-free Bareiss elimination, where `divide` is exact division of
+    the entries: every step divides by the previous pivot exactly."""
     n = len(a)
-    variables = a[0][0].variables
-    one = Polynomial.one(variables)
     sign = 1
-    prev = one
+    prev = None  # the initial pivot is 1, so the first step divides by nothing
     for k in range(n - 1):
-        pivot = next((r for r in range(k, n) if not a[r][k].is_zero()), None)
+        pivot = next((r for r in range(k, n) if a[r][k]), None)
         if pivot is None:
-            return Polynomial.zero(variables)
+            return a[k][k]  # a zero of the entries' own type
         if pivot != k:
             a[k], a[pivot] = a[pivot], a[k]
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                a[i][j] = exact_div(a[k][k] * a[i][j] - a[i][k] * a[k][j], prev)
-            a[i][k] = Polynomial.zero(variables)
+                t = a[k][k] * a[i][j] - a[i][k] * a[k][j]
+                a[i][j] = t if prev is None else divide(t, prev)
         prev = a[k][k]
     det = a[n - 1][n - 1]
     return -det if sign < 0 else det

@@ -63,10 +63,7 @@ class EquationSystem:
 
 def curve_CF(F: PolyMap) -> EquationSystem:
     """The curve F_1(X) = F_2(X) = ... = F_n(X) as n-1 differences."""
-    if F.n < 2:
-        raise ValueError("need at least two components")
-    eqs = [F.components[i] - F.components[i + 1] for i in range(F.n - 1)]
-    return EquationSystem(tuple(eqs))
+    return curve_CFm(F, 0)
 
 
 def curve_CFm(F: PolyMap, m: int) -> EquationSystem:

@@ -30,7 +30,6 @@ from .polyring import (
     exact_div,
     make_primitive,
     rename_variables,
-    squarefree_part,
     with_variables,
 )
 
@@ -338,7 +337,7 @@ def minimal_poly_of_coordinate(
 ) -> Polynomial:
     """h_i(Y, T): the algebraic relation satisfied by the i-th coordinate.
 
-    `i` is 1-based, matching the h_i notation.  Returns the squarefree
+    `i` is 1-based, matching the h_i notation.  Returns the irreducible
     integer-primitive generator of the elimination ideal
     <F_1(X)-Y_1, ..., F_n(X)-Y_n> cap Q[Y, X_i], with X_i renamed to T, over
     the ring (Y1, ..., Yn, T).  It satisfies h_i(F(X), X_i) = 0 exactly.
@@ -372,7 +371,9 @@ def minimal_poly_of_coordinate(
     canonical[xi] = "T"
     h = rename_variables(h, canonical)
     h = with_variables(h, tuple(f"Y{k}" for k in range(1, F.n + 1)) + ("T",))
-    return make_primitive(squarefree_part(h))
+    # Q[X, Y]/I is Q[X], a domain, so I and its contraction to Q[Y, X_i] are
+    # prime: the principal generator h is irreducible, hence squarefree.
+    return make_primitive(h)
 
 
 def generic_fiber_degree(

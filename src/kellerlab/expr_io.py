@@ -11,8 +11,10 @@ Expression grammar (recursive descent, precedence climbing):
 Numbers are integer or rational literals `p/q` with no embedded spaces;
 exponents are non-negative integer literals; implicit multiplication is
 forbidden.  A power of a base with more than one term is expanded, so its
-degree is capped at MAX_POWER_DEGREE: `(x+y+1)^200` is a ParseError at the
-`^`, not 20301 terms.  Map files are the line-oriented format
+degree is capped at MAX_POWER_DEGREE and its term count, bounded before
+expanding by C(degree + k, k) for a base in k variables, at MAX_POWER_TERMS:
+`(x+y+1)^200` and `(x+y+z+w+1)^24` are ParseErrors at the `^`, not 20301 and
+20475 terms.  Map files are the line-oriented format
 
     # comment
     name: some-label          (optional metadata before the header)
@@ -27,6 +29,7 @@ System files share the grammar, with one bare expression per line
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -36,6 +39,9 @@ from .polyring import Polynomial, PolyMap
 # Largest total degree of an expanded power of a base with more than one
 # term.  The bundled and hard-tier maps need 3; (x+y+1)^60 must still parse.
 MAX_POWER_DEGREE = 64
+# Largest bound C(deg + k, k) on the terms of such a power, with k the number
+# of variables in its base: (x+y+z+w+1)^20 (10626 terms) must still parse.
+MAX_POWER_TERMS = 20000
 
 # ---- tokenizer ----
 
@@ -173,11 +179,20 @@ class _Parser:
             caret = self.advance()
             e = self.exponent()
             degree = p.total_degree() * e
-            if len(p.terms) > 1 and degree > MAX_POWER_DEGREE:
-                self.fail(
-                    f"power of degree {degree} exceeds the cap of {MAX_POWER_DEGREE}",
-                    caret,
-                )
+            if len(p.terms) > 1:
+                if degree > MAX_POWER_DEGREE:
+                    self.fail(
+                        f"power of degree {degree} exceeds the cap of {MAX_POWER_DEGREE}",
+                        caret,
+                    )
+                k = len(p.support_variables())
+                bound = math.comb(degree + k, k)
+                if bound > MAX_POWER_TERMS:
+                    self.fail(
+                        f"power of up to {bound} terms exceeds the cap of "
+                        f"{MAX_POWER_TERMS} terms",
+                        caret,
+                    )
             p = p**e
         return p
 

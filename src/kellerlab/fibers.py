@@ -26,7 +26,6 @@ from .polyring import (
     PolyMap,
     coefficients_in,
     drop_variables,
-    make_primitive,
     squarefree_part,
     substitute,
     with_variables,
@@ -115,7 +114,7 @@ def bifurcation_data(
         H = Polynomial.one(y_ring)
         cone = None
     else:
-        H = make_primitive(squarefree_part(product))
+        H = squarefree_part(product)
         cone = H.leading_form()
 
     degree = None
@@ -282,34 +281,21 @@ def assert_c2(
     us, vs = _uv_ring(n)
     ring = us + vs
 
+    def side(fixed_names, values, label):
+        bind = {name: Polynomial.variable(ring, name) for name in ring}
+        bind.update(zip(fixed_names, values))
+        if substitute(s, bind, ring).is_zero():
+            return C2Status(False, f"{label} vanishes identically")
+        return C2Status(True, f"{label} is not identically zero")
+
     if not data.empty_bifurcation_set and data.H.evaluate(u) == 0:
         first = C2Status(None, "precondition violated: u lies on {H = 0}")
     else:
-        bind = {name: Fraction(x) for name, x in zip(us, u)}
-        bind.update({name: Polynomial.variable(ring, name) for name in vs})
-        part = substitute(s, bind, ring)
-        first = C2Status(
-            not part.is_zero(),
-            "sigma(u, V) is not identically zero"
-            if not part.is_zero()
-            else "sigma(u, V) vanishes identically",
-        )
-
-    cone_ok = True
+        first = side(us, u, "sigma(u, V)")
     if data.cone_form is not None and data.cone_form.evaluate(v) == 0:
-        cone_ok = False
-    if not cone_ok:
         second = C2Status(None, "precondition violated: v lies on the cone at infinity")
     else:
-        bind = {name: Polynomial.variable(ring, name) for name in us}
-        bind.update({name: Fraction(x) for name, x in zip(vs, v)})
-        part = substitute(s, bind, ring)
-        second = C2Status(
-            not part.is_zero(),
-            "sigma(U, v) is not identically zero"
-            if not part.is_zero()
-            else "sigma(U, v) vanishes identically",
-        )
+        second = side(vs, v, "sigma(U, v)")
     return first, second
 
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from ._linalg import fraction_matrix_inverse, poly_matrix_det
 from .errors import SingularMatrixError
-from .polyring import Polynomial, PolyMap, integer_root, lex_key
+from .polyring import Polynomial, PolyMap, integer_root
 
 
 def jacobian_matrix(F: PolyMap):
@@ -180,7 +180,8 @@ def as_cubic_linear(F: PolyMap):
             return CubicLinearRejection(
                 i, "component minus X_i is not homogeneous of degree 3"
             )
-        lm, lc = rest.leading_term(key=lex_key)
+        lm = max(rest.terms)  # lex-leading: exponent tuples compare lexicographically
+        lc = rest.terms[lm]
         k = next((j for j, e in enumerate(lm) if e), None)
         if lm.count(0) != n - 1 or lm[k] != 3:
             return CubicLinearRejection(i, "leading term is not the cube of a variable")

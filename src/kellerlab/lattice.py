@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._linalg import int_matrix_adjugate, int_matrix_det, mat_mul, mat_vec
+from ._linalg import fraction_matrix_inverse, int_matrix_det, mat_mul, mat_vec
 from .errors import InternalCheckError
 
 
@@ -162,12 +162,12 @@ def sl_complete(v) -> UnimodularMatrix:
 
 
 def sl_inverse(A: UnimodularMatrix) -> UnimodularMatrix:
-    """Integer inverse via the adjugate (valid since det = 1)."""
-    inv = UnimodularMatrix(tuple(map(tuple, int_matrix_adjugate(A.rows))))
+    """Integer inverse: the rational inverse is integral since det A = 1."""
+    inv = UnimodularMatrix(tuple(fraction_matrix_inverse(A.rows)))
     n = A.n
     identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     if tuple(map(tuple, mat_mul(A.rows, inv.rows))) != identity:
-        raise InternalCheckError("adjugate is not the inverse")
+        raise InternalCheckError("A times its computed inverse is not the identity")
     return inv
 
 

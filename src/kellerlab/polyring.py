@@ -33,15 +33,6 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"coefficients must be int or Fraction, got {type(value).__name__}")
 
 
-def grlex_key(exps: Exponents):
-    """Sort key realizing graded lex (earlier variables dominate ties)."""
-    return (sum(exps), exps)
-
-
-def lex_key(exps: Exponents):
-    return exps
-
-
 # ---- integer kernel: packed monomials over a common denominator ----
 #
 # A MonomialLayout packs a monomial into one int of fixed-width fields, each
@@ -227,13 +218,6 @@ class Polynomial:
                     used.add(self.variables[i])
         return used
 
-    def leading_term(self, key=grlex_key):
-        """(exponents, coefficient) of the largest monomial under `key`."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        m = max(self.terms, key=key)
-        return m, self.terms[m]
-
     # ---- ring operations ----
 
     def _check_same_ring(self, other):
@@ -359,10 +343,6 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading form")
         comps = self.homogeneous_components()
         return comps[-1][1]
-
-    def homogeneous_part(self, degree):
-        terms = {m: c for m, c in self.terms.items() if sum(m) == degree}
-        return Polynomial._raw(self.variables, terms)
 
     def truncated(self, cap):
         """Drop every monomial of total degree above `cap`."""
@@ -556,8 +536,8 @@ def make_primitive(p: Polynomial) -> Polynomial:
         return p
     c = integer_content(p)
     q = p.map_coefficients(lambda x: x / c)
-    _, lead = q.leading_term(key=lex_key)
-    if lead < 0:
+    # exponent tuples compare lexicographically
+    if q.terms[max(q.terms)] < 0:
         q = -q
     return q
 
@@ -757,8 +737,7 @@ def _gcd_z(a: Polynomial, b: Polynomial) -> Polynomial:
 def make_positive(p: Polynomial) -> Polynomial:
     if p.is_zero():
         return p
-    _, lead = p.leading_term(key=lex_key)
-    return -p if lead < 0 else p
+    return -p if p.terms[max(p.terms)] < 0 else p
 
 
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:

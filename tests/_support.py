@@ -5,7 +5,7 @@ from itertools import product
 
 from kellerlab.errors import ExactDivisionError
 from kellerlab.keller import CubicLinearForm
-from kellerlab.polyring import Polynomial, PolyMap, grlex_key, poly_gcd, with_variables
+from kellerlab.polyring import Polynomial, PolyMap, poly_gcd, with_variables
 
 
 def random_polynomial(rng, variables, max_degree=3, max_terms=4, coeff_bound=6,
@@ -149,6 +149,11 @@ def reference_mul(p: Polynomial, q: Polynomial) -> Polynomial:
             else:
                 res.pop(m, None)
     return Polynomial(p.variables, res)
+
+
+def grlex_key(exps):
+    """Sort key realizing graded lex (earlier variables dominate ties)."""
+    return (sum(exps), exps)
 
 
 def reference_exact_div(p: Polynomial, q: Polynomial) -> Polynomial:

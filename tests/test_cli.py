@@ -204,3 +204,12 @@ def test_search_exponent_bomb_is_a_parse_error(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert "line 2" in err and "degree" in err
+
+
+def test_search_term_count_bomb_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "bomb.sys"
+    path.write_text("vars: x y z w\n(x+y+z+w+1)^60\n")
+    code, out, err = run(capsys, "search", str(path), "--radius", "1", "--budget", "5")
+    assert code == 1
+    assert out == ""
+    assert "line 2" in err and "terms" in err

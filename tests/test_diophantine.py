@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from kellerlab.bundled import bundled_map_names, load_bundled_map
 from kellerlab.diophantine import (
     EquationSystem,
     cor1_sum_of_squares,
@@ -45,6 +46,9 @@ def test_curve_cfm_examples():
     assert curve_CFm(F, 1).polynomials == (P("x1", W), P("x2 - x3", W))
     with pytest.raises(ValueError):
         curve_CFm(F, 3)
+    for name in bundled_map_names():
+        G = load_bundled_map(name).to_poly_map()
+        assert curve_CF(G) == curve_CFm(G, 0)
 
 
 def test_line_preimage_examples():

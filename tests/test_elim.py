@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from kellerlab.bundled import bundled_map_names, load_bundled_map
 from kellerlab.elim import (
     GroebnerBudget,
     Ideal,
@@ -22,7 +23,14 @@ from kellerlab.errors import (
     NotZeroDimensionalError,
 )
 from kellerlab.expr_io import parse_polynomial as P
-from kellerlab.polyring import Polynomial, PolyMap, substitute, with_variables
+from kellerlab.polyring import (
+    Polynomial,
+    PolyMap,
+    squarefree_part,
+    substitute,
+    with_variables,
+)
+from kellerlab.transforms import conjugate_by_linear
 
 from _support import random_polynomial, reference_key_function, reference_reduce_poly
 
@@ -208,6 +216,24 @@ def test_minimal_poly_defining_identity():
             bindings = {f"Y{k}": c for k, c in enumerate(F.components, start=1)}
             bindings["T"] = Polynomial.variable(V, V[i - 1])
             assert substitute(h, bindings, V).is_zero()
+
+
+def test_minimal_poly_is_already_squarefree():
+    # h_i generates a prime ideal, so a squarefree pass would not change it
+    maps = [
+        load_bundled_map(name).to_poly_map()
+        for name in bundled_map_names()
+        if name != "triangular_6.map"  # its h_1 exceeds the default budget
+    ]
+    # the hard-tier c3 conjugate of triangular_3
+    maps.append(conjugate_by_linear(
+        load_bundled_map("triangular_3.map").to_poly_map(),
+        [[1, 0, 1], [1, 1, 0], [0, 0, 1]],
+    ))
+    for F in maps:
+        for i in range(1, F.n + 1):
+            h = minimal_poly_of_coordinate(F, i)
+            assert squarefree_part(h) == h
 
 
 def test_minimal_poly_detects_non_dominant():

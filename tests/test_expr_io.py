@@ -257,6 +257,20 @@ def test_power_of_multi_term_base_is_capped():
         parse_polynomial("(x+1)^10^10", V)
 
 
+def test_power_with_too_many_terms_is_capped():
+    W = ("x", "y", "z", "w")
+    # C(28, 4) = 20475 terms at degree 24, under the degree cap
+    with pytest.raises(ParseError, match="terms") as err:
+        parse_polynomial("(x+y+z+w+1)^24", W)
+    assert (err.value.line, err.value.column) == (1, 12)
+    # the degree check comes first and keeps its message
+    with pytest.raises(ParseError, match="degree"):
+        parse_polynomial("(x+y+z+w+1)^65", W)
+    assert len(parse_polynomial("(x+y+z+w+1)^20", W).terms) == 10626
+    # variables that do not occur in the base do not count
+    assert len(parse_polynomial("(x+1)^64", W).terms) == 65
+
+
 def test_powers_below_the_cap_parse():
     assert MAX_POWER_DEGREE >= 60
     p = parse_polynomial("(x+y+1)^60", V)
