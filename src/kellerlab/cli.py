@@ -137,6 +137,8 @@ def _cmd_check(args) -> int:
         cap = max(1, F.max_degree()) ** (F.n - 1)
     try:
         inv = keller.formal_inverse(F, cap)
+    except BudgetExceededError:
+        raise  # main's exit 3, not an answer
     except (KellerlabError, ValueError) as exc:
         inv = None
         inv_text = f"not defined ({exc})"

@@ -332,6 +332,34 @@ def graph_ideal(F: PolyMap):
     return Ideal(tuple(gens)), ys
 
 
+def inverse_map(F: PolyMap, budget: GroebnerBudget = DEFAULT_BUDGET):
+    """F^-1 over F's variables when F is an automorphism, else None.
+
+    van den Essen's criterion (Comm. Algebra 18, 1990): F is invertible iff
+    the reduced Groebner basis of <Y - F(X)> under a block order with X > Y
+    is {X_i - G_i(Y)}, and then G = F^-1.  The basis is its own
+    certificate: X_i - G_i(Y) in the ideal gives G o F = X, so substitution
+    by F is a surjective, hence bijective, endomorphism of Q[X].
+    """
+    if not F.is_square():
+        raise ValueError("map must have as many components as variables")
+    I, ys = graph_ideal(F)
+    xs, n = F.variables, F.n
+    G = [None] * n
+    for g in groebner(I, TermOrder.block(xs, ys), budget).generators:
+        # exactly one term meets X, and it is X_i with coefficient 1
+        lead = [m for m in g.terms if any(m[:n])]
+        if len(lead) != 1 or sum(lead[0]) != 1 or g.terms[lead[0]] != 1:
+            return None
+        i = lead[0].index(1)
+        G[i] = Polynomial._raw(
+            xs, {m[n:]: -c for m, c in g.terms.items() if m != lead[0]}
+        )
+    if None in G:
+        return None
+    return PolyMap(G)
+
+
 def minimal_poly_of_coordinate(
     F: PolyMap, i: int, budget: GroebnerBudget = DEFAULT_BUDGET
 ) -> Polynomial:

@@ -14,7 +14,10 @@ forbidden.  A power of a base with more than one term is expanded, so its
 degree is capped at MAX_POWER_DEGREE and its term count, bounded before
 expanding by C(degree + k, k) for a base in k variables, at MAX_POWER_TERMS:
 `(x+y+1)^200` and `(x+y+z+w+1)^24` are ParseErrors at the `^`, not 20301 and
-20475 terms.  Map files are the line-oriented format
+20475 terms.  A product of two factors with more than one term is bounded
+the same way, by the smaller of |a|*|b| and C(deg a + deg b + k, k), so
+`(x+y+z+w+1)^20*(x+y+z+w+1)^20` is a ParseError at the `*`.  Map files are
+the line-oriented format
 
     # comment
     name: some-label          (optional metadata before the header)
@@ -41,6 +44,8 @@ from .polyring import Polynomial, PolyMap
 MAX_POWER_DEGREE = 64
 # Largest bound C(deg + k, k) on the terms of such a power, with k the number
 # of variables in its base: (x+y+z+w+1)^20 (10626 terms) must still parse.
+# A product of two factors with more than one term is held to the same cap,
+# bounded by the smaller of |a|*|b| and C(deg a + deg b + k, k).
 MAX_POWER_TERMS = 20000
 
 # ---- tokenizer ----
@@ -163,9 +168,23 @@ class _Parser:
     def term(self) -> Polynomial:
         p = self.factor()
         while self.cur.kind == "op" and self.cur.text == "*":
-            self.advance()
-            p = p * self.factor()
+            star = self.advance()
+            q = self.factor()
+            if len(p.terms) > 1 and len(q.terms) > 1:
+                k = len(p.support_variables() | q.support_variables())
+                degree = p.total_degree() + q.total_degree()
+                bound = min(len(p.terms) * len(q.terms), math.comb(degree + k, k))
+                self.cap_terms("product", bound, star)
+            p = p * q
         return p
+
+    def cap_terms(self, what, bound, tok):
+        if bound > MAX_POWER_TERMS:
+            self.fail(
+                f"{what} of up to {bound} terms exceeds the cap of "
+                f"{MAX_POWER_TERMS} terms",
+                tok,
+            )
 
     def factor(self) -> Polynomial:
         if self.cur.kind == "op" and self.cur.text == "-":
@@ -186,13 +205,7 @@ class _Parser:
                         caret,
                     )
                 k = len(p.support_variables())
-                bound = math.comb(degree + k, k)
-                if bound > MAX_POWER_TERMS:
-                    self.fail(
-                        f"power of up to {bound} terms exceeds the cap of "
-                        f"{MAX_POWER_TERMS} terms",
-                        caret,
-                    )
+                self.cap_terms("power", math.comb(degree + k, k), caret)
             p = p**e
         return p
 

@@ -3,10 +3,11 @@ F_i(X) = X_i + <a_i, X>^3."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from ._linalg import fraction_matrix_inverse, poly_matrix_det
+from .elim import DEFAULT_BUDGET, inverse_map
 from .errors import SingularMatrixError
 from .polyring import Polynomial, PolyMap, integer_root
 
@@ -32,10 +33,11 @@ def is_keller(F: PolyMap) -> bool:
 
 @dataclass(frozen=True)
 class FormalInverse:
-    """Truncated inverse power series of a map fixing the origin.
+    """Inverse of a map fixing the origin, decided up to a degree cap.
 
-    When `exact` is true the truncation, read as a polynomial map, satisfies
-    F o G = identity exactly (not merely up to the cap).
+    When `exact` is true, `map` is the polynomial inverse G: F o G = G o F =
+    identity and deg G <= degree_bound.  Otherwise `map` is the inverse
+    L^-1 Y of the linear part alone.
     """
 
     map: PolyMap
@@ -44,13 +46,15 @@ class FormalInverse:
 
 
 def formal_inverse(F: PolyMap, degree_cap: int | None = None) -> FormalInverse:
-    """Inverse series of F truncated at total degree `degree_cap`.
+    """Polynomial inverse of F, if F is an automorphism of degree <= the cap.
 
-    Fixed-point iteration G <- L^-1(Y - H(G)) where F = L + H splits into
-    linear and higher parts.  Requires F(0) = 0 and DF(0) invertible.  The
-    default cap is d^(n-1) for d = deg F, the classical bound on the degree
-    of a polynomial inverse; a non-exact result at the cap means "not
-    invertible within bound", never "not invertible".
+    Requires F(0) = 0 and DF(0) invertible.  A Jacobian determinant that is
+    not a nonzero constant rules out an inverse; otherwise the inverse is
+    read off one Groebner basis (`elim.inverse_map`), whose degree budget
+    is at least the cap.  The default cap is d^(n-1) for d = deg F, the
+    classical bound on the degree of a polynomial inverse.  A non-exact
+    result carries the linear part's inverse L^-1 Y as its map; at a lower
+    cap it means "not invertible within bound", never "not invertible".
     """
     if not F.is_square():
         raise ValueError("map must have as many components as variables")
@@ -70,31 +74,18 @@ def formal_inverse(F: PolyMap, degree_cap: int | None = None) -> FormalInverse:
     except SingularMatrixError:
         raise SingularMatrixError("DF(0) is singular; no formal inverse") from None
 
+    det = jacobian_det(F)
+    if det.is_constant() and not det.is_zero():
+        max_degree = max(DEFAULT_BUDGET.max_degree, degree_cap)
+        G = inverse_map(F, replace(DEFAULT_BUDGET, max_degree=max_degree))
+        if G is not None and G.max_degree() <= degree_cap:
+            return FormalInverse(map=G, degree_bound=degree_cap, exact=True)
     xs = [Polynomial.variable(variables, v) for v in variables]
-    linear = [sum((L[i][j] * xs[j] for j in range(n)), Polynomial.zero(variables))
-              for i in range(n)]
-    higher = PolyMap([F.components[i] - linear[i] for i in range(n)])
-
-    def apply_linv(vec):
-        return [
-            sum((Linv[i][j] * vec[j] for j in range(n)), Polynomial.zero(variables))
-            for i in range(n)
-        ]
-
-    G = PolyMap(apply_linv(xs))
-    for _ in range(degree_cap):
-        HG = higher.compose_truncated(G, degree_cap)
-        nxt = PolyMap(
-            [p.truncated(degree_cap) for p in apply_linv(
-                [xs[j] - HG.components[j] for j in range(n)]
-            )]
-        )
-        if nxt == G:
-            break
-        G = nxt
-
-    exact = F.compose(G) == PolyMap.identity(variables)
-    return FormalInverse(map=G, degree_bound=degree_cap, exact=exact)
+    linear = PolyMap([
+        sum((Linv[i][j] * xs[j] for j in range(n)), Polynomial.zero(variables))
+        for i in range(n)
+    ])
+    return FormalInverse(map=linear, degree_bound=degree_cap, exact=False)
 
 
 # ---- cubic-linear (Druzkowski) forms ----

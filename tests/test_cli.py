@@ -213,3 +213,34 @@ def test_search_term_count_bomb_is_a_parse_error(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert "line 2" in err and "terms" in err
+
+
+def test_check_degree_cap_below_inverse_degree(capsys, tri2):
+    code, out, err = run(capsys, "check", tri2, "--degree-cap", "2")
+    assert code == 0
+    assert out.strip().endswith("inverse: not invertible within bound (cap 2)")
+
+
+def test_check_chain_inverse_of_degree_81(capsys, tmp_path):
+    # deg G = 81 is the default cap and one above the default Groebner budget
+    path = tmp_path / "chain5.map"
+    comps = ["x1"] + [f"x{i} + x{i - 1}^3" for i in range(2, 6)]
+    path.write_text("vars: x1 x2 x3 x4 x5\n" + "".join(
+        f"F{i} = {c}\n" for i, c in enumerate(comps, start=1)))
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 0
+    assert out.strip().endswith("inverse: exact (degree 81)")
+
+
+def test_check_groebner_budget_exit_code(capsys, tmp_path, monkeypatch):
+    import kellerlab.keller
+    from kellerlab.elim import GroebnerBudget
+
+    # a conjugate of (x + y^3, y): its graph basis needs new elements
+    path = tmp_path / "conj.map"
+    path.write_text("vars: x y\nF1 = x + (x - y)^3\nF2 = y + (x - y)^3\n")
+    monkeypatch.setattr(kellerlab.keller, "DEFAULT_BUDGET", GroebnerBudget(max_basis=2))
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 3
+    assert out == ""
+    assert "basis size exceeds budget 2" in err

@@ -271,6 +271,21 @@ def test_power_with_too_many_terms_is_capped():
     assert len(parse_polynomial("(x+1)^64", W).terms) == 65
 
 
+def test_product_with_too_many_terms_is_capped():
+    W = ("x", "y", "z", "w")
+    # each factor has 10626 terms; the product is bounded by C(44, 4) = 135751
+    with pytest.raises(ParseError, match="product of up to 135751 terms") as err:
+        parse_polynomial("(x+y+z+w+1)^20*(x+y+z+w+1)^20", W)
+    assert (err.value.line, err.value.column) == (1, 15)
+    # bounded by C(24, 4) = 10626 although |a|*|b| = 1001^2
+    assert len(parse_polynomial("(x+y+z+w+1)^10*(x+y+z+w+1)^10", W).terms) == 10626
+    # bounded by |a|*|b| = 25 although C(204, 4) exceeds the cap
+    sparse = "(x^100+y^100+z^100+w^100+1)"
+    assert len(parse_polynomial(f"{sparse}*{sparse}", W).terms) == 15
+    # a single-term factor is never capped
+    assert len(parse_polynomial("x^200*(x+y+z+w+1)^20", W).terms) == 10626
+
+
 def test_powers_below_the_cap_parse():
     assert MAX_POWER_DEGREE >= 60
     p = parse_polynomial("(x+y+1)^60", V)

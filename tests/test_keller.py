@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from kellerlab.errors import SingularMatrixError
+from kellerlab.elim import inverse_map
+from kellerlab.errors import BudgetExceededError, SingularMatrixError
 from kellerlab.expr_io import parse_polynomial as P
 from kellerlab.keller import (
     CubicLinearForm,
@@ -14,6 +15,7 @@ from kellerlab.keller import (
     jacobian_det,
 )
 from kellerlab.polyring import Polynomial, PolyMap
+from kellerlab.transforms import conjugate_by_linear
 
 from _support import random_poly_map, random_triangular_form
 
@@ -52,7 +54,35 @@ def test_formal_inverse_non_keller_not_exact():
     F = PolyMap([P("x + y^3", V), P("y + x^3", V)])
     inv = formal_inverse(F, 8)
     assert not inv.exact
-    # and the truncation genuinely fails to invert: F o G != identity
+    # a non-exact result carries the inverse of the linear part only
+    assert inv.map == PolyMap.identity(V)
+    assert F.compose(inv.map) != PolyMap.identity(V)
+
+
+def test_formal_inverse_of_linear_automorphism_with_jacobian_two():
+    # not Keller (det = 2), yet an automorphism
+    inv = formal_inverse(PolyMap([P("2*x", V), P("y", V)]), 1)
+    assert inv.exact
+    assert inv.map == PolyMap([P("1/2*x", V), P("y", V)])
+
+
+def test_formal_inverse_runs_no_basis_without_constant_jacobian(monkeypatch):
+    import kellerlab.keller
+
+    def no_basis(*args):
+        raise AssertionError("Groebner basis run")
+
+    monkeypatch.setattr(kellerlab.keller, "inverse_map", no_basis)
+    for comps in (("x + y^3", "y + x^3"), ("x + x^2", "y")):
+        assert not formal_inverse(PolyMap([P(c, V) for c in comps]), 8).exact
+
+
+def test_formal_inverse_non_exact_map_is_linear_part():
+    # DF(0) is invertible, but det DF = 6 - 3*y^2 rules out an inverse
+    F = PolyMap([P("2*x + y^3", V), P("x + 3*y", V)])
+    inv = formal_inverse(F, 2)
+    assert not inv.exact
+    assert inv.map == PolyMap([P("1/2*x", V), P("-1/6*x + 1/3*y", V)])
     assert F.compose(inv.map) != PolyMap.identity(V)
 
 
@@ -80,6 +110,56 @@ def test_inverse_roundtrip_when_exact():
             assert F.compose(inv.map) == ident
             assert inv.map.compose(F) == ident
             assert inv.map.max_degree() <= 3 ** (n - 1)
+
+
+def back_substitution_inverse(form, variables):
+    """Inverse of X_i + <a_i, X>^3 for strictly lower-triangular A:
+    G_i = Y_i - <a_i, G>^3, solved in order."""
+    G = []
+    for i, row in enumerate(form.matrix):
+        lin = sum((a * g for a, g in zip(row[:i], G)), Polynomial.zero(variables))
+        G.append(Polynomial.variable(variables, variables[i]) - lin**3)
+    return PolyMap(G)
+
+
+def random_sl(rng, n, steps=3):
+    """Product of elementary integer matrices I + k E_ij, k = +-1."""
+    A = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        k = rng.choice((-1, 1))
+        A[i] = [a + k * b for a, b in zip(A[i], A[j])]
+    return A
+
+
+def test_basis_inverse_equals_back_substitution():
+    rng = random.Random(2718)
+    for n in (2, 3):
+        variables = tuple(f"x{i}" for i in range(1, n + 1))
+        for _ in range(4):
+            form = random_triangular_form(rng, n)
+            F = form.to_map(variables)
+            G = back_substitution_inverse(form, variables)
+            assert inverse_map(F) == G
+            A = random_sl(rng, n)
+            assert inverse_map(conjugate_by_linear(F, A)) == conjugate_by_linear(G, A)
+
+
+def test_inverse_map_rejects_non_automorphisms():
+    # the graph basis of a non-injective map is not {X_i - G_i(Y)}
+    assert inverse_map(PolyMap([P("x^2", V), P("y", V)])) is None
+    assert inverse_map(PolyMap([P("x", V), P("x*y", V)])) is None
+
+
+def test_chain_inverse_at_cap_81_is_not_a_budget_exit():
+    # x1, x_i + x_(i-1)^3 for n = 5: deg G = 3^4 = 81, the default cap, one
+    # above the default Groebner degree budget
+    X = tuple(f"x{i}" for i in range(1, 6))
+    F = PolyMap([P("x1", X)] + [P(f"x{i} + x{i - 1}^3", X) for i in range(2, 6)])
+    with pytest.raises(BudgetExceededError):
+        inverse_map(F)
+    inv = formal_inverse(F)
+    assert inv.exact and inv.map.max_degree() == 81
 
 
 def test_permutation_triangular_is_keller_and_invertible():

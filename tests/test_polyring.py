@@ -209,6 +209,7 @@ def test_poly_map_basics():
     F = PolyMap([X + Y**3, Y])
     G = PolyMap([X - Y**3, Y])
     assert F.compose(G) == PolyMap.identity(V)
+    assert F.compose_truncated(F, 3) == PolyMap([X + 2 * Y**3, Y])
     assert F.evaluate([1, 2]) == (9, 2)
     assert F.is_square() and F.fixes_origin()
     with pytest.raises(VariableMismatchError):

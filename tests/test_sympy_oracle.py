@@ -21,6 +21,7 @@ from kellerlab.elim import (
     minimal_poly_of_coordinate,
     resultant,
 )
+from kellerlab.keller import CubicLinearForm, formal_inverse
 from kellerlab.polyring import Polynomial, make_primitive, poly_gcd, squarefree_part
 from kellerlab.transforms import conjugate_by_linear
 
@@ -209,3 +210,25 @@ def test_minimal_poly_of_hard_tier_conjugate_matches_sympy():
         {tuple(int(e) for e in m): Fraction(int(c.p), int(c.q)) for m, c in theirs.terms()},
     )
     assert minimal_poly_of_coordinate(F, 3) == make_primitive(expected)
+
+
+def test_basis_inverse_of_n4_conjugate_matches_sympy_composition():
+    # A F A^-1 with the benchmark's n = 4 matrix N1 and a triangular F whose
+    # inverse has degree 9; sympy's sparse ring composes G o F
+    from sympy.polys.rings import ring
+
+    form = CubicLinearForm(((0, 0, 0, 0), (1, 0, 0, 0), (0, 2, 0, 0), (1, 1, 0, 0)))
+    F = conjugate_by_linear(
+        form.to_map(), ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 1, 1))
+    )
+    inv = formal_inverse(F)
+    assert inv.exact and inv.map.max_degree() == 9
+    R, *xs = ring(",".join(F.variables), sympy.QQ)
+
+    def to_ring(p):
+        return R.from_dict(
+            {m: sympy.QQ(c.numerator, c.denominator) for m, c in p.terms.items()}
+        )
+
+    subs = list(zip(xs, (to_ring(f) for f in F.components)))
+    assert [to_ring(g).compose(subs) for g in inv.map.components] == xs
