@@ -124,7 +124,8 @@ class _Reporter:
 def _cmd_check(args) -> int:
     mf, F = _load_map(args.mapfile)
     rep = _Reporter("check", args.json, _digest(mf, args.degree_cap))
-    keller_ok = keller.is_keller(F)
+    det = keller.jacobian_det(F)
+    keller_ok = det == 1
     cl = keller.as_cubic_linear(F)
     if isinstance(cl, keller.CubicLinearForm):
         cl_text = "yes"
@@ -136,7 +137,7 @@ def _cmd_check(args) -> int:
     if cap is None:
         cap = max(1, F.max_degree()) ** (F.n - 1)
     try:
-        inv = keller.formal_inverse(F, cap)
+        inv = keller.formal_inverse(F, cap, det)
     except BudgetExceededError:
         raise  # main's exit 3, not an answer
     except (KellerlabError, ValueError) as exc:
@@ -379,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", parents=[common], help="box search on a system file")
     p.add_argument("sysfile")
-    p.add_argument("--radius", type=int, required=True)
+    p.add_argument("--radius", type=_non_negative_int, required=True)
     p.add_argument(
         "--budget",
         type=_non_negative_int,

@@ -7,9 +7,13 @@ by their monomials in the other variables, so assigning a value is one int
 dot product per group; no Fraction or Polynomial is built below the root.
 The depth-first search assigns variables in a heuristic order and, whenever
 a specialized equation involves exactly one unassigned variable, replaces
-range scanning by exact integer root extraction: a divisor test on the
-constant term for candidates up to a root bound of the polynomial, not up
-to the box radius.  Every reported point is re-verified on the system.
+range scanning by exact integer root extraction.  An integer root y has
+m | p(y mod m) for every m, so the values p(0), p(+-1) and p(+-2) rule out
+every nonzero root when some m = 2, 3, 4 or 5 divides none of the values
+at its residues; most extractions end there, in O(d).  The rest run a
+divisor test on the constant term for candidates up to a root bound of
+the polynomial, cut at the box radius.  Every reported point is
+re-verified on the system.
 
 A node budget turns oversized searches into a reported non-exhaustive
 result, never a hang.  The node at which the budget trips is counted, so a
@@ -126,18 +130,24 @@ def format_report(report: SearchReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _root_bound(coeffs) -> int:
-    """Integer R >= every positive real root of sum coeffs[k] y^k.
+def _root_bound(coeffs, cap=None) -> int:
+    """Integer R >= every positive real root of sum coeffs[k] y^k, or cap if lower.
 
     Fujiwara's bound 2 max(|c_{d-i}/c_d|^(1/i), |c_0/(2 c_d)|^(1/d)), each
     term rounded up with an exact integer k-th root, taken only over the
     coefficients c_{d-i} of sign opposite to c_d: for y > 2 max those terms
     cannot cancel c_d y^d, and the others have its sign.  With every c_k of
     k < d negated to -|c_k| it is Fujiwara's bound on the modulus of every
-    complex root.  coeffs[-1] is nonzero.
+    complex root.  The first term t with 2t >= cap returns cap; the lower
+    estimate 2^((bit_length(n) - 1) // i) <= n^(1/i) often shows that
+    without the root.  No cap means one above every term.  coeffs[-1] is
+    nonzero.
     """
     d = len(coeffs) - 1
     lead = coeffs[d]
+    if cap is None:
+        cap = 2 * max(map(abs, coeffs)) + 1  # each term t <= n <= |c_k|
+    half = (cap + 1) // 2  # least t with 2t >= cap
     r = 0
     for i in range(1, d + 1):
         a = coeffs[d - i]
@@ -145,8 +155,14 @@ def _root_bound(coeffs) -> int:
             scale = abs(lead) * (2 if i == d else 1)
             # least t with t^i >= |a| / scale, i.e. t^i >= ceil(|a| / scale)
             n = -(-abs(a) // scale)
+            if 1 << ((n.bit_length() - 1) // i) >= half:
+                return cap
             t = integer_root(n, i)
-            r = max(r, t if t**i == n else t + 1)
+            if t**i != n:
+                t += 1
+            if t >= half:
+                return cap
+            r = max(r, t)
     return 2 * r
 
 
@@ -160,7 +176,10 @@ def _horner(coeffs, y):
 def _integer_roots(coeffs, B):
     """Sorted integer roots within [-B, B] of sum coeffs[k] y^k (not all 0).
 
-    Zero roots are stripped.  A nonzero root y divides the remaining
+    Zero roots are stripped.  An integer polynomial has p(y) = p(y mod m)
+    mod m, so a nonzero root y needs a residue r with m | p(r): p(0), p(1),
+    p(-1), p(2) and p(-2) decide that for m = 2, 3, 4 and 5, and when some
+    m has no such residue there is none.  Otherwise y divides the remaining
     constant term, and |y| is at most the root bound of p(y) for y > 0 and
     of p(-y) for y < 0, so only those candidates up to B are trial-divided
     and then checked exactly.
@@ -170,9 +189,19 @@ def _integer_roots(coeffs, B):
         shift += 1
     roots = [0] if shift else []
     body = coeffs[shift:]
+    # p at the residues 0, 1, -1, 2 and -2; the first m form a full set mod m
     c0 = body[0]
-    pos = min(B, _root_bound(body))
-    neg = min(B, _root_bound([-c if k & 1 else c for k, c in enumerate(body)]))
+    p1 = sum(body)
+    pm1 = 2 * sum(body[::2]) - p1
+    if c0 & 1 and p1 & 1 or c0 % 3 and p1 % 3 and pm1 % 3:
+        return roots
+    p2 = _horner(body, 2)
+    if c0 % 4 and p1 % 4 and pm1 % 4 and p2 % 4:
+        return roots
+    if c0 % 5 and p1 % 5 and pm1 % 5 and p2 % 5 and _horner(body, -2) % 5:
+        return roots
+    pos = _root_bound(body, B)
+    neg = _root_bound([-c if k & 1 else c for k, c in enumerate(body)], B)
     for y in range(1, max(pos, neg) + 1):
         if c0 % y:
             continue
@@ -271,7 +300,12 @@ class _BoxSearch:
         for terms, mask in eqs:
             if mask and not mask & (mask - 1):
                 idx = mask.bit_length() - 1
-                ((_, _, coeffs),) = _split(terms, idx)
+                coeffs = []
+                for m, c in terms.items():
+                    e = m[idx]
+                    if len(coeffs) <= e:
+                        coeffs.extend([0] * (e + 1 - len(coeffs)))
+                    coeffs[e] = c
                 self._branch(eqs, assignment, idx, _integer_roots(coeffs, self.B))
                 return
 

@@ -45,7 +45,9 @@ class FormalInverse:
     exact: bool
 
 
-def formal_inverse(F: PolyMap, degree_cap: int | None = None) -> FormalInverse:
+def formal_inverse(
+    F: PolyMap, degree_cap: int | None = None, det: Polynomial | None = None
+) -> FormalInverse:
     """Polynomial inverse of F, if F is an automorphism of degree <= the cap.
 
     Requires F(0) = 0 and DF(0) invertible.  A Jacobian determinant that is
@@ -55,6 +57,7 @@ def formal_inverse(F: PolyMap, degree_cap: int | None = None) -> FormalInverse:
     classical bound on the degree of a polynomial inverse.  A non-exact
     result carries the linear part's inverse L^-1 Y as its map; at a lower
     cap it means "not invertible within bound", never "not invertible".
+    A caller that already has det DF passes it as `det`.
     """
     if not F.is_square():
         raise ValueError("map must have as many components as variables")
@@ -74,7 +77,8 @@ def formal_inverse(F: PolyMap, degree_cap: int | None = None) -> FormalInverse:
     except SingularMatrixError:
         raise SingularMatrixError("DF(0) is singular; no formal inverse") from None
 
-    det = jacobian_det(F)
+    if det is None:
+        det = jacobian_det(F)
     if det.is_constant() and not det.is_zero():
         max_degree = max(DEFAULT_BUDGET.max_degree, degree_cap)
         G = inverse_map(F, replace(DEFAULT_BUDGET, max_degree=max_degree))

@@ -189,6 +189,30 @@ def test_search_rejects_negative_budget(capsys, cfsys):
     assert "--budget" in capsys.readouterr().err
 
 
+def test_search_rejects_negative_radius(capsys, cfsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", cfsys, "--radius=-1"])
+    assert exc.value.code == 2
+    assert "--radius" in capsys.readouterr().err
+
+
+def test_check_computes_jacobian_once(capsys, tri2, monkeypatch):
+    import kellerlab.keller
+
+    calls = []
+    det = kellerlab.keller.jacobian_det
+
+    def counted(F):
+        calls.append(F)
+        return det(F)
+
+    monkeypatch.setattr(kellerlab.keller, "jacobian_det", counted)
+    code, out, _ = run(capsys, "check", tri2)
+    assert code == 0
+    assert out.strip() == "keller: yes, cubic-linear: yes, inverse: exact (degree 3)"
+    assert len(calls) == 1
+
+
 def test_search_budget_counts_the_tripping_node(capsys, cfsys):
     code, out, _ = run(capsys, "search", cfsys, "--radius", "10", "--budget", "0", "--json")
     assert code == 3

@@ -191,14 +191,15 @@ def _planted(rng, roots, gaussian, lead, shift):
     return [0] * shift + coeffs
 
 
-def _brute_roots(coeffs, B):
-    def value(y):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = acc * y + c
-        return acc
+def _value(coeffs, y):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * y + c
+    return acc
 
-    return [y for y in range(-B, B + 1) if value(y) == 0]
+
+def _brute_roots(coeffs, B):
+    return [y for y in range(-B, B + 1) if _value(coeffs, y) == 0]
 
 
 def test_integer_roots_match_trial_division():
@@ -256,6 +257,67 @@ def test_root_bound_covers_planted_roots():
     assert _root_bound([-1500, -1, 0, 1]) <= 20
     # no coefficient opposes the leading one: no positive root
     assert _root_bound([3, 0, 2, 1]) == 0
+
+
+def test_integer_roots_without_residue_roots_match_brute_force():
+    # real roots in the box, but m divides p(r) for no residue r mod m
+    assert _value([-105, 1, 1], 9) < 0 < _value([-105, 1, 1], 10)
+    assert _integer_roots([-105, 1, 1], 1000) == []
+    assert _integer_roots([0, -105, 1, 1], 1000) == [0]
+    rng = random.Random(3131)
+    seen = {m: 0 for m in (2, 3, 4, 5)}
+    negative_c0 = 0
+    while min(seen.values()) < 25:
+        # planted roots a, b, ... shifted by k: real roots near a and b
+        roots = rng.sample(range(-60, 61), 2) + rng.choice([[], [rng.randint(-9, 9)]])
+        gaussian = rng.choice([[], [rng.randint(1, 3)]])
+        coeffs = _planted(rng, roots, gaussian, rng.choice([1, -1, 3]), 0)
+        coeffs[0] += rng.choice([-3, -2, -1, 1, 2, 3])
+        rejected = [m for m in seen if all(_value(coeffs, r) % m for r in range(m))]
+        if not rejected or all(_value(coeffs, y) * _value(coeffs, y + 1) > 0
+                               for y in range(-62, 62)):
+            continue
+        for m in rejected:
+            seen[m] += 1
+        negative_c0 += coeffs[0] < 0
+        for B in (0, 1, 7, 100):
+            assert _integer_roots(coeffs, B) == _brute_roots(coeffs, B), (coeffs, B)
+    assert negative_c0 >= 10
+
+
+def test_integer_roots_in_one_residue_class():
+    # the only residue r with m | p(r) is the root's own class, for every m, r
+    rng = random.Random(5151)
+    for m in (2, 3, 4, 5):
+        for r in range(m):
+            while True:
+                a = r + m * rng.randint(-30, 30)
+                q = [rng.randint(-40, 40), rng.randint(-40, 40), rng.choice([1, -1, 2, -3])]
+                # (y - a) q(y)
+                coeffs = [-a * q[0], q[0] - a * q[1], q[1] - a * q[2], q[2]]
+                classes = [s for s in range(m) if _value(coeffs, s) % m == 0]
+                if coeffs[0] and a and classes == [r]:
+                    break
+            for B in (abs(a) - 1, abs(a), 1000):
+                assert _integer_roots(coeffs, B) == _brute_roots(coeffs, B), (coeffs, B)
+            assert a in _integer_roots(coeffs, 1000)
+
+
+def test_root_bound_cap_equals_min_of_uncapped():
+    rng = random.Random(6161)
+    for _ in range(600):
+        degree = rng.randint(1, 6)
+        lead = rng.choice([1, -1, 2, -3, 5])
+        coeffs = []
+        for k in range(degree):
+            # |c_k| / |lead| a power of two, so that n = 2^j exactly
+            power = rng.choice([-1, 1]) * abs(lead) * 2 ** rng.randint(0, 70)
+            coeffs.append(rng.choice([0, rng.randint(-50, 50), power, 2 * power]))
+        coeffs.append(lead)
+        bound = _root_bound(coeffs)
+        caps = {0, 1, 2, 3, bound - 1, bound, bound + 1, rng.randint(0, 2 * bound + 5)}
+        for B in caps - {-1}:
+            assert _root_bound(coeffs, B) == min(B, bound), (coeffs, B)
 
 
 # ---- pinned search results (recorded before the integer engine) ----
