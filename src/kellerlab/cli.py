@@ -57,14 +57,22 @@ def _parse_uv(text: str, n: int):
     return u, v
 
 
-def _non_negative_int(text: str) -> int:
+def _int_at_least(text: str, low: int, word: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be {word}, got {value}")
     return value
+
+
+def _non_negative_int(text: str) -> int:
+    return _int_at_least(text, 0, "non-negative")
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1, "positive")
 
 
 def _load_map(path: str):
@@ -200,12 +208,18 @@ def _require_cubic_linear(F):
     return cl
 
 
+_TRANSFORM_OPTION = {"scale": "r", "extend": "m", "conjugate": "matrix",
+                     "translate": "vector", "theoremB": "weights"}
+
+
 def _cmd_transform(args) -> int:
-    mf, F = _load_map(args.mapfile)
     sub = args.subverb
+    option = _TRANSFORM_OPTION.get(sub)
+    if option and getattr(args, option) is None:
+        raise KellerlabError(f"--{option} is required for transform {sub}")
+    mf, F = _load_map(args.mapfile)
     if sub == "scale":
-        r = _parse_fraction(args.r)
-        out = transforms.scale_conjugate(F, r)
+        out = transforms.scale_conjugate(F, _parse_fraction(args.r))
     elif sub == "extend":
         out = transforms.extend_variables(F, args.m)
     elif sub == "conjugate":
@@ -230,29 +244,18 @@ def _cmd_transform(args) -> int:
     return 0
 
 
-def _matrix_lines(rows):
-    return [" ".join(str(x) for x in row) for row in rows]
-
-
-def _cmd_sl_complete(args) -> int:
-    v = _parse_int_vector(args.vector)
-    A = lattice.sl_complete(v)
-    rep = _Reporter("sl-complete", args.json, _digest(v))
+def _cmd_sl(args) -> int:
+    """sl-complete (one vector) and sl-map (a pair): an SL(n, Z) matrix."""
+    if args.verb == "sl-complete":
+        vectors = (_parse_int_vector(args.vector),)
+        A = lattice.sl_complete(*vectors)
+    else:
+        vectors = (_parse_int_vector(args.src), _parse_int_vector(args.dst))
+        A = lattice.map_primitive_pair(*vectors)
+    rep = _Reporter(args.verb, args.json, _digest(*vectors))
     rep.results["matrix"] = [list(r) for r in A.rows]
-    for line in _matrix_lines(A.rows):
-        rep.raw(line)
-    rep.emit()
-    return 0
-
-
-def _cmd_sl_map(args) -> int:
-    v = _parse_int_vector(args.src)
-    w = _parse_int_vector(args.dst)
-    A = lattice.map_primitive_pair(v, w)
-    rep = _Reporter("sl-map", args.json, _digest(v, w))
-    rep.results["matrix"] = [list(r) for r in A.rows]
-    for line in _matrix_lines(A.rows):
-        rep.raw(line)
+    for row in A.rows:
+        rep.raw(" ".join(str(x) for x in row))
     rep.emit()
     return 0
 
@@ -333,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", parents=[common], help="Keller/cubic-linear/inverse checks")
     p.add_argument("mapfile")
-    p.add_argument("--degree-cap", type=int, default=None)
+    p.add_argument("--degree-cap", type=_positive_int, default=None)
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("bifurcation", parents=[common], help="h_i, a_i, H, cone, d_F")
@@ -362,12 +365,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sl-complete", parents=[common], help="complete a primitive vector")
     p.add_argument("--vector", required=True, help="integer vector 'v1,...,vn'")
-    p.set_defaults(fn=_cmd_sl_complete)
+    p.set_defaults(fn=_cmd_sl)
 
     p = sub.add_parser("sl-map", parents=[common], help="map one primitive vector to another")
     p.add_argument("--from", dest="src", required=True, help="integer vector")
     p.add_argument("--to", dest="dst", required=True, help="integer vector")
-    p.set_defaults(fn=_cmd_sl_map)
+    p.set_defaults(fn=_cmd_sl)
 
     p = sub.add_parser("curve", parents=[common], help="emit a curve system file")
     p.add_argument("mapfile")

@@ -205,11 +205,6 @@ def reduce_poly(p: Polynomial, basis, key) -> Polynomial:
     return _unpacked(work, p.variables, key)
 
 
-def _spoly(f: Polynomial, g: Polynomial, key) -> Polynomial:
-    s = _s_polynomial(_packed(f, key), _packed(g, key), key)
-    return _unpacked(s, f.variables, key)
-
-
 def groebner(I: Ideal, order: TermOrder, budget: GroebnerBudget = DEFAULT_BUDGET) -> Ideal:
     """Reduced Groebner basis of I with respect to `order`."""
     variables = I.variables

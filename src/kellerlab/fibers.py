@@ -25,7 +25,9 @@ from .polyring import (
     Polynomial,
     PolyMap,
     coefficients_in,
+    divides,
     drop_variables,
+    rename_variables,
     squarefree_part,
     substitute,
     with_variables,
@@ -86,14 +88,14 @@ def bifurcation_data(
     F: PolyMap,
     compute_fiber_degree: bool = True,
     budget: GroebnerBudget = DEFAULT_BUDGET,
-    rng_seed: int = 1729,
 ) -> BifurcationData:
     """Compute h_i, a_i, H, and the cone form for a dominant rational map.
 
     H is the squarefree part of the product of the a_i, integer-primitive
     with a positive sign; the constant 1 marks an empty bifurcation set.
-    The fiber degree is sampled at random rational points, resampling when
-    the fiber ideal is degenerate or the sample lies on {H = 0}.
+    The fiber degree is sampled at seeded random integer points, resampling
+    when the fiber ideal is degenerate or the sample lies on {H = 0}.  The
+    cone form is the top-degree part of H.
 
     The a_i construction captures the non-proper (asymptotic) value set;
     for locally diffeomorphic maps that is the whole bifurcation set, which
@@ -119,15 +121,15 @@ def bifurcation_data(
 
     degree = None
     if compute_fiber_degree:
-        degree = _sample_fiber_degree(F, H, budget, rng_seed)
+        degree = _sample_fiber_degree(F, H, budget)
     return BifurcationData(
         h=hs, a=tuple(aas), H=H, cone_form=cone, fiber_degree=degree
     )
 
 
-def _sample_fiber_degree(F, H, budget, rng_seed, attempts=40):
-    rng = random.Random(rng_seed)
-    for trial in range(attempts):
+def _sample_fiber_degree(F, H, budget):
+    rng = random.Random(1729)  # a fixed stream, so d_F is reproducible
+    for trial in range(40):
         span = 7 + 2 * trial
         sample = [Fraction(rng.randint(-span, span)) for _ in range(F.n)]
         if H.evaluate(sample) == 0:
@@ -167,7 +169,8 @@ def poly_D(H: Polynomial) -> Polynomial:
     The cone factor makes D vanish whenever the direction lies on the cone
     at infinity (where the t-degree drops), which the bare formal-degree
     discriminant would miss; for deg H = 1 the discriminant is 1 and D is
-    the cone factor alone.
+    the cone factor alone.  H(U + tV) is expanded by substitution; the cone
+    factor is the leading form of H with its variables renamed to V.
     """
     if H.is_constant():
         raise ValueError("H must be nonconstant")
@@ -176,12 +179,8 @@ def poly_D(H: Polynomial) -> Polynomial:
     d = H.total_degree()
     restricted, ring = _on_line(H, us, vs)
     disc = discriminant(restricted, "t", d)
-    cone = H.leading_form()
-    cone_v = substitute(
-        cone, {name: Polynomial.variable(ring, v) for name, v in zip(H.variables, vs)},
-        ring,
-    )
-    return drop_variables(cone_v * disc, ("t",))
+    cone = rename_variables(H.leading_form(), dict(zip(H.variables, vs)))
+    return drop_variables(with_variables(cone, ring) * disc, ("t",))
 
 
 def poly_R(components) -> Polynomial:
@@ -213,7 +212,6 @@ def sigma(
     F: PolyMap,
     components=None,
     data: BifurcationData | None = None,
-    budget: GroebnerBudget = DEFAULT_BUDGET,
 ) -> Polynomial:
     """The genericity certificate polynomial D(U, V) R(U, V).
 
@@ -223,13 +221,13 @@ def sigma(
     generic.  Component data is optional input; with none supplied R = 1.
     """
     if data is None:
-        data = bifurcation_data(F, compute_fiber_degree=False, budget=budget)
+        data = bifurcation_data(F, compute_fiber_degree=False)
     n = F.n
     us, vs = _uv_ring(n)
     ring = us + vs
     if components:
         for comp in components:
-            if not _divides_H(comp.h_W, data.H):
+            if not divides(with_variables(comp.h_W, data.H.variables), data.H):
                 raise ValueError("component polynomial does not divide H")
     if data.empty_bifurcation_set:
         return Polynomial.one(ring)
@@ -238,12 +236,6 @@ def sigma(
         R = poly_R(components)
         return with_variables(D, ring) * with_variables(R, ring)
     return D
-
-
-def _divides_H(h_W, H):
-    from .polyring import divides
-
-    return divides(with_variables(h_W, H.variables), H)
 
 
 @dataclass(frozen=True)
@@ -262,7 +254,6 @@ def assert_c2(
     v,
     components=None,
     data: BifurcationData | None = None,
-    budget: GroebnerBudget = DEFAULT_BUDGET,
 ):
     """Check sigma(u, V) != 0 and sigma(U, v) != 0 as polynomials.
 
@@ -271,13 +262,13 @@ def assert_c2(
     vacuous when the bifurcation set is empty).
     """
     if data is None:
-        data = bifurcation_data(F, compute_fiber_degree=False, budget=budget)
+        data = bifurcation_data(F, compute_fiber_degree=False)
     n = F.n
     u = [Fraction(x) for x in u]
     v = [Fraction(x) for x in v]
     if len(u) != n or len(v) != n:
         raise ValueError("point/direction length does not match the map")
-    s = sigma(F, components=components, data=data, budget=budget)
+    s = sigma(F, components=components, data=data)
     us, vs = _uv_ring(n)
     ring = us + vs
 

@@ -170,8 +170,7 @@ def as_cubic_linear(F: PolyMap):
         if rest.is_zero():
             rows.append(tuple(Fraction(0) for _ in range(n)))
             continue
-        parts = rest.homogeneous_components()
-        if len(parts) != 1 or parts[0][0] != 3:
+        if any(sum(m) != 3 for m in rest.terms):
             return CubicLinearRejection(
                 i, "component minus X_i is not homogeneous of degree 3"
             )

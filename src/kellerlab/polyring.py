@@ -341,13 +341,10 @@ class Polynomial:
         """Highest-degree homogeneous component (the form at infinity)."""
         if self.is_zero():
             raise ValueError("zero polynomial has no leading form")
-        comps = self.homogeneous_components()
-        return comps[-1][1]
-
-    def truncated(self, cap):
-        """Drop every monomial of total degree above `cap`."""
-        terms = {m: c for m, c in self.terms.items() if sum(m) <= cap}
-        return Polynomial._raw(self.variables, terms)
+        top = self.total_degree()
+        return Polynomial._raw(
+            self.variables, {m: c for m, c in self.terms.items() if sum(m) == top}
+        )
 
     # ---- substitution / evaluation ----
 
@@ -512,9 +509,7 @@ def integer_content(p: Polynomial) -> Fraction:
     """Positive rational c with p/c integral, primitive (0 for p = 0)."""
     if p.is_zero():
         return Fraction(0)
-    den = 1
-    for c in p.terms.values():
-        den = den * c.denominator // math.gcd(den, c.denominator)
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
     num = 0
     for c in p.terms.values():
         num = math.gcd(num, abs(c.numerator * (den // c.denominator)))
@@ -523,14 +518,8 @@ def integer_content(p: Polynomial) -> Fraction:
 
 def make_primitive(p: Polynomial) -> Polynomial:
     """Scale to integer coefficients with content 1, lex-leading coefficient > 0."""
-    if p.is_zero():
-        return p
-    c = integer_content(p)
-    q = p.map_coefficients(lambda x: x / c)
-    # exponent tuples compare lexicographically
-    if q.terms[max(q.terms)] < 0:
-        q = -q
-    return q
+    c = integer_content(p)  # 0 only for p = 0, which has no coefficient to divide
+    return make_positive(p.map_coefficients(lambda x: x / c))
 
 
 # ---- exact division and gcd ----
@@ -695,13 +684,8 @@ def _gcd_z(a: Polynomial, b: Polynomial) -> Polynomial:
         return make_positive(b)
     if b.is_zero():
         return make_positive(a)
-    if a.is_constant() or b.is_constant():
-        ca = int(integer_content(a))
-        cb = int(integer_content(b))
-        return Polynomial.constant(a.variables, math.gcd(ca, cb))
-    used_a = a.support_variables()
-    used_b = b.support_variables()
-    common = used_a & used_b
+    # a constant has no variables, so it shares none with the other side
+    common = a.support_variables() & b.support_variables()
     if not common:
         g = math.gcd(int(integer_content(a)), int(integer_content(b)))
         return Polynomial.constant(a.variables, g)
@@ -728,6 +712,7 @@ def _gcd_z(a: Polynomial, b: Polynomial) -> Polynomial:
 def make_positive(p: Polynomial) -> Polynomial:
     if p.is_zero():
         return p
+    # exponent tuples compare lexicographically
     return -p if p.terms[max(p.terms)] < 0 else p
 
 
@@ -836,7 +821,11 @@ class PolyMap:
 
     def compose_truncated(self, inner: "PolyMap", cap: int) -> "PolyMap":
         # kept only because bench/tracing.py wraps this name; nothing calls it
-        return PolyMap([c.truncated(cap) for c in self.compose(inner).components])
+        return PolyMap([
+            Polynomial._raw(p.variables, {m: c for m, c in p.terms.items()
+                                          if sum(m) <= cap})
+            for p in self.compose(inner).components
+        ])
 
     def __eq__(self, other):
         if not isinstance(other, PolyMap):

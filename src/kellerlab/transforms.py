@@ -11,8 +11,8 @@ from fractions import Fraction
 
 from ._linalg import fraction_matrix_inverse
 from .errors import InternalCheckError
-from .keller import CubicLinearForm
-from .polyring import Polynomial, PolyMap, substitute
+from .keller import CubicLinearForm, is_keller
+from .polyring import Polynomial, PolyMap, substitute, with_variables
 
 
 def scale_conjugate(F: PolyMap, r) -> PolyMap:
@@ -20,22 +20,22 @@ def scale_conjugate(F: PolyMap, r) -> PolyMap:
 
     On homogeneous components this is G1 + r G2 + ... + r^(k-1) Gk, so
     integrality is preserved for integer r and maps with integer
-    coefficients.
+    coefficients.  It is computed term by term: c X^m becomes
+    c r^(|m|-1) X^m.
     """
     r = Fraction(r)
     if r == 0:
         raise ValueError("scale factor must be nonzero")
     if not F.fixes_origin():
         raise ValueError("map must fix the origin")
-    variables = F.variables
-    bindings = {v: r * Polynomial.variable(variables, v) for v in variables}
-    return PolyMap(
-        [substitute(c, bindings, variables) * (1 / r) for c in F.components]
-    )
+    return PolyMap([
+        Polynomial._raw(F.variables, {m: c * r ** (sum(m) - 1) for m, c in p.terms.items()})
+        for p in F.components
+    ])
 
 
 def extend_variables(F: PolyMap, m: int, new_names=None) -> PolyMap:
-    """(F(X), Y): append m fresh coordinates that the map fixes."""
+    """(F(X), Y): append m fresh coordinates that the map fixes; F is re-embedded."""
     if m < 0:
         raise ValueError("number of new variables must be non-negative")
     if m == 0:
@@ -49,8 +49,7 @@ def extend_variables(F: PolyMap, m: int, new_names=None) -> PolyMap:
     if len(new_names) != m or set(new_names) & set(F.variables):
         raise ValueError("fresh variable names must be distinct from existing ones")
     ring = tuple(F.variables) + new_names
-    bindings = {v: Polynomial.variable(ring, v) for v in F.variables}
-    comps = [substitute(c, bindings, ring) for c in F.components]
+    comps = [with_variables(c, ring) for c in F.components]
     comps.extend(Polynomial.variable(ring, v) for v in new_names)
     return PolyMap(comps)
 
@@ -86,8 +85,8 @@ def translate_to_origin(F: PolyMap, a) -> PolyMap:
     """Z -> F(Z - a) - F(-a); the result vanishes at 0.
 
     The subtracted constant is the value of the shifted map at the origin,
-    so the output fixes 0 by construction (for even maps this coincides
-    with subtracting F(a)).
+    that is its constant term, so the output fixes 0 by construction (for
+    even maps this coincides with subtracting F(a)).
     """
     variables = F.variables
     a = [Fraction(x) for x in a]
@@ -96,13 +95,9 @@ def translate_to_origin(F: PolyMap, a) -> PolyMap:
     bindings = {
         v: Polynomial.variable(variables, v) - ai for v, ai in zip(variables, a)
     }
-    values = F.evaluate([-x for x in a])
-    return PolyMap(
-        [
-            substitute(c, bindings, variables) - val
-            for c, val in zip(F.components, values)
-        ]
-    )
+    origin = (0,) * len(variables)
+    shifted = [substitute(c, bindings, variables) for c in F.components]
+    return PolyMap([c - c.coefficient(origin) for c in shifted])
 
 
 @dataclass(frozen=True)
@@ -190,8 +185,6 @@ def cor1_extension(form: CubicLinearForm) -> CubicLinearForm:
     expected.append(xs[n])
     if PolyMap(expected) != result.to_map(variables):
         raise InternalCheckError("extension matrix disagrees with the composition")
-
-    from .keller import is_keller
 
     if is_keller(F) and not is_keller(result.to_map(variables)):
         raise InternalCheckError("extension of a Keller form is not Keller")

@@ -5,7 +5,7 @@ from itertools import product
 
 from kellerlab.errors import ExactDivisionError
 from kellerlab.keller import CubicLinearForm
-from kellerlab.polyring import Polynomial, PolyMap, poly_gcd, with_variables
+from kellerlab.polyring import Polynomial, PolyMap, poly_gcd, substitute, with_variables
 
 
 def random_polynomial(rng, variables, max_degree=3, max_terms=4, coeff_bound=6,
@@ -227,6 +227,50 @@ def reference_reduce_poly(p: Polynomial, basis, key) -> Polynomial:
         else:
             remainder[m] = c
     return Polynomial(p.variables, remainder)
+
+
+def reference_s_polynomial(f: Polynomial, g: Polynomial, key) -> Polynomial:
+    """S-polynomial (L / lt(f)) f - (L / lt(g)) g, L the lcm of the key-largest
+    monomials, by Polynomial arithmetic."""
+    lf, lg = max(f.terms, key=key), max(g.terms, key=key)
+    lcm = tuple(map(max, lf, lg))
+
+    def cofactor(lead, coef):
+        shift = tuple(a - b for a, b in zip(lcm, lead))
+        return Polynomial(f.variables, {shift: 1 / coef})
+
+    return cofactor(lf, f.terms[lf]) * f - cofactor(lg, g.terms[lg]) * g
+
+
+def reference_scale_conjugate(F: PolyMap, r) -> PolyMap:
+    """(1/r) F(rX) by substituting r x for each variable x."""
+    r = Fraction(r)
+    bindings = {v: r * Polynomial.variable(F.variables, v) for v in F.variables}
+    return PolyMap([substitute(c, bindings, F.variables) * (1 / r) for c in F.components])
+
+
+def reference_extend_variables(F: PolyMap, ring) -> PolyMap:
+    """(F(X), Y) over `ring` = X followed by Y, substituting each x by itself."""
+    bindings = {v: Polynomial.variable(ring, v) for v in F.variables}
+    comps = [substitute(c, bindings, ring) for c in F.components]
+    comps.extend(Polynomial.variable(ring, v) for v in ring[len(F.variables):])
+    return PolyMap(comps)
+
+
+def reference_translate_to_origin(F: PolyMap, a) -> PolyMap:
+    """F(Z - a) - F(-a), with F(-a) evaluated at the point."""
+    variables = F.variables
+    bindings = {v: Polynomial.variable(variables, v) - x for v, x in zip(variables, a)}
+    values = F.evaluate([-Fraction(x) for x in a])
+    return PolyMap([substitute(c, bindings, variables) - val
+                    for c, val in zip(F.components, values)])
+
+
+def random_map_fixing_origin(rng, variables, max_degree=4, max_terms=4) -> PolyMap:
+    """Random map with its constant terms removed."""
+    origin = (0,) * len(variables)
+    F = random_poly_map(rng, variables, max_degree, max_terms)
+    return PolyMap([c - c.coefficient(origin) for c in F.components])
 
 
 def naive_grid_points(system, B):

@@ -245,6 +245,27 @@ def test_check_degree_cap_below_inverse_degree(capsys, tri2):
     assert out.strip().endswith("inverse: not invertible within bound (cap 2)")
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_check_rejects_non_positive_degree_cap(capsys, tri2, cap):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", tri2, f"--degree-cap={cap}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--degree-cap" in captured.err and "must be positive" in captured.err
+
+
+@pytest.mark.parametrize("subverb, option", [
+    ("scale", "r"), ("extend", "m"), ("conjugate", "matrix"), ("translate", "vector"),
+    ("theoremB", "weights"),
+])
+def test_transform_without_its_option_is_a_clean_error(capsys, tri2, subverb, option):
+    code, out, err = run(capsys, "transform", subverb, tri2)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --{option} is required for transform {subverb}\n"
+
+
 def test_check_chain_inverse_of_degree_81(capsys, tmp_path):
     # deg G = 81 is the default cap and one above the default Groebner budget
     path = tmp_path / "chain5.map"

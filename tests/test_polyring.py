@@ -106,6 +106,16 @@ def test_leading_form_examples():
         Polynomial.zero(V).leading_form()
 
 
+def test_leading_form_is_top_homogeneous_component_1000():
+    rng = random.Random(4040)
+    checked = 0
+    while checked < 1000:
+        p = random_polynomial(rng, ("x", "y", "z"), max_degree=5, max_terms=6)
+        if not p.is_zero():
+            assert p.leading_form() == p.homogeneous_components()[-1][1]
+            checked += 1
+
+
 def test_squarefree_part_examples():
     assert squarefree_part(Y**2) == Y
     p = Y * (Y - 1)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from kellerlab.bundled import bundled_map_names, load_bundled_map
 from kellerlab.errors import SingularMatrixError
 from kellerlab.expr_io import parse_polynomial as P
 from kellerlab.keller import CubicLinearForm, is_keller
@@ -18,7 +19,15 @@ from kellerlab.transforms import (
     translate_to_origin,
 )
 
-from _support import random_sl2, random_triangular_form
+from _support import (
+    random_map_fixing_origin,
+    random_poly_map,
+    random_sl2,
+    random_triangular_form,
+    reference_extend_variables,
+    reference_scale_conjugate,
+    reference_translate_to_origin,
+)
 
 V = ("x", "y")
 
@@ -44,6 +53,24 @@ def test_scale_conjugate_homogeneous_expansion():
             assert got == expected
 
 
+def _bundled_maps():
+    return [load_bundled_map(name).to_poly_map() for name in bundled_map_names()]
+
+
+def _random_maps(rng, count, fixing_origin=False):
+    make = random_map_fixing_origin if fixing_origin else random_poly_map
+    return [make(rng, V if k % 2 else ("x", "y", "z")) for k in range(count)]
+
+
+def test_scale_conjugate_matches_substitution():
+    rng = random.Random(1616)
+    maps = _bundled_maps() + _random_maps(rng, 60, fixing_origin=True)
+    assert all(F.fixes_origin() for F in maps)
+    for F in maps:
+        for r in (2, -2, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 5)):
+            assert scale_conjugate(F, r) == reference_scale_conjugate(F, r)
+
+
 def test_scale_conjugate_errors():
     F = PolyMap([P("x + 1", V), P("y", V)])
     with pytest.raises(ValueError):
@@ -62,6 +89,15 @@ def test_extend_variables_examples():
     from kellerlab.keller import jacobian_det
 
     assert jacobian_det(ext) == Polynomial.one(W)
+
+
+def test_extend_variables_matches_substitution():
+    rng = random.Random(1717)
+    for F in _bundled_maps() + _random_maps(rng, 40):
+        for m in (1, 2, 3):
+            ext = extend_variables(F, m)
+            assert ext.variables[: len(F.variables)] == F.variables
+            assert ext == reference_extend_variables(F, ext.variables)
 
 
 def test_conjugate_by_linear_examples():
@@ -94,6 +130,14 @@ def test_translate_to_origin_examples():
         a = [rng.randint(-3, 3), rng.randint(-3, 3)]
         out = translate_to_origin(F, a)
         assert out.evaluate([0, 0]) == (0, 0)
+
+
+def test_translate_to_origin_matches_substitution():
+    rng = random.Random(1818)
+    for F in _bundled_maps() + _random_maps(rng, 60):
+        for _ in range(3):
+            a = [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in F.variables]
+            assert translate_to_origin(F, a) == reference_translate_to_origin(F, a)
 
 
 def test_diagonal_transform_validation():
