@@ -13,6 +13,7 @@ here.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -75,11 +76,16 @@ def _positive_int(text: str) -> int:
     return _int_at_least(text, 1, "positive")
 
 
-def _load_map(path: str):
+def _read(load, path: str):
+    """`load(path)`, with an unreadable or non-UTF-8 file as a domain error."""
     try:
-        mf = expr_io.load_map_file(path)
-    except OSError as exc:
+        return load(path)
+    except (OSError, UnicodeDecodeError) as exc:
         raise KellerlabError(f"cannot read {path}: {exc}") from exc
+
+
+def _load_map(path: str):
+    mf = _read(expr_io.load_map_file, path)
     return mf, mf.to_poly_map()
 
 
@@ -120,8 +126,11 @@ class _Reporter:
             return
         text = "".join(f"{line}\n" for line in self.lines)
         if path:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            try:
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise KellerlabError(f"cannot write {path}: {exc}") from exc
         else:
             print(text, end="")
 
@@ -291,10 +300,7 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    try:
-        sf = expr_io.load_system_file(args.sysfile)
-    except OSError as exc:
-        raise KellerlabError(f"cannot read {args.sysfile}: {exc}") from exc
+    sf = _read(expr_io.load_system_file, args.sysfile)
     system = diophantine.EquationSystem(tuple(sf.to_polynomials()))
     report = diophantine.search_box(system, args.radius, budget=args.budget)
     rep = _Reporter("search", args.json, _digest(sf, args.radius, args.budget))
@@ -324,7 +330,14 @@ def _cmd_hurwitz(args) -> int:
 # ---- parser wiring ----
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and shared by every later call.
+
+    Sharing is safe: argparse keeps no state between `parse_args` calls, and
+    each handler reaches the library through module attributes at call time.
+    Only the `--budget` default is read once, here.
+    """
     parser = argparse.ArgumentParser(
         prog="kellerlab",
         description="Exact workbench for Keller maps, bifurcation sets, and "

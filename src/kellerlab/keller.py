@@ -54,9 +54,11 @@ def formal_inverse(
     not a nonzero constant rules out an inverse; otherwise the inverse is
     read off one Groebner basis (`elim.inverse_map`), whose degree budget
     is at least the cap.  The default cap is d^(n-1) for d = deg F, the
-    classical bound on the degree of a polynomial inverse.  A non-exact
-    result carries the linear part's inverse L^-1 Y as its map; at a lower
-    cap it means "not invertible within bound", never "not invertible".
+    Bass-Connell-Wright bound on the degree of a polynomial inverse.  The
+    same bound applied to G = F^-1 gives d <= (deg G)^(n-1), so a cap with
+    cap^(n-1) < d returns at once, without the basis.  A non-exact result
+    carries the linear part's inverse L^-1 Y as its map; at a lower cap it
+    means "not invertible within bound", never "not invertible".
     A caller that already has det DF passes it as `det`.
     """
     if not F.is_square():
@@ -77,13 +79,14 @@ def formal_inverse(
     except SingularMatrixError:
         raise SingularMatrixError("DF(0) is singular; no formal inverse") from None
 
-    if det is None:
-        det = jacobian_det(F)
-    if det.is_constant() and not det.is_zero():
-        max_degree = max(DEFAULT_BUDGET.max_degree, degree_cap)
-        G = inverse_map(F, replace(DEFAULT_BUDGET, max_degree=max_degree))
-        if G is not None and G.max_degree() <= degree_cap:
-            return FormalInverse(map=G, degree_bound=degree_cap, exact=True)
+    if degree_cap ** (n - 1) >= F.max_degree():
+        if det is None:
+            det = jacobian_det(F)
+        if det.is_constant() and not det.is_zero():
+            max_degree = max(DEFAULT_BUDGET.max_degree, degree_cap)
+            G = inverse_map(F, replace(DEFAULT_BUDGET, max_degree=max_degree))
+            if G is not None and G.max_degree() <= degree_cap:
+                return FormalInverse(map=G, degree_bound=degree_cap, exact=True)
     xs = [Polynomial.variable(variables, v) for v in variables]
     linear = PolyMap([
         sum((Linv[i][j] * xs[j] for j in range(n)), Polynomial.zero(variables))

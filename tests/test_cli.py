@@ -3,7 +3,7 @@ import json
 import pytest
 
 from kellerlab.bundled import bundled_text
-from kellerlab.cli import main
+from kellerlab.cli import build_parser, main
 
 MAPS = "src/kellerlab/data"
 
@@ -289,3 +289,57 @@ def test_check_groebner_budget_exit_code(capsys, tmp_path, monkeypatch):
     assert code == 3
     assert out == ""
     assert "basis size exceeds budget 2" in err
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_shared_parser_answers_like_a_fresh_one(capsys, tri2, cfsys, monkeypatch):
+    sequence = [
+        ["check", tri2, "--degree-cap", "0"],
+        ["search", cfsys, "--radius=1", "--budget=5", "--json"],
+        ["search", cfsys, "--radius=1", "--json"],
+        ["transform", "scale", tri2, "--r=2"],
+        ["transform", "scale", tri2],
+    ]
+
+    def outcomes():
+        results = []
+        for argv in sequence:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    shared = outcomes()
+    monkeypatch.setattr("kellerlab.cli.build_parser", build_parser.__wrapped__)
+    fresh = outcomes()
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [2, 3, 0, 0, 1]
+    assert shared[4][2] == "error: --r is required for transform scale\n"
+
+
+@pytest.mark.parametrize("verb", [["transform", "extend", "--m=1"], ["curve", "--kind=cf"]])
+def test_output_to_unwritable_path_is_a_domain_error(capsys, tri2, tmp_path, verb):
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run(capsys, *verb, tri2, f"--output={target}")
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "{path}"], ["transform", "cor1", "{path}"], ["search", "{path}", "--radius=1"],
+])
+def test_non_utf8_input_names_the_file(capsys, tmp_path, argv):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"vars: x\n\xff\n")
+    code, out, err = run(capsys, *(arg.format(path=path) for arg in argv))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")

@@ -9,6 +9,7 @@ from kellerlab.expr_io import parse_polynomial as P
 from kellerlab.keller import (
     CubicLinearForm,
     CubicLinearRejection,
+    FormalInverse,
     as_cubic_linear,
     formal_inverse,
     is_keller,
@@ -75,6 +76,24 @@ def test_formal_inverse_runs_no_basis_without_constant_jacobian(monkeypatch):
     monkeypatch.setattr(kellerlab.keller, "inverse_map", no_basis)
     for comps in (("x + y^3", "y + x^3"), ("x + x^2", "y")):
         assert not formal_inverse(PolyMap([P(c, V) for c in comps]), 8).exact
+
+
+def test_formal_inverse_cap_below_degree_bound_runs_no_basis(monkeypatch):
+    import kellerlab.keller
+
+    # Bass-Connell-Wright applied to G = F^-1 gives deg F <= (deg G)^(n-1),
+    # so at cap 1 this cubic Keller map in 3 variables has no inverse within cap
+    variables = ("x1", "x2", "x3")
+    F = CubicLinearForm(((0, 1, 1), (0, 0, 1), (0, 0, 0))).to_map(variables)
+    G = inverse_map(F)
+    assert G is not None and G.max_degree() > 1
+    expected = FormalInverse(map=PolyMap.identity(variables), degree_bound=1, exact=False)
+
+    def no_basis(*args):
+        raise AssertionError("Groebner basis run")
+
+    monkeypatch.setattr(kellerlab.keller, "inverse_map", no_basis)
+    assert formal_inverse(F, 1) == expected
 
 
 def test_formal_inverse_non_exact_map_is_linear_part():
