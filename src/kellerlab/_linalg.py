@@ -3,9 +3,10 @@
 One Gauss-Jordan inverse over `Fraction` serves every inverse, including
 the integer inverse of an SL(n, Z) matrix.  One fraction-free Bareiss
 elimination serves both determinants: integer matrices divide with `//`,
-polynomial matrices with `exact_div`.  Polynomial determinants of size
-n <= 4 use cofactor expansion instead, which is faster on Jacobians of
-that size.
+polynomial matrices with `exact_div`.  Polynomial determinants are
+Jacobians (resultants use the subresultant PRS); of size n <= 4 they use
+cofactor expansion instead, which is faster there, so polynomial Bareiss
+serves only Jacobians with n >= 5.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -115,15 +116,8 @@ class _Reporter:
         self.lines.append(text)
 
     def emit(self, path=None):
-        """Print the JSON object, or write the text lines to `path` or stdout."""
-        if self.as_json:
-            doc = {
-                "verb": self.verb,
-                "inputs": {"digest": self.digest},
-                "results": self.results,
-            }
-            print(json.dumps(doc, sort_keys=True))
-            return
+        """Write the text lines to `path`, if given; print the JSON object,
+        or else the text lines when there is no path, on stdout."""
         text = "".join(f"{line}\n" for line in self.lines)
         if path:
             try:
@@ -131,7 +125,14 @@ class _Reporter:
                     fh.write(text)
             except OSError as exc:
                 raise KellerlabError(f"cannot write {path}: {exc}") from exc
-        else:
+        if self.as_json:
+            doc = {
+                "verb": self.verb,
+                "inputs": {"digest": self.digest},
+                "results": self.results,
+            }
+            print(json.dumps(doc, sort_keys=True))
+        elif not path:
             print(text, end="")
 
 
@@ -418,7 +419,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`): point the descriptor at
+        # the null device so the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

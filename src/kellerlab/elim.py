@@ -1,6 +1,9 @@
 """Groebner bases over Q: elimination ideals, minimal polynomials of map
 coordinates, fiber counting, and formal-degree resultants/discriminants.
 
+Resultants run the subresultant PRS of `polyring` (the gcd's loop) at the
+actual degrees, with closed-form factors for formal degrees above them.
+
 Buchberger with the normal selection strategy and both classical criteria,
 on polyring's packed monomials: a term order is a `MonomialLayout`, and the
 working basis holds packed ints mapped to Fractions.  A hard budget (basis
@@ -14,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._linalg import poly_matrix_det
 from .errors import (
     BudgetExceededError,
     InternalCheckError,
@@ -30,6 +32,7 @@ from .polyring import (
     exact_div,
     make_primitive,
     rename_variables,
+    subresultant_prs,
     with_variables,
 )
 
@@ -460,13 +463,20 @@ def resultant(
     formal_deg_p: int | None = None,
     formal_deg_q: int | None = None,
 ) -> Polynomial:
-    """Determinant of the Sylvester matrix of (p, q) in t at formal degrees.
+    """Res_t(p, q) at formal degrees (m, n): the determinant of the Sylvester
+    matrix whose rows pad p's coefficients to t^m and q's to t^n.
 
     Formal degrees default to the actual t-degrees; they may exceed them,
     in which case the top coefficients are zero polynomials.  Computing at a
     declared formal degree keeps the output a single polynomial identity
     when the coefficients are themselves polynomials that may drop degree
     on specialization.
+
+    The subresultant PRS (`polyring.subresultant_prs`, shared with the gcd)
+    gives Res at the actual degrees m', n'; the padding is a closed-form
+    factor: Res_{m,n} = (-1)^((m-m')n) lc(q)^(m-m') Res_{m',n} for m' < m,
+    lc(p)^(n-n') Res_{m,n'} for n' < n, and 0 when both drop.  An operand c
+    of formal degree 0 gives c^n (c^m).
     """
     if p.variables != q.variables:
         raise VariableMismatchError("resultant operands over different variables")
@@ -481,19 +491,30 @@ def resultant(
         raise ValueError("formal degree below actual degree")
     if m <= 0 and n <= 0:
         raise ValueError("at least one formal degree must be positive")
-    zero = Polynomial.zero(variables)
-    cp = coefficients_in(p, t)
-    cq = coefficients_in(q, t)
-    # row vectors of coefficients, highest power first, padded to formal degree
-    rp = [(cp[k] if k < len(cp) else zero) for k in range(m, -1, -1)]
-    rq = [(cq[k] if k < len(cq) else zero) for k in range(n, -1, -1)]
-    size = m + n
-    rows = []
-    for shift in range(n):
-        rows.append([zero] * shift + rp + [zero] * (size - shift - m - 1))
-    for shift in range(m):
-        rows.append([zero] * shift + rq + [zero] * (size - shift - n - 1))
-    return poly_matrix_det(rows)
+    # a formal degree 0 leaves only the other operand's rows: c times the identity
+    if n == 0:
+        return q**m
+    if m == 0:
+        return p**n
+    if (dp < m and dq < n) or p.is_zero() or q.is_zero():
+        return Polynomial.zero(variables)
+    if dp < m:
+        scale = coefficients_in(q, t)[dq] ** (m - dp)
+        return (-scale if (m - dp) * n % 2 else scale) * resultant(p, q, t)
+    if dq < n:
+        return coefficients_in(p, t)[dp] ** (n - dq) * resultant(p, q, t)
+    idx = variables.index(t)
+    if dp >= dq:
+        a, b, h, sign = subresultant_prs(p, q, idx)
+    else:
+        a, b, h, sign = subresultant_prs(q, p, idx)
+        if dp & dq & 1:
+            sign = -sign
+    if b.is_zero():
+        return b
+    da = a.degree_in(t)
+    res = b**da if da == 1 else exact_div(b**da, h ** (da - 1))
+    return -res if sign < 0 else res
 
 
 def discriminant(p: Polynomial, t: str, formal_degree: int) -> Polynomial:

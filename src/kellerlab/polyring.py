@@ -638,6 +638,44 @@ def _pseudo_rem(f: Polynomial, g: Polynomial, idx: int) -> Polynomial:
     return r
 
 
+def subresultant_prs(p: Polynomial, q: Polynomial, idx: int):
+    """Run the subresultant PRS of p, q in x_idx down to degree 0.
+
+    Needs deg p >= deg q >= 1 in x_idx.  Collins's sequence in the form of
+    Cohen, *A Course in Computational Algebraic Number Theory*, Alg. 3.3.7
+    (without its content step): each pseudo-remainder is divided exactly by
+    g h^delta, then g = lc of the divisor and h = h^(1 - delta) g^delta, so
+    every member stays in the coefficient ring.  Returns (a, b, h, sign):
+    b is the first member of degree < 1, a the member before it, and
+    sign = (-1)^(sum of deg a * deg b over the steps).  b = 0 when p and q
+    share a factor of positive degree; otherwise Res(p, q) =
+    sign * lc(b)^deg a / h^(deg a - 1).
+    """
+    one = Polynomial.one(p.variables)
+    g = h = one
+    sign = 1
+    dp = _lead_in(p, idx)[0]
+    dq, lcq = _lead_in(q, idx)
+    while True:
+        delta = dp - dq
+        if dp & dq & 1:
+            sign = -sign
+        r = _pseudo_rem(p, q, idx)
+        if r.is_zero():
+            return q, r, h, sign
+        if g is not one:  # the first step divides by 1
+            r = exact_div(r, g * h**delta)
+        p, dp, g = q, dq, lcq
+        if delta == 1:
+            h = g
+        elif delta > 1:
+            h = exact_div(g**delta, h ** (delta - 1))
+        q = r
+        dq, lcq = _lead_in(q, idx)
+        if dq == 0:
+            return p, q, h, sign
+
+
 def _prs_gcd(f: Polynomial, g: Polynomial, idx: int) -> Polynomial:
     """Subresultant PRS gcd of polynomials primitive in x_idx.
 
@@ -645,28 +683,12 @@ def _prs_gcd(f: Polynomial, g: Polynomial, idx: int) -> Polynomial:
     """
     if _lead_in(f, idx)[0] < _lead_in(g, idx)[0]:
         f, g = g, f
-    prev, cur = f, g
-    d = _lead_in(prev, idx)[0] - _lead_in(cur, idx)[0]
-    psi = Polynomial.constant(f.variables, -1)
-    beta = Polynomial.constant(f.variables, (-1) ** (d + 1))
-    while True:
-        rem = _pseudo_rem(prev, cur, idx)
-        if rem.is_zero():
-            break
-        nxt = exact_div(rem, beta)
-        _, c = _lead_in(cur, idx)
-        if d == 1:
-            psi = -c
-        elif d > 1:
-            psi = exact_div((-c) ** d, psi ** (d - 1))
-        prev, cur = cur, nxt
-        d = _lead_in(prev, idx)[0] - _lead_in(cur, idx)[0]
-        beta = -c * psi**d
-    if _lead_in(cur, idx)[0] == 0:
+    last, rem, _, _ = subresultant_prs(f, g, idx)
+    if not rem.is_zero():
         return Polynomial.one(f.variables)
-    coeffs = [c for c in coefficients_in(cur, f.variables[idx]) if not c.is_zero()]
+    coeffs = [c for c in coefficients_in(last, f.variables[idx]) if not c.is_zero()]
     cont = _gcd_many(coeffs)
-    return exact_div(cur, cont)
+    return exact_div(last, cont)
 
 
 def _gcd_many(polys):

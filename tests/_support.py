@@ -3,9 +3,17 @@
 from fractions import Fraction
 from itertools import product
 
+from kellerlab._linalg import poly_matrix_det
 from kellerlab.errors import ExactDivisionError
 from kellerlab.keller import CubicLinearForm
-from kellerlab.polyring import Polynomial, PolyMap, poly_gcd, substitute, with_variables
+from kellerlab.polyring import (
+    Polynomial,
+    PolyMap,
+    coefficients_in,
+    poly_gcd,
+    substitute,
+    with_variables,
+)
 
 
 def random_polynomial(rng, variables, max_degree=3, max_terms=4, coeff_bound=6,
@@ -240,6 +248,20 @@ def reference_s_polynomial(f: Polynomial, g: Polynomial, key) -> Polynomial:
         return Polynomial(f.variables, {shift: 1 / coef})
 
     return cofactor(lf, f.terms[lf]) * f - cofactor(lg, g.terms[lg]) * g
+
+
+def reference_resultant(p: Polynomial, q: Polynomial, t, m, n) -> Polynomial:
+    """Res_t(p, q) at formal degrees (m, n) as the determinant of the
+    (m + n) x (m + n) Sylvester matrix, coefficient rows padded with zeros
+    up to the formal degrees; m + n >= 1."""
+    zero = Polynomial.zero(p.variables)
+    cp, cq = coefficients_in(p, t), coefficients_in(q, t)
+    rp = [(cp[k] if k < len(cp) else zero) for k in range(m, -1, -1)]
+    rq = [(cq[k] if k < len(cq) else zero) for k in range(n, -1, -1)]
+    size = m + n
+    rows = [[zero] * s + rp + [zero] * (size - s - m - 1) for s in range(n)]
+    rows += [[zero] * s + rq + [zero] * (size - s - n - 1) for s in range(m)]
+    return poly_matrix_det(rows)
 
 
 def reference_scale_conjugate(F: PolyMap, r) -> PolyMap:

@@ -1,4 +1,6 @@
 import json
+import os
+import sys
 
 import pytest
 
@@ -343,3 +345,53 @@ def test_non_utf8_input_names_the_file(capsys, tmp_path, argv):
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")
+
+
+@pytest.mark.parametrize("verb", [["transform", "scale", "--r=2"], ["curve", "--kind=cf"]])
+def test_output_is_written_under_json(capsys, tri2, tmp_path, verb):
+    # the file gets the text form, stdout the JSON report
+    plain, with_json = tmp_path / "plain.txt", tmp_path / "json.txt"
+    code, out, _ = run(capsys, *verb, tri2, f"--output={plain}")
+    assert (code, out) == (0, "")
+    code, out, err = run(capsys, *verb, tri2, f"--output={with_json}", "--json")
+    assert code == 0
+    assert json.loads(out)["verb"].startswith(verb[0])
+    assert with_json.read_text() == plain.read_text()
+
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run(capsys, *verb, tri2, f"--output={target}", "--json")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot write {target}: ")
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write raises BrokenPipeError.
+    Its file descriptor is a file of the test's own."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_stdout_is_a_clean_exit(capsys, tri2, tmp_path, monkeypatch):
+    path = tmp_path / "stdout"
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+        code = main(["transform", "scale", tri2, "--r=2", "--json"])
+        assert code == 1
+        assert capsys.readouterr().err == ""
+        # the descriptor now points at the null device, so a flush at exit
+        # cannot raise again
+        os.write(fd, b"late output")
+        assert path.read_bytes() == b""
+    finally:
+        os.close(fd)

@@ -36,6 +36,7 @@ from _support import (
     random_polynomial,
     reference_key_function,
     reference_reduce_poly,
+    reference_resultant,
     reference_s_polynomial,
 )
 
@@ -343,6 +344,94 @@ def test_resultant_root_product_oracle():
         for r in roots:
             expected *= q.evaluate([r])
         assert resultant(p, q, "t").constant_value() == expected
+
+
+TAB = ("t", "a", "b")
+
+
+def _random_in_t(rng, degree, lead_constant=False):
+    """Random polynomial of t-degree exactly `degree` over Q[a, b] with
+    rational coefficients; its leading coefficient is a nonzero constant
+    when `lead_constant`, otherwise a non-constant polynomial in a, b."""
+
+    def coefficient(allow_zero=True):
+        c = random_polynomial(rng, TAB[1:], max_degree=2, max_terms=2, coeff_bound=4,
+                              allow_zero=allow_zero)
+        return with_variables(c.map_coefficients(lambda x: x / rng.choice((1, 2, 3))), TAB)
+
+    lead = Polynomial.constant(TAB, rng.choice((1, -2, Fraction(3, 2))))
+    while not lead_constant and lead.is_constant():
+        lead = coefficient(allow_zero=False)
+    t = Polynomial.variable(TAB, "t")
+    p = lead * t**degree
+    for k in range(degree):
+        p = p + coefficient() * t**k
+    return p
+
+
+def _check_against_sylvester(p, q, m=None, n=None):
+    m = max(p.degree_in("t"), 0) if m is None else m
+    n = max(q.degree_in("t"), 0) if n is None else n
+    assert resultant(p, q, "t", m, n) == reference_resultant(p, q, "t", m, n)
+
+
+def test_resultant_matches_sylvester_on_random_inputs():
+    # rational coefficients and non-constant leading coefficients in Q[a, b][t],
+    # every pair of t-degrees up to 4 including both parities and m < n
+    rng = random.Random(4401)
+    for dp in range(1, 5):
+        for dq in range(1, 5):
+            for _ in range(3):
+                p = _random_in_t(rng, dp, lead_constant=rng.random() < 0.25)
+                q = _random_in_t(rng, dq, lead_constant=rng.random() < 0.25)
+                _check_against_sylvester(p, q)
+
+
+def test_resultant_abnormal_remainder_sequence():
+    # p = (t + a) q + r with deg r <= deg q - 2: the second remainder drops
+    # the degree by delta >= 2, where the subresultant scale h is not lc
+    rng = random.Random(4402)
+    t = Polynomial.variable(TAB, "t")
+    for dq, dr in ((3, 1), (3, 0), (4, 2), (4, 1), (4, 0)):
+        for _ in range(2):
+            q = _random_in_t(rng, dq)
+            r = _random_in_t(rng, dr)
+            p = (t + P("a", TAB)) * q + r
+            assert p.degree_in("t") == dq + 1
+            _check_against_sylvester(p, q)
+            _check_against_sylvester(q, p)
+            if dq == 3:  # a common factor: the sequence ends in zero
+                _check_against_sylvester(p * (t - 1), q * (t - 1))
+
+
+def test_resultant_zero_and_constant_operands():
+    rng = random.Random(4403)
+    zero = Polynomial.zero(TAB)
+    for _ in range(4):
+        q = _random_in_t(rng, rng.randint(1, 3))
+        n = q.degree_in("t")
+        c = P("2*a", TAB) - Fraction(1, 3) * P("b", TAB)
+        for m in (0, 1, 2):
+            _check_against_sylvester(zero, q, m, n)
+            _check_against_sylvester(q, zero, n, m)
+            _check_against_sylvester(c, q, m, n)
+            _check_against_sylvester(q, c, n, m)
+        assert resultant(c, q, "t", 0, n) == c**n
+        assert resultant(q, c, "t", n, 0) == c**n
+    assert resultant(zero, zero, "t", 1, 0).is_zero()
+    assert resultant(zero, zero, "t", 2, 1).is_zero()
+
+
+def test_resultant_formal_degree_above_actual():
+    # deg p < m, deg q < n and both: the closed-form factors in place of
+    # the padded Sylvester rows
+    rng = random.Random(4404)
+    for _ in range(6):
+        p = _random_in_t(rng, rng.randint(1, 3))
+        q = _random_in_t(rng, rng.randint(1, 3))
+        dp, dq = p.degree_in("t"), q.degree_in("t")
+        for km, kn in ((1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 3), (1, 1), (2, 1)):
+            _check_against_sylvester(p, q, dp + km, dq + kn)
 
 
 def test_discriminant_examples():

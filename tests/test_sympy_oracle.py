@@ -21,8 +21,17 @@ from kellerlab.elim import (
     minimal_poly_of_coordinate,
     resultant,
 )
+from kellerlab.expr_io import parse_polynomial as P
+from kellerlab.fibers import bifurcation_data
 from kellerlab.keller import CubicLinearForm, formal_inverse
-from kellerlab.polyring import Polynomial, make_primitive, poly_gcd, squarefree_part
+from kellerlab.polyring import (
+    Polynomial,
+    PolyMap,
+    make_primitive,
+    poly_gcd,
+    squarefree_part,
+    substitute,
+)
 from kellerlab.transforms import conjugate_by_linear
 
 from _support import random_polynomial
@@ -137,8 +146,8 @@ def test_resultant_and_discriminant_match_sympy():
 
 
 def test_degree4_discriminant_matches_sympy():
-    # the Sylvester matrix of (p, dp/dt) is 7 x 7: the Bareiss path with
-    # exact polynomial division
+    # Res_t(p, dp/dt) at formal degrees (4, 3): a subresultant sequence of
+    # three pseudo-remainders with exact divisions in Q[b]
     rng = random.Random(31341)
     t, b = sympy.symbols("t b")
     ring = ("t", "b")
@@ -161,6 +170,33 @@ def test_degree4_discriminant_matches_sympy():
              for m, c in theirs.terms()},
         )
         checked += 1
+
+
+def test_hard_tier_degree4_line_discriminant_matches_sympy():
+    # the benchmark's deg H = 4 sigma input: x, x(x - 1)(x + 2)(x - 3)y
+    # conjugated by D A, A = ((2, 1), (1, 1)), D = diag(1, +-1); Disc_t of
+    # H(U + tV) over (U1, U2, V1, V2, t), as poly_D computes it
+    base = PolyMap([P("x", V), P("x*(x - 1)*(x + 2)*(x - 3)*y", V)])
+    ring = ("U1", "U2", "V1", "V2", "t")
+    syms = sympy.symbols(ring)
+    line = (P("U1 + t*V1", ring), P("U2 + t*V2", ring))
+    for sign in (1, -1):
+        F = conjugate_by_linear(base, ((2, 1), (sign, sign)))
+        H = bifurcation_data(F, compute_fiber_degree=False).H
+        assert H.total_degree() == 4
+        restricted = substitute(H, dict(zip(H.variables, line)), ring)
+        expr = sympy.Integer(0)
+        for m, c in restricted.terms.items():
+            term = sympy.Rational(c.numerator, c.denominator)
+            for sym, e in zip(syms, m):
+                term *= sym**e
+            expr += term
+        theirs = sympy.Poly(sympy.discriminant(expr, syms[-1]), *syms)
+        assert discriminant(restricted, "t", 4) == Polynomial(
+            ring,
+            {tuple(int(e) for e in m): Fraction(int(c.p), int(c.q))
+             for m, c in theirs.terms()},
+        )
 
 
 def test_5x5_poly_matrix_det_matches_sympy():
