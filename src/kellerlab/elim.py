@@ -5,17 +5,21 @@ Resultants run the subresultant PRS of `polyring` (the gcd's loop) at the
 actual degrees, with closed-form factors for formal degrees above them.
 
 Buchberger with the normal selection strategy and both classical criteria,
-on polyring's packed monomials: a term order is a `MonomialLayout`, and the
-working basis holds packed ints mapped to Fractions.  A hard budget (basis
-size, total degree, field overflow) turns runaway computations into clean
-BudgetExceededError instead of hangs.  Desk scale only: elimination tasks
-with roughly n <= 4 variables and total degree <= 9.
+on polyring's packed monomials: a term order is a `MonomialLayout`.  The
+working basis holds primitive integer polynomials, {packed monomial: int}
+maps with a positive leading coefficient; normal forms are fraction-free
+and take the leading term from a heap.  Fractions appear only when the
+reduced basis is made monic.  A hard budget (basis size, total degree,
+field overflow) turns runaway computations into clean BudgetExceededError
+instead of hangs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd
 
 from .errors import (
     BudgetExceededError,
@@ -28,6 +32,8 @@ from .polyring import (
     MonomialLayout,
     Polynomial,
     PolyMap,
+    _pack,
+    _unpack,
     coefficients_in,
     exact_div,
     make_primitive,
@@ -122,8 +128,9 @@ DEFAULT_BUDGET = GroebnerBudget()
 
 # ---- reduction and Buchberger on packed monomials ----
 #
-# Polynomials are {packed monomial: Fraction} maps under the order's layout.
-# A new term that sets a guard bit overflowed its field: that raises
+# Polynomials are {packed monomial: int} maps under the order's layout; a
+# basis element is primitive with a positive leading coefficient.  A new
+# term that sets a guard bit overflowed its field: that raises
 # BudgetExceededError instead of wrapping into a wrong basis.
 
 _FIELD_WIDTH = 16  # bits per packed field, guard bit included
@@ -131,50 +138,80 @@ _OVERFLOW = "exponent exceeds a packed monomial field; input beyond desk scale"
 
 
 def _packed(p: Polynomial, layout):
-    """p as a {packed monomial: Fraction} map; no field can exceed its degree."""
+    """(den, P) with p = P/den and P a {packed monomial: int} map; no field
+    can exceed p's degree."""
     if p.total_degree() >= 1 << (layout.width - 1):
         raise BudgetExceededError(_OVERFLOW)
-    return {layout(m): c for m, c in p.terms.items()}
+    den, terms = _pack(p.terms, layout)
+    return den, dict(terms)
 
 
-def _unpacked(p, variables, layout) -> Polynomial:
-    unpack = layout.unpack
-    return Polynomial._raw(variables, {unpack(m): c for m, c in p.items()})
+def _unpacked(p, variables, layout, den=1) -> Polynomial:
+    """The polynomial p/den, for a {packed monomial: int} map p."""
+    return Polynomial._raw(variables, _unpack(p.items(), den, layout))
 
 
-def _sub_multiple(work, shift, factor, g, layout):
-    """work -= factor * (monomial `shift`) * g, in place."""
-    get, guard = work.get, layout.guard
-    for m, c in g.items():
-        t = m + shift
-        s = get(t)
-        if s is None:
-            if t & guard:
-                raise BudgetExceededError(_OVERFLOW)
-            work[t] = -factor * c
-            continue
-        s -= factor * c
-        if s:
-            work[t] = s
-        else:
-            del work[t]
+def _primitive(p, lead):
+    """p divided by its content, with a positive coefficient at `lead`."""
+    content = gcd(*p.values())
+    if p[lead] < 0:
+        content = -content
+    return p if content == 1 else {m: c // content for m, c in p.items()}
 
 
 def _normal_form(work, basis, layout):
-    """Full normal form of `work` (consumed) modulo (lead, polynomial) pairs;
-    each step reduces the largest term by the first lead dividing it."""
+    """(scale, R) with R = scale * (full normal form of the integer map `work`)
+    modulo (lead, primitive polynomial) pairs; `work` is left as it is.
+
+    Each step reduces the largest term c*m by the first lead l*x^lead
+    dividing it, fraction-free: with q = gcd(c, l) and d = m - lead,
+    work <- (l/q)*work - (c/q)*x^d*g.  The largest term comes from a heap
+    with lazy deletion: an entry whose monomial has left `work` is skipped.
+    Inside the loop `work` is keyed by negated monomials, the heap's own
+    entries, so the heap adds no int objects.  R is in descending order,
+    so its first key is its leading monomial.
+    """
     guard = layout.guard
-    remainder = {}
-    while work:
-        m = max(work)
+    heap = [-m for m in work]
+    work = dict(zip(heap, work.values()))
+    heapify(heap)
+    split = []  # (monomial, coefficient, scale when split off)
+    scale = 1
+    while heap:
+        m = heappop(heap)
+        c = work.get(m)
+        if c is None:
+            continue
         for lead, g in basis:
-            d = m - lead
+            d = -m - lead
             if d >= 0 and not d & guard:
-                _sub_multiple(work, d, work[m] / g[lead], g, layout)
+                lc = g[lead]
+                q = gcd(c, lc)
+                a, b = lc // q, c // q
+                if a != 1:
+                    for t in work:
+                        work[t] *= a
+                    scale *= a
+                get = work.get
+                nd = -d
+                for t, s in g.items():
+                    t = nd - t
+                    old = get(t)
+                    if old is None:
+                        if -t & guard:
+                            raise BudgetExceededError(_OVERFLOW)
+                        work[t] = -b * s
+                        heappush(heap, t)
+                        continue
+                    old -= b * s
+                    if old:
+                        work[t] = old
+                    else:
+                        del work[t]
                 break
         else:
-            remainder[m] = work.pop(m)
-    return remainder
+            split.append((-m, work.pop(m), scale))
+    return scale, {m: c * (scale // s) for m, c, s in split}
 
 
 def _lcm(a, b, layout):
@@ -186,26 +223,41 @@ def _lcm(a, b, layout):
 
 
 def _s_polynomial(f, g, layout):
-    lf, lg = max(f), max(g)
+    """(b/q)*x^(L - lf)*f - (a/q)*x^(L - lg)*g for basis pairs (lf, f) and
+    (lg, g) with leading coefficients a, b, q = gcd(a, b), L = lcm(lf, lg)."""
+    (lf, f), (lg, g) = f, g
     lcm = _lcm(lf, lg, layout)
+    a, b = f[lf], g[lg]
+    q = gcd(a, b)
+    guard = layout.guard
     work = {}
-    _sub_multiple(work, lcm - lf, -1 / f[lf], f, layout)
-    _sub_multiple(work, lcm - lg, 1 / g[lg], g, layout)
+    get = work.get
+    for d, factor, p in ((lcm - lf, b // q, f), (lcm - lg, -a // q, g)):
+        for t, s in p.items():
+            t += d
+            old = get(t)
+            if old is None:
+                if t & guard:
+                    raise BudgetExceededError(_OVERFLOW)
+                work[t] = factor * s
+                continue
+            old += factor * s
+            if old:
+                work[t] = old
+            else:
+                del work[t]
     return work
-
-
-def _monic(p):
-    lc = p[max(p)]
-    if lc == 1:
-        return p
-    return {m: c / lc for m, c in p.items()}
 
 
 def reduce_poly(p: Polynomial, basis, key) -> Polynomial:
     """Full normal form of p modulo nonzero polynomials; `key` from key_function."""
-    packed = [_packed(g, key) for g in basis]
-    work = _normal_form(_packed(p, key), [(max(g), g) for g in packed], key)
-    return _unpacked(work, p.variables, key)
+    reducers = []
+    for g in basis:
+        _, g = _packed(g, key)
+        reducers.append((max(g), g))
+    den, work = _packed(p, key)
+    scale, r = _normal_form(work, reducers, key)
+    return _unpacked(r, p.variables, key, scale * den)
 
 
 def groebner(I: Ideal, order: TermOrder, budget: GroebnerBudget = DEFAULT_BUDGET) -> Ideal:
@@ -213,14 +265,15 @@ def groebner(I: Ideal, order: TermOrder, budget: GroebnerBudget = DEFAULT_BUDGET
     variables = I.variables
     layout = order.key_function(variables)
     guard = layout.guard
-    basis = []  # (lead, monic packed polynomial)
+    basis = []  # (lead, primitive packed polynomial with lead coefficient > 0)
     for g in sorted(
-        (_packed(g, layout) for g in I.generators if not g.is_zero()),
+        (_packed(g, layout)[1] for g in I.generators if not g.is_zero()),
         key=lambda g: sorted(g, reverse=True),
     ):
-        g = _monic(g)
+        lead = max(g)
+        g = _primitive(g, lead)
         if all(g != h for _, h in basis):
-            basis.append((max(g), g))
+            basis.append((lead, g))
     if not basis:
         return Ideal((Polynomial.zero(variables),))
 
@@ -252,8 +305,8 @@ def groebner(I: Ideal, order: TermOrder, budget: GroebnerBudget = DEFAULT_BUDGET
                 break
         if skip:
             continue
-        s = _s_polynomial(basis[i][1], basis[j][1], layout)
-        r = _normal_form(s, basis, layout)
+        s = _s_polynomial(basis[i], basis[j], layout)
+        _, r = _normal_form(s, basis, layout)
         if not r:
             continue
         degree = max(sum(layout.unpack(m)) for m in r)
@@ -262,9 +315,8 @@ def groebner(I: Ideal, order: TermOrder, budget: GroebnerBudget = DEFAULT_BUDGET
                 f"basis element degree {degree} exceeds budget "
                 f"{budget.max_degree}; input beyond desk scale"
             )
-        r_lead = max(r)
-        r = _monic(r)
-        basis.append((r_lead, r))
+        r_lead = next(iter(r))
+        basis.append((r_lead, _primitive(r, r_lead)))
         if len(basis) > budget.max_basis:
             raise BudgetExceededError(
                 f"basis size exceeds budget {budget.max_basis}; input beyond desk scale"
@@ -274,16 +326,18 @@ def groebner(I: Ideal, order: TermOrder, budget: GroebnerBudget = DEFAULT_BUDGET
 
     # minimalize (drop generators whose lead is divisible by another lead),
     # then autoreduce every survivor against the others; a minimal lead is
-    # divisible by no other lead, so it survives with coefficient 1
+    # divisible by no other lead, so it survives, and dividing by its
+    # coefficient makes the element monic
     minimal = []
     for lead, g in sorted(basis, key=lambda lg: lg[0]):
         if not any(divides(h, lead) for h, _ in minimal):
             minimal.append((lead, g))
+    reduced = []
     for idx, (lead, g) in enumerate(minimal):
         others = minimal[:idx] + minimal[idx + 1 :]
-        minimal[idx] = (lead, _normal_form(dict(g), others, layout))
-    minimal.sort(key=lambda lg: lg[0])
-    return Ideal(tuple(_unpacked(g, variables, layout) for _, g in minimal))
+        _, r = _normal_form(g, others, layout)
+        reduced.append(_unpacked(r, variables, layout, r[lead]))
+    return Ideal(tuple(reduced))
 
 
 def eliminate(I: Ideal, keep, budget: GroebnerBudget = DEFAULT_BUDGET) -> Ideal:

@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ParseError
 from .polyring import Polynomial, PolyMap
@@ -53,8 +54,7 @@ MAX_POWER_TERMS = 20000
 _OPS = set("+-*^()")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # number | name | op | end
     text: str
     value: object
@@ -71,7 +71,7 @@ def _is_name_char(ch):
 
 
 def _tokenize(text, line0=1, col0=1):
-    tokens = []
+    """Tokens of `text`, lazily, ending with one 'end' token."""
     i = 0
     line, col = line0, col0
     n = len(text)
@@ -109,46 +109,47 @@ def _tokenize(text, line0=1, col0=1):
                     raise ParseError("zero denominator", start_line, start_col + (k - i))
                 j = m
             value = Fraction(num) if den is None else Fraction(num, den)
-            tokens.append(_Token("number", text[i:j], value, start_line, start_col))
+            yield _Token("number", text[i:j], value, start_line, start_col)
             col += j - i
             i = j
         elif _is_name_start(ch):
             j = i
             while j < n and _is_name_char(text[j]):
                 j += 1
-            tokens.append(_Token("name", text[i:j], text[i:j], start_line, start_col))
+            yield _Token("name", text[i:j], text[i:j], start_line, start_col)
             col += j - i
             i = j
         elif ch in _OPS:
-            tokens.append(_Token("op", ch, ch, start_line, start_col))
+            yield _Token("op", ch, ch, start_line, start_col)
             i += 1
             col += 1
         else:
             raise ParseError(f"unexpected character {ch!r}", start_line, start_col)
-    tokens.append(_Token("end", "", None, line, col))
-    return tokens
+    yield _Token("end", "", None, line, col)
 
 
 # ---- parser ----
 
 
 class _Parser:
+    """Recursive descent over a token stream, one token of lookahead."""
+
     def __init__(self, tokens, variables):
         self.tokens = tokens
-        self.pos = 0
+        self.cur = next(tokens)
         self.variables = tuple(variables)
-
-    @property
-    def cur(self):
-        return self.tokens[self.pos]
 
     def advance(self):
         tok = self.cur
-        self.pos += 1
+        self.cur = next(self.tokens)
         return tok
 
     def fail(self, message, tok=None):
         tok = tok or self.cur
+        # a lexical error anywhere in the text wins over this one: drain the
+        # rest of the stream, which raises at the first bad character
+        for _ in self.tokens:
+            pass
         raise ParseError(message, tok.line, tok.column)
 
     def parse(self) -> Polynomial:
@@ -158,12 +159,24 @@ class _Parser:
         return p
 
     def expr(self) -> Polynomial:
-        p = self.term()
+        # add each term into one term map, not p + q per term
+        acc = dict(self.term().terms)
+        get = acc.get
         while self.cur.kind == "op" and self.cur.text in "+-":
-            op = self.advance().text
-            q = self.term()
-            p = p + q if op == "+" else p - q
-        return p
+            plus = self.advance().text == "+"
+            for m, c in self.term().terms.items():
+                if not plus:
+                    c = -c
+                s = get(m)
+                if s is None:
+                    acc[m] = c
+                    continue
+                s += c
+                if s:
+                    acc[m] = s
+                else:
+                    del acc[m]
+        return Polynomial._raw(self.variables, acc)
 
     def term(self) -> Polynomial:
         p = self.factor()
@@ -247,8 +260,7 @@ def parse_polynomial(text: str, variables, line=1, column=1) -> Polynomial:
     variables = tuple(variables)
     if len(set(variables)) != len(variables):
         raise ValueError("duplicate variable names")
-    tokens = _tokenize(text, line, column)
-    return _Parser(tokens, variables).parse()
+    return _Parser(_tokenize(text, line, column), variables).parse()
 
 
 # ---- printing ----

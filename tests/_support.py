@@ -250,6 +250,35 @@ def reference_s_polynomial(f: Polynomial, g: Polynomial, key) -> Polynomial:
     return cofactor(lf, f.terms[lf]) * f - cofactor(lg, g.terms[lg]) * g
 
 
+def reference_groebner(gens, key):
+    """Reduced Groebner basis, as a set of monic polynomials, by plain
+    Buchberger on Fractions: every S-polynomial of the growing basis is
+    reduced by reference_reduce_poly, with no criteria; then the basis is
+    minimalized, autoreduced and made monic."""
+    basis = [g for g in gens if not g.is_zero()]
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    while pairs:
+        i, j = pairs.pop()
+        s = reference_s_polynomial(basis[i], basis[j], key)
+        r = reference_reduce_poly(s, basis, key)
+        if not r.is_zero():
+            pairs.extend((k, len(basis)) for k in range(len(basis)))
+            basis.append(r)
+
+    def lead(g):
+        return max(g.terms, key=key)
+
+    minimal = []
+    for g in sorted(basis, key=lambda g: key(lead(g))):
+        if not any(all(a <= b for a, b in zip(lead(h), lead(g))) for h in minimal):
+            minimal.append(g)
+    reduced = set()
+    for idx, g in enumerate(minimal):
+        r = reference_reduce_poly(g, minimal[:idx] + minimal[idx + 1 :], key)
+        reduced.add(r * (1 / r.terms[lead(r)]))
+    return reduced
+
+
 def reference_resultant(p: Polynomial, q: Polynomial, t, m, n) -> Polynomial:
     """Res_t(p, q) at formal degrees (m, n) as the determinant of the
     (m + n) x (m + n) Sylvester matrix, coefficient rows padded with zeros

@@ -22,7 +22,9 @@ from kellerlab.errors import (
     NotDominantError,
     NotZeroDimensionalError,
 )
+from kellerlab.expr_io import parse_map_file
 from kellerlab.expr_io import parse_polynomial as P
+from kellerlab.fibers import bifurcation_data
 from kellerlab.polyring import (
     Polynomial,
     PolyMap,
@@ -34,6 +36,7 @@ from kellerlab.transforms import conjugate_by_linear
 
 from _support import (
     random_polynomial,
+    reference_groebner,
     reference_key_function,
     reference_reduce_poly,
     reference_resultant,
@@ -142,7 +145,105 @@ def test_reduce_poly_matches_reference():
                 if not b.is_zero()
             ]
             p = random_polynomial(rng, W, max_degree=5, max_terms=6)
+            p = p.map_coefficients(lambda c: c / rng.choice((1, 4, 9, 11)))
             assert reduce_poly(p, basis, key) == reference_reduce_poly(p, basis, ref)
+
+
+def _rational_generators(rng, variables, count):
+    """Random generators with denominators and non-monic leading terms."""
+    gens = []
+    for _ in range(count):
+        g = random_polynomial(rng, variables, max_degree=3, max_terms=3,
+                              allow_zero=False)
+        gens.append(g.map_coefficients(lambda c: c / rng.choice((1, 2, 3, 5, 7))))
+    return gens
+
+
+def test_groebner_on_rational_non_monic_generators_matches_reference():
+    # the integer kernel clears denominators and keeps primitive elements;
+    # the reduced basis is unique, so it must equal plain Buchberger on
+    # Fractions element for element
+    rng = random.Random(1212)
+    W = ("x", "y", "z")
+    for trial in range(24):
+        variables = V if trial % 2 else W
+        order = _orders(W)[trial % 7] if variables == W else (
+            TermOrder.grlex(V) if trial % 4 == 1 else TermOrder.lex(V))
+        gens = _rational_generators(rng, variables, 2)
+        G = groebner(Ideal(tuple(gens)), order)
+        ref = reference_groebner(gens, reference_key_function(order, variables))
+        assert set(G.generators) == ref
+
+
+def test_groebner_on_rational_non_monic_generators_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    syms = sympy.symbols("x y z")
+    W = ("x", "y", "z")
+    rng = random.Random(1313)
+
+    def to_sympy(p):
+        return sum(
+            (sympy.Rational(c.numerator, c.denominator)
+             * sympy.Mul(*(s**e for s, e in zip(syms, m)))
+             for m, c in p.terms.items()),
+            sympy.Integer(0),
+        )
+
+    for trial in range(12):
+        kind = "lex" if trial % 2 else "grlex"
+        gens = _rational_generators(rng, W, 2)
+        ours = groebner(Ideal(tuple(gens)), getattr(TermOrder, kind)(W))
+        theirs = sympy.groebner([to_sympy(g) for g in gens], *syms, order=kind)
+        got = {to_sympy(g) for g in ours.generators}
+        assert got == {sympy.expand(e / sympy.LC(e, *syms, order=kind))
+                       for e in theirs.exprs}
+
+
+def test_reduce_poly_is_exact_with_denominators():
+    # fraction-free reduction, then division by the scale and by p's
+    # denominator: x = 3/10 modulo 2/3 x - 1/5, so 1/2 (3/10)^2 + 1/3 = 227/600
+    X = ("x",)
+    r = reduce_poly(P("1/2*x^2 + 1/3", X), [P("2/3*x - 1/5", X)],
+                    TermOrder.lex(X).key_function(X))
+    assert r == P("227/600", X)
+
+
+# An n = 4 conjugate A F A^-1 of the bundled triangular_4 map: the hard
+# benchmark tier's stretch map at seed 1 (A = 1,1,0,0;0,-1,-1,0;0,0,-1,0;
+# 0,0,0,-1).  Its h_4 has 2104 terms.
+N4_STRETCH = """vars: x1 x2 x3 x4
+F1 = x1 + x1^3 + 3*x1^2*x2 - 3*x1^2*x3 + 3*x1*x2^2 - 6*x1*x2*x3 + 3*x1*x3^2 + x2^3 - 3*x2^2*x3 + 3*x2*x3^2 - x3^3
+F2 = x2 - x1^3 - 3*x1^2*x2 + 3*x1^2*x3 - 3*x1*x2^2 + 6*x1*x2*x3 - 3*x1*x3^2 + 7*x2^3 - 21*x2^2*x3 + 21*x2*x3^2 - 7*x3^3
+F3 = x3 + 8*x2^3 - 24*x2^2*x3 + 24*x2*x3^2 - 8*x3^3
+F4 = x4 - x1^3 - 3*x1^2*x2 + 6*x1^2*x3 - 3*x1*x2^2 + 12*x1*x2*x3 - 12*x1*x3^2 - x2^3 + 6*x2^2*x3 - 12*x2*x3^2 + 8*x3^3
+"""
+
+
+def test_bifurcation_of_n4_stretch_conjugate_is_its_inverse():
+    # an automorphism has h_i = a_i (T - G_i(Y)) with G = F^-1, a_i and H
+    # nonzero constants, no cone and d_F = 1
+    A = [[1, 1, 0, 0], [0, -1, -1, 0], [0, 0, -1, 0], [0, 0, 0, -1]]
+    F = parse_map_file(N4_STRETCH).to_poly_map()
+    assert F == conjugate_by_linear(load_bundled_map("triangular_4.map").to_poly_map(), A)
+    # G = A G_tri A^-1, with G_tri the back-substituted inverse of triangular_4
+    ys = ("Y1", "Y2", "Y3", "Y4")
+    G_tri = PolyMap([P(g, ys) for g in (
+        "Y1",
+        "Y2 - Y1^3",
+        "Y3 - 8*(Y2 - Y1^3)^3",
+        "Y4 - (Y1 + Y3 - 8*(Y2 - Y1^3)^3)^3",
+    )])
+    G = conjugate_by_linear(G_tri, A)
+    data = bifurcation_data(F)
+    ring = ys + ("T",)
+    T = Polynomial.variable(ring, "T")
+    for h, a, g in zip(data.h, data.a, G.components):
+        assert a.is_constant() and not a.is_zero()
+        assert h == a.constant_value() * (T - with_variables(g, ring))
+    assert len(data.h[3].terms) == 2104
+    assert data.H.is_constant() and not data.H.is_zero()
+    assert data.cone_form is None
+    assert data.fiber_degree == 1
 
 
 def test_exponent_past_field_width_is_budget_exit():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -237,6 +238,34 @@ def test_parse_error_positions_unchanged():
     with pytest.raises(ParseError) as err:
         parse_map_file("vars: x y\nF1 = x\nF2 =  y + )\n")
     assert (err.value.line, err.value.column) == (3, 11)
+
+
+
+def test_lexical_error_wins_over_an_earlier_syntax_error():
+    # tokens are read lazily, yet a bad character anywhere in the text is
+    # reported before a syntax error ahead of it
+    with pytest.raises(ParseError, match="unexpected character '@'") as err:
+        parse_polynomial("x + ) @", V)
+    assert (err.value.line, err.value.column) == (1, 7)
+    with pytest.raises(ParseError, match="zero denominator") as err:
+        parse_polynomial("x ** 1/0", V)
+    assert (err.value.line, err.value.column) == (1, 8)
+
+
+def test_parse_streams_its_tokens():
+    # 1820 terms, 39 KB of text: a token list alone would take megabytes
+    W = ("x", "y", "z", "w")
+    p = parse_polynomial("(x + 2*y - 3*z + 1/5*w + 1)^12", W)
+    text = print_polynomial(p)
+    assert len(p.terms) == 1820 and len(text) > 39000
+    tracemalloc.start()
+    try:
+        q = parse_polynomial(text, W)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert q == p
+    assert peak < 1 << 20
 
 
 # ---- exponent bombs ----
