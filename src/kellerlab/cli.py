@@ -7,7 +7,10 @@ configuration), 2 usage error, 3 budget exhaustion.  All error messages go
 to standard error; reports are plain text with a --json switch.
 
 Every verb is a thin adapter over the library; no numerical logic lives
-here.
+here.  A handler only computes: it returns its digest inputs, its results,
+its text and, if it can exit other than 0, its exit code.  `main` alone
+reports: it prints the text or the JSON envelope {"verb", "inputs":
+{"digest"}, "results"}, and writes --output.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import functools
 import hashlib
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -24,9 +28,19 @@ from . import diophantine, expr_io, fibers, keller, lattice, transforms
 from .errors import BudgetExceededError, KellerlabError
 
 
+# a signed integer or ratio of integers, read exactly at any length
+_INT_RATIO = re.compile(r"([+-]?)(\d+)(?:/(\d+))?")
+
+
 def _parse_fraction(text: str) -> Fraction:
+    literal = text.strip()
+    match = _INT_RATIO.fullmatch(literal)
     try:
-        return Fraction(text.strip())
+        if match is None:
+            return Fraction(literal)
+        sign, num, den = match.groups()
+        value = Fraction(expr_io.parse_int(num), expr_io.parse_int(den or "1"))
+        return -value if sign == "-" else value
     except (ValueError, ZeroDivisionError) as exc:
         raise KellerlabError(f"bad rational literal {text!r}") from exc
 
@@ -98,50 +112,11 @@ def _digest(*chunks) -> str:
     return h.hexdigest()[:16]
 
 
-class _Reporter:
-    """Collects result lines / fields, prints text or a stable JSON object."""
-
-    def __init__(self, verb, as_json, digest):
-        self.verb = verb
-        self.as_json = as_json
-        self.digest = digest
-        self.lines = []
-        self.results = {}
-
-    def add(self, key, value, line=None):
-        self.results[key] = value
-        self.lines.append(line if line is not None else f"{key} = {value}")
-
-    def raw(self, text):
-        self.lines.append(text)
-
-    def emit(self, path=None):
-        """Write the text lines to `path`, if given; print the JSON object,
-        or else the text lines when there is no path, on stdout."""
-        text = "".join(f"{line}\n" for line in self.lines)
-        if path:
-            try:
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(text)
-            except OSError as exc:
-                raise KellerlabError(f"cannot write {path}: {exc}") from exc
-        if self.as_json:
-            doc = {
-                "verb": self.verb,
-                "inputs": {"digest": self.digest},
-                "results": self.results,
-            }
-            print(json.dumps(doc, sort_keys=True))
-        elif not path:
-            print(text, end="")
-
-
 # ---- verb implementations ----
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple:
     mf, F = _load_map(args.mapfile)
-    rep = _Reporter("check", args.json, _digest(mf, args.degree_cap))
     det = keller.jacobian_det(F)
     keller_ok = det == 1
     cl = keller.as_cubic_linear(F)
@@ -159,54 +134,45 @@ def _cmd_check(args) -> int:
     except BudgetExceededError:
         raise  # main's exit 3, not an answer
     except (KellerlabError, ValueError) as exc:
-        inv = None
         inv_text = f"not defined ({exc})"
         inv_json = {"exact": False, "degree_cap": cap, "reason": str(exc)}
-    if inv is not None:
+    else:
         if inv.exact:
             inv_text = f"exact (degree {max(0, inv.map.max_degree())})"
         else:
             inv_text = f"not invertible within bound (cap {cap})"
         inv_json = {"exact": inv.exact, "degree_cap": cap,
                     "degree": inv.map.max_degree() if inv.exact else None}
-    rep.results.update(
-        {"keller": keller_ok, "cubic_linear": cl_json, "inverse": inv_json}
-    )
-    rep.raw(
-        f"keller: {'yes' if keller_ok else 'no'}, cubic-linear: {cl_text}, "
-        f"inverse: {inv_text}"
-    )
-    rep.emit()
-    return 0
+    results = {"keller": keller_ok, "cubic_linear": cl_json, "inverse": inv_json}
+    text = (f"keller: {'yes' if keller_ok else 'no'}, cubic-linear: {cl_text}, "
+            f"inverse: {inv_text}\n")
+    return (mf, args.degree_cap), results, text
 
 
-def _cmd_bifurcation(args) -> int:
+def _cmd_bifurcation(args) -> tuple:
     mf, F = _load_map(args.mapfile)
-    rep = _Reporter("bifurcation", args.json, _digest(mf))
     data = fibers.bifurcation_data(F, compute_fiber_degree=not args.no_fiber_degree)
+    results = {}
     for i, (h, a) in enumerate(zip(data.h, data.a), start=1):
-        rep.add(f"h{i}", expr_io.print_polynomial(h))
-        rep.add(f"a{i}", expr_io.print_polynomial(a))
-    rep.add("H", expr_io.print_polynomial(data.H))
+        results[f"h{i}"] = expr_io.print_polynomial(h)
+        results[f"a{i}"] = expr_io.print_polynomial(a)
+    results["H"] = expr_io.print_polynomial(data.H)
     cone = "none" if data.cone_form is None else expr_io.print_polynomial(data.cone_form)
-    rep.add("cone", cone)
-    rep.add("d_F", data.fiber_degree if data.fiber_degree is not None else "skipped")
-    rep.emit()
-    return 0
+    results["cone"] = cone
+    results["d_F"] = data.fiber_degree if data.fiber_degree is not None else "skipped"
+    return (mf,), results, "".join(f"{k} = {v}\n" for k, v in results.items())
 
 
-def _cmd_sigma(args) -> int:
+def _cmd_sigma(args) -> tuple:
     mf, F = _load_map(args.mapfile)
-    rep = _Reporter("sigma", args.json, _digest(mf, args.eval))
     s = fibers.sigma(F)
-    rep.add("sigma", expr_io.print_polynomial(s))
+    results = {"sigma": expr_io.print_polynomial(s)}
+    text = f"sigma = {results['sigma']}\n"
     if args.eval:
         u, v = _parse_uv(args.eval, F.n)
-        value = s.evaluate(list(u) + list(v))
-        rep.add("value", expr_io.format_fraction(value),
-                line=f"sigma(u, v) = {expr_io.format_fraction(value)}")
-    rep.emit()
-    return 0
+        results["value"] = expr_io.format_fraction(s.evaluate(list(u) + list(v)))
+        text += f"sigma(u, v) = {results['value']}\n"
+    return (mf, args.eval), results, text
 
 
 def _require_cubic_linear(F):
@@ -218,43 +184,36 @@ def _require_cubic_linear(F):
     return cl
 
 
-_TRANSFORM_OPTION = {"scale": "r", "extend": "m", "conjugate": "matrix",
-                     "translate": "vector", "theoremB": "weights"}
+def _theoremB(F, weights):
+    form = _require_cubic_linear(F)
+    T = transforms.DiagonalTransform(_parse_int_vector(weights))
+    return transforms.theoremB_diagonal(form, T).to_map(F.variables)
 
 
-def _cmd_transform(args) -> int:
+# subverb -> (the option it requires, or None; its map from F and that option)
+_TRANSFORMS = {
+    "scale": ("r", lambda F, r: transforms.scale_conjugate(F, _parse_fraction(r))),
+    "extend": ("m", lambda F, m: transforms.extend_variables(F, m)),
+    "conjugate": ("matrix", lambda F, A: transforms.conjugate_by_linear(F, _parse_matrix(A))),
+    "translate": ("vector", lambda F, v: transforms.translate_to_origin(F, _parse_vector(v))),
+    "theoremB": ("weights", _theoremB),
+    "cor1": (None, lambda F, _: transforms.cor1_extension(_require_cubic_linear(F)).to_map()),
+}
+
+
+def _cmd_transform(args) -> tuple:
     sub = args.subverb
-    option = _TRANSFORM_OPTION.get(sub)
-    if option and getattr(args, option) is None:
+    option, build = _TRANSFORMS[sub]
+    value = getattr(args, option) if option else None
+    if option and value is None:
         raise KellerlabError(f"--{option} is required for transform {sub}")
     mf, F = _load_map(args.mapfile)
-    if sub == "scale":
-        out = transforms.scale_conjugate(F, _parse_fraction(args.r))
-    elif sub == "extend":
-        out = transforms.extend_variables(F, args.m)
-    elif sub == "conjugate":
-        out = transforms.conjugate_by_linear(F, _parse_matrix(args.matrix))
-    elif sub == "translate":
-        out = transforms.translate_to_origin(F, _parse_vector(args.vector))
-    elif sub == "theoremB":
-        form = _require_cubic_linear(F)
-        weights = transforms.DiagonalTransform(_parse_int_vector(args.weights))
-        out = transforms.theoremB_diagonal(form, weights).to_map(F.variables)
-    elif sub == "cor1":
-        form = _require_cubic_linear(F)
-        ext = transforms.cor1_extension(form)
-        out = ext.to_map()
-    else:  # pragma: no cover - argparse restricts choices
-        raise KellerlabError(f"unknown transform {sub!r}")
     meta = {"name": f"{mf.metadata.get('name', args.mapfile)}-{sub}"}
-    text = expr_io.format_map_file(expr_io.map_file_from_poly_map(out, meta))
-    rep = _Reporter(f"transform {sub}", args.json, _digest(mf, sub))
-    rep.add("map", text, line=text.removesuffix("\n"))
-    rep.emit(args.output)
-    return 0
+    text = expr_io.format_map_file(expr_io.map_file_from_poly_map(build(F, value), meta))
+    return (mf, sub), {"map": text}, text
 
 
-def _cmd_sl(args) -> int:
+def _cmd_sl(args) -> tuple:
     """sl-complete (one vector) and sl-map (a pair): an SL(n, Z) matrix."""
     if args.verb == "sl-complete":
         vectors = (_parse_int_vector(args.vector),)
@@ -262,15 +221,11 @@ def _cmd_sl(args) -> int:
     else:
         vectors = (_parse_int_vector(args.src), _parse_int_vector(args.dst))
         A = lattice.map_primitive_pair(*vectors)
-    rep = _Reporter(args.verb, args.json, _digest(*vectors))
-    rep.results["matrix"] = [list(r) for r in A.rows]
-    for row in A.rows:
-        rep.raw(" ".join(str(x) for x in row))
-    rep.emit()
-    return 0
+    text = "".join(" ".join(map(expr_io.format_int, row)) + "\n" for row in A.rows)
+    return vectors, {"matrix": [list(r) for r in A.rows]}, text
 
 
-def _cmd_curve(args) -> int:
+def _cmd_curve(args) -> tuple:
     mf, F = _load_map(args.mapfile)
     kind = args.kind
     if kind == "cf":
@@ -284,48 +239,55 @@ def _cmd_curve(args) -> int:
             raise KellerlabError("--u and --v are required for kind line")
         line = fibers.Line(_parse_vector(args.u), _parse_vector(args.v))
         system = diophantine.line_preimage(F, line)
-    elif kind == "sumsq":
+    else:  # sumsq; argparse restricts the choices
         system = diophantine.EquationSystem((diophantine.cor1_sum_of_squares(F),))
-    else:  # pragma: no cover
-        raise KellerlabError(f"unknown curve kind {kind!r}")
     sf = expr_io.SystemFile(
         variables=system.variables,
         equations=tuple(expr_io.print_polynomial(p) for p in system.polynomials),
         metadata={"name": f"{mf.metadata.get('name', args.mapfile)}-{kind}"},
     )
     text = expr_io.format_system_file(sf)
-    rep = _Reporter("curve", args.json, _digest(mf, kind, args.m, args.u, args.v))
-    rep.add("system", text, line=text.removesuffix("\n"))
-    rep.emit(args.output)
-    return 0
+    return (mf, kind, args.m, args.u, args.v), {"system": text}, text
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args) -> tuple:
     sf = _read(expr_io.load_system_file, args.sysfile)
     system = diophantine.EquationSystem(tuple(sf.to_polynomials()))
     report = diophantine.search_box(system, args.radius, budget=args.budget)
-    rep = _Reporter("search", args.json, _digest(sf, args.radius, args.budget))
-    rep.results["points"] = [list(p) for p in report.points]
-    rep.results["exhausted"] = report.exhausted
-    rep.results["nodes"] = report.nodes_visited
-    rep.raw(diophantine.format_report(report).removesuffix("\n"))
-    rep.emit()
-    return 0 if report.exhausted else 3
+    results = {"points": [list(p) for p in report.points],
+               "exhausted": report.exhausted, "nodes": report.nodes_visited}
+    text = diophantine.format_report(report)
+    return (sf, args.radius, args.budget), results, text, 0 if report.exhausted else 3
 
 
-def _cmd_hurwitz(args) -> int:
+def _cmd_hurwitz(args) -> tuple:
     branches = _parse_int_vector(args.branches)
     g = fibers.hurwitz_genus(args.d, branches)
     feasible, reason = fibers.assertion3_feasible(args.d, branches, g)
-    rep = _Reporter("hurwitz", args.json, _digest(args.d, branches))
-    rep.add("g", expr_io.format_fraction(g))
-    if feasible:
-        rep.add("feasible", True, line="feasible")
-    else:
-        rep.add("feasible", False, line=f"infeasible: {reason}")
-        rep.results["reason"] = reason
-    rep.emit()
-    return 0 if feasible else 1
+    results = {"g": expr_io.format_fraction(g), "feasible": feasible}
+    verdict = "feasible" if feasible else f"infeasible: {reason}"
+    if not feasible:
+        results["reason"] = reason
+    text = f"g = {results['g']}\n{verdict}\n"
+    return (args.d, branches), results, text, 0 if feasible else 1
+
+
+def _emit(args, inputs, results, text) -> None:
+    """The one place that reports: write the text to --output, if given, then
+    print the JSON envelope, or else the text when there is no --output."""
+    path = getattr(args, "output", None)
+    if path:
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise KellerlabError(f"cannot write {path}: {exc}") from exc
+    if args.json:
+        verb = f"transform {args.subverb}" if args.verb == "transform" else args.verb
+        doc = {"verb": verb, "inputs": {"digest": _digest(*inputs)}, "results": results}
+        print(json.dumps(doc, sort_keys=True))
+    elif not path:
+        print(text, end="")
 
 
 # ---- parser wiring ----
@@ -364,13 +326,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_sigma)
 
     p = sub.add_parser("transform", parents=[common], help="map surgeries")
-    p.add_argument(
-        "subverb",
-        choices=["scale", "extend", "conjugate", "translate", "theoremB", "cor1"],
-    )
+    p.add_argument("subverb", choices=list(_TRANSFORMS))
     p.add_argument("mapfile")
     p.add_argument("--r", help="scale factor (rational)")
-    p.add_argument("--m", type=int, help="number of fresh variables")
+    p.add_argument("--m", type=_non_negative_int, help="number of fresh variables")
     p.add_argument("--matrix", help="rational matrix 'a,b;c,d'")
     p.add_argument("--vector", help="rational vector 'a1,...,an'")
     p.add_argument("--weights", help="nonzero integer weights 'w1,...,wn'")
@@ -389,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("curve", parents=[common], help="emit a curve system file")
     p.add_argument("mapfile")
     p.add_argument("--kind", choices=["cf", "cfm", "line", "sumsq"], default="cf")
-    p.add_argument("--m", type=int, help="m for kind cfm")
+    p.add_argument("--m", type=_non_negative_int, help="m for kind cfm")
     p.add_argument("--u", help="line base point 'u1,...,un'")
     p.add_argument("--v", help="line direction 'v1,...,vn'")
     p.add_argument("--output", help="write the system file here")
@@ -408,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_search)
 
     p = sub.add_parser("hurwitz", parents=[common], help="branch-data feasibility")
-    p.add_argument("--d", type=int, required=True, help="covering degree")
+    p.add_argument("--d", type=_positive_int, required=True, help="covering degree")
     p.add_argument("--branches", required=True, help="local degrees 'e1,...,ek'")
     p.set_defaults(fn=_cmd_hurwitz)
 
@@ -419,9 +378,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.fn(args)
+        inputs, results, text, *code = args.fn(args)
+        _emit(args, inputs, results, text)
         sys.stdout.flush()
-        return code
+        return code[0] if code else 0
     except BrokenPipeError:
         # the reader closed stdout early (`| head`): point the descriptor at
         # the null device so the flush at exit cannot raise again

@@ -28,6 +28,9 @@ the line-oriented format
 
 System files share the grammar, with one bare expression per line
 (`<expr> = 0` implied) instead of `Fi =` lines.
+
+Numbers are read and printed exactly at any length, past the interpreter's
+4300-digit limit on int/str conversion too (`parse_int`, `format_int`).
 """
 
 from __future__ import annotations
@@ -48,6 +51,37 @@ MAX_POWER_DEGREE = 64
 # A product of two factors with more than one term is held to the same cap,
 # bounded by the smaller of |a|*|b| and C(deg a + deg b + k, k).
 MAX_POWER_TERMS = 20000
+
+# ---- integers of any length ----
+
+# int() and str() refuse more decimal digits than sys.get_int_max_str_digits()
+# allows: 4300 by default, and never fewer than 640 unless the limit is off.
+# Within 640 digits they are used as they are; past that the number is split.
+_FAST_DIGITS = 640
+_FAST_BITS = 2000  # 2^2000 < 10^640
+
+
+def parse_int(digits: str) -> int:
+    """int(digits) for a string of decimal digits of any length.
+
+    The two halves are read on their own and joined, so the interpreter's
+    limit on int/str conversion does not apply."""
+    if len(digits) <= _FAST_DIGITS:
+        return int(digits)
+    k = len(digits) // 2
+    return parse_int(digits[:-k]) * 10**k + parse_int(digits[-k:])
+
+
+def format_int(n: int) -> str:
+    """str(n) for an int of any size; the inverse of parse_int."""
+    if n.bit_length() <= _FAST_BITS:
+        return str(n)
+    if n < 0:
+        return "-" + format_int(-n)
+    k = n.bit_length() * 3 // 20  # about half the digits, as log10(2) > 3/10
+    high, low = divmod(n, 10**k)
+    return format_int(high) + format_int(low).zfill(k)
+
 
 # ---- tokenizer ----
 
@@ -91,7 +125,7 @@ def _tokenize(text, line0=1, col0=1):
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            num = int(text[i:j])
+            num = parse_int(text[i:j])
             den = None
             if j < n and text[j] == "/":
                 k = j + 1
@@ -104,7 +138,7 @@ def _tokenize(text, line0=1, col0=1):
                 m = k
                 while m < n and text[m].isdigit():
                     m += 1
-                den = int(text[k:m])
+                den = parse_int(text[k:m])
                 if den == 0:
                     raise ParseError("zero denominator", start_line, start_col + (k - i))
                 j = m
@@ -273,8 +307,8 @@ def _print_sort_key(item):
 
 def format_fraction(value: Fraction) -> str:
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return format_int(value.numerator)
+    return f"{format_int(value.numerator)}/{format_int(value.denominator)}"
 
 
 def _format_monomial(variables, exps) -> str:

@@ -34,20 +34,18 @@ def scale_conjugate(F: PolyMap, r) -> PolyMap:
     ])
 
 
-def extend_variables(F: PolyMap, m: int, new_names=None) -> PolyMap:
-    """(F(X), Y): append m fresh coordinates that the map fixes; F is re-embedded."""
+def extend_variables(F: PolyMap, m: int) -> PolyMap:
+    """(F(X), Y): append m fresh coordinates that the map fixes; F is re-embedded.
+
+    The fresh names are z1..zm, or zz1..zzm (and so on) when those clash."""
     if m < 0:
         raise ValueError("number of new variables must be non-negative")
     if m == 0:
         return F
-    if new_names is None:
-        base = "z"
-        while any(f"{base}{k}" in F.variables for k in range(1, m + 1)):
-            base += "z"
-        new_names = [f"{base}{k}" for k in range(1, m + 1)]
-    new_names = tuple(new_names)
-    if len(new_names) != m or set(new_names) & set(F.variables):
-        raise ValueError("fresh variable names must be distinct from existing ones")
+    base = "z"
+    while any(f"{base}{k}" in F.variables for k in range(1, m + 1)):
+        base += "z"
+    new_names = tuple(f"{base}{k}" for k in range(1, m + 1))
     ring = tuple(F.variables) + new_names
     comps = [with_variables(c, ring) for c in F.components]
     comps.extend(Polynomial.variable(ring, v) for v in new_names)

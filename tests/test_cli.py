@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import sys
 
 import pytest
@@ -8,6 +9,7 @@ from kellerlab.bundled import bundled_text
 from kellerlab.cli import build_parser, main
 
 MAPS = "src/kellerlab/data"
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture
@@ -395,3 +397,100 @@ def test_closed_stdout_is_a_clean_exit(capsys, tri2, tmp_path, monkeypatch):
         assert path.read_bytes() == b""
     finally:
         os.close(fd)
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["transform", "extend", "{map}", "--m=-1"], "--m"),
+    (["curve", "{map}", "--kind=cfm", "--m=-1"], "--m"),
+    (["hurwitz", "--d=0", "--branches=1"], "--d"),
+    (["hurwitz", "--d=-2", "--branches=1"], "--d"),
+])
+def test_bad_counts_are_usage_errors(capsys, tri2, argv, option):
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(map=tri2) for arg in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {option}: must be" in captured.err
+
+
+def test_coefficients_past_the_int_str_limit(capsys, tmp_path):
+    # the coefficient r^2 has 4400 digits: past the 4300 that int() and str()
+    # accept by default
+    from kellerlab import transforms
+    from kellerlab.expr_io import load_map_file
+    from kellerlab.keller import as_cubic_linear
+
+    src, target = tmp_path / "t3.map", tmp_path / "big.map"
+    src.write_text(bundled_text("triangular_3.map"))
+    code, out, err = run(capsys, "transform", "scale", str(src), "--r=" + "7" * 2200,
+                         f"--output={target}")
+    assert (code, out, err) == (0, "", "")
+    F = load_map_file(src).to_poly_map()
+    r = (10**2200 - 1) // 9 * 7
+    assert load_map_file(target).to_poly_map() == transforms.scale_conjugate(F, r)
+    code, out, err = run(capsys, "check", str(target))
+    assert (code, err) == (0, "")
+    assert out.startswith("keller: yes, ") and out.endswith("inverse: exact (degree 9)\n")
+
+    code, out, err = run(capsys, "transform", "theoremB", str(src),
+                         "--weights=1" + "0" * 700 + ",1,1", f"--output={target}")
+    assert (code, out, err) == (0, "", "")
+    form = transforms.DiagonalTransform((10**700, 1, 1))
+    G = transforms.theoremB_diagonal(as_cubic_linear(F), form).to_map(F.variables)
+    assert load_map_file(target).to_poly_map() == G
+    assert max(len(line) for line in target.read_text().splitlines()) > 4300
+
+
+def _readme_examples():
+    """(command line, expected output) of each `$ kellerlab ...` block in README.md."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    examples = []
+    for i, line in enumerate(lines):
+        if line.startswith("$ kellerlab "):
+            out = []
+            for follow in lines[i + 1:]:
+                if not follow or follow.startswith(("$ ", "```")):
+                    break
+                out.append(follow + "\n")
+            examples.append((line[len("$ kellerlab "):], "".join(out)))
+    return examples
+
+
+def test_readme_has_examples():
+    assert len(_readme_examples()) >= 2
+
+
+@pytest.mark.parametrize("command, expected", _readme_examples())
+def test_readme_example_output(capsys, monkeypatch, command, expected):
+    monkeypatch.chdir(ROOT)
+    code, out, err = run(capsys, *shlex.split(command))
+    assert (code, out, err) == (0, expected, "")
+
+
+@pytest.mark.parametrize("argv, verb", [
+    (["check", "{map}"], "check"),
+    (["bifurcation", "{map}"], "bifurcation"),
+    (["sigma", "{map}", "--eval=1,0;0,1"], "sigma"),
+    (["transform", "scale", "{map}", "--r=2"], "transform scale"),
+    (["transform", "extend", "{map}", "--m=1"], "transform extend"),
+    (["transform", "conjugate", "{map}", "--matrix=1,1;0,1"], "transform conjugate"),
+    (["transform", "translate", "{map}", "--vector=1,2"], "transform translate"),
+    (["transform", "theoremB", "{map}", "--weights=1,2"], "transform theoremB"),
+    (["transform", "cor1", "{map}"], "transform cor1"),
+    (["sl-complete", "--vector=2,3,5"], "sl-complete"),
+    (["sl-map", "--from=2,3,5", "--to=0,1,1"], "sl-map"),
+    (["curve", "{map}", "--kind=cfm", "--m=1"], "curve"),
+    (["search", "{sys}", "--radius=3"], "search"),
+    (["hurwitz", "--d=2", "--branches=2,2"], "hurwitz"),
+])
+def test_json_envelope(capsys, tri2, cfsys, argv, verb):
+    code, out, err = run(capsys, *(a.format(map=tri2, sys=cfsys) for a in argv), "--json")
+    assert (code, err) == (0, "")
+    assert out.endswith("}\n") and out.count("\n") == 1
+    doc = json.loads(out)
+    assert sorted(doc) == ["inputs", "results", "verb"]
+    assert doc["verb"] == verb
+    assert sorted(doc["inputs"]) == ["digest"] and len(doc["inputs"]["digest"]) == 16
+    assert isinstance(doc["results"], dict) and doc["results"]

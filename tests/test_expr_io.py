@@ -14,6 +14,8 @@ from kellerlab.expr_io import (
     map_file_from_poly_map,
     parse_map_file,
     parse_polynomial,
+    format_int,
+    parse_int,
     parse_system_file,
     print_polynomial,
 )
@@ -103,6 +105,34 @@ def test_rational_coefficients_roundtrip():
             terms[m] = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
         p = Polynomial(V, terms)
         assert parse_polynomial(print_polynomial(p), V) == p
+
+
+def test_coefficients_past_the_int_str_limit_roundtrip():
+    # 5001 and 5000 digits: more than int() and str() accept by default (4300)
+    c = Fraction(2 * 10**5000 - 1, 10**4999 + 1)
+    text = "1" + "9" * 5000 + "/1" + "0" * 4998 + "1"
+    p = Polynomial(V, {(0, 0): -c, (1, 0): c})
+    printed = print_polynomial(p)
+    assert printed == f"-{text} + {text}*x"
+    assert parse_polynomial(printed, V) == p
+    mf = parse_map_file(f"vars: x y\nF1 = x + {text}*y^2\nF2 = y\n")
+    assert mf.to_poly_map().components[0] == Polynomial(V, {(1, 0): Fraction(1), (0, 2): c})
+    with pytest.raises(ParseError) as exc:
+        parse_map_file(f"vars: x y\nF1 = {text} @\nF2 = y\n")
+    assert (exc.value.line, exc.value.column) == (2, 6 + len(text) + 1)
+
+
+def test_int_conversion_matches_str_and_int():
+    rng = random.Random(4300)
+    for digits in (1, 639, 640, 641, 1500, 4300):
+        for _ in range(5):
+            n = rng.randrange(10 ** (digits - 1), 10**digits)
+            assert format_int(n) == str(n) and format_int(-n) == str(-n)
+            assert parse_int(str(n)) == n and parse_int("00" + str(n)) == n
+    for k in (2001, 6000, 12001):
+        n = 10**k - 1
+        assert format_int(n) == "9" * k and parse_int("9" * k) == n
+        assert format_int(10**k) == "1" + "0" * k and parse_int("1" + "0" * k) == 10**k
 
 
 MAP_TEXT = """\

@@ -86,6 +86,9 @@ def test_extend_variables_examples():
     assert len(W) == 3
     assert ext.components[2] == Polynomial.variable(W, W[2])
     assert extend_variables(F, 0) == F
+    assert ext.variables == ("x", "y", "z1")
+    clash = PolyMap([P("x", ("x", "z2")), P("z2", ("x", "z2"))])
+    assert extend_variables(clash, 2).variables == ("x", "z2", "zz1", "zz2")
     from kellerlab.keller import jacobian_det
 
     assert jacobian_det(ext) == Polynomial.one(W)
