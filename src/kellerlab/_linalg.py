@@ -1,21 +1,20 @@
 """Exact matrix kernels.
 
 One Gauss-Jordan inverse over `Fraction` serves every inverse, including
-the integer inverse of an SL(n, Z) matrix.  One fraction-free Bareiss
-elimination serves both determinants: integer matrices divide with `//`,
-polynomial matrices with `exact_div`.  Polynomial determinants are
-Jacobians (resultants use the subresultant PRS); of size n <= 4 they use
-cofactor expansion instead, which is faster there, so polynomial Bareiss
-serves only Jacobians with n >= 5.
+the integer inverse of an SL(n, Z) matrix.  Integer determinants use
+fraction-free Bareiss elimination.  Polynomial determinants are Jacobians
+(resultants use the subresultant PRS) and use cofactor expansion at every
+n: on the Jacobians of X + (AX)^3 with a dense A it beats polynomial
+Bareiss with exact division, 0.3 against 2.4 s at n = 5 and 5 against 84 s
+at n = 6 (2-vCPU VM).
 """
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 
 from .errors import SingularMatrixError
-from .polyring import Polynomial, exact_div
+from .polyring import Polynomial
 
 
 def fraction_matrix_inverse(rows):
@@ -48,7 +47,7 @@ def int_matrix_det(rows) -> int:
     a = [list(map(int, row)) for row in rows]
     if any(len(row) != len(a) for row in a):
         raise ValueError("matrix is not square")
-    return _det_bareiss(a, operator.floordiv)
+    return _det_bareiss(a)
 
 
 def mat_mul(a, b):
@@ -65,11 +64,8 @@ def mat_vec(a, v):
 
 
 def poly_matrix_det(rows) -> Polynomial:
-    """Determinant of a square matrix of polynomials over one shared ring.
-
-    Cofactor expansion for n <= 4, fraction-free Bareiss (with exact
-    polynomial division) beyond.
-    """
+    """Determinant of a square matrix of polynomials over one shared ring,
+    by cofactor expansion along the first column."""
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix is not square")
@@ -78,9 +74,7 @@ def poly_matrix_det(rows) -> Polynomial:
         for entry in row:
             if entry.variables != variables:
                 raise ValueError("entries live over different variable lists")
-    if n <= 4:
-        return _det_cofactor([list(row) for row in rows])
-    return _det_bareiss([list(row) for row in rows], exact_div)
+    return _det_cofactor(rows)
 
 
 def _det_cofactor(a) -> Polynomial:
@@ -99,24 +93,24 @@ def _det_cofactor(a) -> Polynomial:
     return total
 
 
-def _det_bareiss(a, divide):
-    """Determinant of the square matrix `a` (rows mutated in place) by
-    fraction-free Bareiss elimination, where `divide` is exact division of
-    the entries: every step divides by the previous pivot exactly."""
+def _det_bareiss(a) -> int:
+    """Determinant of the square integer matrix `a` (rows mutated in place)
+    by fraction-free Bareiss elimination: every step divides by the previous
+    pivot exactly."""
     n = len(a)
     sign = 1
     prev = None  # the initial pivot is 1, so the first step divides by nothing
     for k in range(n - 1):
         pivot = next((r for r in range(k, n) if a[r][k]), None)
         if pivot is None:
-            return a[k][k]  # a zero of the entries' own type
+            return 0
         if pivot != k:
             a[k], a[pivot] = a[pivot], a[k]
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 t = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = t if prev is None else divide(t, prev)
+                a[i][j] = t if prev is None else t // prev
         prev = a[k][k]
     det = a[n - 1][n - 1]
     return -det if sign < 0 else det

@@ -210,7 +210,7 @@ def _cmd_transform(args) -> tuple:
     mf, F = _load_map(args.mapfile)
     meta = {"name": f"{mf.metadata.get('name', args.mapfile)}-{sub}"}
     text = expr_io.format_map_file(expr_io.map_file_from_poly_map(build(F, value), meta))
-    return (mf, sub), {"map": text}, text
+    return (mf, sub, value), {"map": text}, text
 
 
 def _cmd_sl(args) -> tuple:

@@ -1,8 +1,8 @@
 """Groebner bases over Q: elimination ideals, minimal polynomials of map
-coordinates, fiber counting, and formal-degree resultants/discriminants.
+coordinates, fiber counting, and resultants/discriminants.
 
-Resultants run the subresultant PRS of `polyring` (the gcd's loop) at the
-actual degrees, with closed-form factors for formal degrees above them.
+Resultants and discriminants are taken at the actual degrees in the
+eliminated variable, by the subresultant PRS of `polyring` (the gcd's loop).
 
 Buchberger with the normal selection strategy and both classical criteria,
 on polyring's packed monomials: a term order is a `MonomialLayout`.  The
@@ -340,7 +340,7 @@ def groebner(I: Ideal, order: TermOrder, budget: GroebnerBudget = DEFAULT_BUDGET
     return Ideal(tuple(reduced))
 
 
-def eliminate(I: Ideal, keep, budget: GroebnerBudget = DEFAULT_BUDGET) -> Ideal:
+def eliminate(I: Ideal, keep) -> Ideal:
     """Generators of I intersected with Q[keep], via a block order."""
     keep = list(keep)
     variables = I.variables
@@ -350,7 +350,7 @@ def eliminate(I: Ideal, keep, budget: GroebnerBudget = DEFAULT_BUDGET) -> Ideal:
     gone = [v for v in variables if v not in keep]
     kept = tuple(v for v in variables if v in keep)
     order = TermOrder.block(gone, kept)
-    G = groebner(I, order, budget)
+    G = groebner(I, order)
     if G.is_zero():
         return Ideal((Polynomial.zero(kept),))
     gens = [
@@ -412,9 +412,7 @@ def inverse_map(F: PolyMap, budget: GroebnerBudget = DEFAULT_BUDGET):
     return PolyMap(G)
 
 
-def minimal_poly_of_coordinate(
-    F: PolyMap, i: int, budget: GroebnerBudget = DEFAULT_BUDGET
-) -> Polynomial:
+def minimal_poly_of_coordinate(F: PolyMap, i: int) -> Polynomial:
     """h_i(Y, T): the algebraic relation satisfied by the i-th coordinate.
 
     `i` is 1-based, matching the h_i notation.  Returns the irreducible
@@ -429,7 +427,7 @@ def minimal_poly_of_coordinate(
     I, ys = graph_ideal(F)
     xi = F.variables[i - 1]
     keep = ys + [xi]
-    E = eliminate(I, keep, budget)
+    E = eliminate(I, keep)
     if E.is_zero():
         raise NotDominantError(
             f"coordinate {xi!r} satisfies no algebraic relation over the image; "
@@ -456,9 +454,7 @@ def minimal_poly_of_coordinate(
     return make_primitive(h)
 
 
-def generic_fiber_degree(
-    F: PolyMap, sample, budget: GroebnerBudget = DEFAULT_BUDGET
-) -> int:
+def generic_fiber_degree(F: PolyMap, sample) -> int:
     """Dimension of Q[X]/<F_i(X) - sample_i>: fiber size with multiplicity.
 
     The sample must avoid degenerate values (caller's duty); a fiber ideal
@@ -471,7 +467,7 @@ def generic_fiber_degree(
         raise ValueError("sample length does not match component count")
     gens = tuple(f - s for f, s in zip(F.components, sample))
     order = TermOrder.grlex(F.variables)
-    G = groebner(Ideal(gens), order, budget)
+    G = groebner(Ideal(gens), order)
     if G.is_zero():
         raise NotZeroDimensionalError("fiber ideal is zero")
     key = order.key_function(F.variables)
@@ -510,54 +506,27 @@ def generic_fiber_degree(
 # ---- resultants and discriminants ----
 
 
-def resultant(
-    p: Polynomial,
-    q: Polynomial,
-    t: str,
-    formal_deg_p: int | None = None,
-    formal_deg_q: int | None = None,
-) -> Polynomial:
-    """Res_t(p, q) at formal degrees (m, n): the determinant of the Sylvester
-    matrix whose rows pad p's coefficients to t^m and q's to t^n.
-
-    Formal degrees default to the actual t-degrees; they may exceed them,
-    in which case the top coefficients are zero polynomials.  Computing at a
-    declared formal degree keeps the output a single polynomial identity
-    when the coefficients are themselves polynomials that may drop degree
-    on specialization.
+def resultant(p: Polynomial, q: Polynomial, t: str) -> Polynomial:
+    """Res_t(p, q) at the actual t-degrees (m, n): the determinant of the
+    Sylvester matrix of p and q as polynomials in t.
 
     The subresultant PRS (`polyring.subresultant_prs`, shared with the gcd)
-    gives Res at the actual degrees m', n'; the padding is a closed-form
-    factor: Res_{m,n} = (-1)^((m-m')n) lc(q)^(m-m') Res_{m',n} for m' < m,
-    lc(p)^(n-n') Res_{m,n'} for n' < n, and 0 when both drop.  An operand c
-    of formal degree 0 gives c^n (c^m).
+    computes it.  An operand c of t-degree 0 (the zero polynomial counts as
+    degree 0) gives c^n (c^m).
     """
     if p.variables != q.variables:
         raise VariableMismatchError("resultant operands over different variables")
-    variables = p.variables
-    if t not in variables:
+    if t not in p.variables:
         raise ValueError(f"unknown variable {t!r}")
-    dp = -1 if p.is_zero() else p.degree_in(t)
-    dq = -1 if q.is_zero() else q.degree_in(t)
-    m = max(dp, 0) if formal_deg_p is None else formal_deg_p
-    n = max(dq, 0) if formal_deg_q is None else formal_deg_q
-    if m < max(dp, 0) or n < max(dq, 0):
-        raise ValueError("formal degree below actual degree")
-    if m <= 0 and n <= 0:
-        raise ValueError("at least one formal degree must be positive")
-    # a formal degree 0 leaves only the other operand's rows: c times the identity
-    if n == 0:
-        return q**m
-    if m == 0:
-        return p**n
-    if (dp < m and dq < n) or p.is_zero() or q.is_zero():
-        return Polynomial.zero(variables)
-    if dp < m:
-        scale = coefficients_in(q, t)[dq] ** (m - dp)
-        return (-scale if (m - dp) * n % 2 else scale) * resultant(p, q, t)
-    if dq < n:
-        return coefficients_in(p, t)[dp] ** (n - dq) * resultant(p, q, t)
-    idx = variables.index(t)
+    dp, dq = max(p.degree_in(t), 0), max(q.degree_in(t), 0)
+    if dp == dq == 0:
+        raise ValueError("at least one t-degree must be positive")
+    # a degree-0 operand leaves only the other operand's rows: c times the identity
+    if dq == 0:
+        return q**dp
+    if dp == 0:
+        return p**dq
+    idx = p.variables.index(t)
     if dp >= dq:
         a, b, h, sign = subresultant_prs(p, q, idx)
     else:
@@ -571,25 +540,17 @@ def resultant(
     return -res if sign < 0 else res
 
 
-def discriminant(p: Polynomial, t: str, formal_degree: int) -> Polynomial:
-    """Discriminant of p in t at a declared formal degree.
+def discriminant(p: Polynomial, t: str) -> Polynomial:
+    """Discriminant of p in t at its t-degree d >= 1.
 
-    For d >= 2 this is (-1)^(d(d-1)/2) Res_t(p, dp/dt) at formal degrees
-    (d, d-1), divided exactly by the coefficient of t^d; for d = 1 it is
-    the constant 1.
+    For d >= 2 this is (-1)^(d(d-1)/2) Res_t(p, dp/dt) divided exactly by
+    the coefficient of t^d; for d = 1 it is the constant 1.
     """
-    d = formal_degree
+    d = p.degree_in(t)
     if d < 1:
-        raise ValueError("formal degree must be at least 1")
+        raise ValueError("t-degree must be at least 1")
     if d == 1:
         return Polynomial.one(p.variables)
-    coeffs = coefficients_in(p, t)
-    if d >= len(coeffs) or coeffs[d].is_zero():
-        raise InternalCheckError(
-            "leading coefficient at the formal degree is zero; discriminant division "
-            "is not defined"
-        )
-    lead = coeffs[d]
-    res = resultant(p, p.partial_derivative(t), t, d, d - 1)
+    res = resultant(p, p.partial_derivative(t), t)
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    return exact_div(sign * res, lead)
+    return exact_div(sign * res, coefficients_in(p, t)[d])

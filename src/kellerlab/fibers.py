@@ -12,14 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .elim import (
-    DEFAULT_BUDGET,
-    GroebnerBudget,
-    discriminant,
-    generic_fiber_degree,
-    minimal_poly_of_coordinate,
-    resultant,
-)
+from .elim import discriminant, generic_fiber_degree, minimal_poly_of_coordinate, resultant
 from .errors import NotZeroDimensionalError
 from .polyring import (
     Polynomial,
@@ -84,11 +77,7 @@ class ComponentData:
     g_list: tuple
 
 
-def bifurcation_data(
-    F: PolyMap,
-    compute_fiber_degree: bool = True,
-    budget: GroebnerBudget = DEFAULT_BUDGET,
-) -> BifurcationData:
+def bifurcation_data(F: PolyMap, compute_fiber_degree: bool = True) -> BifurcationData:
     """Compute h_i, a_i, H, and the cone form for a dominant rational map.
 
     H is the squarefree part of the product of the a_i, integer-primitive
@@ -102,7 +91,7 @@ def bifurcation_data(
     is the intended use.  Maps with critical points also have critical
     values outside {H = 0}.
     """
-    hs = tuple(minimal_poly_of_coordinate(F, i, budget) for i in range(1, F.n + 1))
+    hs = tuple(minimal_poly_of_coordinate(F, i) for i in range(1, F.n + 1))
     y_ring = tuple(f"Y{k}" for k in range(1, F.n + 1))
     aas = []
     for h in hs:
@@ -121,13 +110,13 @@ def bifurcation_data(
 
     degree = None
     if compute_fiber_degree:
-        degree = _sample_fiber_degree(F, H, budget)
+        degree = _sample_fiber_degree(F, H)
     return BifurcationData(
         h=hs, a=tuple(aas), H=H, cone_form=cone, fiber_degree=degree
     )
 
 
-def _sample_fiber_degree(F, H, budget):
+def _sample_fiber_degree(F, H):
     rng = random.Random(1729)  # a fixed stream, so d_F is reproducible
     for trial in range(40):
         span = 7 + 2 * trial
@@ -135,7 +124,7 @@ def _sample_fiber_degree(F, H, budget):
         if H.evaluate(sample) == 0:
             continue
         try:
-            d = generic_fiber_degree(F, sample, budget)
+            d = generic_fiber_degree(F, sample)
         except NotZeroDimensionalError:
             continue
         if d > 0:
@@ -164,28 +153,31 @@ def _on_line(p: Polynomial, us, vs):
 
 
 def poly_D(H: Polynomial) -> Polynomial:
-    """coneform(V) * Disc_t(H(U + tV)) at formal degree deg H, over (U, V).
+    """coneform(V) * Disc_t(H(U + tV)), over (U, V).
 
-    The cone factor makes D vanish whenever the direction lies on the cone
-    at infinity (where the t-degree drops), which the bare formal-degree
-    discriminant would miss; for deg H = 1 the discriminant is 1 and D is
-    the cone factor alone.  H(U + tV) is expanded by substitution; the cone
-    factor is the leading form of H with its variables renamed to V.
+    The t-leading coefficient of H(U + tV) is coneform(V), a nonzero
+    polynomial, so Disc_t is taken at t-degree deg H.  The cone factor
+    makes D vanish whenever a specialized direction lies on the cone at
+    infinity (where the t-degree drops), which the discriminant alone would
+    miss; for deg H = 1 the discriminant is 1 and D is the cone factor
+    alone.  H(U + tV) is expanded by substitution; the cone factor is the
+    leading form of H with its variables renamed to V.
     """
     if H.is_constant():
         raise ValueError("H must be nonconstant")
     n = len(H.variables)
     us, vs = _uv_ring(n)
-    d = H.total_degree()
     restricted, ring = _on_line(H, us, vs)
-    disc = discriminant(restricted, "t", d)
+    disc = discriminant(restricted, "t")
     cone = rename_variables(H.leading_form(), dict(zip(H.variables, vs)))
     return drop_variables(with_variables(cone, ring) * disc, ("t",))
 
 
 def poly_R(components) -> Polynomial:
-    """Product over components of Res_t(h_W(U+tV), g_VW(U+tV)) at formal
-    degrees (deg h_W, deg g_VW); the empty product is the constant 1."""
+    """Product over components of Res_t(h_W(U+tV), g_VW(U+tV)); the empty
+    product is the constant 1.  A polynomial p(U + tV) has t-degree deg p
+    (its t-leading coefficient is the leading form of p at V), so these are
+    the resultants at formal degrees (deg h_W, deg g_VW)."""
     components = tuple(components)
     if not components:
         return Polynomial.one(())
@@ -194,16 +186,12 @@ def poly_R(components) -> Polynomial:
     total = Polynomial.one(us + vs)
     for comp in components:
         h = comp.h_W
-        dh = h.total_degree()
-        h_line, ring = _on_line(h, us, vs)
+        h_line, _ = _on_line(h, us, vs)
         for g in comp.g_list:
             if g.variables != h.variables:
                 raise ValueError("component polynomials over different variables")
-            dg = g.total_degree()
-            if dh <= 0 and dg <= 0:
-                raise ValueError("resultant of two degree-0 polynomials")
             g_line, _ = _on_line(g, us, vs)
-            res = resultant(h_line, g_line, "t", dh, dg)
+            res = resultant(h_line, g_line, "t")
             total = total * drop_variables(res, ("t",))
     return total
 

@@ -348,15 +348,6 @@ class Polynomial:
 
     # ---- substitution / evaluation ----
 
-    def substitute(self, bindings, target_variables=None):
-        """Image of the polynomial under variable -> polynomial/number bindings.
-
-        Every occurring variable must be bound.  All polynomial values must
-        share one variable list, which becomes the output ring (explicit
-        `target_variables` required when every binding is a number).
-        """
-        return substitute(self, bindings, target_variables)
-
     def evaluate(self, point) -> Fraction:
         """Exact value at a rational point (sequence aligned with variables)."""
         point = [_as_fraction(v) for v in point]
@@ -381,7 +372,12 @@ class Polynomial:
 
 
 def substitute(p: Polynomial, bindings, target_variables=None) -> Polynomial:
-    """Substitute polynomials (or numbers) for the variables of `p`."""
+    """Image of `p` under variable -> polynomial/number bindings.
+
+    Every occurring variable must be bound.  All polynomial values must
+    share one variable list, which becomes the output ring (explicit
+    `target_variables` required when every binding is a number).
+    """
     ring_vars = None
     for v in bindings.values():
         if isinstance(v, Polynomial):

@@ -3,7 +3,6 @@
 from fractions import Fraction
 from itertools import product
 
-from kellerlab._linalg import poly_matrix_det
 from kellerlab.errors import ExactDivisionError
 from kellerlab.keller import CubicLinearForm
 from kellerlab.polyring import (
@@ -279,6 +278,28 @@ def reference_groebner(gens, key):
     return reduced
 
 
+def reference_det(rows) -> Polynomial:
+    """Determinant of a square polynomial matrix by Laplace expansion along
+    the columns, each minor (a set of rows against the trailing columns)
+    computed once."""
+    n = len(rows)
+    variables = rows[0][0].variables
+    minors = {(): Polynomial.one(variables)}
+
+    def det(free):
+        if free not in minors:
+            col = n - len(free)
+            total = Polynomial.zero(variables)
+            for k, i in enumerate(free):
+                if not rows[i][col].is_zero():
+                    term = rows[i][col] * det(free[:k] + free[k + 1:])
+                    total = total - term if k % 2 else total + term
+            minors[free] = total
+        return minors[free]
+
+    return det(tuple(range(n)))
+
+
 def reference_resultant(p: Polynomial, q: Polynomial, t, m, n) -> Polynomial:
     """Res_t(p, q) at formal degrees (m, n) as the determinant of the
     (m + n) x (m + n) Sylvester matrix, coefficient rows padded with zeros
@@ -290,7 +311,7 @@ def reference_resultant(p: Polynomial, q: Polynomial, t, m, n) -> Polynomial:
     size = m + n
     rows = [[zero] * s + rp + [zero] * (size - s - m - 1) for s in range(n)]
     rows += [[zero] * s + rq + [zero] * (size - s - n - 1) for s in range(m)]
-    return poly_matrix_det(rows)
+    return reference_det(rows)
 
 
 def reference_scale_conjugate(F: PolyMap, r) -> PolyMap:

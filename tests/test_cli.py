@@ -494,3 +494,21 @@ def test_json_envelope(capsys, tri2, cfsys, argv, verb):
     assert doc["verb"] == verb
     assert sorted(doc["inputs"]) == ["digest"] and len(doc["inputs"]["digest"]) == 16
     assert isinstance(doc["results"], dict) and doc["results"]
+
+
+@pytest.mark.parametrize("subverb, values", [
+    ("scale", ("--r=2", "--r=3")),
+    ("extend", ("--m=1", "--m=2")),
+    ("conjugate", ("--matrix=1,1;0,1", "--matrix=1,2;0,1")),
+    ("translate", ("--vector=1,2", "--vector=1,3")),
+    ("theoremB", ("--weights=1,2", "--weights=1,3")),
+])
+def test_transform_digest_covers_the_option(capsys, tri2, subverb, values):
+    def digest(value):
+        code, out, err = run(capsys, "transform", subverb, tri2, value, "--json")
+        assert (code, err) == (0, "")
+        return json.loads(out)["inputs"]["digest"]
+
+    first, second = values
+    assert digest(first) == digest(first)
+    assert digest(first) != digest(second)

@@ -2,11 +2,13 @@
 suites."""
 
 import random
+import time
 
 import pytest
 
+from kellerlab.bundled import load_bundled_map
 from kellerlab.diophantine import EquationSystem, curve_CF, search_box
-from kellerlab.elim import GroebnerBudget, generic_fiber_degree
+from kellerlab.elim import generic_fiber_degree
 from kellerlab.errors import BudgetExceededError, ParseError
 from kellerlab.expr_io import parse_polynomial as P
 from kellerlab.expr_io import print_polynomial
@@ -46,9 +48,13 @@ def test_fiber_degree_counts_multiplicity():
 
 
 def test_bifurcation_budget_is_clean():
-    F = PolyMap([P("x + y^3", V), P("y + x^3", V)])
-    with pytest.raises(BudgetExceededError):
-        bifurcation_data(F, budget=GroebnerBudget(max_basis=1, max_degree=2))
+    # the n = 6 triangular map's first relation needs a basis element of
+    # degree 81, one above the shipped degree budget: a clean, fast exit
+    F = load_bundled_map("triangular_6.map").to_poly_map()
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="basis element degree 81 exceeds budget 80"):
+        bifurcation_data(F)
+    assert time.perf_counter() - start < 5.0
 
 
 def test_theoremB_weight_count_mismatch():

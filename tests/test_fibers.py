@@ -15,12 +15,20 @@ from kellerlab.fibers import (
     poly_R,
     sigma,
 )
-from kellerlab.polyring import Polynomial, PolyMap, substitute, with_variables
+from kellerlab.polyring import (
+    Polynomial,
+    PolyMap,
+    coefficients_in,
+    exact_div,
+    substitute,
+    with_variables,
+)
 from kellerlab.transforms import conjugate_by_linear, extend_variables, scale_conjugate
 
 from _support import (
     is_scalar_multiple,
     random_rational,
+    reference_resultant,
     random_sl2,
     univariate_coeffs,
     univariate_gcd_degree,
@@ -87,6 +95,31 @@ def test_poly_D_hyperbola_sample():
     D = poly_D(P("Y1*Y2 - 1", Y2))
     # the line u = 0, v = (1, 1) meets the hyperbola transversally
     assert D.evaluate([0, 0, 1, 1]) != 0
+
+
+def test_poly_D_hard_tier_matches_sylvester():
+    # the benchmark's deg H = 2, 3, 4 sigma inputs: x, x p(x) y conjugated by
+    # D A, A = ((2, 1), (1, 1)), D = diag(1, +-1).  The t-leading coefficient
+    # of H(U + tV) is coneform(V), so its t-degree is the formal degree d =
+    # deg H, and D = coneform(V) (-1)^(d(d-1)/2) Res_t(H(U + tV), d/dt) / lc_t
+    # with the resultant taken as the Sylvester determinant at (d, d - 1)
+    ring = ("U1", "U2", "V1", "V2", "t")
+    line = (P("U1 + t*V1", ring), P("U2 + t*V2", ring))
+    direction = (P("V1", ring), P("V2", ring))
+    for d, p in ((2, "(x - 1)"), (3, "(x - 1)*(x + 2)"), (4, "(x - 1)*(x + 2)*(x - 3)")):
+        base = PolyMap([P("x", V), P(f"x*{p}*y", V)])
+        for sign in (1, -1):
+            F = conjugate_by_linear(base, ((2, 1), (sign, sign)))
+            H = bifurcation_data(F, compute_fiber_degree=False).H
+            assert H.total_degree() == d
+            restricted = substitute(H, dict(zip(H.variables, line)), ring)
+            cone = substitute(H.leading_form(), dict(zip(H.variables, direction)), ring)
+            lead = coefficients_in(restricted, "t")[d]
+            assert lead == cone
+            res = reference_resultant(restricted, restricted.partial_derivative("t"),
+                                      "t", d, d - 1)
+            expected = cone * exact_div(res, lead) * (-1) ** (d * (d - 1) // 2)
+            assert with_variables(poly_D(H), ring) == expected
 
 
 def test_poly_R_examples():

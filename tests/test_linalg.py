@@ -3,17 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from kellerlab._linalg import (
-    _det_cofactor,
-    fraction_matrix_inverse,
-    int_matrix_det,
-    mat_mul,
-    poly_matrix_det,
-)
+from kellerlab._linalg import fraction_matrix_inverse, int_matrix_det, mat_mul, poly_matrix_det
 from kellerlab.errors import SingularMatrixError
-from kellerlab.polyring import Polynomial
-
-from _support import random_polynomial
+from kellerlab.keller import jacobian_matrix
+from kellerlab.polyring import Polynomial, PolyMap
 
 
 def test_fraction_matrix_inverse_roundtrip():
@@ -62,17 +55,26 @@ def test_int_matrix_det_zero_pivot_column_is_int_zero():
         assert det == 0 and type(det) is int
 
 
-def test_poly_matrix_det_bareiss_matches_cofactor():
-    # n = 5 exercises the Bareiss path; cofactor expansion is the oracle
+def test_poly_matrix_det_matches_int_det_at_points():
+    # Jacobians of X + (AX)^3 with a nonsingular A over {0, 1, -1} at n = 5
+    # and 6: the determinant evaluated at integer points against Bareiss on
+    # the evaluated integer matrix
     rng = random.Random(4444)
-    V = ("x", "y")
-    for _ in range(5):
-        rows = [
-            [random_polynomial(rng, V, max_degree=1, max_terms=2, coeff_bound=3)
-             for _ in range(5)]
-            for _ in range(5)
-        ]
-        assert poly_matrix_det(rows) == _det_cofactor([list(r) for r in rows])
+    for n in (5, 6):
+        V = tuple(f"x{k}" for k in range(1, n + 1))
+        xs = [Polynomial.variable(V, v) for v in V]
+        A = [[0] * n for _ in range(n)]
+        while int_matrix_det(A) == 0:
+            A = [[rng.choice((0, 1, -1)) for _ in range(n)] for _ in range(n)]
+        F = PolyMap([x + sum((a * y for a, y in zip(row, xs)), Polynomial.zero(V)) ** 3
+                     for x, row in zip(xs, A)])
+        J = jacobian_matrix(F)
+        det = poly_matrix_det(J)
+        assert det.total_degree() == 2 * n
+        for _ in range(4):
+            point = [rng.randint(-3, 3) for _ in range(n)]
+            at_point = [[int(e.evaluate(point)) for e in row] for row in J]
+            assert det.evaluate(point) == int_matrix_det(at_point)
 
 
 def test_poly_matrix_det_singular_and_constant():
@@ -85,7 +87,7 @@ def test_poly_matrix_det_singular_and_constant():
     assert poly_matrix_det([[five]]) == five
 
 
-def test_poly_matrix_det_bareiss_zero_column():
+def test_poly_matrix_det_zero_column():
     V = ("x", "y")
     x = Polynomial.variable(V, "x")
     y = Polynomial.variable(V, "y")

@@ -140,13 +140,13 @@ def test_resultant_and_discriminant_match_sympy():
 
         d = p.degree_in("t")
         if d >= 2:
-            ours_disc = discriminant(p, "t", d)
+            ours_disc = discriminant(p, "t")
             theirs_disc = parse_expr(sympy.discriminant(to_tb(p), t))
             assert ours_disc == theirs_disc or ours_disc == -theirs_disc
 
 
 def test_degree4_discriminant_matches_sympy():
-    # Res_t(p, dp/dt) at formal degrees (4, 3): a subresultant sequence of
+    # Res_t(p, dp/dt) at t-degrees (4, 3): a subresultant sequence of
     # three pseudo-remainders with exact divisions in Q[b]
     rng = random.Random(31341)
     t, b = sympy.symbols("t b")
@@ -163,7 +163,7 @@ def test_degree4_discriminant_matches_sympy():
             sympy.Integer(0),
         )
         theirs = sympy.Poly(sympy.discriminant(expr, t), t, b)
-        ours = discriminant(p, "t", 4)
+        ours = discriminant(p, "t")
         assert ours == Polynomial(
             ring,
             {tuple(int(e) for e in m): Fraction(int(c.p), int(c.q))
@@ -192,7 +192,7 @@ def test_hard_tier_degree4_line_discriminant_matches_sympy():
                 term *= sym**e
             expr += term
         theirs = sympy.Poly(sympy.discriminant(expr, syms[-1]), *syms)
-        assert discriminant(restricted, "t", 4) == Polynomial(
+        assert discriminant(restricted, "t") == Polynomial(
             ring,
             {tuple(int(e) for e in m): Fraction(int(c.p), int(c.q))
              for m, c in theirs.terms()},
