@@ -104,12 +104,52 @@ def _load_map(path: str):
     return mf, mf.to_poly_map()
 
 
+def _repr(value) -> str:
+    """repr(value), with each int in nested tuples and lists written by
+    `expr_io.format_int`, which has no length limit."""
+    if type(value) is int:
+        return expr_io.format_int(value)
+    if type(value) is tuple:
+        return "(" + ", ".join(map(_repr, value)) + ("," if len(value) == 1 else "") + ")"
+    if type(value) is list:
+        return "[" + ", ".join(map(_repr, value)) + "]"
+    return repr(value)
+
+
 def _digest(*chunks) -> str:
     h = hashlib.sha256()
     for c in chunks:
-        h.update(repr(c).encode())
+        h.update(_repr(c).encode())
         h.update(b"\x00")
     return h.hexdigest()[:16]
+
+
+_PLACEHOLDER = re.compile(r'"\\u0000(\d+)"')
+
+
+def _json_text(doc) -> str:
+    """json.dumps(doc, sort_keys=True) with ints of any size.
+
+    An int past 64 bits goes in as the placeholder string NUL + its index,
+    which json writes as "\\u0000<index>"; its `expr_io.format_int` digits
+    then replace that.  No report string is a NUL followed by digits alone.
+    """
+    big = []
+
+    def swap(value):
+        if type(value) is int and value.bit_length() > 64:
+            big.append(value)
+            return f"\x00{len(big) - 1}"
+        if type(value) in (list, tuple):
+            return [swap(v) for v in value]
+        if type(value) is dict:
+            return {k: swap(v) for k, v in value.items()}
+        return value
+
+    text = json.dumps(swap(doc), sort_keys=True)
+    if not big:
+        return text
+    return _PLACEHOLDER.sub(lambda m: expr_io.format_int(big[int(m[1])]), text)
 
 
 # ---- verb implementations ----
@@ -285,7 +325,7 @@ def _emit(args, inputs, results, text) -> None:
     if args.json:
         verb = f"transform {args.subverb}" if args.verb == "transform" else args.verb
         doc = {"verb": verb, "inputs": {"digest": _digest(*inputs)}, "results": results}
-        print(json.dumps(doc, sort_keys=True))
+        print(_json_text(doc))
     elif not path:
         print(text, end="")
 

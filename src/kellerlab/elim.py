@@ -4,14 +4,14 @@ coordinates, fiber counting, and resultants/discriminants.
 Resultants and discriminants are taken at the actual degrees in the
 eliminated variable, by the subresultant PRS of `polyring` (the gcd's loop).
 
-Buchberger with the normal selection strategy and both classical criteria,
-on polyring's packed monomials: a term order is a `MonomialLayout`.  The
-working basis holds primitive integer polynomials, {packed monomial: int}
-maps with a positive leading coefficient; normal forms are fraction-free
-and take the leading term from a heap.  Fractions appear only when the
-reduced basis is made monic.  A hard budget (basis size, total degree,
-field overflow) turns runaway computations into clean BudgetExceededError
-instead of hangs.
+Buchberger with the normal selection strategy and the Gebauer-Moeller
+pair update (JSC 6, 1988), on polyring's packed monomials: a term order is
+a `MonomialLayout`.  The working basis holds primitive integer
+polynomials, {packed monomial: int} maps with a positive leading
+coefficient; normal forms are fraction-free and take the leading term from
+a heap.  Fractions appear only when the reduced basis is made monic.  A
+hard budget (basis size, total degree, field overflow) turns runaway
+computations into clean BudgetExceededError instead of hangs.
 """
 
 from __future__ import annotations
@@ -265,7 +265,48 @@ def groebner(I: Ideal, order: TermOrder, budget: GroebnerBudget = DEFAULT_BUDGET
     variables = I.variables
     layout = order.key_function(variables)
     guard = layout.guard
-    basis = []  # (lead, primitive packed polynomial with lead coefficient > 0)
+
+    def divides(a, b):
+        d = b - a
+        return d >= 0 and not d & guard
+
+    # (lead, primitive packed polynomial with lead coefficient > 0), every
+    # element in order of arrival; each one reduces
+    basis = []
+    active = []  # indices of the elements whose lead no later lead divides
+    pairs = {}  # pending pair (i, j), i < j -> lcm of the two leads
+    queue = []  # heap of (lcm, i, j); an entry no longer in `pairs` is stale
+
+    def update(lead, g):
+        """Add (lead, g) to the basis and update the pairs (Gebauer-Moeller)."""
+        t = len(basis)
+        lcms = [_lcm(h, lead, layout) for h, _ in basis]  # lcm(s, t) for s < t
+        basis.append((lead, g))
+        # B_k: lead(t) divides lcm(i, j), and lcm(i, j) is neither lcm(i, t)
+        # nor lcm(j, t), so the S-pairs (i, t) and (j, t) cover (i, j)
+        for (i, j), m in list(pairs.items()):
+            if divides(lead, m) and m != lcms[i] and m != lcms[j]:
+                del pairs[i, j]
+        # M: drop a new pair whose lcm is a proper multiple of another's;
+        # F: of the pairs with equal lcm keep the first; the product
+        # criterion drops a coprime pair with every other pair of its lcm
+        new = {}  # lcm -> index s of the kept pair (s, t), None if dropped
+        distinct = {lcms[s] for s in active}
+        for s in active:
+            m = lcms[s]
+            if any(o != m and divides(o, m) for o in distinct):
+                continue
+            if m == basis[s][0] + lead:
+                new[m] = None
+            else:
+                new.setdefault(m, s)
+        for m, s in new.items():
+            if s is not None:
+                pairs[s, t] = m
+                heappush(queue, (m, s, t))
+        active[:] = [s for s in active if not divides(lead, basis[s][0])]
+        active.append(t)
+
     for g in sorted(
         (_packed(g, layout)[1] for g in I.generators if not g.is_zero()),
         key=lambda g: sorted(g, reverse=True),
@@ -273,37 +314,12 @@ def groebner(I: Ideal, order: TermOrder, budget: GroebnerBudget = DEFAULT_BUDGET
         lead = max(g)
         g = _primitive(g, lead)
         if all(g != h for _, h in basis):
-            basis.append((lead, g))
+            update(lead, g)
     if not basis:
         return Ideal((Polynomial.zero(variables),))
-
-    def divides(a, b):
-        d = b - a
-        return d >= 0 and not d & guard
-
-    # pending pairs (i, j), i < j, with the lcm of their leads
-    pairs = {
-        (i, j): _lcm(basis[i][0], basis[j][0], layout)
-        for i in range(len(basis))
-        for j in range(i + 1, len(basis))
-    }
-    while pairs:
-        i, j = min(pairs, key=lambda ij: (pairs[ij], ij))
-        lcm = pairs.pop((i, j))
-        # product criterion: coprime leading monomials
-        if lcm == basis[i][0] + basis[j][0]:
-            continue
-        # chain criterion
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j) or not divides(basis[k][0], lcm):
-                continue
-            pik = (min(i, k), max(i, k))
-            pjk = (min(j, k), max(j, k))
-            if pik not in pairs and pjk not in pairs:
-                skip = True
-                break
-        if skip:
+    while queue:
+        _, i, j = heappop(queue)
+        if pairs.pop((i, j), None) is None:
             continue
         s = _s_polynomial(basis[i], basis[j], layout)
         _, r = _normal_form(s, basis, layout)
@@ -316,13 +332,11 @@ def groebner(I: Ideal, order: TermOrder, budget: GroebnerBudget = DEFAULT_BUDGET
                 f"{budget.max_degree}; input beyond desk scale"
             )
         r_lead = next(iter(r))
-        basis.append((r_lead, _primitive(r, r_lead)))
+        update(r_lead, _primitive(r, r_lead))
         if len(basis) > budget.max_basis:
             raise BudgetExceededError(
                 f"basis size exceeds budget {budget.max_basis}; input beyond desk scale"
             )
-        t = len(basis) - 1
-        pairs.update(((s, t), _lcm(basis[s][0], r_lead, layout)) for s in range(t))
 
     # minimalize (drop generators whose lead is divisible by another lead),
     # then autoreduce every survivor against the others; a minimal lead is

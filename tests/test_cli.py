@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shlex
@@ -6,7 +7,9 @@ import sys
 import pytest
 
 from kellerlab.bundled import bundled_text
+from kellerlab import lattice
 from kellerlab.cli import build_parser, main
+from kellerlab.expr_io import parse_int
 
 MAPS = "src/kellerlab/data"
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -440,6 +443,51 @@ def test_coefficients_past_the_int_str_limit(capsys, tmp_path):
     G = transforms.theoremB_diagonal(as_cubic_linear(F), form).to_map(F.variables)
     assert load_map_file(target).to_poly_map() == G
     assert max(len(line) for line in target.read_text().splitlines()) > 4300
+
+
+def _envelope_digest(*reprs: str) -> str:
+    """The `inputs.digest` of a verb whose input chunks repr to `reprs`."""
+    return hashlib.sha256(b"".join(r.encode() + b"\x00" for r in reprs)).hexdigest()[:16]
+
+
+def _load_big_json(text: str):
+    def parse(digits):
+        return -parse_int(digits[1:]) if digits.startswith("-") else parse_int(digits)
+
+    return json.loads(text, parse_int=parse)
+
+
+def test_sl_complete_json_past_the_int_str_limit(capsys):
+    # 10^5000 has 5001 digits, past the 4300 that repr() and json.dumps accept
+    big = "1" + "0" * 5000
+    code, out, err = run(capsys, "sl-complete", f"--vector={big},1", "--json")
+    assert (code, err) == (0, "")
+    doc = _load_big_json(out)
+    rows = lattice.sl_complete((10**5000, 1)).rows
+    assert doc["results"] == {"matrix": [list(r) for r in rows]}
+    assert doc["inputs"]["digest"] == _envelope_digest(f"({big}, 1)")
+    assert big in out
+
+
+def test_sl_map_json_past_the_int_str_limit(capsys):
+    big = "1" + "0" * 5000
+    code, out, err = run(capsys, "sl-map", f"--from={big},1", "--to=1,0", "--json")
+    assert (code, err) == (0, "")
+    doc = _load_big_json(out)
+    rows = lattice.map_primitive_pair((10**5000, 1), (1, 0)).rows
+    assert doc["results"] == {"matrix": [list(r) for r in rows]}
+    assert doc["inputs"]["digest"] == _envelope_digest(f"({big}, 1)", "(1, 0)")
+
+
+def test_sl_json_of_ordinary_ints_is_unchanged(capsys):
+    # the same bytes as json.dumps and repr give for ints within their limit
+    code, out, err = run(capsys, "sl-complete", "--vector=2,3,-5", "--json")
+    assert (code, err) == (0, "")
+    rows = [list(r) for r in lattice.sl_complete((2, 3, -5)).rows]
+    doc = {"verb": "sl-complete",
+           "inputs": {"digest": _envelope_digest(repr((2, 3, -5)))},
+           "results": {"matrix": rows}}
+    assert out == json.dumps(doc, sort_keys=True) + "\n"
 
 
 def _readme_examples():

@@ -199,6 +199,97 @@ def test_groebner_on_rational_non_monic_generators_matches_sympy():
                        for e in theirs.exprs}
 
 
+def _monomial(rng, variables, low, high):
+    exps = [0] * len(variables)
+    for _ in range(rng.randint(low, high)):
+        exps[rng.randrange(len(variables))] += 1
+    return Polynomial._raw(variables, {tuple(exps): Fraction(1)})
+
+
+def _criteria_generators(rng, variables, shape):
+    """Generators whose pairs make the Gebauer-Moeller criteria fire.
+
+    'binomial': three binomials m1 - c*m2 of degree <= 3 in few variables,
+    whose leads share factors, so many pairs have equal lcms or lcms that are
+    multiples of others (M, F, B_k).  'coprime': univariate generators in
+    distinct variables, whose leads are coprime under every order (product
+    criterion), and one mixed generator.
+    """
+    if shape == "binomial":
+        return [_monomial(rng, variables, 1, 3)
+                - rng.choice((1, -1, 2)) * _monomial(rng, variables, 0, 3)
+                for _ in range(3)]
+    gens = []
+    for v in variables[:2]:
+        x = Polynomial.variable(variables, v)
+        gens.append(x ** rng.randint(1, 3) - rng.randint(-2, 2) * x - rng.randint(1, 3))
+    gens.append(random_polynomial(rng, variables, max_degree=2, max_terms=3,
+                                  allow_zero=False))
+    return gens
+
+
+def test_groebner_pair_criteria_match_reference():
+    # inputs on which criteria M, F, B_k and the product criterion each drop
+    # pairs; the reduced basis is unique, so a pair dropped wrongly shows as
+    # a basis different from plain Buchberger's
+    rng = random.Random(1414)
+    W = ("x", "y", "z")
+    for trial in range(42):
+        order = _orders(W)[trial % 7]
+        gens = _criteria_generators(rng, W, ("binomial", "coprime")[trial % 2])
+        G = groebner(Ideal(tuple(gens)), order)
+        assert set(G.generators) == reference_groebner(
+            gens, reference_key_function(order, W))
+
+
+def test_groebner_hard_tier_block_elimination_matches_sympy():
+    # the graph ideal of the n = 4 stretch conjugate under the block order
+    # that eliminates x2, x3, x4 (h_1's elimination): about 0.4 s in sympy
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.orderings import ProductOrder, grlex
+
+    F = parse_map_file(N4_STRETCH).to_poly_map()
+    I, ys = graph_ideal(F)
+    gone, kept = ("x2", "x3", "x4"), ("x1",) + tuple(ys)
+    G = groebner(I, TermOrder.block(gone, kept))
+    syms = sympy.symbols(gone + kept)
+    by_name = dict(zip(gone + kept, syms))
+
+    def to_sympy(p):
+        return sum(
+            (sympy.Rational(c.numerator, c.denominator)
+             * sympy.Mul(*(by_name[v] ** e for v, e in zip(p.variables, m)))
+             for m, c in p.terms.items()),
+            sympy.Integer(0),
+        )
+
+    order = ProductOrder((grlex, lambda m: m[:3]), (grlex, lambda m: m[3:]))
+    theirs = sympy.groebner([to_sympy(g) for g in I.generators], *syms, order=order)
+    assert {to_sympy(g) for g in G.generators} == {
+        sympy.expand(e / sympy.LC(e, *syms, order=order)) for e in theirs.exprs}
+
+
+def test_groebner_zero_reductions_on_n4_stretch_coordinate_2(monkeypatch):
+    # h_2 of the stretch conjugate is where most S-pairs reduce to zero: 17
+    # of 39 normal forms with the product and chain criteria alone, 11 of 33
+    # with the Gebauer-Moeller update; more than 11 means a criterion is lost
+    from kellerlab import elim
+
+    zero = []
+    normal_form = elim._normal_form
+
+    def counting(*args):
+        scale, r = normal_form(*args)
+        zero.append(not r)
+        return scale, r
+
+    monkeypatch.setattr(elim, "_normal_form", counting)
+    F = parse_map_file(N4_STRETCH).to_poly_map()
+    h = minimal_poly_of_coordinate(F, 2)
+    assert len(h.terms) == 120
+    assert sum(zero) <= 11
+
+
 def test_reduce_poly_is_exact_with_denominators():
     # fraction-free reduction, then division by the scale and by p's
     # denominator: x = 3/10 modulo 2/3 x - 1/5, so 1/2 (3/10)^2 + 1/3 = 227/600

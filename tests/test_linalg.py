@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,6 +8,8 @@ from kellerlab._linalg import fraction_matrix_inverse, int_matrix_det, mat_mul, 
 from kellerlab.errors import SingularMatrixError
 from kellerlab.keller import jacobian_matrix
 from kellerlab.polyring import Polynomial, PolyMap
+
+from _support import random_polynomial
 
 
 def test_fraction_matrix_inverse_roundtrip():
@@ -95,3 +98,56 @@ def test_poly_matrix_det_zero_column():
     for row in rows:
         row[2] = Polynomial.zero(V)
     assert poly_matrix_det(rows) == Polynomial.zero(V)
+
+
+def _leibniz_det(rows):
+    """The permutation sum: sign(p) * prod_i rows[i][p(i)] over all p."""
+    n = len(rows)
+    total = Polynomial.zero(rows[0][0].variables)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Polynomial.one(total.variables)
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def _random_poly_matrix(rng, n, variables):
+    """Sparse random polynomial matrix; every third one has a zero column,
+    and every third a repeated row."""
+    rows = [[random_polynomial(rng, variables, max_degree=2, max_terms=3)
+             for _ in range(n)] for _ in range(n)]
+    shape = rng.randrange(3)
+    if shape == 1:
+        col = rng.randrange(n)
+        for row in rows:
+            row[col] = Polynomial.zero(variables)
+    elif shape == 2 and n > 1:
+        rows[rng.randrange(1, n)] = list(rows[0])
+    return rows
+
+
+def test_poly_matrix_det_matches_leibniz_sum():
+    # an oracle that shares nothing with the minor expansion: n <= 4
+    rng = random.Random(5555)
+    V = ("x", "y")
+    for trial in range(60):
+        n = trial % 4 + 1
+        rows = _random_poly_matrix(rng, n, V)
+        assert poly_matrix_det(rows) == _leibniz_det(rows)
+
+
+def test_poly_matrix_det_matches_int_det_at_random_points():
+    # n up to 6, past the Leibniz sum's reach: the determinant evaluated at
+    # seeded integer points against Bareiss on the evaluated matrix
+    rng = random.Random(6666)
+    V = ("x", "y", "z")
+    for trial in range(30):
+        n = trial % 6 + 1
+        rows = _random_poly_matrix(rng, n, V)
+        det = poly_matrix_det(rows)
+        for _ in range(3):
+            point = [rng.randint(-4, 4) for _ in V]
+            at_point = [[int(e.evaluate(point)) for e in row] for row in rows]
+            assert det.evaluate(point) == int_matrix_det(at_point)
