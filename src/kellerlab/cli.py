@@ -164,11 +164,11 @@ def _cmd_check(args) -> tuple:
         cl_text = "yes"
         cl_json = {"recognized": True, "integral": cl.is_integral()}
     else:
-        cl_text = f"no (component {cl.component}: {cl.reason})"
+        cl_text = f"no ({cl})"
         cl_json = {"recognized": False, "component": cl.component, "reason": cl.reason}
     cap = args.degree_cap
     if cap is None:
-        cap = max(1, F.max_degree()) ** (F.n - 1)
+        cap = keller.default_degree_cap(F)
     try:
         inv = keller.formal_inverse(F, cap, det)
     except BudgetExceededError:
@@ -218,9 +218,7 @@ def _cmd_sigma(args) -> tuple:
 def _require_cubic_linear(F):
     cl = keller.as_cubic_linear(F)
     if isinstance(cl, keller.CubicLinearRejection):
-        raise KellerlabError(
-            f"map is not cubic-linear (component {cl.component}: {cl.reason})"
-        )
+        raise KellerlabError(f"map is not cubic-linear ({cl})")
     return cl
 
 

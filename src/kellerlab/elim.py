@@ -36,6 +36,7 @@ from .polyring import (
     _unpack,
     coefficients_in,
     exact_div,
+    fresh_names,
     make_primitive,
     rename_variables,
     subresultant_prs,
@@ -117,13 +118,10 @@ class Ideal:
         return all(g.is_zero() for g in self.generators)
 
 
-@dataclass(frozen=True)
-class GroebnerBudget:
-    max_basis: int = 300
-    max_degree: int = 80
-
-
-DEFAULT_BUDGET = GroebnerBudget()
+# the Groebner budget: at most MAX_BASIS elements, each of total degree at
+# most the caller's max_degree (MAX_DEGREE unless raised)
+MAX_BASIS = 300
+MAX_DEGREE = 80
 
 
 # ---- reduction and Buchberger on packed monomials ----
@@ -260,7 +258,7 @@ def reduce_poly(p: Polynomial, basis, key) -> Polynomial:
     return _unpacked(r, p.variables, key, scale * den)
 
 
-def groebner(I: Ideal, order: TermOrder, budget: GroebnerBudget = DEFAULT_BUDGET) -> Ideal:
+def groebner(I: Ideal, order: TermOrder, max_degree: int = MAX_DEGREE) -> Ideal:
     """Reduced Groebner basis of I with respect to `order`."""
     variables = I.variables
     layout = order.key_function(variables)
@@ -326,16 +324,16 @@ def groebner(I: Ideal, order: TermOrder, budget: GroebnerBudget = DEFAULT_BUDGET
         if not r:
             continue
         degree = max(sum(layout.unpack(m)) for m in r)
-        if degree > budget.max_degree:
+        if degree > max_degree:
             raise BudgetExceededError(
                 f"basis element degree {degree} exceeds budget "
-                f"{budget.max_degree}; input beyond desk scale"
+                f"{max_degree}; input beyond desk scale"
             )
         r_lead = next(iter(r))
         update(r_lead, _primitive(r, r_lead))
-        if len(basis) > budget.max_basis:
+        if len(basis) > MAX_BASIS:
             raise BudgetExceededError(
-                f"basis size exceeds budget {budget.max_basis}; input beyond desk scale"
+                f"basis size exceeds budget {MAX_BASIS}; input beyond desk scale"
             )
 
     # minimalize (drop generators whose lead is divisible by another lead),
@@ -380,17 +378,10 @@ def eliminate(I: Ideal, keep) -> Ideal:
 # ---- minimal polynomials and fiber degree ----
 
 
-def _fresh_names(base, count, taken):
-    prefix = base
-    while any(f"{prefix}{k}" in taken for k in range(1, count + 1)):
-        prefix += base
-    return [f"{prefix}{k}" for k in range(1, count + 1)]
-
-
 def graph_ideal(F: PolyMap):
     """<F_1(X) - Y_1, ..., F_n(X) - Y_n> over Q[X, Y], with the Y names used."""
     xs = F.variables
-    ys = _fresh_names("Y", F.n, set(xs))
+    ys = fresh_names("Y", F.n, xs)
     ring = tuple(xs) + tuple(ys)
     gens = []
     for f, y in zip(F.components, ys):
@@ -398,7 +389,7 @@ def graph_ideal(F: PolyMap):
     return Ideal(tuple(gens)), ys
 
 
-def inverse_map(F: PolyMap, budget: GroebnerBudget = DEFAULT_BUDGET):
+def inverse_map(F: PolyMap, max_degree: int = MAX_DEGREE):
     """F^-1 over F's variables when F is an automorphism, else None.
 
     van den Essen's criterion (Comm. Algebra 18, 1990): F is invertible iff
@@ -412,7 +403,7 @@ def inverse_map(F: PolyMap, budget: GroebnerBudget = DEFAULT_BUDGET):
     I, ys = graph_ideal(F)
     xs, n = F.variables, F.n
     G = [None] * n
-    for g in groebner(I, TermOrder.block(xs, ys), budget).generators:
+    for g in groebner(I, TermOrder.block(xs, ys), max_degree).generators:
         # exactly one term meets X, and it is X_i with coefficient 1
         lead = [m for m in g.terms if any(m[:n])]
         if len(lead) != 1 or sum(lead[0]) != 1 or g.terms[lead[0]] != 1:

@@ -3,11 +3,11 @@ F_i(X) = X_i + <a_i, X>^3."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from ._linalg import fraction_matrix_inverse, poly_matrix_det
-from .elim import DEFAULT_BUDGET, inverse_map
+from .elim import MAX_DEGREE, inverse_map
 from .errors import SingularMatrixError
 from .polyring import Polynomial, PolyMap, integer_root
 
@@ -29,6 +29,12 @@ def jacobian_det(F: PolyMap) -> Polynomial:
 def is_keller(F: PolyMap) -> bool:
     """True iff det DF is the constant 1."""
     return jacobian_det(F) == Polynomial.one(F.variables)
+
+
+def default_degree_cap(F: PolyMap) -> int:
+    """d^(n-1) for d = deg F: the Bass-Connell-Wright bound on the degree
+    of a polynomial inverse."""
+    return max(1, F.max_degree()) ** (F.n - 1)
 
 
 @dataclass(frozen=True)
@@ -53,8 +59,7 @@ def formal_inverse(
     Requires F(0) = 0 and DF(0) invertible.  A Jacobian determinant that is
     not a nonzero constant rules out an inverse; otherwise the inverse is
     read off one Groebner basis (`elim.inverse_map`), whose degree budget
-    is at least the cap.  The default cap is d^(n-1) for d = deg F, the
-    Bass-Connell-Wright bound on the degree of a polynomial inverse.  The
+    is at least the cap.  The default cap is `default_degree_cap(F)`.  The
     same bound applied to G = F^-1 gives d <= (deg G)^(n-1), so a cap with
     cap^(n-1) < d returns at once, without the basis.  A non-exact result
     carries the linear part's inverse L^-1 Y as its map; at a lower cap it
@@ -68,7 +73,7 @@ def formal_inverse(
     variables = F.variables
     n = F.n
     if degree_cap is None:
-        degree_cap = max(1, F.max_degree()) ** (n - 1)
+        degree_cap = default_degree_cap(F)
     if degree_cap < 1:
         raise ValueError("degree cap must be at least 1")
 
@@ -83,16 +88,12 @@ def formal_inverse(
         if det is None:
             det = jacobian_det(F)
         if det.is_constant() and not det.is_zero():
-            max_degree = max(DEFAULT_BUDGET.max_degree, degree_cap)
-            G = inverse_map(F, replace(DEFAULT_BUDGET, max_degree=max_degree))
+            G = inverse_map(F, max(MAX_DEGREE, degree_cap))
             if G is not None and G.max_degree() <= degree_cap:
                 return FormalInverse(map=G, degree_bound=degree_cap, exact=True)
-    xs = [Polynomial.variable(variables, v) for v in variables]
-    linear = PolyMap([
-        sum((Linv[i][j] * xs[j] for j in range(n)), Polynomial.zero(variables))
-        for i in range(n)
-    ])
-    return FormalInverse(map=linear, degree_bound=degree_cap, exact=False)
+    return FormalInverse(
+        map=PolyMap.linear(Linv, variables), degree_bound=degree_cap, exact=False
+    )
 
 
 # ---- cubic-linear (Druzkowski) forms ----
@@ -124,20 +125,24 @@ class CubicLinearForm:
         variables = tuple(variables)
         if len(variables) != self.n:
             raise ValueError("variable count does not match matrix size")
-        xs = [Polynomial.variable(variables, v) for v in variables]
-        comps = []
-        for i, row in enumerate(self.matrix):
-            form = sum((a * x for a, x in zip(row, xs)), Polynomial.zero(variables))
-            comps.append(xs[i] + form**3)
-        return PolyMap(comps)
+        forms = PolyMap.linear(self.matrix, variables).components
+        return PolyMap([
+            Polynomial.variable(variables, v) + form**3 for v, form in zip(variables, forms)
+        ])
 
 
 @dataclass(frozen=True)
 class CubicLinearRejection:
-    """Why a map is not of cubic-linear shape; `component` is 1-based."""
+    """Why a map is not of cubic-linear shape; `component` is 1-based, and
+    0 when the whole map is rejected."""
 
     component: int
     reason: str
+
+    def __str__(self):
+        if self.component == 0:
+            return self.reason
+        return f"component {self.component}: {self.reason}"
 
 
 def _rational_cube_root(c: Fraction):
@@ -192,10 +197,7 @@ def as_cubic_linear(F: PolyMap):
                 continue
             exps = tuple(2 if t == k else (1 if t == j else 0) for t in range(n))
             coeffs[j] = rest.coefficient(exps) / (3 * ck * ck)
-        form = sum(
-            (c * Polynomial.variable(variables, v) for c, v in zip(coeffs, variables)),
-            Polynomial.zero(variables),
-        )
+        (form,) = PolyMap.linear([coeffs], variables).components
         if form**3 != rest:
             return CubicLinearRejection(i, "remainder is not the cube of a linear form")
         rows.append(tuple(coeffs))

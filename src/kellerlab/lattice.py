@@ -120,30 +120,21 @@ def _complete(v):
         for i in range(2, n):
             rows[i][i] = 1
         return rows
-    if math.gcd(r, abs(v[0])) != 1:
+    # The bordered matrix A(alpha, beta) has first column v, last column
+    # (beta, alpha vbar) and abar's other columns below row 0.  Its
+    # determinant is c1 alpha + c2 beta, and expanding along the last column
+    # with det abar = 1 gives c1 = (-1)^n v0 and c2 = (-1)^(n-1) r.
+    # Extended Euclid solves c1 alpha + c2 beta = 1.
+    sign = -1 if n % 2 else 1
+    g, alpha, beta = egcd(sign * v[0], -sign * r)
+    if g != 1:
         raise InternalCheckError("gcd bookkeeping of the induction failed")
     vbar = [x // r for x in v[1:]]
     abar = _complete(vbar)
-
-    def bordered(alpha, beta):
-        rows = [[0] * n for _ in range(n)]
-        rows[0][0] = v[0]
-        rows[0][n - 1] = beta
-        for i in range(1, n):
-            rows[i][0] = v[i]
-            for j in range(1, n - 1):
-                rows[i][j] = abar[i - 1][j]
-            rows[i][n - 1] = alpha * vbar[i - 1]
-        return rows
-
-    # det A(alpha, beta) is an exact linear form c1 alpha + c2 beta; solving
-    # c1 alpha + c2 beta = 1 by extended Euclid sidesteps any sign convention
-    c1 = int_matrix_det(bordered(1, 0))
-    c2 = int_matrix_det(bordered(0, 1))
-    g, x, y = egcd(c1, c2)
-    if g != 1:
-        raise InternalCheckError("bordered determinant form is not unimodular")
-    return bordered(x, y)
+    rows = [[v[0]] + [0] * (n - 2) + [beta]]
+    for i in range(1, n):
+        rows.append([v[i]] + abar[i - 1][1:] + [alpha * vbar[i - 1]])
+    return rows
 
 
 def sl_complete(v) -> UnimodularMatrix:

@@ -371,27 +371,16 @@ class Polynomial:
         return Polynomial._raw(self.variables, res)
 
 
-def substitute(p: Polynomial, bindings, target_variables=None) -> Polynomial:
+def substitute(p: Polynomial, bindings, target_variables) -> Polynomial:
     """Image of `p` under variable -> polynomial/number bindings.
 
-    Every occurring variable must be bound.  All polynomial values must
-    share one variable list, which becomes the output ring (explicit
-    `target_variables` required when every binding is a number).
+    Every occurring variable must be bound, and every polynomial value must
+    live over `target_variables`, the output ring.
     """
-    ring_vars = None
+    ring_vars = tuple(target_variables)
     for v in bindings.values():
-        if isinstance(v, Polynomial):
-            if ring_vars is None:
-                ring_vars = v.variables
-            elif ring_vars != v.variables:
-                raise VariableMismatchError("bound polynomials live in different rings")
-    if ring_vars is None:
-        if target_variables is None:
-            ring_vars = ()
-        else:
-            ring_vars = tuple(target_variables)
-    elif target_variables is not None and tuple(target_variables) != ring_vars:
-        raise VariableMismatchError("target_variables conflicts with bound values")
+        if isinstance(v, Polynomial) and v.variables != ring_vars:
+            raise VariableMismatchError("a bound polynomial is not over the target ring")
 
     needed = p.support_variables()
     missing = sorted(needed - set(bindings))
@@ -428,6 +417,15 @@ def substitute(p: Polynomial, bindings, target_variables=None) -> Polynomial:
 
 
 # ---- ring-surgery helpers ----
+
+
+def fresh_names(base, count, taken):
+    """Names P1..P<count> for the shortest prefix P = base, base*2, ... such
+    that none of them is in `taken`."""
+    prefix = base
+    while any(f"{prefix}{k}" in taken for k in range(1, count + 1)):
+        prefix += base
+    return [f"{prefix}{k}" for k in range(1, count + 1)]
 
 
 def with_variables(p: Polynomial, new_variables) -> Polynomial:
@@ -798,9 +796,26 @@ class PolyMap:
         return (PolyMap, (self.components,))
 
     @classmethod
-    def identity(cls, variables):
+    def linear(cls, rows, variables):
+        """X -> rows X over `variables`: component i is sum_j rows[i][j] X_j.
+
+        Each row needs one int or Fraction entry per variable."""
         variables = tuple(variables)
-        return cls([Polynomial.variable(variables, v) for v in variables])
+        n = len(variables)
+        units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+        comps = []
+        for row in rows:
+            if len(row) != n:
+                raise ValueError("matrix row length does not match the variable count")
+            comps.append(Polynomial._raw(variables, {
+                u: _as_fraction(a) for u, a in zip(units, row) if a
+            }))
+        return cls(comps)
+
+    @classmethod
+    def identity(cls, variables):
+        n = len(tuple(variables))
+        return cls.linear([[int(i == j) for j in range(n)] for i in range(n)], variables)
 
     @property
     def variables(self):

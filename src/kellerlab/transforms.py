@@ -12,7 +12,7 @@ from fractions import Fraction
 from ._linalg import fraction_matrix_inverse
 from .errors import InternalCheckError
 from .keller import CubicLinearForm, is_keller
-from .polyring import Polynomial, PolyMap, substitute, with_variables
+from .polyring import Polynomial, PolyMap, fresh_names, substitute, with_variables
 
 
 def scale_conjugate(F: PolyMap, r) -> PolyMap:
@@ -42,11 +42,8 @@ def extend_variables(F: PolyMap, m: int) -> PolyMap:
         raise ValueError("number of new variables must be non-negative")
     if m == 0:
         return F
-    base = "z"
-    while any(f"{base}{k}" in F.variables for k in range(1, m + 1)):
-        base += "z"
-    new_names = tuple(f"{base}{k}" for k in range(1, m + 1))
-    ring = tuple(F.variables) + new_names
+    new_names = fresh_names("z", m, F.variables)
+    ring = F.variables + tuple(new_names)
     comps = [with_variables(c, ring) for c in F.components]
     comps.extend(Polynomial.variable(ring, v) for v in new_names)
     return PolyMap(comps)
@@ -59,15 +56,7 @@ def conjugate_by_linear(F: PolyMap, A) -> PolyMap:
     rows = [[Fraction(x) for x in row] for row in A]
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError("matrix size does not match the variable count")
-    inv = fraction_matrix_inverse(rows)
-    xs = [Polynomial.variable(variables, v) for v in variables]
-    inner = PolyMap(
-        [
-            sum((inv[i][j] * xs[j] for j in range(n)), Polynomial.zero(variables))
-            for i in range(n)
-        ]
-    )
-    mid = F.compose(inner)
+    mid = F.compose(PolyMap.linear(fraction_matrix_inverse(rows), variables))
     return PolyMap(
         [
             sum(
@@ -144,17 +133,12 @@ def theoremB_diagonal(form: CubicLinearForm, transform: DiagonalTransform) -> Cu
     result = CubicLinearForm(tuple(rows))
 
     # defining composition: G(X) = (1/delta) T^-1(F(T(delta X)))
-    variables = tuple(f"x{i}" for i in range(1, form.n + 1))
-    inner = {
-        name: delta * v[j] * Polynomial.variable(variables, name)
-        for j, name in enumerate(variables)
-    }
-    F = form.to_map(variables)
+    n = form.n
+    variables = tuple(f"x{i}" for i in range(1, n + 1))
+    scaling = [[delta * v[j] if j == i else 0 for j in range(n)] for i in range(n)]
+    inner = form.to_map(variables).compose(PolyMap.linear(scaling, variables))
     composed = PolyMap(
-        [
-            substitute(c, inner, variables) * Fraction(1, delta * v[i])
-            for i, c in enumerate(F.components)
-        ]
+        [c * Fraction(1, delta * v[i]) for i, c in enumerate(inner.components)]
     )
     if composed != result.to_map(variables):
         raise InternalCheckError("closed row formula disagrees with the composition")
@@ -176,11 +160,11 @@ def cor1_extension(form: CubicLinearForm) -> CubicLinearForm:
     result = CubicLinearForm(tuple(rows))
 
     variables = tuple(f"x{i}" for i in range(1, n + 2))
-    xs = [Polynomial.variable(variables, v) for v in variables]
-    shifted = {f"x{i}": xs[i - 1] + xs[n] for i in range(1, n + 1)}
-    F = form.to_map(tuple(f"x{i}" for i in range(1, n + 1)))
-    expected = [substitute(c, shifted, variables) - xs[n] for c in F.components]
-    expected.append(xs[n])
+    last = Polynomial.variable(variables, variables[n])
+    shift = [[int(j in (i, n)) for j in range(n + 1)] for i in range(n)]
+    F = form.to_map(variables[:n])
+    expected = [c - last for c in F.compose(PolyMap.linear(shift, variables)).components]
+    expected.append(last)
     if PolyMap(expected) != result.to_map(variables):
         raise InternalCheckError("extension matrix disagrees with the composition")
 

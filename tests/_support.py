@@ -1,10 +1,13 @@
 """Deterministic random generators and independent oracles shared by tests."""
 
+import math
 from fractions import Fraction
 from itertools import product
 
+from kellerlab._linalg import fraction_matrix_inverse, int_matrix_det, mat_mul
 from kellerlab.errors import ExactDivisionError
 from kellerlab.keller import CubicLinearForm
+from kellerlab.lattice import egcd
 from kellerlab.polyring import (
     Polynomial,
     PolyMap,
@@ -70,6 +73,53 @@ def random_primitive_vector(rng, n, bound=50):
         v = tuple(rng.randint(-bound, bound) for _ in range(n))
         if any(v) and math.gcd(*(abs(x) for x in v)) == 1:
             return v
+
+
+def reference_sl_complete(v):
+    """Rows of an SL(n, Z) matrix with first column v, by the induction of
+    `lattice.sl_complete` with its determinant form c1 alpha + c2 beta
+    computed from two bordered matrices by Bareiss elimination."""
+    v = list(v)
+    n = len(v)
+    if n == 1:
+        if v[0] != 1:
+            raise ValueError("SL(1, Z) cannot reach (-1)")
+        return [[1]]
+    if v[0] == 0:
+        k = next(i for i, x in enumerate(v) if x)
+        swapped = list(v)
+        swapped[0], swapped[k] = swapped[k], swapped[0]
+        rows = reference_sl_complete(swapped)
+        rows[0], rows[k] = rows[k], rows[0]
+        for row in rows:
+            row[1] = -row[1]
+        return rows
+    if n == 2:
+        _, x, y = egcd(v[0], v[1])
+        return [[v[0], -y], [v[1], x]]
+    r = math.gcd(*v[1:])
+    if r == 0:
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        rows[0][0] = rows[1][1] = v[0]
+        return rows
+    vbar = [x // r for x in v[1:]]
+    abar = reference_sl_complete(vbar)
+
+    def bordered(alpha, beta):
+        rows = [[v[0]] + [0] * (n - 2) + [beta]]
+        for i in range(1, n):
+            rows.append([v[i]] + abar[i - 1][1 : n - 1] + [alpha * vbar[i - 1]])
+        return rows
+
+    _, x, y = egcd(int_matrix_det(bordered(1, 0)), int_matrix_det(bordered(0, 1)))
+    return bordered(x, y)
+
+
+def reference_map_primitive_pair(v, w):
+    """Rows of reference_sl_complete(w) times the inverse of
+    reference_sl_complete(v)."""
+    inv = fraction_matrix_inverse(reference_sl_complete(v))
+    return [[int(x) for x in row] for row in mat_mul(reference_sl_complete(w), inv)]
 
 
 def random_sl2(rng, steps=6):

@@ -102,6 +102,16 @@ def test_transform_theoremB_rejects_non_cubic_linear(capsys, bif):
     assert "not cubic-linear" in err
 
 
+@pytest.mark.parametrize("argv", [["theoremB", "--weights=1,1"], ["cor1"]])
+def test_transform_non_square_map_names_no_component(capsys, tmp_path, argv):
+    # a rejection of the whole map has no component number to report
+    path = tmp_path / "wide.map"
+    path.write_text("vars: x y z\nF1 = x + y^3\nF2 = y\n")
+    code, out, err = run(capsys, "transform", argv[0], str(path), *argv[1:])
+    assert (code, out) == (1, "")
+    assert err == "error: map is not cubic-linear (map is not square)\n"
+
+
 def test_transform_output_file(capsys, tri2, tmp_path):
     target = tmp_path / "out.map"
     code, out, _ = run(capsys, "transform", "extend", "--m", "1", tri2,
@@ -284,14 +294,30 @@ def test_check_chain_inverse_of_degree_81(capsys, tmp_path):
     assert out.strip().endswith("inverse: exact (degree 81)")
 
 
+@pytest.mark.parametrize("cap", [None, 1, 2, 50])
+def test_check_json_reports_the_degree_cap(capsys, tmp_path, cap):
+    from kellerlab.expr_io import load_map_file
+    from kellerlab.keller import default_degree_cap
+
+    path = tmp_path / "tri3.map"
+    path.write_text("vars: x y z\nF1 = x + y^3\nF2 = y + z^2\nF3 = z\n")
+    option = [] if cap is None else [f"--degree-cap={cap}"]
+    code, out, err = run(capsys, "check", str(path), *option, "--json")
+    assert (code, err) == (0, "")
+    expected = cap
+    if cap is None:
+        expected = default_degree_cap(load_map_file(str(path)).to_poly_map())
+        assert expected == 9
+    assert json.loads(out)["results"]["inverse"]["degree_cap"] == expected
+
+
 def test_check_groebner_budget_exit_code(capsys, tmp_path, monkeypatch):
-    import kellerlab.keller
-    from kellerlab.elim import GroebnerBudget
+    import kellerlab.elim
 
     # a conjugate of (x + y^3, y): its graph basis needs new elements
     path = tmp_path / "conj.map"
     path.write_text("vars: x y\nF1 = x + (x - y)^3\nF2 = y + (x - y)^3\n")
-    monkeypatch.setattr(kellerlab.keller, "DEFAULT_BUDGET", GroebnerBudget(max_basis=2))
+    monkeypatch.setattr(kellerlab.elim, "MAX_BASIS", 2)
     code, out, err = run(capsys, "check", str(path))
     assert code == 3
     assert out == ""

@@ -14,7 +14,11 @@ from kellerlab.lattice import (
 )
 from kellerlab._linalg import int_matrix_det
 
-from _support import random_primitive_vector
+from _support import (
+    random_primitive_vector,
+    reference_map_primitive_pair,
+    reference_sl_complete,
+)
 
 
 def test_egcd():
@@ -79,6 +83,35 @@ def test_sl_complete_random_sample():
             v = random_primitive_vector(rng, n, bound=50)
             A = sl_complete(v)
             assert A.column(0) == v  # det == 1 checked by the type
+
+
+def _seeded_vectors(rng, n):
+    """Primitive vectors of length n: +-e1, ones with v0 = 0 and random ones."""
+    e1 = (1,) + (0,) * (n - 1)
+    vs = [e1, tuple(-x for x in e1)]
+    if n > 1:
+        vs += [(0,) + random_primitive_vector(rng, n - 1, bound=9) for _ in range(4)]
+        vs += [random_primitive_vector(rng, n, bound=rng.choice((3, 40))) for _ in range(12)]
+    return vs
+
+
+def test_sl_complete_and_pair_match_bordered_determinant_reference():
+    rng = random.Random(676)
+    for n in range(1, 9):
+        vs = _seeded_vectors(rng, n)
+        for v in vs:
+            try:
+                expected = reference_sl_complete(v)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    sl_complete(v)
+                continue
+            assert sl_complete(v).rows == tuple(map(tuple, expected))
+        ok = [v for v in vs if n > 1 or v == (1,)]
+        for v, w in zip(ok, ok[1:] + ok[:1]):
+            assert map_primitive_pair(v, w).rows == tuple(
+                map(tuple, reference_map_primitive_pair(v, w))
+            )
 
 
 def test_map_primitive_pair_examples():

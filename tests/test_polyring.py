@@ -22,6 +22,7 @@ from _support import (
     naive_mul,
     random_linear_bindings,
     random_polynomial,
+    random_rational,
     reference_exact_div,
     reference_mul,
 )
@@ -55,7 +56,7 @@ def test_arith_variable_mismatch():
 
 def test_substitute_full_evaluation():
     p = X + Y**3
-    assert substitute(p, {"x": 2, "y": 1}).constant_value() == 3
+    assert substitute(p, {"x": 2, "y": 1}, ()).constant_value() == 3
     assert p.evaluate([2, 1]) == 3
 
 
@@ -63,7 +64,7 @@ def test_substitute_linear_case():
     ring = ("x", "t", "v1")
     img = substitute(
         X, {"x": Polynomial.variable(ring, "x")
-            + Polynomial.variable(ring, "t") * Polynomial.variable(ring, "v1")}
+            + Polynomial.variable(ring, "t") * Polynomial.variable(ring, "v1")}, ring
     )
     assert img == Polynomial.variable(ring, "x") + (
         Polynomial.variable(ring, "t") * Polynomial.variable(ring, "v1")
@@ -75,14 +76,25 @@ def test_substitute_line_restriction_hand_expansion():
     ring = ("u1", "t", "v1")
     u1, t, v1 = (Polynomial.variable(ring, n) for n in ring)
     H = Y * (Y - 1)
-    img = substitute(H, {"y": u1 + t * v1})
+    img = substitute(H, {"y": u1 + t * v1}, ring)
     expected = t**2 * v1**2 + t * (2 * u1 * v1 - v1) + u1**2 - u1
     assert img == expected
 
 
 def test_substitute_unbound_variable():
     with pytest.raises(ValueError, match="unbound"):
-        substitute(X + Y, {"x": 1})
+        substitute(X + Y, {"x": 1}, V)
+
+
+def test_substitute_binding_outside_target_ring():
+    T = Polynomial.variable(("t",), "t")
+    with pytest.raises(VariableMismatchError):
+        substitute(X + Y, {"x": X, "y": Y}, ("x", "y", "t"))
+    # the binding of y is rejected although y does not occur in x
+    with pytest.raises(VariableMismatchError):
+        substitute(X, {"x": X, "y": T}, V)
+    with pytest.raises(VariableMismatchError):
+        substitute(Polynomial.constant(V, 3), {"x": T}, V)
 
 
 def test_partial_derivative_examples():
@@ -183,9 +195,9 @@ def test_substitution_functoriality_linear():
         p = random_polynomial(rng, V, max_degree=3)
         sigma = random_linear_bindings(rng, V)
         tau = random_linear_bindings(rng, V)
-        composed = {v: substitute(sigma[v], tau) for v in V}
-        left = substitute(substitute(p, sigma), tau)
-        right = substitute(p, composed)
+        composed = {v: substitute(sigma[v], tau, V) for v in V}
+        left = substitute(substitute(p, sigma, V), tau, V)
+        right = substitute(p, composed, V)
         assert left == right
 
 
@@ -224,6 +236,29 @@ def test_poly_map_basics():
     assert F.is_square() and F.fixes_origin()
     with pytest.raises(VariableMismatchError):
         PolyMap([X, Polynomial.variable(("z",), "z")])
+
+
+def test_poly_map_linear_matches_sum_of_scaled_variables():
+    rng = random.Random(818)
+    rings = [("x",), V, ("x", "y", "z"), ("a", "b", "c", "d")]
+    for _ in range(200):
+        ring = rng.choice(rings)
+        rows = [[rng.choice((0, 0, random_rational(rng))) for _ in ring]
+                for _ in range(rng.randint(1, 5))]
+        if rng.random() < 0.2:
+            rows[rng.randrange(len(rows))] = [0] * len(ring)
+        xs = [Polynomial.variable(ring, v) for v in ring]
+        expected = PolyMap([sum((a * x for a, x in zip(row, xs)), Polynomial.zero(ring))
+                            for row in rows])
+        got = PolyMap.linear(rows, ring)
+        assert got == expected
+        assert all(got.components[i].terms == expected.components[i].terms
+                   for i in range(len(rows)))
+    assert PolyMap.linear([[1, 0], [0, 1]], V) == PolyMap.identity(V) == PolyMap([X, Y])
+    with pytest.raises(ValueError, match="row length"):
+        PolyMap.linear([[1, 2], [3]], V)
+    with pytest.raises(ValueError, match="row length"):
+        PolyMap.linear([[1, 2, 3]], V)
 
 
 def _random_rational_polynomial(rng, variables, **kwargs):
