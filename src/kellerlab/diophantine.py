@@ -7,13 +7,17 @@ by their monomials in the other variables, so assigning a value is one int
 dot product per group; no Fraction or Polynomial is built below the root.
 The depth-first search assigns variables in a heuristic order and, whenever
 a specialized equation involves exactly one unassigned variable, replaces
-range scanning by exact integer root extraction.  An integer root y has
-m | p(y mod m) for every m, so the values p(0), p(+-1) and p(+-2) rule out
-every nonzero root when some m = 2, 3, 4 or 5 divides none of the values
-at its residues; most extractions end there, in O(d).  The rest run a
-divisor test on the constant term for candidates up to a root bound of
-the polynomial, cut at the box radius.  Every reported point is
-re-verified on the system.
+range scanning by exact integer root extraction.  The leaf level, where at
+most one variable is left after the assignment, builds no child maps: each
+equation is grouped once by the power of the last variable, so a value
+gives its coefficient lists in that variable directly, and the roots of the
+first non-constant one are checked on every equation.  An integer root y
+has m | p(y mod m) for every m, so the values p(0), p(+-1), p(+-2) and
+p(+-3) rule out every nonzero root when some m = 2, 3, 4, 5 or 7 divides
+none of the values at its residues; most extractions end there, in O(d).
+The rest run a divisor test on the constant term for candidates up to a
+root bound of the polynomial, cut at the box radius.  Every reported point
+is re-verified on the system.
 
 A node budget turns oversized searches into a reported non-exhaustive
 result, never a hang.  The node at which the budget trips is counted, so a
@@ -178,8 +182,11 @@ def _integer_roots(coeffs, B):
 
     Zero roots are stripped.  An integer polynomial has p(y) = p(y mod m)
     mod m, so a nonzero root y needs a residue r with m | p(r): p(0), p(1),
-    p(-1), p(2) and p(-2) decide that for m = 2, 3, 4 and 5, and when some
-    m has no such residue there is none.  Otherwise y divides the remaining
+    p(-1), p(2), p(-2), p(3) and p(-3) decide that for m = 2, 3, 4, 5 and 7,
+    and when some m has no such residue there is none.  The cubic curves
+    give shifted cubes (y + a)^3 + k, and cubing is a bijection mod 2, 3
+    and 5, so only m = 4 (-k = 2 mod 4) and m = 7 (the cubes mod 7 are 0
+    and +-1) can reject those.  Otherwise y divides the remaining
     constant term, and |y| is at most the root bound of p(y) for y > 0 and
     of p(-y) for y < 0, so only those candidates up to B are trial-divided
     and then checked exactly.
@@ -189,7 +196,8 @@ def _integer_roots(coeffs, B):
         shift += 1
     roots = [0] if shift else []
     body = coeffs[shift:]
-    # p at the residues 0, 1, -1, 2 and -2; the first m form a full set mod m
+    # p at the residues 0, 1, -1, 2, -2, 3 and -3; the first m form a full
+    # set mod m
     c0 = body[0]
     p1 = sum(body)
     pm1 = 2 * sum(body[::2]) - p1
@@ -198,7 +206,13 @@ def _integer_roots(coeffs, B):
     p2 = _horner(body, 2)
     if c0 % 4 and p1 % 4 and pm1 % 4 and p2 % 4:
         return roots
-    if c0 % 5 and p1 % 5 and pm1 % 5 and p2 % 5 and _horner(body, -2) % 5:
+    pm2 = _horner(body, -2)
+    if c0 % 5 and p1 % 5 and pm1 % 5 and p2 % 5 and pm2 % 5:
+        return roots
+    if (
+        c0 % 7 and p1 % 7 and pm1 % 7 and p2 % 7 and pm2 % 7
+        and _horner(body, 3) % 7 and _horner(body, -3) % 7
+    ):
         return roots
     pos = _root_bound(body, B)
     neg = _root_bound([-c if k & 1 else c for k, c in enumerate(body)], B)
@@ -291,9 +305,7 @@ class _BoxSearch:
                 return  # nonzero constant: contradiction, prune
 
         if None not in assignment:
-            point = tuple(assignment)
-            if self.system.satisfied_by(point):
-                self.points.add(point)
+            self._record(assignment)
             return
 
         # exact roots when an equation involves exactly one unassigned variable
@@ -315,6 +327,9 @@ class _BoxSearch:
     def _branch(self, eqs, assignment, idx, values):
         """Explore idx = value for each value, specializing every equation."""
         if not values:
+            return
+        if assignment.count(None) <= 2:
+            self._leaf(eqs, assignment, idx, values)
             return
         bit = 1 << idx
         plans = [_split(terms, idx) if mask & bit else None for terms, mask in eqs]
@@ -343,6 +358,79 @@ class _BoxSearch:
             assignment[idx] = value
             self._explore(children, assignment)
         assignment[idx] = None
+
+    def _leaf(self, eqs, assignment, idx, values):
+        """_branch when at most one variable, `last`, is unassigned after idx.
+
+        Each equation is grouped once into rows by the power of `last`, each
+        row a coefficient list in powers of idx, so a value gives the
+        coefficients of the equation in `last` as one dot product per row; no
+        child dict is built.  The children and grandchildren follow
+        _explore's rules inline: each value is a counted node that a nonzero
+        constant prunes; the first non-constant equation gives the roots for
+        `last`, and each root is a counted node that must zero every
+        equation; when every equation vanishes, `last` is scanned.  Points
+        are re-verified on the system.
+        """
+        last = next(
+            (i for i, a in enumerate(assignment) if a is None and i != idx), None
+        )
+        tables = []
+        for terms, _ in eqs:
+            rows = []
+            for m, c in terms.items():
+                e = 0 if last is None else m[last]
+                if len(rows) <= e:
+                    rows.extend([] for _ in range(e + 1 - len(rows)))
+                row = rows[e]
+                k = m[idx]
+                if len(row) <= k:
+                    row.extend([0] * (k + 1 - len(row)))
+                row[k] = c
+            tables.append(rows)
+        top = max((len(row) for rows in tables for row in rows), default=1)
+        B = self.B
+        for value in values:
+            self.nodes += 1
+            if self.nodes > self.budget:
+                self.hit_budget = True
+                break
+            powers = [1] * top
+            for e in range(1, top):
+                powers[e] = powers[e - 1] * value
+            polys = []  # each equation's coefficients in `last`, zeros trimmed
+            for rows in tables:
+                p = [sum(map(mul, row, powers)) for row in rows]
+                while p and not p[-1]:
+                    p.pop()
+                if len(p) == 1:
+                    break  # nonzero constant: contradiction, prune
+                polys.append(p)
+            else:
+                assignment[idx] = value
+                if last is None:
+                    self._record(assignment)
+                    continue
+                lead = next((p for p in polys if p), None)
+                ys = range(-B, B + 1) if lead is None else _integer_roots(lead, B)
+                for y in ys:
+                    self.nodes += 1
+                    if self.nodes > self.budget:
+                        self.hit_budget = True
+                        break
+                    if not any(_horner(p, y) for p in polys):
+                        assignment[last] = y
+                        self._record(assignment)
+                if self.hit_budget:
+                    break
+        assignment[idx] = None
+        if last is not None:
+            assignment[last] = None
+
+    def _record(self, assignment):
+        point = tuple(assignment)
+        if self.system.satisfied_by(point):
+            self.points.add(point)
 
 
 def search_box(

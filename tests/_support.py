@@ -3,8 +3,10 @@
 import math
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 from kellerlab._linalg import fraction_matrix_inverse, int_matrix_det, mat_mul
+from kellerlab.diophantine import _integer_roots
 from kellerlab.errors import ExactDivisionError
 from kellerlab.keller import CubicLinearForm
 from kellerlab.lattice import egcd
@@ -403,6 +405,132 @@ def naive_grid_points(system, B):
         if system.satisfied_by(cand):
             pts.append(cand)
     return sorted(pts)
+
+
+def _reference_support(monomial) -> int:
+    mask = 0
+    for i, e in enumerate(monomial):
+        if e:
+            mask |= 1 << i
+    return mask
+
+
+def _reference_split(terms, idx):
+    rows = {}
+    for m, c in terms.items():
+        e = m[idx]
+        rest = m[:idx] + (0,) + m[idx + 1 :]
+        coeffs = rows.get(rest)
+        if coeffs is None:
+            coeffs = rows[rest] = []
+        if len(coeffs) <= e:
+            coeffs.extend([0] * (e + 1 - len(coeffs)))
+        coeffs[e] = c
+    return [(rest, _reference_support(rest), coeffs) for rest, coeffs in rows.items()]
+
+
+class ReferenceBoxSearch:
+    """The box search with one code path at every level: child dicts.
+
+    Every node, the last level included, builds its children's equation
+    maps and recurses, so it is an oracle for the engine's points,
+    exhausted flag and node count.  Root extraction is the engine's
+    `_integer_roots`, which its own tests check against brute force.
+    """
+
+    def __init__(self, system, B, budget):
+        self.system = system
+        self.B = B
+        self.budget = budget
+        self.nodes = 0
+        self.hit_budget = False
+        self.points = set()
+        self.nvars = system.n
+        scores = {}
+        for i, name in enumerate(system.variables):
+            touching = [
+                p.total_degree()
+                for p in system.polynomials
+                if name in p.support_variables()
+            ]
+            scores[i] = (min(touching) if touching else 10**9, i)
+        self.var_order = sorted(range(self.nvars), key=lambda i: scores[i])
+
+    def run(self):
+        eqs = []
+        for p in self.system.polynomials:
+            if p.is_zero():
+                continue
+            terms = {m: int(c) for m, c in p.terms.items()}
+            mask = 0
+            for m in terms:
+                mask |= _reference_support(m)
+            eqs.append((terms, mask))
+        self._explore(eqs, [None] * self.nvars)
+        return tuple(sorted(self.points)), not self.hit_budget, self.nodes
+
+    def _explore(self, eqs, assignment):
+        self.nodes += 1
+        if self.nodes > self.budget:
+            self.hit_budget = True
+            return
+        for terms, mask in eqs:
+            if terms and not mask:
+                return
+        if None not in assignment:
+            point = tuple(assignment)
+            if self.system.satisfied_by(point):
+                self.points.add(point)
+            return
+        for terms, mask in eqs:
+            if mask and not mask & (mask - 1):
+                idx = mask.bit_length() - 1
+                coeffs = []
+                for m, c in terms.items():
+                    e = m[idx]
+                    if len(coeffs) <= e:
+                        coeffs.extend([0] * (e + 1 - len(coeffs)))
+                    coeffs[e] = c
+                self._branch(eqs, assignment, idx, _integer_roots(coeffs, self.B))
+                return
+        idx = next(i for i in self.var_order if assignment[i] is None)
+        self._branch(eqs, assignment, idx, range(-self.B, self.B + 1))
+
+    def _branch(self, eqs, assignment, idx, values):
+        if not values:
+            return
+        bit = 1 << idx
+        plans = [
+            _reference_split(terms, idx) if mask & bit else None for terms, mask in eqs
+        ]
+        top = max((len(row[2]) for plan in plans if plan for row in plan), default=1)
+        for value in values:
+            if self.hit_budget:
+                break
+            powers = [1] * top
+            for e in range(1, top):
+                powers[e] = powers[e - 1] * value
+            children = []
+            for eq, plan in zip(eqs, plans):
+                if plan is None:
+                    children.append(eq)
+                    continue
+                terms = {}
+                mask = 0
+                for rest, rest_mask, coeffs in plan:
+                    c = sum(map(mul, coeffs, powers))
+                    if c:
+                        terms[rest] = c
+                        mask |= rest_mask
+                children.append((terms, mask))
+            assignment[idx] = value
+            self._explore(children, assignment)
+        assignment[idx] = None
+
+
+def reference_search_box(system, B, budget=10**6):
+    """(points, exhausted, nodes) of the child-dict box search."""
+    return ReferenceBoxSearch(system, B, budget).run()
 
 
 def univariate_coeffs(p: Polynomial, name):

@@ -17,10 +17,15 @@ from kellerlab.diophantine import (
 )
 from kellerlab.expr_io import parse_polynomial as P
 from kellerlab.fibers import Line
-from kellerlab.polyring import PolyMap
-from kellerlab.transforms import choose_clearing_scale, scale_conjugate
+from kellerlab.polyring import Polynomial, PolyMap
+from kellerlab.transforms import choose_clearing_scale, conjugate_by_linear, scale_conjugate
 
-from _support import naive_grid_points, random_polynomial
+from _support import (
+    ReferenceBoxSearch,
+    naive_grid_points,
+    random_polynomial,
+    reference_search_box,
+)
 
 V = ("x", "y")
 F_TRI = PolyMap([P("x + y^3", V), P("y", V)])
@@ -288,7 +293,7 @@ def test_integer_roots_without_residue_roots_match_brute_force():
 def test_integer_roots_in_one_residue_class():
     # the only residue r with m | p(r) is the root's own class, for every m, r
     rng = random.Random(5151)
-    for m in (2, 3, 4, 5):
+    for m in (2, 3, 4, 5, 7):
         for r in range(m):
             while True:
                 a = r + m * rng.randint(-30, 30)
@@ -301,6 +306,29 @@ def test_integer_roots_in_one_residue_class():
             for B in (abs(a) - 1, abs(a), 1000):
                 assert _integer_roots(coeffs, B) == _brute_roots(coeffs, B), (coeffs, B)
             assert a in _integer_roots(coeffs, 1000)
+
+
+def test_integer_roots_of_shifted_cubes():
+    # (y + a)^3 + k: cubing is a bijection mod 2, 3 and 5, and the cubes mod 7
+    # are 0 and +-1, so -k = +-2 or +-3 mod 7 leaves no integer root
+    rng = random.Random(7171)
+    rejected_by_7_only = 0
+    for _ in range(300):
+        a = rng.randint(-50, 50)
+        k = rng.choice([7 * rng.randint(-10**4, 10**4) + r for r in (2, 3, 4, 5)])
+        assert -k % 7 not in (0, 1, 6)
+        # (y + a)^3 + k = y^3 + 3a y^2 + 3a^2 y + a^3 + k
+        coeffs = [a**3 + k, 3 * a * a, 3 * a, 1]  # a^3 + k != 0: -k is no cube mod 7
+        for B in (0, 1, 60, 1000):
+            assert _integer_roots(coeffs, B) == _brute_roots(coeffs, B) == [], (coeffs, B)
+        rejected_by_7_only += all(
+            any(_value(coeffs, r) % m == 0 for r in range(m)) for m in (2, 3, 4, 5)
+        )
+    assert rejected_by_7_only >= 150
+    # -k a cube mod 7: the integer root -a + c of (y + a)^3 - c^3 is found
+    for a, c in ((5, 2), (-4, 3), (11, -6)):
+        coeffs = [a**3 - c**3, 3 * a * a, 3 * a, 1]
+        assert _integer_roots(coeffs, 1000) == _brute_roots(coeffs, 1000) == [c - a]
 
 
 def test_root_bound_cap_equals_min_of_uncapped():
@@ -357,3 +385,117 @@ def test_search_box_pinned_sum_of_squares_budget_stop():
     # the node at which the budget tripped is counted: budget + 1
     assert rep.nodes_visited == 3001
     assert not rep.exhausted
+
+
+# ---- the engine against the child-dict reference search ----
+
+
+class _KindRecorder(ReferenceBoxSearch):
+    """Reference search that records each node's kind, in visiting order.
+
+    A kind is (unassigned variables at the node, whether its value came from
+    root extraction); node i + 1 is kinds[i], so budget i trips at it.
+    """
+
+    def __init__(self, system, B):
+        super().__init__(system, B, 10**6)
+        self.kinds = []
+        self._extracted = [False]
+
+    def _branch(self, eqs, assignment, idx, values):
+        self._extracted.append(not isinstance(values, range))
+        super()._branch(eqs, assignment, idx, values)
+        self._extracted.pop()
+
+    def _explore(self, eqs, assignment):
+        self.kinds.append((assignment.count(None), self._extracted[-1]))
+        super()._explore(eqs, assignment)
+
+
+def _stop_budgets(system, B, rng):
+    """Budgets that trip at a leaf child, a root grandchild and a scanned one.
+
+    Returns ({kind: budget}, the reference's unbudgeted answer); a leaf child
+    is a node with one variable left (none when n = 1), a grandchild one with
+    none left below a leaf child.
+    """
+    recorder = _KindRecorder(system, B)
+    answer = recorder.run()
+    leaf_unassigned = 0 if system.n == 1 else 1
+    at = {"leaf": [], "root": [], "scan": []}
+    for i, (unassigned, extracted) in enumerate(recorder.kinds):
+        if unassigned == leaf_unassigned:
+            at["leaf"].append(i)
+        elif unassigned == 0:
+            at["root" if extracted else "scan"].append(i)
+    return {kind: rng.choice(ix) for kind, ix in at.items() if ix}, answer
+
+
+def _check_against_reference(system, B, budget, expected=None):
+    rep = search_box(system, B, budget)
+    if expected is None:
+        expected = reference_search_box(system, B, budget)
+    assert (rep.points, rep.exhausted, rep.nodes_visited) == expected, (system, B, budget)
+    return rep
+
+
+def _random_system(rng):
+    n = rng.randint(1, 4)
+    names = tuple(f"x{i}" for i in range(1, n + 1))
+    planted = [rng.randint(-3, 3) for _ in names]
+    eqs = []
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.1:
+            eqs.append(Polynomial.zero(names))
+            continue
+        p = random_polynomial(rng, names, max_degree=3, max_terms=4)
+        if rng.random() < 0.6:
+            p = p - p.evaluate(planted)  # vanishes at the planted point
+        if rng.random() < 0.2:
+            # vanishes identically at x_i = c, so the last variable gets scanned
+            x = Polynomial.variable(names, rng.choice(names))
+            p = p * (x - rng.randint(-2, 2))
+        eqs.append(p)
+    return EquationSystem(tuple(eqs))
+
+
+def test_search_box_matches_reference_on_random_systems():
+    rng = random.Random(1616)
+    stops = {"leaf": 0, "root": 0, "scan": 0}
+    found = 0
+    for _ in range(2000):
+        system = _random_system(rng)
+        B = rng.randint(0, (7, 7, 4, 2)[system.n - 1])  # at most 820 nodes
+        budgets, answer = _stop_budgets(system, B, rng)
+        rep = _check_against_reference(system, B, 10**6, answer)
+        found += bool(rep.points)
+        for kind, budget in budgets.items():
+            stopped = _check_against_reference(system, B, budget)
+            assert stopped.nodes_visited == budget + 1 and not stopped.exhausted
+            stops[kind] += 1
+    assert min(stops.values()) >= 200 and found >= 500, (stops, found)
+
+
+def _s3_map(signs):
+    # the benchmark's hard-tier class s3: triangular_3 conjugated by D A
+    A = ((1, 0, 1), (0, 1, 0), (0, 0, 1))
+    F = load_bundled_map("triangular_3.map").to_poly_map()
+    return conjugate_by_linear(F, [[s * x for x in row] for s, row in zip(signs, A)])
+
+
+def test_search_box_matches_reference_on_curves():
+    from kellerlab.bundled import load_bundled_system
+
+    rng = random.Random(1717)
+    cf_t2 = EquationSystem(tuple(load_bundled_system("cf_triangular_2.sys").to_polynomials()))
+    cases = [(cf_t2, 1500)]
+    for signs in ((1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1)):
+        F = _s3_map(signs)
+        for system in (curve_CF(F), EquationSystem((cor1_sum_of_squares(F),))):
+            cases += [(system, 7), (system, rng.choice((25, 40)))]
+    for system, B in cases:
+        budgets, answer = _stop_budgets(system, B, rng)
+        assert "leaf" in budgets and "root" in budgets
+        _check_against_reference(system, B, 10**6, answer)
+        for budget in budgets.values():
+            _check_against_reference(system, B, budget)
