@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import SingularMatrixError
-from .polyring import Polynomial
+from .polyring import Polynomial, _add_terms
 
 
 def fraction_matrix_inverse(rows):
@@ -82,25 +82,20 @@ def _det_cofactor(a) -> Polynomial:
     of each set of rows against the trailing columns computed once: at most
     2^n minors, where expanding every minor afresh walks n!/2 paths."""
     n = len(a)
-    if n == 1:
-        return a[0][0]
     minors = {}
 
     def minor(rows):
-        det = minors.get(rows)
-        if det is not None:
-            return det
         col = n - len(rows)
-        if len(rows) == 2:
-            i, j = rows
-            det = a[i][col] * a[j][col + 1] - a[i][col + 1] * a[j][col]
-        else:
-            det = Polynomial.zero(a[0][0].variables)
+        if col == n - 1:
+            return a[rows[0]][col]
+        det = minors.get(rows)
+        if det is None:
+            acc = {}
             for k, i in enumerate(rows):
                 if not a[i][col].is_zero():
                     term = a[i][col] * minor(rows[:k] + rows[k + 1 :])
-                    det = det - term if k % 2 else det + term
-        minors[rows] = det
+                    _add_terms(acc, term.terms, -1 if k % 2 else 1)
+            det = minors[rows] = Polynomial._raw(a[0][0].variables, acc)
         return det
 
     return minor(tuple(range(n)))

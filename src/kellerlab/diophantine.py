@@ -1,27 +1,28 @@
 """Curve equation systems and exhaustive integer-point search in a box.
 
-Systems are cleared to integer-primitive equations on construction, and
-the search runs on plain ints: each equation is converted once to a map from
-exponent tuples to int coefficients.  At each node the equations are grouped
-by their monomials in the other variables, so assigning a value is one int
-dot product per group; no Fraction or Polynomial is built below the root.
-The depth-first search assigns variables in a heuristic order and, whenever
-a specialized equation involves exactly one unassigned variable, replaces
-range scanning by exact integer root extraction.  The leaf level, where at
-most one variable is left after the assignment, builds no child maps: each
-equation is grouped once by the power of the last variable, so a value
-gives its coefficient lists in that variable directly, and the roots of the
-first non-constant one are checked on every equation.  An integer root y
-has m | p(y mod m) for every m, so the values p(0), p(+-1), p(+-2) and
-p(+-3) rule out every nonzero root when some m = 2, 3, 4, 5 or 7 divides
-none of the values at its residues; most extractions end there, in O(d).
-The rest run a divisor test on the constant term for candidates up to a
-root bound of the polynomial, cut at the box radius.  Every reported point
-is re-verified on the system.
+Systems are cleared to integer-primitive equations on construction and store
+each one once more as a map from exponent tuples to int coefficients; the
+search and the point check run on that form alone.  At each node `_split`
+groups the equations by their monomials in the other variables, so assigning
+a value is one int dot product per group; no Fraction or Polynomial is
+built.  The depth-first search assigns variables in a heuristic order and,
+whenever a specialized equation involves exactly one unassigned variable,
+replaces range scanning by exact integer root extraction.  The leaf level,
+where at most one variable is left after the assignment, builds no child
+maps: the `_split` rows of each equation are keyed by the power of the last
+variable, so a value gives its coefficient lists in that variable directly,
+and the roots of the first non-constant one are checked on every equation.
+An integer root y has m | p(y mod m) for every m, so the values p(0),
+p(+-1), p(+-2) and p(+-3) rule out every nonzero root when some m = 2, 3, 4,
+5 or 7 divides none of the values at its residues; most extractions end
+there, in O(d).  The rest run a divisor test on the constant term for
+candidates up to a root bound of the polynomial, cut at the box radius.
+Every reported point is re-verified on the int equations.
 
-A node budget turns oversized searches into a reported non-exhaustive
-result, never a hang.  The node at which the budget trips is counted, so a
-stopped search reports budget + 1 nodes.
+A node budget turns large searches into a reported non-exhaustive result.
+The node at which the budget trips is counted, so a stopped search reports
+budget + 1 nodes.  The budget does not count a root extraction's trial
+divisions, so at a large radius one node can take seconds.
 
 Reports cannot certify emptiness: "none in box" always means "no nonzero
 integer point with max-norm <= B", nothing more.
@@ -29,21 +30,24 @@ integer point with max-norm <= B", nothing more.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from math import prod
 from operator import mul
 
 from .errors import VariableMismatchError
 from .fibers import Line
-from .polyring import Polynomial, PolyMap, integer_root, make_primitive
+from .polyring import Polynomial, PolyMap, _add_terms, integer_root, make_primitive
 
 DEFAULT_NODE_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
 class EquationSystem:
-    """Equations p = 0 over one shared variable list, integer-primitive."""
+    """Equations p = 0 over one shared variable list, integer-primitive,
+    each also kept as an {exponent tuple: int} map in `integer_terms`."""
 
     polynomials: tuple
+    integer_terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         polys = tuple(self.polynomials)
@@ -56,6 +60,9 @@ class EquationSystem:
                 raise VariableMismatchError("equations over different variables")
             cleaned.append(make_primitive(p))
         object.__setattr__(self, "polynomials", tuple(cleaned))
+        object.__setattr__(self, "integer_terms", tuple(
+            {m: c.numerator for m, c in p.terms.items()} for p in cleaned
+        ))
 
     @property
     def variables(self):
@@ -66,7 +73,13 @@ class EquationSystem:
         return len(self.variables)
 
     def satisfied_by(self, point) -> bool:
-        return all(p.evaluate(point) == 0 for p in self.polynomials)
+        point = tuple(point)
+        if len(point) != self.n:
+            raise ValueError("point length does not match variable count")
+        return not any(
+            sum(c * prod(map(pow, point, m)) for m, c in terms.items())
+            for terms in self.integer_terms
+        )
 
 
 def curve_CF(F: PolyMap) -> EquationSystem:
@@ -109,10 +122,10 @@ def cor1_sum_of_squares(F: PolyMap) -> Polynomial:
     """F_1^2 + ... + F_{n-1}^2; its integer zeros are the common zeros."""
     if F.n < 2:
         raise ValueError("need at least two components")
-    total = Polynomial.zero(F.variables)
+    total = {}
     for c in F.components[: F.n - 1]:
-        total = total + c * c
-    return total
+        _add_terms(total, (c * c).terms)
+    return Polynomial._raw(F.variables, total)
 
 
 # ---- box search ----
@@ -238,8 +251,8 @@ def _support(monomial) -> int:
 def _split(terms, idx):
     """Group {monomial: int} by the monomial with variable idx set to 0.
 
-    Returns (rest, support of rest, coefficients of idx^0, idx^1, ...) rows,
-    so specializing idx = v is one dot product per row.
+    Returns {rest: coefficients of idx^0, idx^1, ...}, so specializing
+    idx = v is one dot product per row.
     """
     rows = {}
     for m, c in terms.items():
@@ -251,7 +264,7 @@ def _split(terms, idx):
         if len(coeffs) <= e:
             coeffs.extend([0] * (e + 1 - len(coeffs)))
         coeffs[e] = c
-    return [(rest, _support(rest), coeffs) for rest, coeffs in rows.items()]
+    return rows
 
 
 class _BoxSearch:
@@ -284,14 +297,12 @@ class _BoxSearch:
 
     def run(self):
         eqs = []
-        for p in self.system.polynomials:
-            if p.is_zero():
-                continue
-            terms = {m: int(c) for m, c in p.terms.items()}
-            mask = 0
-            for m in terms:
-                mask |= _support(m)
-            eqs.append((terms, mask))
+        for terms in self.system.integer_terms:
+            if terms:
+                mask = 0
+                for m in terms:
+                    mask |= _support(m)
+                eqs.append((terms, mask))
         self._explore(eqs, [None] * self.nvars)
 
     def _explore(self, eqs, assignment):
@@ -312,12 +323,8 @@ class _BoxSearch:
         for terms, mask in eqs:
             if mask and not mask & (mask - 1):
                 idx = mask.bit_length() - 1
-                coeffs = []
-                for m, c in terms.items():
-                    e = m[idx]
-                    if len(coeffs) <= e:
-                        coeffs.extend([0] * (e + 1 - len(coeffs)))
-                    coeffs[e] = c
+                # every other variable is gone, so _split gives one row
+                [coeffs] = _split(terms, idx).values()
                 self._branch(eqs, assignment, idx, _integer_roots(coeffs, self.B))
                 return
 
@@ -332,7 +339,11 @@ class _BoxSearch:
             self._leaf(eqs, assignment, idx, values)
             return
         bit = 1 << idx
-        plans = [_split(terms, idx) if mask & bit else None for terms, mask in eqs]
+        plans = [
+            [(rest, _support(rest), row) for rest, row in _split(terms, idx).items()]
+            if mask & bit else None
+            for terms, mask in eqs
+        ]
         top = max(
             (len(row[2]) for plan in plans if plan for row in plan), default=1
         )
@@ -377,16 +388,13 @@ class _BoxSearch:
         )
         tables = []
         for terms, _ in eqs:
+            # each _split row is a monomial in `last` alone
             rows = []
-            for m, c in terms.items():
-                e = 0 if last is None else m[last]
+            for rest, coeffs in _split(terms, idx).items():
+                e = 0 if last is None else rest[last]
                 if len(rows) <= e:
                     rows.extend([] for _ in range(e + 1 - len(rows)))
-                row = rows[e]
-                k = m[idx]
-                if len(row) <= k:
-                    row.extend([0] * (k + 1 - len(row)))
-                row[k] = c
+                rows[e] = coeffs
             tables.append(rows)
         top = max((len(row) for rows in tables for row in rows), default=1)
         B = self.B

@@ -41,7 +41,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ParseError
-from .polyring import Polynomial, PolyMap
+from .polyring import Polynomial, PolyMap, _add_terms
 
 # Largest total degree of an expanded power of a base with more than one
 # term.  The bundled and hard-tier maps need 3; (x+y+1)^60 must still parse.
@@ -195,21 +195,9 @@ class _Parser:
     def expr(self) -> Polynomial:
         # add each term into one term map, not p + q per term
         acc = dict(self.term().terms)
-        get = acc.get
         while self.cur.kind == "op" and self.cur.text in "+-":
-            plus = self.advance().text == "+"
-            for m, c in self.term().terms.items():
-                if not plus:
-                    c = -c
-                s = get(m)
-                if s is None:
-                    acc[m] = c
-                    continue
-                s += c
-                if s:
-                    acc[m] = s
-                else:
-                    del acc[m]
+            sign = 1 if self.advance().text == "+" else -1
+            _add_terms(acc, self.term().terms, sign)
         return Polynomial._raw(self.variables, acc)
 
     def term(self) -> Polynomial:

@@ -9,7 +9,8 @@ safe to share across threads and picklable.
 `Fraction` is the interface, not the arithmetic: products and exact
 division convert their operands once to integer numerators over a common
 denominator with each monomial packed into one int, run on integers, and
-build a `Fraction` only for the terms of the result.
+build a `Fraction` only for the terms of the result.  Sums stay on
+fractions, added in place into one accumulator by `_add_terms`.
 """
 
 from __future__ import annotations
@@ -106,6 +107,25 @@ def _unpack(packed, den, layout):
     if den == 1:
         return {unpack(key): Fraction(c) for key, c in packed if c}
     return {unpack(key): Fraction(c, den) for key, c in packed if c}
+
+
+def _add_terms(acc, terms, scale=1):
+    """Add scale * terms into the term map acc in place and return acc.
+
+    The one term-map sum: a sum that cancels is deleted, so acc never holds
+    a zero coefficient, and a zero scale adds nothing."""
+    if scale != 1:
+        terms = {m: c * scale for m, c in terms.items()} if scale else {}
+    get = acc.get
+    for m, c in terms.items():
+        s = get(m)
+        if s is None:
+            acc[m] = c
+        elif s := s + c:
+            acc[m] = s
+        else:
+            del acc[m]
+    return acc
 
 
 class Polynomial:
@@ -227,21 +247,7 @@ class Polynomial:
             )
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.variables, other)
-        self._check_same_ring(other)
-        res = dict(self.terms)
-        for m, c in other.terms.items():
-            s = res.get(m)
-            if s is None:
-                res[m] = c
-                continue
-            s += c
-            if s:
-                res[m] = s
-            else:
-                del res[m]
-        return Polynomial._raw(self.variables, res)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -249,12 +255,17 @@ class Polynomial:
         return Polynomial._raw(self.variables, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.variables, other)
-        return self.__add__(other.__neg__())
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
+
+    def _plus(self, other, scale):
+        if isinstance(other, (int, Fraction)):
+            other = Polynomial.constant(self.variables, other)
+        self._check_same_ring(other)
+        res = _add_terms(dict(self.terms), other.terms, scale)
+        return Polynomial._raw(self.variables, res)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -328,15 +339,6 @@ class Polynomial:
             res[dm] = c * e
         return Polynomial._raw(self.variables, res)
 
-    def homogeneous_components(self):
-        """List of (degree, component) pairs, degrees strictly increasing."""
-        buckets = {}
-        for m, c in self.terms.items():
-            buckets.setdefault(sum(m), {})[m] = c
-        return [
-            (d, Polynomial._raw(self.variables, buckets[d])) for d in sorted(buckets)
-        ]
-
     def leading_form(self):
         """Highest-degree homogeneous component (the form at infinity)."""
         if self.is_zero():
@@ -404,16 +406,16 @@ def substitute(p: Polynomial, bindings, target_variables) -> Polynomial:
             cache.append(cache[-1] * cache[1])
         return cache[e]
 
-    total = Polynomial.zero(ring_vars)
+    total = {}
     for m, c in p.terms.items():
-        prod = Polynomial.constant(ring_vars, c)
+        prod = one
         for name, e in zip(p.variables, m):
             if e:
-                prod = prod * power(name, e)
+                prod = power(name, e) if prod is one else prod * power(name, e)
                 if prod.is_zero():
                     break
-        total = total + prod
-    return total
+        _add_terms(total, prod.terms, c)
+    return Polynomial._raw(ring_vars, total)
 
 
 # ---- ring-surgery helpers ----

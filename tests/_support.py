@@ -186,6 +186,14 @@ def coprime_pair(rng, variables, max_degree=4):
 # ---- independent oracles ----
 
 
+def homogeneous_components(p: Polynomial):
+    """List of (degree, component) pairs, degrees strictly increasing."""
+    buckets = {}
+    for m, c in p.terms.items():
+        buckets.setdefault(sum(m), {})[m] = c
+    return [(d, Polynomial(p.variables, buckets[d])) for d in sorted(buckets)]
+
+
 def naive_mul(a: dict, b: dict):
     """Dict-of-exponent-tuples product by plain distribution."""
     out = {}

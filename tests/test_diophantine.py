@@ -24,6 +24,7 @@ from _support import (
     ReferenceBoxSearch,
     naive_grid_points,
     random_polynomial,
+    random_rational,
     reference_search_box,
 )
 
@@ -499,3 +500,47 @@ def test_search_box_matches_reference_on_curves():
         _check_against_reference(system, B, 10**6, answer)
         for budget in budgets.values():
             _check_against_reference(system, B, budget)
+
+
+def test_satisfied_by_matches_rational_evaluation():
+    # the integer form against Polynomial.evaluate on the rational equations
+    # the system was built from
+    rng = random.Random(1818)
+    on_curve = 0
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        names = tuple(f"x{i}" for i in range(1, n + 1))
+        planted = [rng.randint(-3, 3) for _ in names]
+        eqs = []
+        for _ in range(rng.randint(1, 3)):
+            p = random_polynomial(rng, names, max_degree=3, max_terms=4)
+            p = p * random_rational(rng, den_choices=(2, 3, 7)) + random_rational(rng)
+            if rng.random() < 0.7:
+                p = p - p.evaluate(planted)
+            eqs.append(p)
+        system = EquationSystem(tuple(eqs))
+        points = [planted] + [[rng.randint(-4, 4) for _ in names] for _ in range(5)]
+        for pt in points:
+            expected = all(p.evaluate(pt) == 0 for p in eqs)
+            assert system.satisfied_by(pt) == expected
+            on_curve += expected
+        for bad in (planted[:-1], planted + [0]):
+            with pytest.raises(ValueError):
+                system.satisfied_by(bad)
+    assert on_curve >= 50
+
+
+def test_search_box_point_rich_plane_union():
+    # x y (x + y + z - 1) = 0 in a box of side 31: a point-rich search
+    W = ("x", "y", "z")
+    system = EquationSystem((P("x*y*(x + y + z - 1)", W),))
+    B = 15
+    grid = range(-B, B + 1)
+    expected = [
+        (x, y, z) for x in grid for y in grid for z in grid
+        if x * y * (x + y + z - 1) == 0
+    ]
+    rep = search_box(system, B)
+    assert len(expected) == 2552
+    assert list(rep.points) == expected
+    assert rep.nodes_visited == 3545 and rep.exhausted

@@ -8,6 +8,7 @@ from kellerlab.errors import ExactDivisionError, VariableMismatchError
 from kellerlab.polyring import (
     Polynomial,
     PolyMap,
+    _add_terms,
     exact_div,
     integer_content,
     integer_root,
@@ -19,6 +20,7 @@ from kellerlab.polyring import (
 
 from _support import (
     coprime_pair,
+    homogeneous_components,
     naive_mul,
     random_linear_bindings,
     random_polynomial,
@@ -47,6 +49,36 @@ def test_arith_cube_matches_naive_distribution():
     got = (X + Y**3) ** 3
     assert got.terms == {m: Fraction(c) for m, c in expected.items()}
     assert len(got.terms) == 4
+
+
+def test_add_terms_matches_termwise_sum_and_fold():
+    rng = random.Random(2424)
+    W = ("x", "y", "z")
+    cancelled = 0
+    for _ in range(500):
+        polys = [random_polynomial(rng, W, max_degree=2, max_terms=5)
+                 for _ in range(rng.randint(1, 4))]
+        polys.append(-rng.choice(polys) + random_polynomial(rng, W, max_degree=1))
+        scales = [rng.choice((1, -1, 0, random_rational(rng))) for _ in polys]
+        acc = {}
+        fold = Polynomial.zero(W)
+        for p, s in zip(polys, scales):
+            before = dict(acc)
+            assert _add_terms(acc, p.terms, s) is acc
+            if s == 0:
+                assert acc == before
+            assert all(acc.values())
+            fold = fold + p if s == 1 else fold - p if s == -1 else fold + s * p
+            assert acc == fold.terms
+        expected = {}
+        for m in set().union(*(p.terms for p in polys)):
+            c = sum(s * p.coefficient(m) for p, s in zip(polys, scales))
+            if c:
+                expected[m] = c
+            elif any(s and m in p.terms for p, s in zip(polys, scales)):
+                cancelled += 1
+        assert acc == expected
+    assert cancelled >= 100
 
 
 def test_arith_variable_mismatch():
@@ -103,13 +135,6 @@ def test_partial_derivative_examples():
     assert (X**2 * Y**3).partial_derivative("x") == 2 * X * Y**3
 
 
-def test_homogeneous_components_examples():
-    assert (X + Y**3).homogeneous_components() == [(1, X), (3, Y**3)]
-    assert Polynomial.zero(V).homogeneous_components() == []
-    comps = (X**2 + X * Y + Y**2 + X).homogeneous_components()
-    assert comps == [(1, X), (2, X**2 + X * Y + Y**2)]
-
-
 def test_leading_form_examples():
     assert (X * Y - 1).leading_form() == X * Y
     assert X.leading_form() == X
@@ -124,7 +149,7 @@ def test_leading_form_is_top_homogeneous_component_1000():
     while checked < 1000:
         p = random_polynomial(rng, ("x", "y", "z"), max_degree=5, max_terms=6)
         if not p.is_zero():
-            assert p.leading_form() == p.homogeneous_components()[-1][1]
+            assert p.leading_form() == homogeneous_components(p)[-1][1]
             checked += 1
 
 
@@ -199,17 +224,6 @@ def test_substitution_functoriality_linear():
         left = substitute(substitute(p, sigma, V), tau, V)
         right = substitute(p, composed, V)
         assert left == right
-
-
-def test_homogeneous_roundtrip_1000():
-    rng = random.Random(404)
-    for _ in range(1000):
-        p = random_polynomial(rng, V, max_degree=5, max_terms=6)
-        total = Polynomial.zero(V)
-        for _, comp in p.homogeneous_components():
-            assert comp.homogeneous_components()[0][0] == comp.total_degree()
-            total = total + comp
-        assert total == p
 
 
 def test_squarefree_squares_collapse():

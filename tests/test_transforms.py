@@ -20,6 +20,7 @@ from kellerlab.transforms import (
 )
 
 from _support import (
+    homogeneous_components,
     random_map_fixing_origin,
     random_poly_map,
     random_sl2,
@@ -48,7 +49,7 @@ def test_scale_conjugate_homogeneous_expansion():
         scaled = scale_conjugate(F, r)
         for orig, got in zip(F.components, scaled.components):
             expected = Polynomial.zero(V)
-            for d, comp in orig.homogeneous_components():
+            for d, comp in homogeneous_components(orig):
                 expected = expected + comp * r ** (d - 1)
             assert got == expected
 
