@@ -9,9 +9,13 @@ pair update (JSC 6, 1988), on polyring's packed monomials: a term order is
 a `MonomialLayout`.  The working basis holds primitive integer
 polynomials, {packed monomial: int} maps with a positive leading
 coefficient; normal forms are fraction-free and take the leading term from
-a heap.  Fractions appear only when the reduced basis is made monic.  A
-hard budget (basis size, total degree, field overflow) turns runaway
-computations into clean BudgetExceededError instead of hangs.
+a heap.  Fractions appear only when the reduced basis is made monic.
+
+A budget on basis size, total degree and packed-field overflow stops many
+runaway computations with BudgetExceededError, but it bounds no time: a run
+can stay below every budget for minutes.  The elimination behind
+`bifurcation --no-fiber-degree` on the dense cubic (x1 + (x1+x2)^3,
+x2 + (x2-x3)^3, x3 + (x1+x3)^3) is one such run.
 """
 
 from __future__ import annotations
@@ -259,7 +263,12 @@ def reduce_poly(p: Polynomial, basis, key) -> Polynomial:
 
 
 def groebner(I: Ideal, order: TermOrder, max_degree: int = MAX_DEGREE) -> Ideal:
-    """Reduced Groebner basis of I with respect to `order`."""
+    """Reduced Groebner basis of I with respect to `order`.
+
+    Each element is monic and lists its terms in descending order, so
+    `next(iter(g.terms))` is its leading monomial.  The zero ideal gives the
+    single zero generator.
+    """
     variables = I.variables
     layout = order.key_function(variables)
     guard = layout.guard
@@ -362,17 +371,14 @@ def eliminate(I: Ideal, keep) -> Ideal:
     gone = [v for v in variables if v not in keep]
     kept = tuple(v for v in variables if v in keep)
     order = TermOrder.block(gone, kept)
-    G = groebner(I, order)
-    if G.is_zero():
-        return Ideal((Polynomial.zero(kept),))
-    gens = [
+    gens = tuple(
         with_variables(g, kept)
-        for g in G.generators
+        for g in groebner(I, order).generators
         if not (g.support_variables() & set(gone))
-    ]
-    if not gens:
-        return Ideal((Polynomial.zero(kept),))
-    return Ideal(tuple(gens))
+    )
+    # no generator free of `gone`: the zero ideal of Q[keep] (the zero
+    # ideal of I passes through as its zero generator)
+    return Ideal(gens or (Polynomial.zero(kept),))
 
 
 # ---- minimal polynomials and fiber degree ----
@@ -438,7 +444,7 @@ def minimal_poly_of_coordinate(F: PolyMap, i: int) -> Polynomial:
             f"coordinate {xi!r} satisfies no algebraic relation over the image; "
             "map is not dominant"
         )
-    gens = [g for g in E.generators if not g.is_zero()]
+    gens = E.generators
     if any(g.degree_in(xi) == 0 for g in gens):
         # a relation purely among the Y's: the image lies in a hypersurface
         raise NotDominantError(
@@ -471,12 +477,10 @@ def generic_fiber_degree(F: PolyMap, sample) -> int:
     if len(sample) != F.n:
         raise ValueError("sample length does not match component count")
     gens = tuple(f - s for f, s in zip(F.components, sample))
-    order = TermOrder.grlex(F.variables)
-    G = groebner(Ideal(gens), order)
+    G = groebner(Ideal(gens), TermOrder.grlex(F.variables))
     if G.is_zero():
         raise NotZeroDimensionalError("fiber ideal is zero")
-    key = order.key_function(F.variables)
-    lms = [max(g.terms, key=key) for g in G.generators if not g.is_zero()]
+    lms = [next(iter(g.terms)) for g in G.generators]  # groebner's leading terms
     if any(sum(m) == 0 for m in lms):
         return 0  # 1 in the ideal: empty fiber
     nvars = len(F.variables)

@@ -121,22 +121,22 @@ def _tokenize(text, line0=1, col0=1):
             col += 1
             continue
         start_line, start_col = line, col
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             num = parse_int(text[i:j])
             den = None
             if j < n and text[j] == "/":
                 k = j + 1
-                if k >= n or not text[k].isdigit():
+                if k >= n or not text[k].isdecimal():
                     raise ParseError(
                         "expected digits after '/' in rational literal",
                         start_line,
                         start_col + (j - i),
                     )
                 m = k
-                while m < n and text[m].isdigit():
+                while m < n and text[m].isdecimal():
                     m += 1
                 den = parse_int(text[k:m])
                 if den == 0:
@@ -387,8 +387,11 @@ def _parse_header_lines(text):
                 names = rest.split()
                 if not names:
                     raise ParseError("empty variable list", lineno, len(head) + 2)
+                start = 0  # offset in rest, whose column is len(head) + 2
                 for name in names:
-                    _check_name(name, lineno, 1)
+                    start = rest.index(name, start)
+                    _check_name(name, lineno, len(head) + 2 + start)
+                    start += len(name)
                 if len(set(names)) != len(names):
                     raise ParseError("duplicate variable name", lineno, len(head) + 2)
                 variables = tuple(names)

@@ -12,15 +12,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .elim import discriminant, generic_fiber_degree, minimal_poly_of_coordinate, resultant
+from .elim import generic_fiber_degree, minimal_poly_of_coordinate, resultant
 from .errors import NotZeroDimensionalError
 from .polyring import (
     Polynomial,
     PolyMap,
     coefficients_in,
     divides,
-    drop_variables,
-    rename_variables,
     squarefree_part,
     substitute,
     with_variables,
@@ -149,28 +147,32 @@ def _on_line(p: Polynomial, us, vs):
         bindings[name] = (
             Polynomial.variable(ring, uname) + t * Polynomial.variable(ring, vname)
         )
-    return substitute(p, bindings, ring), ring
+    return substitute(p, bindings, ring)
+
+
+def _line_resultant(p: Polynomial, q: Polynomial, us, vs) -> Polynomial:
+    """Res_t(p, q) over (U..., V...), for p and q over (U..., V..., t)."""
+    return with_variables(resultant(p, q, "t"), us + vs)
 
 
 def poly_D(H: Polynomial) -> Polynomial:
     """coneform(V) * Disc_t(H(U + tV)), over (U, V).
 
-    The t-leading coefficient of H(U + tV) is coneform(V), a nonzero
-    polynomial, so Disc_t is taken at t-degree deg H.  The cone factor
-    makes D vanish whenever a specialized direction lies on the cone at
-    infinity (where the t-degree drops), which the discriminant alone would
-    miss; for deg H = 1 the discriminant is 1 and D is the cone factor
-    alone.  H(U + tV) is expanded by substitution; the cone factor is the
-    leading form of H with its variables renamed to V.
+    The t-leading coefficient of p = H(U + tV) is coneform(V), a nonzero
+    polynomial, so p has t-degree d = deg H and D is one resultant:
+    coneform(V) * Disc_t(p) = (-1)^(d(d-1)/2) Res_t(p, dp/dt).  The cone
+    factor makes D vanish whenever a specialized direction lies on the cone
+    at infinity (where the t-degree drops), which the discriminant alone
+    would miss; for d = 1, dp/dt is coneform(V) itself and D is the cone
+    factor alone.
     """
     if H.is_constant():
         raise ValueError("H must be nonconstant")
-    n = len(H.variables)
-    us, vs = _uv_ring(n)
-    restricted, ring = _on_line(H, us, vs)
-    disc = discriminant(restricted, "t")
-    cone = rename_variables(H.leading_form(), dict(zip(H.variables, vs)))
-    return drop_variables(with_variables(cone, ring) * disc, ("t",))
+    us, vs = _uv_ring(len(H.variables))
+    p = _on_line(H, us, vs)
+    D = _line_resultant(p, p.partial_derivative("t"), us, vs)
+    d = H.total_degree()
+    return -D if d * (d - 1) // 2 % 2 else D
 
 
 def poly_R(components) -> Polynomial:
@@ -186,13 +188,11 @@ def poly_R(components) -> Polynomial:
     total = Polynomial.one(us + vs)
     for comp in components:
         h = comp.h_W
-        h_line, _ = _on_line(h, us, vs)
+        h_line = _on_line(h, us, vs)
         for g in comp.g_list:
             if g.variables != h.variables:
                 raise ValueError("component polynomials over different variables")
-            g_line, _ = _on_line(g, us, vs)
-            res = resultant(h_line, g_line, "t")
-            total = total * drop_variables(res, ("t",))
+            total = total * _line_resultant(h_line, _on_line(g, us, vs), us, vs)
     return total
 
 
@@ -221,8 +221,7 @@ def sigma(
         return Polynomial.one(ring)
     D = poly_D(data.H)
     if components:
-        R = poly_R(components)
-        return with_variables(D, ring) * with_variables(R, ring)
+        return D * poly_R(components)
     return D
 
 

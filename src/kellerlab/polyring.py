@@ -456,17 +456,6 @@ def rename_variables(p: Polynomial, mapping) -> Polynomial:
     return Polynomial._raw(new_vars, dict(p.terms))
 
 
-def drop_variables(p: Polynomial, names) -> Polynomial:
-    """Remove unused variables from the ring (error if any occurs in p)."""
-    names = set(names)
-    used = p.support_variables()
-    clash = sorted(names & used)
-    if clash:
-        raise VariableMismatchError(f"cannot drop occurring variable(s) {clash}")
-    keep = [v for v in p.variables if v not in names]
-    return with_variables(p, keep)
-
-
 def coefficients_in(p: Polynomial, name) -> list:
     """Coefficients of powers of one variable, index = exponent.
 

@@ -586,3 +586,29 @@ def test_transform_digest_covers_the_option(capsys, tri2, subverb, values):
     first, second = values
     assert digest(first) == digest(first)
     assert digest(first) != digest(second)
+
+
+def test_benchmark_tracer_fits_the_package(bif):
+    # bench/tracing.py wraps functions by name and reads Ideal.generators; a
+    # refactor that renames either would otherwise surface only in a traced
+    # benchmark run
+    import importlib.util
+
+    import kellerlab
+
+    spec = importlib.util.spec_from_file_location(
+        "tracing", os.path.join(ROOT, "bench", "tracing.py"))
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer(kellerlab)
+    try:
+        tracer.install()
+        for i, verb in enumerate(("bifurcation", "sigma")):
+            tracer.job = (i, verb)
+            assert kellerlab.cli.main([verb, bif]) == 0
+    finally:
+        tracer.uninstall()
+    assert kellerlab.cli.main is main
+    names = {span[2] for span in tracer.spans}
+    assert {"cli.main", "elim.groebner", "elim.resultant", "fibers.poly_D"} <= names
+    assert tracer.agg["elim.groebner"]["basis_out"] > 0

@@ -9,7 +9,7 @@ import pytest
 from kellerlab.bundled import load_bundled_map
 from kellerlab.diophantine import EquationSystem, curve_CF, search_box
 from kellerlab.elim import generic_fiber_degree
-from kellerlab.errors import BudgetExceededError, ParseError
+from kellerlab.errors import BudgetExceededError, ParseError, VariableMismatchError
 from kellerlab.expr_io import parse_polynomial as P
 from kellerlab.expr_io import print_polynomial
 from kellerlab.fibers import bifurcation_data
@@ -27,6 +27,14 @@ def test_with_variables_reorders():
     q = with_variables(p, ("x", "y"))
     assert q == P("x + 2*y^3", ("x", "y"))
     assert with_variables(q, ("y", "x")) == p
+
+
+def test_with_variables_drops_only_absent_variables():
+    p = P("x + 2*x^3", ("y", "x", "t"))
+    assert with_variables(p, ("x",)) == P("x + 2*x^3", ("x",))
+    for target in (("y", "t"), ()):
+        with pytest.raises(VariableMismatchError, match="'x' absent"):
+            with_variables(p, target)
 
 
 def test_formal_inverse_of_conjugated_keller_map():

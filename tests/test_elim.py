@@ -148,6 +148,23 @@ def test_reduce_poly_matches_reference():
             assert reduce_poly(p, basis, key) == reference_reduce_poly(p, basis, ref)
 
 
+def test_groebner_elements_list_their_terms_in_descending_order():
+    # generic_fiber_degree reads each element's first term as its leading term
+    rng = random.Random(1818)
+    W = ("x", "y", "z")
+    for order in _orders(W):
+        key = order.key_function(W)
+        for _ in range(8):
+            gens = [
+                random_polynomial(rng, W, max_degree=3, max_terms=5, allow_zero=False)
+                .map_coefficients(lambda c: c / rng.choice((1, 2, 3)))
+                for _ in range(2)
+            ]
+            for g in groebner(Ideal(tuple(gens)), order).generators:
+                assert next(iter(g.terms)) == max(g.terms, key=key)
+                assert list(g.terms) == sorted(g.terms, key=key, reverse=True)
+
+
 def _rational_generators(rng, variables, count):
     """Random generators with denominators and non-monic leading terms."""
     gens = []

@@ -271,6 +271,27 @@ def test_parse_error_positions_unchanged():
 
 
 
+def test_superscript_digits_are_positioned_parse_errors():
+    # str.isdigit() holds for '²', which int() rejects without a position
+    for text, message, column in (
+        ("2 + ²", "unexpected character '²'", 5),
+        ("x^²", "unexpected character '²'", 3),
+        ("1/²", "expected digits after '/'", 2),
+    ):
+        with pytest.raises(ParseError, match=message) as err:
+            parse_polynomial(text, V)
+        assert (err.value.line, err.value.column) == (1, column)
+    # decimal digits of other scripts are digits
+    assert parse_polynomial("٣*x + 1/٤", V) == parse_polynomial("3*x + 1/4", V)
+
+
+def test_bad_variable_name_reports_its_column():
+    for text, column in (("vars: x 1y\nF1 = x\n", 9), ("  vars: x  y-z\nF1 = x\n", 12)):
+        with pytest.raises(ParseError, match="bad identifier") as err:
+            parse_map_file(text)
+        assert (err.value.line, err.value.column) == (1, column)
+
+
 def test_lexical_error_wins_over_an_earlier_syntax_error():
     # tokens are read lazily, yet a bad character anywhere in the text is
     # reported before a syntax error ahead of it

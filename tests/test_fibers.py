@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from kellerlab.elim import discriminant
 from kellerlab.expr_io import parse_polynomial as P
 from kellerlab.fibers import (
     ComponentData,
@@ -20,6 +21,7 @@ from kellerlab.polyring import (
     PolyMap,
     coefficients_in,
     exact_div,
+    rename_variables,
     substitute,
     with_variables,
 )
@@ -27,6 +29,7 @@ from kellerlab.transforms import conjugate_by_linear, extend_variables, scale_co
 
 from _support import (
     is_scalar_multiple,
+    random_polynomial,
     random_rational,
     reference_resultant,
     random_sl2,
@@ -97,6 +100,31 @@ def test_poly_D_hyperbola_sample():
     assert D.evaluate([0, 0, 1, 1]) != 0
 
 
+def _cone_times_discriminant(H):
+    """coneform(V) * Disc_t(H(U + tV)) over (U, V), built term by term: the
+    leading form renamed to V, times `discriminant` of H(U + tV)."""
+    n = len(H.variables)
+    us = tuple(f"U{k}" for k in range(1, n + 1))
+    vs = tuple(f"V{k}" for k in range(1, n + 1))
+    ring = us + vs + ("t",)
+    line = {x: P(f"{u} + t*{v}", ring) for x, u, v in zip(H.variables, us, vs)}
+    disc = discriminant(substitute(H, line, ring), "t")
+    cone = rename_variables(H.leading_form(), dict(zip(H.variables, vs)))
+    return with_variables(with_variables(cone, ring) * disc, us + vs)
+
+
+def test_poly_D_is_the_cone_factor_times_the_discriminant():
+    rng = random.Random(1919)
+    for trial in range(60):
+        ring = ("Y1", "Y2", "Y3")[: 2 + trial % 2]
+        d = 1 + trial % 4
+        H = random_polynomial(rng, ring, max_degree=d, max_terms=4, allow_zero=False)
+        H = H.map_coefficients(lambda c: c / rng.choice((1, 2, 3)))
+        if H.is_constant():
+            continue
+        assert poly_D(H) == _cone_times_discriminant(H)
+
+
 def test_poly_D_hard_tier_matches_sylvester():
     # the benchmark's deg H = 2, 3, 4 sigma inputs: x, x p(x) y conjugated by
     # D A, A = ((2, 1), (1, 1)), D = diag(1, +-1).  The t-leading coefficient
@@ -120,6 +148,7 @@ def test_poly_D_hard_tier_matches_sylvester():
                                       "t", d, d - 1)
             expected = cone * exact_div(res, lead) * (-1) ** (d * (d - 1) // 2)
             assert with_variables(poly_D(H), ring) == expected
+            assert poly_D(H) == _cone_times_discriminant(H)
 
 
 def test_poly_R_examples():
