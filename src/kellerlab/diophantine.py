@@ -19,6 +19,17 @@ there, in O(d).  The rest run a divisor test on the constant term for
 candidates up to a root bound of the polynomial, cut at the box radius.
 Every reported point is re-verified on the int equations.
 
+A residue sieve skips the leaf's scanned values at which the first nonzero
+equation E cannot vanish: for each m of SIEVE_MODULI, on scanned ranges of
+at least 3m values, a table marks the residues v mod m at which E,
+specialized at idx = v, is nonzero mod m at every residue of the last
+variable, so it has no integer root.  Each skipped value is still counted
+as a node, and the plain recursion gives it exactly that one node and no
+point: the equations before E are zero, so either E or a later equation is
+a nonzero constant and prunes, or E is the non-constant equation whose
+roots would be branched on, and it has none.  Node counts, points and
+budget stops are therefore those of the unsieved search.
+
 A node budget turns large searches into a reported non-exhaustive result.
 The node at which the budget trips is counted, so a stopped search reports
 budget + 1 nodes.  The budget does not count a root extraction's trial
@@ -31,6 +42,7 @@ integer point with max-norm <= B", nothing more.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from math import prod
 from operator import mul
 
@@ -39,6 +51,8 @@ from .fibers import Line
 from .polyring import Polynomial, PolyMap, _add_terms, integer_root, make_primitive
 
 DEFAULT_NODE_BUDGET = 1_000_000
+# moduli of the leaf's residue sieve, ascending
+SIEVE_MODULI = (7, 8, 9, 11, 13)
 
 
 @dataclass(frozen=True)
@@ -239,6 +253,16 @@ def _integer_roots(coeffs, B):
     return sorted(roots)
 
 
+def _residue_marks(rows, m):
+    """marks[v] for v mod m: whether sum_e rows[e](v) y^e is nonzero mod m
+    at every y mod m; rows[e] is a coefficient list in powers of v."""
+    marks = []
+    for v in range(m):
+        coeffs = [_horner(row, v) % m for row in rows]
+        marks.append(all(_horner(coeffs, y) % m for y in range(m)))
+    return marks
+
+
 def _support(monomial) -> int:
     """Bit i set iff variable i occurs in the exponent tuple."""
     mask = 0
@@ -283,6 +307,7 @@ class _BoxSearch:
         self.hit_budget = False
         self.points = set()
         self.nvars = system.n
+        self.marks = {}  # (m, rows mod m) -> _residue_marks
 
         # assignment order: variables in the lowest-degree equations first
         scores = {}
@@ -380,8 +405,10 @@ class _BoxSearch:
         _explore's rules inline: each value is a counted node that a nonzero
         constant prunes; the first non-constant equation gives the roots for
         `last`, and each root is a counted node that must zero every
-        equation; when every equation vanishes, `last` is scanned.  Points
-        are re-verified on the system.
+        equation; when every equation vanishes, `last` is scanned.  A value
+        that _sieve flags is counted and then skipped, since the first
+        nonzero equation has no root there.  Points are re-verified on the
+        system.
         """
         last = next(
             (i for i, a in enumerate(assignment) if a is None and i != idx), None
@@ -397,12 +424,16 @@ class _BoxSearch:
                 rows[e] = coeffs
             tables.append(rows)
         top = max((len(row) for rows in tables for row in rows), default=1)
+        # the first nonzero equation; with none, rows [] mark no residue
+        skips = self._sieve(next((rows for rows in tables if rows), []), values)
         B = self.B
-        for value in values:
+        for value, skip in zip(values, skips):
             self.nodes += 1
             if self.nodes > self.budget:
                 self.hit_budget = True
                 break
+            if skip:
+                continue
             powers = [1] * top
             for e in range(1, top):
                 powers[e] = powers[e - 1] * value
@@ -434,6 +465,32 @@ class _BoxSearch:
         assignment[idx] = None
         if last is not None:
             assignment[last] = None
+
+    def _sieve(self, rows, values):
+        """One flag per value: whether the equation given by _leaf's `rows`
+        has no root mod some m of SIEVE_MODULI once idx = value.
+
+        Each table marks the residues v mod m at which the equation, with
+        idx = v, is nonzero mod m at every residue of `last`; tables are
+        memoised on (m, rows mod m).  Only a range(-B, B + 1) is sieved, by
+        m when it holds at least 3m values, so that the table costs less
+        than it saves; the flags of one residue lie every m-th place.
+        Lists of extracted roots, at most a degree long, are not sieved.
+        """
+        skips = bytearray(len(values))
+        if not isinstance(values, range):
+            return skips
+        for m in SIEVE_MODULI:
+            if 3 * m > len(values):
+                break
+            key = (m, tuple(tuple(c % m for c in row) for row in rows))
+            marks = self.marks.get(key)
+            if marks is None:
+                marks = self.marks[key] = _residue_marks(key[1], m)
+            for r in compress(range(m), marks):
+                i = (r - values.start) % m
+                skips[i::m] = b"\1" * len(range(i, len(values), m))
+        return skips
 
     def _record(self, assignment):
         point = tuple(assignment)

@@ -179,7 +179,8 @@ def poly_R(components) -> Polynomial:
     """Product over components of Res_t(h_W(U+tV), g_VW(U+tV)); the empty
     product is the constant 1.  A polynomial p(U + tV) has t-degree deg p
     (its t-leading coefficient is the leading form of p at V), so these are
-    the resultants at formal degrees (deg h_W, deg g_VW)."""
+    the resultants at formal degrees (deg h_W, deg g_VW).  The k-th
+    variable of each component's ring is bound to U_k + t V_k."""
     components = tuple(components)
     if not components:
         return Polynomial.one(())
@@ -207,6 +208,7 @@ def sigma(
     on the cone at infinity, or meet the supplied bad components.  When the
     bifurcation set is empty the constant 1 is returned: every line is
     generic.  Component data is optional input; with none supplied R = 1.
+    Component variables are matched to H's by name.
     """
     if data is None:
         data = bifurcation_data(F, compute_fiber_degree=False)
@@ -214,8 +216,17 @@ def sigma(
     us, vs = _uv_ring(n)
     ring = us + vs
     if components:
+        # poly_R binds variables by position, so put every component in H's
+        # ring by name first
+        components = [
+            ComponentData(
+                with_variables(comp.h_W, data.H.variables),
+                tuple(with_variables(g, data.H.variables) for g in comp.g_list),
+            )
+            for comp in components
+        ]
         for comp in components:
-            if not divides(with_variables(comp.h_W, data.H.variables), data.H):
+            if not divides(comp.h_W, data.H):
                 raise ValueError("component polynomial does not divide H")
     if data.empty_bifurcation_set:
         return Polynomial.one(ring)

@@ -4,12 +4,15 @@ import pytest
 
 from kellerlab.bundled import bundled_map_names, load_bundled_map
 from kellerlab.diophantine import (
+    SIEVE_MODULI,
     EquationSystem,
+    _BoxSearch,
     cor1_sum_of_squares,
     curve_CF,
     curve_CFm,
     format_report,
     _integer_roots,
+    _residue_marks,
     _root_bound,
     line_preimage,
     nonzero_point_exists,
@@ -17,7 +20,7 @@ from kellerlab.diophantine import (
 )
 from kellerlab.expr_io import parse_polynomial as P
 from kellerlab.fibers import Line
-from kellerlab.polyring import Polynomial, PolyMap
+from kellerlab.polyring import Polynomial, PolyMap, substitute
 from kellerlab.transforms import choose_clearing_scale, conjugate_by_linear, scale_conjugate
 
 from _support import (
@@ -127,7 +130,7 @@ def test_search_box_soundness_and_monotonicity():
         assert system.satisfied_by(p)
 
 
-def test_search_box_budget_and_threads():
+def test_search_box_budget_stops():
     system = curve_CF(PolyMap.identity(("x1", "x2", "x3")))
     limited = search_box(system, 6, budget=5)
     assert not limited.exhausted
@@ -391,45 +394,70 @@ def test_search_box_pinned_sum_of_squares_budget_stop():
 # ---- the engine against the child-dict reference search ----
 
 
+def _rootless_mod_some_m(terms, last, moduli):
+    """Whether a map in `last` alone is nonzero mod m at every y mod m, for
+    some m of `moduli`."""
+    return any(
+        all(sum(c * y ** mono[last] for mono, c in terms.items()) % m for y in range(m))
+        for m in moduli
+    )
+
+
 class _KindRecorder(ReferenceBoxSearch):
     """Reference search that records each node's kind, in visiting order.
 
     A kind is (unassigned variables at the node, whether its value came from
     root extraction); node i + 1 is kinds[i], so budget i trips at it.
+    `sieved` lists the i at which node i + 1 is a value the leaf sieve
+    skips: one variable is left after it, and the first nonzero equation of
+    its parent has no root mod some m of SIEVE_MODULI, where m is used only
+    on a scanned range of at least 3m values.
     """
 
     def __init__(self, system, B):
         super().__init__(system, B, 10**6)
         self.kinds = []
-        self._extracted = [False]
+        self.sieved = []
+        self._parents = [(False, None, [])]
 
     def _branch(self, eqs, assignment, idx, values):
-        self._extracted.append(not isinstance(values, range))
+        extracted = not isinstance(values, range)
+        first = next((k for k, (terms, _) in enumerate(eqs) if terms), None)
+        used = [] if extracted else [m for m in SIEVE_MODULI if 3 * m <= len(values)]
+        self._parents.append((extracted, first, used))
         super()._branch(eqs, assignment, idx, values)
-        self._extracted.pop()
+        self._parents.pop()
 
     def _explore(self, eqs, assignment):
-        self.kinds.append((assignment.count(None), self._extracted[-1]))
+        extracted, first, used = self._parents[-1]
+        unassigned = assignment.count(None)
+        if unassigned == 1 and first is not None:
+            if _rootless_mod_some_m(eqs[first][0], assignment.index(None), used):
+                self.sieved.append(len(self.kinds))
+        self.kinds.append((unassigned, extracted))
         super()._explore(eqs, assignment)
 
 
 def _stop_budgets(system, B, rng):
-    """Budgets that trip at a leaf child, a root grandchild and a scanned one.
+    """Budgets that trip at a leaf child, a root grandchild, a scanned one
+    and a value the sieve skips.
 
-    Returns ({kind: budget}, the reference's unbudgeted answer); a leaf child
-    is a node with one variable left (none when n = 1), a grandchild one with
-    none left below a leaf child.
+    Returns ({kind: budget}, the reference's unbudgeted answer, the number
+    of values the sieve may skip); a leaf child is a node with one variable
+    left (none when n = 1), a grandchild one with none left below a leaf
+    child.
     """
     recorder = _KindRecorder(system, B)
     answer = recorder.run()
     leaf_unassigned = 0 if system.n == 1 else 1
-    at = {"leaf": [], "root": [], "scan": []}
+    at = {"leaf": [], "root": [], "scan": [], "sieved": recorder.sieved}
     for i, (unassigned, extracted) in enumerate(recorder.kinds):
         if unassigned == leaf_unassigned:
             at["leaf"].append(i)
         elif unassigned == 0:
             at["root" if extracted else "scan"].append(i)
-    return {kind: rng.choice(ix) for kind, ix in at.items() if ix}, answer
+    budgets = {kind: rng.choice(ix) for kind, ix in at.items() if ix}
+    return budgets, answer, len(recorder.sieved)
 
 
 def _check_against_reference(system, B, budget, expected=None):
@@ -462,12 +490,12 @@ def _random_system(rng):
 
 def test_search_box_matches_reference_on_random_systems():
     rng = random.Random(1616)
-    stops = {"leaf": 0, "root": 0, "scan": 0}
+    stops = {"leaf": 0, "root": 0, "scan": 0}  # boxes too small to sieve
     found = 0
     for _ in range(2000):
         system = _random_system(rng)
         B = rng.randint(0, (7, 7, 4, 2)[system.n - 1])  # at most 820 nodes
-        budgets, answer = _stop_budgets(system, B, rng)
+        budgets, answer, _ = _stop_budgets(system, B, rng)
         rep = _check_against_reference(system, B, 10**6, answer)
         found += bool(rep.points)
         for kind, budget in budgets.items():
@@ -484,22 +512,46 @@ def _s3_map(signs):
     return conjugate_by_linear(F, [[s * x for x in row] for s, row in zip(signs, A)])
 
 
-def test_search_box_matches_reference_on_curves():
+def _cf_t2_variant(signs):
+    # the benchmark's cf-t2 inputs: the bundled curve under x_i -> s_i x_i
     from kellerlab.bundled import load_bundled_system
 
+    (curve,) = load_bundled_system("cf_triangular_2.sys").to_polynomials()
+    names = curve.variables
+    bindings = {v: s * Polynomial.variable(names, v) for v, s in zip(names, signs)}
+    return EquationSystem((substitute(curve, bindings, names),))
+
+
+def test_search_box_matches_reference_on_curves(monkeypatch):
+    # the benchmark's search inputs, where the sieve fires at B = 40 and 1500
+    skipped = [0]
+    sieve = _BoxSearch._sieve
+
+    def counting(self, rows, values):
+        flags = sieve(self, rows, values)
+        skipped[-1] += sum(flags)
+        return flags
+
+    monkeypatch.setattr(_BoxSearch, "_sieve", counting)
     rng = random.Random(1717)
-    cf_t2 = EquationSystem(tuple(load_bundled_system("cf_triangular_2.sys").to_polynomials()))
-    cases = [(cf_t2, 1500)]
+    cases = [(_cf_t2_variant(signs), 1500) for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
     for signs in ((1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1)):
         F = _s3_map(signs)
         for system in (curve_CF(F), EquationSystem((cor1_sum_of_squares(F),))):
-            cases += [(system, 7), (system, rng.choice((25, 40)))]
+            cases += [(system, 7), (system, 40)]
     for system, B in cases:
-        budgets, answer = _stop_budgets(system, B, rng)
+        budgets, answer, sieved = _stop_budgets(system, B, rng)
         assert "leaf" in budgets and "root" in budgets
+        assert ("sieved" in budgets) == (B > 7), (system, B)
+        skipped.append(0)
         _check_against_reference(system, B, 10**6, answer)
-        for budget in budgets.values():
-            _check_against_reference(system, B, budget)
+        # the engine skips exactly the values the reference says it may
+        assert skipped[-1] == sieved, (system, B)
+        for kind, budget in budgets.items():
+            stopped = _check_against_reference(system, B, budget)
+            assert stopped.nodes_visited == budget + 1 and not stopped.exhausted
+            assert format_report(stopped).endswith(
+                f"exhausted: no\nnodes: {budget + 1}\n")
 
 
 def test_satisfied_by_matches_rational_evaluation():
@@ -544,3 +596,102 @@ def test_search_box_point_rich_plane_union():
     assert len(expected) == 2552
     assert list(rep.points) == expected
     assert rep.nodes_visited == 3545 and rep.exhausted
+
+
+# ---- the leaf's residue sieve ----
+
+
+def _random_rows(rng):
+    """(rows, planted) for a random integer p(v, y); rows[e] lists the
+    coefficients of y^e in powers of v, and planted maps values v in
+    [-60, 60] to a known integer root y.
+
+    Mixes free polynomials, planted roots (y - r0 - r1 v) q(v, y) +
+    k (v - a), polynomials that vanish identically mod 7, 8, 9, 11 or 13
+    and nonzero constants.
+    """
+    kind = rng.choice(["free", "free", "planted", "planted", "zero mod m", "constant"])
+    if kind == "constant":
+        c = rng.choice([rng.randint(-30, 30) or 1, rng.choice(SIEVE_MODULI)])
+        return [[c]], {}
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        key = (rng.randint(0, 3), rng.randint(0, 3))
+        terms[key] = terms.get(key, 0) + rng.randint(-20, 20)
+    planted = {}
+    if kind == "planted":
+        r0, r1 = rng.randint(-9, 9), rng.choice([-1, 0, 1, 2])
+        product = {}
+        for (i, e), c in terms.items():
+            for key, f in (((i, e + 1), 1), ((i, e), -r0), ((i + 1, e), -r1)):
+                product[key] = product.get(key, 0) + f * c
+        k, a = rng.randint(-3, 3), rng.randint(-60, 60)
+        product[(1, 0)] = product.get((1, 0), 0) + k
+        product[(0, 0)] = product.get((0, 0), 0) - k * a
+        terms = product
+        planted = {v: r0 + r1 * v for v in (range(-60, 61) if k == 0 else [a])}
+    if kind == "zero mod m":
+        m = rng.choice(SIEVE_MODULI)
+        terms = {key: m * c for key, c in terms.items()}
+    rows = [[0] * (1 + max(i for i, _ in terms)) for _ in range(1 + max(e for _, e in terms))]
+    for (i, e), c in terms.items():
+        rows[e][i] += c
+    return rows, planted
+
+
+def test_residue_marks_match_brute_force():
+    rng = random.Random(1919)
+    engine = _BoxSearch(EquationSystem((P("x", ("x",)),)), 60, 10**6)
+    marked = {m: 0 for m in SIEVE_MODULI}
+    zero_mod_m = with_root = 0
+    for _ in range(120):
+        rows, planted = _random_rows(rng)
+        terms = [(i, e, c) for e, row in enumerate(rows) for i, c in enumerate(row) if c]
+        tables = {}
+        for m in SIEVE_MODULI:
+            # marked iff no y mod m zeroes p(v, y) mod m
+            tables[m] = [
+                all(sum(c * v**i * y**e for i, e, c in terms) % m for y in range(m))
+                for v in range(m)
+            ]
+            assert _residue_marks(rows, m) == tables[m], (rows, m)
+            marked[m] += sum(tables[m])
+            zero_mod_m += all(c % m == 0 for _, _, c in terms)
+        # the sieve's flags: a modulus m sieves ranges of at least 3m values,
+        # and lists of roots are not sieved
+        box = range(-60, 61)
+        for values in (box, range(-10, 11), range(-9, 31), list(box)):
+            flags = engine._sieve(rows, values)
+            used = [m for m in SIEVE_MODULI if 3 * m <= len(values)]
+            if not isinstance(values, range):
+                used = []
+            assert list(flags) == [any(tables[m][v % m] for m in used) for v in values], (
+                rows, values)
+        # a flagged value has no integer root in [-200, 200], so a planted
+        # one is never flagged
+        flags = engine._sieve(rows, box)
+        for v, flag in zip(box, flags):
+            coeffs = [sum(c * v**i for i, c in enumerate(row)) for row in rows]
+            if flag:
+                assert all(_value(coeffs, y) for y in range(-200, 201)), (rows, v)
+            elif v in planted:
+                assert _value(coeffs, planted[v]) == 0
+                with_root += 1
+    assert min(marked.values()) >= 200 and zero_mod_m >= 20 and with_root >= 300, (
+        marked, zero_mod_m, with_root)
+
+
+def test_search_box_matches_reference_where_the_sieve_fires():
+    # random systems in boxes wide enough for the sieve
+    rng = random.Random(2121)
+    fired = 0
+    for _ in range(150):
+        system = _random_system(rng)
+        B = (60, 25, 11, 5)[system.n - 1]
+        budgets, answer, _ = _stop_budgets(system, B, rng)
+        _check_against_reference(system, B, 10**6, answer)
+        fired += "sieved" in budgets
+        for budget in budgets.values():
+            stopped = _check_against_reference(system, B, budget)
+            assert stopped.nodes_visited == budget + 1 and not stopped.exhausted
+    assert fired >= 15, fired

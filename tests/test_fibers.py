@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from kellerlab.bundled import load_bundled_map
 from kellerlab.elim import discriminant
 from kellerlab.expr_io import parse_polynomial as P
 from kellerlab.fibers import (
@@ -174,6 +175,20 @@ def test_sigma_with_components_checks_divisibility():
     s = sigma(F_XY, components=[good])
     UV = ("U1", "U2", "V1", "V2")
     assert is_scalar_multiple(s, P("U2*V1^2 - U1*V1*V2", UV))
+
+
+def test_sigma_binds_component_variables_by_name():
+    # the same component written over (Y1, Y2) and over (Y2, Y1) is one
+    # component, so it gives one sigma
+    UV = ("U1", "U2", "V1", "V2")
+    F = load_bundled_map("bif_x_xy.map").to_poly_map()
+    expected = P("V1^2 - U1*V1*V2 + U2*V1^2", UV)
+    for ring in (Y2, ("Y2", "Y1")):
+        comp = ComponentData(P("Y1", ring), (P("Y2 + 1", ring),))
+        s = sigma(F, components=[comp])
+        assert s.variables == UV
+        assert s == expected, ring
+        assert s.evaluate([0, 0, 1, 0]) == 1
 
 
 def test_assert_c2_examples():
