@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import SingularMatrixError
-from .polyring import Polynomial, _add_terms
+from .polyring import Polynomial, _add_terms, _as_int
 
 
 def fraction_matrix_inverse(rows):
@@ -44,7 +44,7 @@ def fraction_matrix_inverse(rows):
 
 def int_matrix_det(rows) -> int:
     """Determinant of an integer matrix by fraction-free Bareiss."""
-    a = [list(map(int, row)) for row in rows]
+    a = [list(map(_as_int, row)) for row in rows]
     if any(len(row) != len(a) for row in a):
         raise ValueError("matrix is not square")
     return _det_bareiss(a)

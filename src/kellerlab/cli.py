@@ -104,6 +104,12 @@ def _load_map(path: str):
     return mf, mf.to_poly_map()
 
 
+def _derived_metadata(mf, path: str, suffix: str) -> dict:
+    """Metadata of a file derived from the map file `mf` read from `path`:
+    its name, or else the path, with `-suffix` appended."""
+    return {"name": f"{mf.metadata.get('name', path)}-{suffix}"}
+
+
 def _repr(value) -> str:
     """repr(value), with each int in nested tuples and lists written by
     `expr_io.format_int`, which has no length limit."""
@@ -246,7 +252,7 @@ def _cmd_transform(args) -> tuple:
     if option and value is None:
         raise KellerlabError(f"--{option} is required for transform {sub}")
     mf, F = _load_map(args.mapfile)
-    meta = {"name": f"{mf.metadata.get('name', args.mapfile)}-{sub}"}
+    meta = _derived_metadata(mf, args.mapfile, sub)
     text = expr_io.format_map_file(expr_io.map_file_from_poly_map(build(F, value), meta))
     return (mf, sub, value), {"map": text}, text
 
@@ -282,7 +288,7 @@ def _cmd_curve(args) -> tuple:
     sf = expr_io.SystemFile(
         variables=system.variables,
         equations=tuple(expr_io.print_polynomial(p) for p in system.polynomials),
-        metadata={"name": f"{mf.metadata.get('name', args.mapfile)}-{kind}"},
+        metadata=_derived_metadata(mf, args.mapfile, kind),
     )
     text = expr_io.format_system_file(sf)
     return (mf, kind, args.m, args.u, args.v), {"system": text}, text

@@ -27,7 +27,13 @@ the line-oriented format
     Fn = <expr>
 
 System files share the grammar, with one bare expression per line
-(`<expr> = 0` implied) instead of `Fi =` lines.
+(`<expr> = 0` implied) instead of `Fi =` lines.  Both formats share one
+header reader, body loop and header writer; `load_map_file` and
+`load_system_file` skip a leading byte-order mark.  A metadata key is an
+identifier other than `vars`, and the writers refuse an entry or body line
+that would not read back as written (a `#`, a line break or surrounding
+spaces).  Error columns count from 1 at the start of the line, in an
+expression as in either file format.
 
 Numbers are read and printed exactly at any length, past the interpreter's
 4300-digit limit on int/str conversion too (`parse_int`, `format_int`).
@@ -104,62 +110,52 @@ def _is_name_char(ch):
     return ch.isalnum() or ch == "_"
 
 
-def _tokenize(text, line0=1, col0=1):
-    """Tokens of `text`, lazily, ending with one 'end' token."""
+def _tokenize(text, line=1, column=1):
+    """Tokens of `text`, which starts at (line, column), lazily, ending with
+    one 'end' token.  Columns count from 1 at the start of each line."""
     i = 0
-    line, col = line0, col0
     n = len(text)
+    bol = -column  # text[i] is at column i - bol
     while i < n:
         ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
         if ch.isspace():
+            if ch == "\n":
+                line += 1
+                bol = i
             i += 1
-            col += 1
             continue
-        start_line, start_col = line, col
         if ch.isdecimal():
             j = i
             while j < n and text[j].isdecimal():
                 j += 1
-            num = parse_int(text[i:j])
-            den = None
+            value = Fraction(parse_int(text[i:j]))
             if j < n and text[j] == "/":
                 k = j + 1
-                if k >= n or not text[k].isdecimal():
+                while k < n and text[k].isdecimal():
+                    k += 1
+                if k == j + 1:
                     raise ParseError(
-                        "expected digits after '/' in rational literal",
-                        start_line,
-                        start_col + (j - i),
+                        "expected digits after '/' in rational literal", line, j - bol
                     )
-                m = k
-                while m < n and text[m].isdecimal():
-                    m += 1
-                den = parse_int(text[k:m])
+                den = parse_int(text[j + 1 : k])
                 if den == 0:
-                    raise ParseError("zero denominator", start_line, start_col + (k - i))
-                j = m
-            value = Fraction(num) if den is None else Fraction(num, den)
-            yield _Token("number", text[i:j], value, start_line, start_col)
-            col += j - i
+                    raise ParseError("zero denominator", line, j + 1 - bol)
+                value /= den
+                j = k
+            yield _Token("number", text[i:j], value, line, i - bol)
             i = j
         elif _is_name_start(ch):
             j = i
             while j < n and _is_name_char(text[j]):
                 j += 1
-            yield _Token("name", text[i:j], text[i:j], start_line, start_col)
-            col += j - i
+            yield _Token("name", text[i:j], text[i:j], line, i - bol)
             i = j
         elif ch in _OPS:
-            yield _Token("op", ch, ch, start_line, start_col)
+            yield _Token("op", ch, ch, line, i - bol)
             i += 1
-            col += 1
         else:
-            raise ParseError(f"unexpected character {ch!r}", start_line, start_col)
-    yield _Token("end", "", None, line, col)
+            raise ParseError(f"unexpected character {ch!r}", line, i - bol)
+    yield _Token("end", "", None, line, n - bol)
 
 
 # ---- parser ----
@@ -333,7 +329,7 @@ def print_polynomial(p: Polynomial) -> str:
     return "".join(pieces)
 
 
-# ---- map files ----
+# ---- map and system files ----
 
 
 @dataclass(frozen=True)
@@ -358,13 +354,24 @@ class MapFile:
         )
 
 
-def _split_comment(line: str) -> str:
-    cut = line.find("#")
-    return line if cut < 0 else line[:cut]
+@dataclass(frozen=True)
+class SystemFile:
+    """Equations `expr = 0`, one expression per line."""
+
+    variables: tuple
+    equations: tuple  # expression strings
+    metadata: dict = field(default_factory=dict)
+    # the equations as parsed by parse_system_file; None for a hand-built file
+    parsed: tuple | None = field(default=None, compare=False, repr=False)
+
+    def to_polynomials(self):
+        if self.parsed is not None:
+            return list(self.parsed)
+        return [parse_polynomial(expr, self.variables) for expr in self.equations]
 
 
 def _check_name(name, lineno, col):
-    if not (_is_name_start(name[0]) and all(_is_name_char(c) for c in name)):
+    if not (name and _is_name_start(name[0]) and all(_is_name_char(c) for c in name)):
         raise ParseError(f"bad identifier {name!r}", lineno, col)
 
 
@@ -374,7 +381,7 @@ def _parse_header_lines(text):
     variables = None
     body = []  # (lineno, content) after the vars: header
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _split_comment(raw).rstrip()
+        line = raw.partition("#")[0].rstrip()
         if not line.strip():
             continue
         if variables is None:
@@ -404,38 +411,67 @@ def _parse_header_lines(text):
     return metadata, variables, body
 
 
-def parse_map_file(text: str) -> MapFile:
+def _parse_file(text, labelled, empty):
+    """Variables, expression strings, metadata and polynomials of a map file
+    (`labelled`: each body line is `Fi = <expr>`) or of a system file."""
     metadata, variables, body = _parse_header_lines(text)
-    components = []
+    exprs = []
     parsed = []
     for lineno, line in body:
-        lhs, sep, rhs = line.partition("=")
-        if not sep:
-            raise ParseError("expected 'Fi = <expr>'", lineno, 1)
-        label = lhs.strip()
-        expected = f"F{len(components) + 1}"
-        if label != expected:
-            raise ParseError(f"expected component label {expected!r}", lineno, 1)
-        expr = rhs.strip()
-        column = len(line) - len(rhs) + 1 + (len(rhs) - len(rhs.lstrip()))
+        start = 0  # offset of the expression's part of the line
+        if labelled:
+            lhs, sep, _ = line.partition("=")
+            if not sep:
+                raise ParseError("expected 'Fi = <expr>'", lineno, 1)
+            expected = f"F{len(exprs) + 1}"
+            if lhs.strip() != expected:
+                raise ParseError(f"expected component label {expected!r}", lineno, 1)
+            start = len(lhs) + 1
+        expr = line[start:].lstrip()
+        column = 1 + len(line) - len(expr)
         parsed.append(parse_polynomial(expr, variables, line=lineno, column=column))
-        components.append(expr)
-    if not components:
-        raise ParseError("map file declares no components", 1, 1)
-    return MapFile(
-        variables=variables,
-        components=tuple(components),
-        metadata=metadata,
-        parsed=tuple(parsed),
-    )
+        exprs.append(expr)
+    if not exprs:
+        raise ParseError(empty, 1, 1)
+    return variables, tuple(exprs), metadata, tuple(parsed)
+
+
+def _format_file(f, exprs, labelled) -> str:
+    """The text of a map or system file, each header line checked with
+    `_parse_header_lines` and each body line for what the reader would change."""
+    variables = tuple(f.variables)
+    vars_line = "vars: " + " ".join(variables)
+    lines = [f"{k}: {v}" for k, v in f.metadata.items()]
+    checks = [(vars_line, {}, f"variable list {variables!r}")] + [
+        (f"{line}\n{vars_line}", {k: v}, f"metadata entry {k!r}: {v!r}")
+        for (k, v), line in zip(f.metadata.items(), lines)
+    ]
+    for header, metadata, what in checks:
+        try:
+            back = _parse_header_lines(header)
+        except ParseError:
+            back = None
+        if back != (metadata, variables, []):
+            raise ValueError(f"{what} would not read back from a file header")
+    lines.append(vars_line)
+    for i, expr in enumerate(exprs, start=1):
+        if "#" in expr or expr.strip().splitlines() != [expr]:
+            raise ValueError(f"body line {i} {expr!r} would not read back from a file")
+        lines.append(f"F{i} = {expr}" if labelled else expr)
+    return "\n".join(lines) + "\n"
+
+
+def _read_text(path) -> str:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # skips a byte-order mark
+        return fh.read()
+
+
+def parse_map_file(text: str) -> MapFile:
+    return MapFile(*_parse_file(text, True, "map file declares no components"))
 
 
 def format_map_file(mf: MapFile) -> str:
-    lines = [f"{k}: {v}" for k, v in mf.metadata.items()]
-    lines.append("vars: " + " ".join(mf.variables))
-    for i, expr in enumerate(mf.components, start=1):
-        lines.append(f"F{i} = {expr}")
-    return "\n".join(lines) + "\n"
+    return _format_file(mf, mf.components, labelled=True)
 
 
 def map_file_from_poly_map(F: PolyMap, metadata=None) -> MapFile:
@@ -447,54 +483,16 @@ def map_file_from_poly_map(F: PolyMap, metadata=None) -> MapFile:
 
 
 def load_map_file(path) -> MapFile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_map_file(fh.read())
-
-
-# ---- system files ----
-
-
-@dataclass(frozen=True)
-class SystemFile:
-    """Equations `expr = 0`, one expression per line."""
-
-    variables: tuple
-    equations: tuple  # expression strings
-    metadata: dict = field(default_factory=dict)
-    # the equations as parsed by parse_system_file; None for a hand-built file
-    parsed: tuple | None = field(default=None, compare=False, repr=False)
-
-    def to_polynomials(self):
-        if self.parsed is not None:
-            return list(self.parsed)
-        return [parse_polynomial(expr, self.variables) for expr in self.equations]
+    return parse_map_file(_read_text(path))
 
 
 def parse_system_file(text: str) -> SystemFile:
-    metadata, variables, body = _parse_header_lines(text)
-    equations = []
-    parsed = []
-    for lineno, line in body:
-        expr = line.strip()
-        parsed.append(parse_polynomial(expr, variables, line=lineno, column=1))
-        equations.append(expr)
-    if not equations:
-        raise ParseError("system file declares no equations", 1, 1)
-    return SystemFile(
-        variables=variables,
-        equations=tuple(equations),
-        metadata=metadata,
-        parsed=tuple(parsed),
-    )
+    return SystemFile(*_parse_file(text, False, "system file declares no equations"))
 
 
 def format_system_file(sf: SystemFile) -> str:
-    lines = [f"{k}: {v}" for k, v in sf.metadata.items()]
-    lines.append("vars: " + " ".join(sf.variables))
-    lines.extend(sf.equations)
-    return "\n".join(lines) + "\n"
+    return _format_file(sf, sf.equations, labelled=False)
 
 
 def load_system_file(path) -> SystemFile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_system_file(fh.read())
+    return parse_system_file(_read_text(path))

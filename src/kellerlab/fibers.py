@@ -17,6 +17,7 @@ from .errors import NotZeroDimensionalError
 from .polyring import (
     Polynomial,
     PolyMap,
+    _as_int,
     coefficients_in,
     divides,
     squarefree_part,
@@ -301,7 +302,7 @@ def hurwitz_genus(d: int, local_degrees) -> Fraction:
     """
     if d < 1:
         raise ValueError("covering degree must be at least 1")
-    local_degrees = [int(x) for x in local_degrees]
+    local_degrees = list(map(_as_int, local_degrees))
     for e in local_degrees:
         if not 1 <= e <= d:
             raise ValueError(f"local degree {e} outside [1, {d}]")
@@ -316,7 +317,7 @@ def assertion3_feasible(d: int, local_degrees, g) -> tuple:
     curves at hand (a single branch at infinity forces d = 1 and g = 0, two
     branches force g = 0), then a negative genus.
     """
-    local_degrees = [int(x) for x in local_degrees]
+    local_degrees = list(map(_as_int, local_degrees))
     g = Fraction(g)
     if g.denominator != 1:
         return False, "non-integral genus"

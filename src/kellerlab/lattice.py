@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from ._linalg import fraction_matrix_inverse, int_matrix_det, mat_mul, mat_vec
 from .errors import InternalCheckError
+from .polyring import _as_int
 
 
 def egcd(a: int, b: int):
@@ -31,7 +32,7 @@ def egcd(a: int, b: int):
 
 def is_primitive(v) -> bool:
     """True iff gcd of the coordinates is 1; the zero vector is an error."""
-    v = tuple(int(x) for x in v)
+    v = tuple(map(_as_int, v))
     if not any(v):
         raise ValueError("the zero vector is not primitive nor imprimitive")
     return math.gcd(*(abs(x) for x in v)) == 1
@@ -42,7 +43,7 @@ class PrimitiveVector:
     coords: tuple
 
     def __post_init__(self):
-        coords = tuple(int(x) for x in self.coords)
+        coords = tuple(map(_as_int, self.coords))
         if not is_primitive(coords):
             raise ValueError(f"{coords} is not primitive")
         object.__setattr__(self, "coords", coords)
@@ -59,7 +60,7 @@ class UnimodularMatrix:
     rows: tuple
 
     def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in row) for row in self.rows)
+        rows = tuple(tuple(map(_as_int, row)) for row in self.rows)
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise ValueError("matrix must be square")
@@ -84,7 +85,7 @@ class UnimodularMatrix:
 def _coerce_primitive(v) -> tuple:
     if isinstance(v, PrimitiveVector):
         return v.coords
-    v = tuple(int(x) for x in v)
+    v = tuple(map(_as_int, v))
     if not is_primitive(v):
         raise ValueError(f"{v} is not primitive")
     return v

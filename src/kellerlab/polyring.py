@@ -34,6 +34,19 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"coefficients must be int or Fraction, got {type(value).__name__}")
 
 
+def _as_int(value) -> int:
+    """`value` as an int: an int, or a Fraction or float with no fractional
+    part.  Anything else is a ValueError; nothing is truncated."""
+    integral = (
+        isinstance(value, int)
+        or isinstance(value, Fraction) and value.denominator == 1
+        or isinstance(value, float) and value.is_integer()
+    )
+    if not integral:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 # ---- integer kernel: packed monomials over a common denominator ----
 #
 # A MonomialLayout packs a monomial into one int of fixed-width fields, each

@@ -12,8 +12,8 @@ from fractions import Fraction
 from ._linalg import fraction_matrix_inverse
 from .errors import InternalCheckError
 from .keller import CubicLinearForm, is_keller
-from .polyring import (Polynomial, PolyMap, _add_terms, fresh_names, substitute,
-                       with_variables)
+from .polyring import (Polynomial, PolyMap, _add_terms, _as_int, fresh_names,
+                       substitute, with_variables)
 
 
 def scale_conjugate(F: PolyMap, r) -> PolyMap:
@@ -93,7 +93,7 @@ class DiagonalTransform:
     weights: tuple
 
     def __post_init__(self):
-        w = tuple(int(x) for x in self.weights)
+        w = tuple(map(_as_int, self.weights))
         if not w or any(x == 0 for x in w):
             raise ValueError("all weights must be nonzero integers")
         object.__setattr__(self, "weights", w)
@@ -180,7 +180,7 @@ def choose_clearing_scale(S) -> int:
     """
     best = 0
     for s in S:
-        s = tuple(int(x) for x in s)
+        s = tuple(map(_as_int, s))
         if any(s):
             best = max(best, max(abs(x) for x in s))
     return best + 1 if best else 1

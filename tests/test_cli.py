@@ -120,6 +120,39 @@ def test_transform_output_file(capsys, tri2, tmp_path):
     assert "vars: x1 x2 z1" in target.read_text()
 
 
+@pytest.mark.parametrize(
+    "verb, suffix", [(["transform", "scale", "--r", "2"], "scale"), (["curve"], "cf")]
+)
+def test_derived_name_that_would_not_read_back_writes_nothing(capsys, tmp_path, verb, suffix):
+    # an unnamed map's derived name is its path, whose '#' a reader would
+    # take for a comment: the written file would read back as another name
+    path = tmp_path / "a#b.map"
+    path.write_text("vars: x1 x2\nF1 = x1 + x2^3\nF2 = x2\n")
+    target = tmp_path / "out"
+    code, out, err = run(capsys, *verb[:2], str(path), *verb[2:], "--output", str(target))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: metadata entry 'name': {f'{path}-{suffix}'!r}")
+    assert err.endswith(" would not read back from a file header\n")
+    assert not target.exists()
+    # without the '#' the path is the name, and reads back as written
+    plain = tmp_path / "ab.map"
+    plain.write_text(path.read_text())
+    code, _, _ = run(capsys, *verb[:2], str(plain), *verb[2:], "--output", str(target))
+    assert code == 0
+    assert f"name: {plain}-{suffix}\n" in target.read_text()
+
+
+def test_files_with_a_byte_order_mark_run(capsys, tmp_path, tri2, cfsys):
+    for verb, name, plain in (("check", "triangular_2.map", tri2),
+                              ("search", "cf_triangular_2.sys", cfsys)):
+        path = tmp_path / ("bom-" + name)
+        path.write_text(bundled_text(name), encoding="utf-8-sig")
+        extra = ["--radius", "10"] if verb == "search" else []
+        for j in ([], ["--json"]):
+            assert run(capsys, verb, str(path), *extra, *j) == run(
+                capsys, verb, plain, *extra, *j)
+
+
 def test_sl_verbs(capsys):
     code, out, _ = run(capsys, "sl-complete", "--vector", "2,3,5")
     assert code == 0

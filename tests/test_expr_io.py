@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -11,6 +12,8 @@ from kellerlab.expr_io import (
     SystemFile,
     format_map_file,
     format_system_file,
+    load_map_file,
+    load_system_file,
     map_file_from_poly_map,
     parse_map_file,
     parse_polynomial,
@@ -21,7 +24,7 @@ from kellerlab.expr_io import (
 )
 from kellerlab.polyring import Polynomial, PolyMap
 
-from _support import naive_mul, random_polynomial
+from _support import naive_mul, random_poly_map, random_polynomial
 
 V = ("x", "y")
 
@@ -286,7 +289,11 @@ def test_superscript_digits_are_positioned_parse_errors():
 
 
 def test_bad_variable_name_reports_its_column():
-    for text, column in (("vars: x 1y\nF1 = x\n", 9), ("  vars: x  y-z\nF1 = x\n", 12)):
+    for text, column in (
+        ("vars: x 1y\nF1 = x\n", 9),
+        ("  vars: x  y-z\nF1 = x\n", 12),
+        (": v\nvars: x\nF1 = x\n", 1),  # an empty metadata key
+    ):
         with pytest.raises(ParseError, match="bad identifier") as err:
             parse_map_file(text)
         assert (err.value.line, err.value.column) == (1, column)
@@ -378,3 +385,121 @@ def test_powers_below_the_cap_parse():
     assert parse_polynomial(f"(x+1)^{MAX_POWER_DEGREE}", V).total_degree() == (
         MAX_POWER_DEGREE
     )
+
+
+# ---- one position rule, one header writer, one reader ----
+
+
+def test_indented_system_line_reports_the_column_in_its_line():
+    # the '@' is the eighth character of its line, in a system file as in a map file
+    with pytest.raises(ParseError, match="unexpected character '@'") as err:
+        parse_system_file("vars: x y\n   x + @\n")
+    assert (err.value.line, err.value.column) == (2, 8)
+    with pytest.raises(ParseError, match="unexpected character '@'") as err:
+        parse_map_file("vars: x y\n  F1 =   x + @\n")
+    assert (err.value.line, err.value.column) == (2, 14)
+
+
+def test_tokenizer_columns_count_from_the_start_of_each_line():
+    for text, line, column, where in (
+        ("x +\n  @", 1, 1, (2, 3)),
+        ("(x\n+ y", 1, 1, (2, 4)),  # the end of input, after 'y'
+        ("x + @", 4, 7, (4, 11)),
+        ("x +\n @", 4, 7, (5, 2)),  # a new line starts at column 1
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(text, V, line=line, column=column)
+        assert (err.value.line, err.value.column) == where, text
+
+
+UNREADABLE_METADATA = [
+    ("na#me", "v"),
+    ("name", "a#b.map-scale"),
+    ("name", "a\nb: c"),
+    ("name", "a\rb"),
+    ("na\nme", "v"),
+    ("name", " padded"),
+    ("name", "padded "),
+    (" name", "v"),
+    ("vars", "a b"),
+    ("1name", "v"),
+    ("na-me", "v"),
+    ("na:me", "v"),
+    ("", "v"),
+]
+
+
+@pytest.mark.parametrize("key, value", UNREADABLE_METADATA)
+def test_writers_refuse_metadata_that_would_not_read_back(monkeypatch, key, value):
+    calls = _count_parses(monkeypatch)  # a written body is never parsed again
+    meta = {"name": "ok", key: value}
+    for f, fmt in (
+        (MapFile(variables=V, components=("x", "y"), metadata=meta), format_map_file),
+        (SystemFile(variables=V, equations=("x - y",), metadata=meta), format_system_file),
+    ):
+        with pytest.raises(ValueError, match="would not read back") as err:
+            fmt(f)
+        assert f"metadata entry {key!r}: {value!r}" in str(err.value)
+    assert calls == []
+
+
+@pytest.mark.parametrize("expr", ["x # y", "x\ny", "x\r", " x", "x ", "", "  "])
+def test_writers_refuse_body_lines_that_would_not_read_back(expr):
+    with pytest.raises(ValueError, match=f"body line 2 {re.escape(repr(expr))}"):
+        format_map_file(MapFile(variables=V, components=("x", expr)))
+    with pytest.raises(ValueError, match=f"body line 2 {re.escape(repr(expr))}"):
+        format_system_file(SystemFile(variables=V, equations=("x", expr)))
+
+
+@pytest.mark.parametrize("variables", [("x", "1y"), ("x", "x"), (), ("x#",), ("x y",)])
+def test_writers_refuse_variables_that_would_not_read_back(variables):
+    with pytest.raises(ValueError, match="variable list"):
+        format_map_file(MapFile(variables=variables, components=("1",)))
+
+
+def test_files_with_a_byte_order_mark_load(tmp_path):
+    map_path = tmp_path / "bom.map"
+    map_path.write_text(MAP_TEXT, encoding="utf-8-sig")
+    assert map_path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_map_file(map_path) == parse_map_file(MAP_TEXT)
+    sys_path = tmp_path / "bom.sys"
+    sys_path.write_text(SYS_TEXT, encoding="utf-8-sig")
+    assert load_system_file(sys_path) == parse_system_file(SYS_TEXT)
+
+
+def _random_name(rng):
+    head = rng.choice("abcxyzXY_é")
+    return head + "".join(rng.choice("abz019_") for _ in range(rng.randint(0, 4)))
+
+
+def _random_metadata(rng):
+    meta = {}
+    for _ in range(rng.randint(0, 4)):
+        key = _random_name(rng)
+        if key == "vars":
+            continue
+        value = "".join(rng.choice("ab :=;,-/é1") for _ in range(rng.randint(0, 12)))
+        meta[key] = value.strip()
+    return meta
+
+
+def test_files_round_trip_with_random_metadata():
+    rng = random.Random(2020)
+    for _ in range(200):
+        variables = tuple(dict.fromkeys(_random_name(rng) for _ in range(rng.randint(1, 4))))
+        meta = _random_metadata(rng)
+        F = random_poly_map(rng, variables)
+        mf = map_file_from_poly_map(F, meta)
+        back = parse_map_file(format_map_file(mf))
+        assert (back.variables, back.components, back.metadata) == (
+            mf.variables, mf.components, meta)
+        assert back.to_poly_map() == F
+        polys = [random_polynomial(rng, variables, allow_zero=False)
+                 for _ in range(rng.randint(1, 3))]
+        sf = SystemFile(variables=variables,
+                        equations=tuple(print_polynomial(p) for p in polys),
+                        metadata=_random_metadata(rng))
+        back = parse_system_file(format_system_file(sf))
+        assert (back.variables, back.equations, back.metadata) == (
+            sf.variables, sf.equations, sf.metadata)
+        assert back.to_polynomials() == polys

@@ -346,3 +346,13 @@ def test_assertion3_examples():
     assert not ok and reason == "n_F=2 forces g=0"
     ok, reason = assertion3_feasible(4, [2, 2, 2], -1)
     assert not ok and reason == "negative genus"
+
+
+def test_hurwitz_entry_points_refuse_non_integral_local_degrees():
+    for bad in (Fraction(3, 2), 2.5):
+        with pytest.raises(ValueError, match="expected an integer"):
+            hurwitz_genus(3, (bad,))
+        with pytest.raises(ValueError, match="expected an integer"):
+            assertion3_feasible(3, (bad,), 0)
+    assert hurwitz_genus(3, (Fraction(3),)) == hurwitz_genus(3, (3,)) == -1
+    assert assertion3_feasible(3, (Fraction(2), Fraction(1)), 0) == (True, "consistent branch data")

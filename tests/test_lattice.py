@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -162,3 +163,28 @@ def test_sl_inverse_roundtrip_random():
         assert A.multiply(inv).rows == UnimodularMatrix(
             tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         ).rows
+
+
+@pytest.mark.parametrize("bad", [Fraction(3, 2), 2.5])
+def test_entry_points_refuse_non_integral_coordinates(bad):
+    # int() truncated these: ((3/2, 1), (1/2, 1)) was taken for ((1, 1), (0, 1))
+    # and (2.5, 1) was completed as (2, 1)
+    for call in (
+        lambda: UnimodularMatrix(((bad, 1), (Fraction(1, 2), 1))),
+        lambda: is_primitive((bad, 1)),
+        lambda: PrimitiveVector((bad, 1)),
+        lambda: sl_complete((bad, 1)),
+        lambda: map_primitive_pair((bad, 1), (1, 0)),
+        lambda: map_primitive_pair((1, 0), (bad, 1)),
+    ):
+        with pytest.raises(ValueError, match="expected an integer"):
+            call()
+
+
+def test_entry_points_accept_integral_fractions():
+    two, one = Fraction(2), Fraction(1)
+    assert UnimodularMatrix(((two, one), (one, one))).rows == ((2, 1), (1, 1))
+    assert is_primitive((two, one)) and not is_primitive((two, Fraction(4)))
+    assert PrimitiveVector((two, one)).coords == (2, 1)
+    assert sl_complete((two, one)) == sl_complete((2, 1))
+    assert map_primitive_pair((two, one), (one, 0)) == map_primitive_pair((2, 1), (1, 0))

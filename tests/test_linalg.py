@@ -151,3 +151,10 @@ def test_poly_matrix_det_matches_int_det_at_random_points():
             point = [rng.randint(-4, 4) for _ in V]
             at_point = [[int(e.evaluate(point)) for e in row] for row in rows]
             assert det.evaluate(point) == int_matrix_det(at_point)
+
+
+def test_int_matrix_det_refuses_non_integral_entries():
+    for bad in (Fraction(3, 2), 2.5):
+        with pytest.raises(ValueError, match="expected an integer"):
+            int_matrix_det(((bad, 1), (0, 1)))
+    assert int_matrix_det(((Fraction(3), 1), (Fraction(4, 2), 1))) == 1

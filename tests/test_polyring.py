@@ -9,6 +9,7 @@ from kellerlab.polyring import (
     Polynomial,
     PolyMap,
     _add_terms,
+    _as_int,
     exact_div,
     integer_content,
     integer_root,
@@ -388,3 +389,11 @@ def test_integer_root_is_exact_floor():
     for n, k in cases:
         r = integer_root(n, k)
         assert r**k <= n < (r + 1) ** k, (n, k)
+
+
+def test_as_int_refuses_to_truncate():
+    assert _as_int(3) == 3 and _as_int(Fraction(-6, 2)) == -3 and _as_int(2.0) == 2
+    assert type(_as_int(True)) is type(_as_int(Fraction(4))) is type(_as_int(4.0)) is int
+    for bad in (Fraction(3, 2), 2.5, -0.5, float("nan"), float("inf"), "3", None):
+        with pytest.raises(ValueError, match="expected an integer"):
+            _as_int(bad)

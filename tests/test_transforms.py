@@ -235,3 +235,13 @@ def test_choose_clearing_scale_examples():
         for s in S:
             if any(s):
                 assert any(x % r for x in s)
+
+
+def test_integer_entry_points_refuse_non_integral_values():
+    for bad in (Fraction(3, 2), 2.5):
+        with pytest.raises(ValueError, match="expected an integer"):
+            DiagonalTransform((bad, 1))
+        with pytest.raises(ValueError, match="expected an integer"):
+            choose_clearing_scale([(bad, 0)])
+    assert DiagonalTransform((Fraction(2), -1)).weights == (2, -1)
+    assert choose_clearing_scale([(Fraction(3), 0), (0, Fraction(-5))]) == 6
