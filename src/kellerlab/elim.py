@@ -1,8 +1,8 @@
 """Groebner bases over Q: elimination ideals, minimal polynomials of map
-coordinates, fiber counting, and resultants/discriminants.
+coordinates, fiber counting, and resultants.
 
-Resultants and discriminants are taken at the actual degrees in the
-eliminated variable, by the subresultant PRS of `polyring` (the gcd's loop).
+Resultants are taken at the actual degrees in the eliminated variable, by
+the subresultant PRS of `polyring` (the gcd's loop).
 
 Buchberger with the normal selection strategy and the Gebauer-Moeller
 pair update (JSC 6, 1988), on polyring's packed monomials: a term order is
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (
     BudgetExceededError,
@@ -36,10 +36,10 @@ from .polyring import (
     MonomialLayout,
     Polynomial,
     PolyMap,
+    _grlex_layout,
     _pack,
+    _power_quotient,
     _unpack,
-    coefficients_in,
-    exact_div,
     fresh_names,
     make_primitive,
     rename_variables,
@@ -512,7 +512,7 @@ def generic_fiber_degree(F: PolyMap, sample) -> int:
     return count
 
 
-# ---- resultants and discriminants ----
+# ---- resultants ----
 
 
 def resultant(p: Polynomial, q: Polynomial, t: str) -> Polynomial:
@@ -520,8 +520,8 @@ def resultant(p: Polynomial, q: Polynomial, t: str) -> Polynomial:
     Sylvester matrix of p and q as polynomials in t.
 
     The subresultant PRS (`polyring.subresultant_prs`, shared with the gcd)
-    computes it.  An operand c of t-degree 0 (the zero polynomial counts as
-    degree 0) gives c^n (c^m).
+    computes it on the integer numerators of p and q.  An operand c of
+    t-degree 0 (the zero polynomial counts as degree 0) gives c^n (c^m).
     """
     if p.variables != q.variables:
         raise VariableMismatchError("resultant operands over different variables")
@@ -536,30 +536,25 @@ def resultant(p: Polynomial, q: Polynomial, t: str) -> Polynomial:
     if dp == 0:
         return p**dq
     idx = p.variables.index(t)
+    # the PRS sees integers only: Res(P/d_p, Q/d_q) = d_p^(-n) d_q^(-m) Res(P, Q)
+    den_p = lcm(*(c.denominator for c in p.terms.values()))
+    den_q = lcm(*(c.denominator for c in q.terms.values()))
+    P = p if den_p == 1 else p * den_p
+    Q = q if den_q == 1 else q * den_q
     if dp >= dq:
-        a, b, h, sign = subresultant_prs(p, q, idx)
+        a, b, h, sign = subresultant_prs(P, Q, idx)
     else:
-        a, b, h, sign = subresultant_prs(q, p, idx)
+        a, b, h, sign = subresultant_prs(Q, P, idx)
         if dp & dq & 1:
             sign = -sign
     if b.is_zero():
         return b
+    # Res(P, Q) = sign * b^da / h^(da - 1) on packed integers: for da >= 2,
+    # h^(da - 1) divides b^da, whose degree then bounds every term
     da = a.degree_in(t)
-    res = b**da if da == 1 else exact_div(b**da, h ** (da - 1))
-    return -res if sign < 0 else res
-
-
-def discriminant(p: Polynomial, t: str) -> Polynomial:
-    """Discriminant of p in t at its t-degree d >= 1.
-
-    For d >= 2 this is (-1)^(d(d-1)/2) Res_t(p, dp/dt) divided exactly by
-    the coefficient of t^d; for d = 1 it is the constant 1.
-    """
-    d = p.degree_in(t)
-    if d < 1:
-        raise ValueError("t-degree must be at least 1")
-    if d == 1:
-        return Polynomial.one(p.variables)
-    res = resultant(p, p.partial_derivative(t), t)
-    sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    return exact_div(sign * res, coefficients_in(p, t)[d])
+    layout = _grlex_layout(len(p.variables), max(da * b.total_degree(), h.total_degree()))
+    _, pb = _pack(b.terms, layout)
+    _, ph = _pack(h.terms, layout)
+    res = _power_quotient(dict(pb), dict(ph), da, layout)
+    res = [(k, sign * c) for k, c in res.items()]
+    return Polynomial._raw(p.variables, _unpack(res, den_p**dq * den_q**dp, layout))

@@ -389,7 +389,8 @@ def _parse_header_lines(text):
             if not sep:
                 raise ParseError("expected 'key: value' or 'vars:' header", lineno, 1)
             key = head.strip()
-            _check_name(key, lineno, 1 + len(head) - len(head.lstrip()))
+            key_column = 1 + len(head) - len(head.lstrip())
+            _check_name(key, lineno, key_column)
             if key == "vars":
                 names = rest.split()
                 if not names:
@@ -402,6 +403,8 @@ def _parse_header_lines(text):
                 if len(set(names)) != len(names):
                     raise ParseError("duplicate variable name", lineno, len(head) + 2)
                 variables = tuple(names)
+            elif key in metadata:
+                raise ParseError(f"duplicate metadata key {key!r}", lineno, key_column)
             else:
                 metadata[key] = rest.strip()
         else:

@@ -300,6 +300,7 @@ def hurwitz_genus(d: int, local_degrees) -> Fraction:
     result may be negative or non-integral; the caller interprets that as
     infeasibility of the proposed branch data.
     """
+    d = _as_int(d)
     if d < 1:
         raise ValueError("covering degree must be at least 1")
     local_degrees = list(map(_as_int, local_degrees))

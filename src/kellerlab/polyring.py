@@ -6,11 +6,11 @@ exponent tuples aligned with an ordered variable list, and the zero
 polynomial has an empty term map.  Values are immutable after construction,
 safe to share across threads and picklable.
 
-`Fraction` is the interface, not the arithmetic: products and exact
-division convert their operands once to integer numerators over a common
-denominator with each monomial packed into one int, run on integers, and
-build a `Fraction` only for the terms of the result.  Sums stay on
-fractions, added in place into one accumulator by `_add_terms`.
+`Fraction` is the interface, not the arithmetic: products, exact division
+and the subresultant PRS convert their operands once to integer numerators
+(over a common denominator) with each monomial packed into one int, run on
+integers, and build a `Fraction` only for the terms of the result.  Sums
+stay on fractions, added in place into one accumulator by `_add_terms`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from functools import lru_cache
 from heapq import heappop, heappush
 from operator import mul
 
-from .errors import ExactDivisionError, VariableMismatchError
+from .errors import ExactDivisionError, InternalCheckError, VariableMismatchError
 
 Exponents = tuple  # exponent vector, one non-negative int per variable
 
@@ -120,6 +120,18 @@ def _unpack(packed, den, layout):
     if den == 1:
         return {unpack(key): Fraction(c) for key, c in packed if c}
     return {unpack(key): Fraction(c, den) for key, c in packed if c}
+
+
+def _mul_into(acc, pa, pb):
+    """Add the product of two packed term lists, iterables of (packed
+    monomial, int) pairs, into the {packed monomial: int} map acc and return
+    acc.  The one packed product loop; a sum that cancels stays as a 0."""
+    get = acc.get
+    for ka, ca in pa:
+        for kb, cb in pb:
+            k = ka + kb
+            acc[k] = get(k, 0) + ca * cb
+    return acc
 
 
 def _add_terms(acc, terms, scale=1):
@@ -295,12 +307,7 @@ class Polynomial:
         layout = _grlex_layout(len(self.variables), degree)
         da, pa = _pack(self.terms, layout)
         db, pb = _pack(other.terms, layout)
-        res = {}
-        get = res.get
-        for ka, ca in pa:
-            for kb, cb in pb:
-                k = ka + kb
-                res[k] = get(k, 0) + ca * cb
+        res = _mul_into({}, pa, pb)
         return Polynomial._raw(self.variables, _unpack(res.items(), da * db, layout))
 
     __rmul__ = __mul__
@@ -603,75 +610,158 @@ def divides(q: Polynomial, p: Polynomial) -> bool:
         return False
 
 
-def _lead_in(p: Polynomial, idx: int):
-    """(degree, leading coefficient poly) of p viewed in the idx-th variable."""
-    top = max(e[idx] for e in p.terms)
-    lead = {
-        m[:idx] + (0,) + m[idx + 1 :]: c for m, c in p.terms.items() if m[idx] == top
-    }
-    return top, Polynomial._raw(p.variables, lead)
+def _checked(acc, layout):
+    """acc, a {packed monomial: int} map of the grlex `layout`, with its
+    zero entries dropped.  The degree field is the most significant, and it
+    holds a term's total degree, so a term sets a guard bit exactly when it
+    reaches the degree field's guard bit: such a term raises
+    InternalCheckError instead of wrapping into the next field."""
+    if acc and max(acc).bit_length() >= layout.guard.bit_length():
+        raise InternalCheckError("a packed term overflows its monomial layout")
+    return {k: c for k, c in acc.items() if c}
 
 
-def _shift_in(p: Polynomial, idx: int, k: int):
-    """p * x_idx^k without building the monomial."""
-    return Polynomial._raw(
-        p.variables, {m[:idx] + (m[idx] + k,) + m[idx + 1 :]: c for m, c in p.terms.items()}
-    )
+def _times(a, b, layout):
+    """Product of two {packed monomial: int} maps of the grlex `layout`."""
+    return _checked(_mul_into({}, a.items(), b.items()), layout)
 
 
-def _pseudo_rem(f: Polynomial, g: Polynomial, idx: int) -> Polynomial:
-    """Pseudo-remainder prem(f, g) = lc(g)^(deg f - deg g + 1) f mod g in x_idx."""
-    df, _ = _lead_in(f, idx)
-    dg, lcg = _lead_in(g, idx)
-    r = f
-    e = df - dg + 1
-    while not r.is_zero():
-        dr, lcr = _lead_in(r, idx)
-        if dr < dg:
-            break
-        r = lcg * r - _shift_in(lcr * g, idx, dr - dg)
+def _power(g, e, layout):
+    """g^e of a {packed monomial: int} map, e >= 0."""
+    acc = {0: 1}
+    for _ in range(e):
+        acc = _times(acc, g, layout)
+    return acc
+
+
+def _quotient(a, divisor, layout):
+    """Exact quotient of a {packed monomial: int} map by a packed term list
+    sorted by descending monomial."""
+    if not a:
+        return {}
+    return dict(_divide_packed(sorted(a.items(), reverse=True), divisor, layout.guard))
+
+
+def _power_quotient(g, h, e, layout):
+    """g^e / h^(e - 1) for e >= 1, an exact quotient of {packed monomial:
+    int} maps (g itself for e = 1)."""
+    if e == 1:
+        return g
+    divisor = sorted(_power(h, e - 1, layout).items(), reverse=True)
+    return _quotient(_power(g, e, layout), divisor, layout)
+
+
+def _in_powers(f: Polynomial, idx: int, layout):
+    """f as a list, indexed by the power of x_idx, of {packed monomial of
+    the other variables: int} maps.  f must have integer coefficients."""
+    out = [{} for _ in range(1 + max(e[idx] for e in f.terms))]
+    for e, c in f.terms.items():
+        if c.denominator != 1:
+            raise ValueError("the subresultant PRS needs integer coefficients")
+        out[e[idx]][layout(e[:idx] + e[idx + 1 :])] = c.numerator
+    return out
+
+
+def _from_powers(coeffs, variables, idx: int, layout) -> Polynomial:
+    """The Polynomial of an `_in_powers` list."""
+    unpack = layout.unpack
+    terms = {}
+    for k, coeff in enumerate(coeffs):
+        for key, c in coeff.items():
+            e = unpack(key)
+            terms[e[:idx] + (k,) + e[idx:]] = Fraction(c)
+    return Polynomial._raw(variables, terms)
+
+
+def _prem(a, b, layout):
+    """Pseudo-remainder lc(b)^(deg a - deg b + 1) a mod b of `_in_powers`
+    lists with nonzero last entries; [] for the zero remainder."""
+    db = len(b) - 1
+    lc = b[db].items()
+    r = a[:]
+    e = len(a) - db
+    while len(r) > db:
+        top = r.pop()
+        if not top:
+            continue
+        # r <- lc * r - top * x^shift * b, which cancels the popped term
+        shift = len(r) - db
+        neg = [(k, -c) for k, c in top.items()]
+        for i in range(len(r)):
+            acc = _mul_into({}, lc, r[i].items())
+            if i >= shift:
+                _mul_into(acc, neg, b[i - shift].items())
+            r[i] = _checked(acc, layout)
         e -= 1
-    if e > 0:
-        r = (lcg**e) * r
+    while r and not r[-1]:
+        r.pop()
+    if e and r:
+        scale = _power(b[db], e, layout)
+        r = [_times(scale, c, layout) for c in r]
     return r
 
 
 def subresultant_prs(p: Polynomial, q: Polynomial, idx: int):
     """Run the subresultant PRS of p, q in x_idx down to degree 0.
 
-    Needs deg p >= deg q >= 1 in x_idx.  Collins's sequence in the form of
-    Cohen, *A Course in Computational Algebraic Number Theory*, Alg. 3.3.7
-    (without its content step): each pseudo-remainder is divided exactly by
-    g h^delta, then g = lc of the divisor and h = h^(1 - delta) g^delta, so
-    every member stays in the coefficient ring.  Returns (a, b, h, sign):
-    b is the first member of degree < 1, a the member before it, and
-    sign = (-1)^(sum of deg a * deg b over the steps).  b = 0 when p and q
-    share a factor of positive degree; otherwise Res(p, q) =
-    sign * lc(b)^deg a / h^(deg a - 1).
+    Needs integer coefficients and deg p >= deg q >= 1 in x_idx.  Collins's
+    sequence in the form of Cohen, *A Course in Computational Algebraic
+    Number Theory*, Alg. 3.3.7 (without its content step): each
+    pseudo-remainder is divided exactly by g h^delta, then g = lc of the
+    divisor and h = h^(1 - delta) g^delta, so every member stays in the
+    coefficient ring.  Returns (a, b, h, sign): b is the first member of
+    degree < 1, a the member before it, and sign = (-1)^(sum of deg a *
+    deg b over the steps).  b = 0 when p and q share a factor of positive
+    degree; otherwise Res(p, q) = sign * lc(b)^deg a / h^(deg a - 1).
+
+    The sequence runs on integers: p and q are converted once by
+    `_in_powers`, and only a, b and h are built as Polynomials.  Degree
+    bound of the packed fields: let m = deg p, n = deg q and A, B the
+    largest total degree of a coefficient of p and of q.  Every member is a
+    subresultant up to sign, a determinant of at most n rows of p's
+    coefficients and m rows of q's, and h and g are leading coefficients
+    of members, so each has total degree at most D = n A + m B.  A step of
+    degree drop delta <= m - 1 multiplies by lc^(delta + 1); its products,
+    g h^delta and g^delta stay within (delta + 2) D.  The fields hold
+    (m + 1) D, and a term past it raises InternalCheckError.
     """
-    one = Polynomial.one(p.variables)
+    m = max(e[idx] for e in p.terms)
+    n = max(e[idx] for e in q.terms)
+
+    def coefficient_degree(f):
+        return max(sum(e) - e[idx] for e in f.terms)
+
+    bound = (m + 1) * (n * coefficient_degree(p) + m * coefficient_degree(q))
+    layout = _grlex_layout(len(p.variables) - 1, bound)
+    a, b = _in_powers(p, idx, layout), _in_powers(q, idx, layout)
+    one = {0: 1}
     g = h = one
     sign = 1
-    dp = _lead_in(p, idx)[0]
-    dq, lcq = _lead_in(q, idx)
     while True:
-        delta = dp - dq
-        if dp & dq & 1:
+        da, db = len(a) - 1, len(b) - 1
+        delta = da - db
+        if da & db & 1:
             sign = -sign
-        r = _pseudo_rem(p, q, idx)
-        if r.is_zero():
-            return q, r, h, sign
+        r = _prem(a, b, layout)
+        if not r:
+            a, b = b, r
+            break
         if g is not one:  # the first step divides by 1
-            r = exact_div(r, g * h**delta)
-        p, dp, g = q, dq, lcq
-        if delta == 1:
-            h = g
-        elif delta > 1:
-            h = exact_div(g**delta, h ** (delta - 1))
-        q = r
-        dq, lcq = _lead_in(q, idx)
-        if dq == 0:
-            return p, q, h, sign
+            divisor = _times(g, _power(h, delta, layout), layout)
+            divisor = sorted(divisor.items(), reverse=True)
+            r = [_quotient(c, divisor, layout) for c in r]
+        a, g = b, b[-1]
+        if delta:
+            h = _power_quotient(g, h, delta, layout)
+        b = r
+        if len(b) == 1:
+            break
+    return (
+        _from_powers(a, p.variables, idx, layout),
+        _from_powers(b, p.variables, idx, layout),
+        _from_powers([h], p.variables, idx, layout),
+        sign,
+    )
 
 
 def _prs_gcd(f: Polynomial, g: Polynomial, idx: int) -> Polynomial:
@@ -679,7 +769,8 @@ def _prs_gcd(f: Polynomial, g: Polynomial, idx: int) -> Polynomial:
 
     Returns the x_idx-primitive gcd (contents handled by the caller).
     """
-    if _lead_in(f, idx)[0] < _lead_in(g, idx)[0]:
+    name = f.variables[idx]
+    if f.degree_in(name) < g.degree_in(name):
         f, g = g, f
     last, rem, _, _ = subresultant_prs(f, g, idx)
     if not rem.is_zero():
@@ -739,9 +830,12 @@ def make_positive(p: Polynomial) -> Polynomial:
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     """Gcd in Q[X]: Z-primitive, positive lex-leading coefficient.
 
-    Recursive subresultant PRS in the least-frequent variable; adequate at
-    desk scale (total degree <= 12, <= 6 variables) and a known performance
-    cliff beyond that.
+    Recursive subresultant PRS in the least-frequent variable, each PRS on
+    packed integer coefficients.  Adequate at desk scale (total degree <=
+    12, <= 6 variables): there it takes milliseconds.  Dense inputs beyond
+    that still grow their PRS coefficients fast: `squarefree_part` of a
+    dense degree-18 polynomial in 3 variables takes about 20 s, nearly all
+    of it in the PRS's products and exact divisions.
     """
     if isinstance(q, (int, Fraction)):
         q = Polynomial.constant(p.variables, q)

@@ -7,6 +7,7 @@ from operator import mul
 
 from kellerlab._linalg import fraction_matrix_inverse, int_matrix_det, mat_mul
 from kellerlab.diophantine import _integer_roots
+from kellerlab.elim import resultant
 from kellerlab.errors import ExactDivisionError
 from kellerlab.keller import CubicLinearForm
 from kellerlab.lattice import egcd
@@ -14,6 +15,7 @@ from kellerlab.polyring import (
     Polynomial,
     PolyMap,
     coefficients_in,
+    exact_div,
     poly_gcd,
     substitute,
     with_variables,
@@ -372,6 +374,22 @@ def reference_resultant(p: Polynomial, q: Polynomial, t, m, n) -> Polynomial:
     rows = [[zero] * s + rp + [zero] * (size - s - m - 1) for s in range(n)]
     rows += [[zero] * s + rq + [zero] * (size - s - n - 1) for s in range(m)]
     return reference_det(rows)
+
+
+def discriminant(p: Polynomial, t: str) -> Polynomial:
+    """Discriminant of p in t at its t-degree d >= 1.
+
+    For d >= 2 this is (-1)^(d(d-1)/2) Res_t(p, dp/dt) divided exactly by
+    the coefficient of t^d; for d = 1 it is the constant 1.
+    """
+    d = p.degree_in(t)
+    if d < 1:
+        raise ValueError("t-degree must be at least 1")
+    if d == 1:
+        return Polynomial.one(p.variables)
+    res = resultant(p, p.partial_derivative(t), t)
+    sign = -1 if (d * (d - 1) // 2) % 2 else 1
+    return exact_div(sign * res, coefficients_in(p, t)[d])
 
 
 def reference_scale_conjugate(F: PolyMap, r) -> PolyMap:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -7,7 +8,6 @@ from kellerlab.bundled import bundled_map_names, load_bundled_map
 from kellerlab.elim import (
     Ideal,
     TermOrder,
-    discriminant,
     eliminate,
     generic_fiber_degree,
     graph_ideal,
@@ -18,22 +18,27 @@ from kellerlab.elim import (
 )
 from kellerlab.errors import (
     BudgetExceededError,
+    InternalCheckError,
     NotDominantError,
     NotZeroDimensionalError,
 )
 from kellerlab.expr_io import parse_map_file
 from kellerlab.expr_io import parse_polynomial as P
-from kellerlab.fibers import bifurcation_data
+from kellerlab.fibers import bifurcation_data, poly_D
 from kellerlab.polyring import (
     Polynomial,
     PolyMap,
+    _grlex_layout,
+    _times,
     squarefree_part,
     substitute,
+    subresultant_prs,
     with_variables,
 )
 from kellerlab.transforms import conjugate_by_linear
 
 from _support import (
+    discriminant,
     random_polynomial,
     reference_groebner,
     reference_key_function,
@@ -631,6 +636,110 @@ def test_resultant_zero_and_constant_operands():
     for p, q in ((zero, zero), (zero, c), (c, c)):
         with pytest.raises(ValueError):
             resultant(p, q, "t")
+
+
+# ---- the packed subresultant PRS behind resultant and the gcd ----
+
+
+def _with_denominators(rng, p):
+    """p with every coefficient divided by one of 7, 11, 13 and 14."""
+    scaled = p.map_coefficients(lambda c: c / rng.choice((7, 11, 13, 14)))
+    assert not scaled.is_integral()
+    return scaled
+
+
+def test_packed_prs_clears_denominators_on_both_sides():
+    # Res(P/d_p, Q/d_q) = d_p^(-n) d_q^(-m) Res(P, Q): resultant rescales
+    # once, and the PRS runs on the integer numerators
+    rng = random.Random(4404)
+    for dp in range(1, 5):
+        for dq in range(1, 5):
+            p = _with_denominators(rng, _random_in_t(rng, dp))
+            q = _with_denominators(rng, _random_in_t(rng, dq))
+            _check_against_sylvester(p, q)
+
+
+def test_packed_prs_t_degree_zero_operands():
+    rng = random.Random(4405)
+    c = P("1/2*a - 3/5*b", TAB)
+    for dq in (1, 2, 3):
+        q = _with_denominators(rng, _random_in_t(rng, dq))
+        for p in (c, P("-2/7", TAB), c * c):
+            _check_against_sylvester(p, q)
+            _check_against_sylvester(q, p)
+    # t-degree 1 against t-degree 1: the first remainder has t-degree 0
+    _check_against_sylvester(P("1/2*a*t - b", TAB), P("3*t + a*b", TAB))
+    # the PRS ring has no variable besides t
+    T1 = ("t",)
+    assert resultant(P("1/2*t^2 - 1/3", T1), P("2/3", T1), "t").constant_value() == Fraction(4, 9)
+    p, q = P("1/2*t^3 - t + 1/3", T1), P("5*t^2 - 1/4", T1)
+    assert resultant(p, q, "t") == reference_resultant(p, q, "t", 3, 2)
+
+
+def test_packed_prs_abnormal_sequence():
+    # p = (t + a) q + r with deg r = deg q - 2: the member after q has
+    # t-degree deg q - 2, so the next step has delta = 2 and h = g^2 / h
+    rng = random.Random(4406)
+    t = Polynomial.variable(TAB, "t")
+    for dq in (3, 4):
+        for _ in range(3):
+            q = _random_in_t(rng, dq).map_coefficients(lambda c: c * 30)
+            r = _random_in_t(rng, dq - 2).map_coefficients(lambda c: c * 30)
+            p = (t + P("a", TAB)) * q + r
+            assert p.is_integral() and q.is_integral()
+            a, b, _, _ = subresultant_prs(p, q, 0)
+            assert a.degree_in("t") <= dq - 2 and b.degree_in("t") < 1
+            _check_against_sylvester(p, q)
+            _check_against_sylvester(_with_denominators(rng, q), _with_denominators(rng, p))
+
+
+def test_packed_prs_common_factor_gives_zero():
+    rng = random.Random(4407)
+    common = P("a*t^2 - 1/2*t + b", TAB)
+    for dp, dq in ((1, 1), (2, 1), (3, 2), (2, 3)):
+        p = _with_denominators(rng, _random_in_t(rng, dp)) * common
+        q = _random_in_t(rng, dq) * common
+        assert resultant(p, q, "t").is_zero()
+        _check_against_sylvester(p, q)
+        # the PRS ends in 0, and its last member is a multiple of the factor
+        P_, Q_ = (f * lcm(*(c.denominator for c in f.terms.values())) for f in (p, q))
+        first, second = (P_, Q_) if dp >= dq else (Q_, P_)
+        last, zero, _, _ = subresultant_prs(first, second, 0)
+        assert zero.is_zero() and last.degree_in("t") >= 2
+        assert resultant(last, common, "t").is_zero()
+
+
+HARD_XP4Y = """name: hard-xp4y-++
+base: x_p4y
+matrix: 2,1;1,1
+vars: x y
+F1 = 2*x - 2*y - 6*x^2 + 18*x*y - 12*y^2 + 5*x^3 - 20*x^2*y + 25*x*y^2 - 10*y^3 + 2*x^4 - 10*x^3*y + 18*x^2*y^2 - 14*x*y^3 + 4*y^4 - x^5 + 6*x^4*y - 14*x^3*y^2 + 16*x^2*y^3 - 9*x*y^4 + 2*y^5
+F2 = x - y - 6*x^2 + 18*x*y - 12*y^2 + 5*x^3 - 20*x^2*y + 25*x*y^2 - 10*y^3 + 2*x^4 - 10*x^3*y + 18*x^2*y^2 - 14*x*y^3 + 4*y^4 - x^5 + 6*x^4*y - 14*x^3*y^2 + 16*x^2*y^3 - 9*x*y^4 + 2*y^5
+"""
+
+
+def test_poly_D_of_the_hard_tier_xp4y():
+    # the benchmark's hard sigma job: D = (-1)^(d(d-1)/2) Res_t(p, dp/dt) for
+    # p = H(U + tV), here with d = 4 and the 7 x 7 Sylvester determinant
+    F = parse_map_file(HARD_XP4Y).to_poly_map()
+    H = bifurcation_data(F, compute_fiber_degree=False).H
+    assert H.total_degree() == 4
+    ring = ("U1", "U2", "V1", "V2", "t")
+    line = dict(zip(H.variables, (P("U1 + t*V1", ring), P("U2 + t*V2", ring))))
+    p = substitute(H, line, ring)
+    expected = reference_resultant(p, p.partial_derivative("t"), "t", 4, 3)
+    assert with_variables(poly_D(H), ring) == expected  # (-1)^6 = 1
+
+
+def test_packed_prs_needs_integers_and_guards_its_fields():
+    with pytest.raises(ValueError, match="integer coefficients"):
+        subresultant_prs(P("1/2*t^2 + a", TAB), P("t + b", TAB), 0)
+    # fields that hold degree 7: a degree-8 product term sets a guard bit
+    layout = _grlex_layout(1, 7)
+    x4 = {layout((4,)): 1}
+    assert _times({layout((3,)): 2}, x4, layout) == {layout((7,)): 2}
+    with pytest.raises(InternalCheckError, match="overflows"):
+        _times(x4, x4, layout)
 
 
 def test_discriminant_examples():

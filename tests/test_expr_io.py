@@ -299,6 +299,20 @@ def test_bad_variable_name_reports_its_column():
         assert (err.value.line, err.value.column) == (1, column)
 
 
+def test_duplicate_metadata_key_is_a_positioned_parse_error():
+    # the second 'name:' used to replace the first without a word
+    for text, where in (
+        ("name: a\nname: b\nvars: x\nF1 = x\n", (2, 1)),
+        ("name: a\nbase: c\n   name  : b\nvars: x\nF1 = x\n", (3, 4)),
+    ):
+        with pytest.raises(ParseError, match="duplicate metadata key 'name'") as err:
+            parse_map_file(text)
+        assert (err.value.line, err.value.column) == where
+    with pytest.raises(ParseError, match="duplicate metadata key") as err:
+        parse_system_file("origin: a\norigin: a\nvars: x\nx\n")
+    assert (err.value.line, err.value.column) == (2, 1)
+
+
 def test_lexical_error_wins_over_an_earlier_syntax_error():
     # tokens are read lazily, yet a bad character anywhere in the text is
     # reported before a syntax error ahead of it

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from kellerlab.bundled import load_bundled_map
-from kellerlab.elim import discriminant
 from kellerlab.expr_io import parse_polynomial as P
 from kellerlab.fibers import (
     ComponentData,
@@ -29,6 +28,7 @@ from kellerlab.polyring import (
 from kellerlab.transforms import conjugate_by_linear, extend_variables, scale_conjugate
 
 from _support import (
+    discriminant,
     is_scalar_multiple,
     random_polynomial,
     random_rational,
@@ -356,3 +356,11 @@ def test_hurwitz_entry_points_refuse_non_integral_local_degrees():
             assertion3_feasible(3, (bad,), 0)
     assert hurwitz_genus(3, (Fraction(3),)) == hurwitz_genus(3, (3,)) == -1
     assert assertion3_feasible(3, (Fraction(2), Fraction(1)), 0) == (True, "consistent branch data")
+
+
+def test_hurwitz_genus_refuses_a_non_integral_covering_degree():
+    # 2.5 used to reach Fraction(2 - 2d, 2), a TypeError
+    for bad in (2.5, Fraction(5, 2)):
+        with pytest.raises(ValueError, match="expected an integer"):
+            hurwitz_genus(bad, (2,))
+    assert hurwitz_genus(2.0, (2, 2)) == hurwitz_genus(Fraction(2), (2, 2)) == 0

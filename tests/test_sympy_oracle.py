@@ -16,7 +16,6 @@ from kellerlab.bundled import load_bundled_map
 from kellerlab.elim import (
     Ideal,
     TermOrder,
-    discriminant,
     groebner,
     minimal_poly_of_coordinate,
     resultant,
@@ -34,7 +33,7 @@ from kellerlab.polyring import (
 )
 from kellerlab.transforms import conjugate_by_linear
 
-from _support import random_polynomial
+from _support import discriminant, random_polynomial
 
 V = ("x", "y")
 SYMS = sympy.symbols("x y")
