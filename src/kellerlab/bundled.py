@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from importlib import resources
 
-from .expr_io import MapFile, SystemFile, parse_map_file, parse_system_file
+from .expr_io import MapFile, parse_map_file
 
 
 def _data_dir():
@@ -21,17 +21,9 @@ def bundled_names() -> list:
     return sorted(p.name for p in _data_dir().iterdir() if p.name.endswith((".map", ".sys")))
 
 
-def bundled_map_names() -> list:
-    return [n for n in bundled_names() if n.endswith(".map")]
-
-
 def bundled_text(name: str) -> str:
     return (_data_dir() / name).read_text(encoding="utf-8")
 
 
 def load_bundled_map(name: str) -> MapFile:
     return parse_map_file(bundled_text(name))
-
-
-def load_bundled_system(name: str) -> SystemFile:
-    return parse_system_file(bundled_text(name))

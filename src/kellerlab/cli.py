@@ -8,9 +8,10 @@ to standard error; reports are plain text with a --json switch.
 
 Every verb is a thin adapter over the library; no numerical logic lives
 here.  A handler only computes: it returns its digest inputs, its results,
-its text and, if it can exit other than 0, its exit code.  `main` alone
-reports: it prints the text or the JSON envelope {"verb", "inputs":
-{"digest"}, "results"}, and writes --output.
+its text and, if it can exit other than 0, its exit code; search also
+returns its work counters.  `main` alone reports: it prints the text or the
+JSON envelope {"verb", "inputs": {"digest"}, "results"}, with a "stats" key
+beside "results" for search, and writes --output.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import diophantine, expr_io, fibers, keller, lattice, transforms
 from .errors import BudgetExceededError, KellerlabError
@@ -301,7 +303,8 @@ def _cmd_search(args) -> tuple:
     results = {"points": [list(p) for p in report.points],
                "exhausted": report.exhausted, "nodes": report.nodes_visited}
     text = diophantine.format_report(report)
-    return (sf, args.radius, args.budget), results, text, 0 if report.exhausted else 3
+    code = 0 if report.exhausted else 3
+    return (sf, args.radius, args.budget), results, text, code, report.stats
 
 
 def _cmd_hurwitz(args) -> tuple:
@@ -316,22 +319,36 @@ def _cmd_hurwitz(args) -> tuple:
     return (args.d, branches), results, text, 0 if feasible else 1
 
 
-def _emit(args, inputs, results, text) -> None:
+class _Outcome(NamedTuple):
+    """What a handler returns; handlers leave off the defaults they keep."""
+
+    inputs: tuple
+    results: dict
+    text: str
+    code: int = 0
+    stats: dict | None = None
+
+
+def _emit(args, out: _Outcome) -> None:
     """The one place that reports: write the text to --output, if given, then
-    print the JSON envelope, or else the text when there is no --output."""
+    print the JSON envelope, or else the text when there is no --output.
+    Work counters go under "stats", beside the deterministic "results"."""
     path = getattr(args, "output", None)
     if path:
         try:
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.write(out.text)
         except OSError as exc:
             raise KellerlabError(f"cannot write {path}: {exc}") from exc
     if args.json:
         verb = f"transform {args.subverb}" if args.verb == "transform" else args.verb
-        doc = {"verb": verb, "inputs": {"digest": _digest(*inputs)}, "results": results}
+        doc = {"verb": verb, "inputs": {"digest": _digest(*out.inputs)},
+               "results": out.results}
+        if out.stats is not None:
+            doc["stats"] = out.stats
         print(_json_text(doc))
     elif not path:
-        print(text, end="")
+        print(out.text, end="")
 
 
 # ---- parser wiring ----
@@ -422,10 +439,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        inputs, results, text, *code = args.fn(args)
-        _emit(args, inputs, results, text)
+        out = _Outcome(*args.fn(args))
+        _emit(args, out)
         sys.stdout.flush()
-        return code[0] if code else 0
+        return out.code
     except BrokenPipeError:
         # the reader closed stdout early (`| head`): point the descriptor at
         # the null device so the flush at exit cannot raise again

@@ -19,16 +19,25 @@ there, in O(d).  The rest run a divisor test on the constant term for
 candidates up to a root bound of the polynomial, cut at the box radius.
 Every reported point is re-verified on the int equations.
 
-A residue sieve skips the leaf's scanned values at which the first nonzero
-equation E cannot vanish: for each m of SIEVE_MODULI, on scanned ranges of
-at least 3m values, a table marks the residues v mod m at which E,
-specialized at idx = v, is nonzero mod m at every residue of the last
-variable, so it has no integer root.  Each skipped value is still counted
-as a node, and the plain recursion gives it exactly that one node and no
-point: the equations before E are zero, so either E or a later equation is
-a nonzero constant and prunes, or E is the non-constant equation whose
-roots would be branched on, and it has none.  Node counts, points and
-budget stops are therefore those of the unsieved search.
+A residue sieve drops the leaf's scanned values at which the first nonzero
+equation E cannot vanish.  With idx = v, E reads c_0(v) + c_1(v) y + ... +
+c_d(v) y^d in the last variable y, and v is dropped when, for some m of
+SIEVE_MODULI, -c_0(v) mod m is not a value of c_1(v) y + ... + c_d(v) y^d
+mod m: then E has no root mod m, so no integer root.  The moduli run in
+order over the values still alive, on scanned ranges of at least 3m
+values.  Only the residues v mod m of those values are tested, and each
+verdict is memoised under (m, E's index, idx, the assigned values mod m),
+which fix E's coefficients mod m, and each image set under (m, c_1, ...,
+c_d mod m).  On the CF curves c_1..c_d do not depend on v, so one image set
+per modulus serves the whole search.  The leaf evaluates the surviving
+values only and counts the dropped ones as nodes in bulk, one each, as the
+plain recursion does: it gives each exactly one node and no point, since
+the equations before E are zero, so either E or a later equation is a
+nonzero constant and prunes, or E is the non-constant equation whose roots
+would be branched on, and it has none.  A budget that trips inside a
+dropped run stops at budget + 1.  Node counts, points and budget stops are
+therefore those of the unsieved search.  The report's `stats` count the
+dropped values, the root extractions and the memo entries built.
 
 A node budget turns large searches into a reported non-exhaustive result.
 The node at which the budget trips is counted, so a stopped search reports
@@ -151,6 +160,10 @@ class SearchReport:
     points: tuple  # lexicographically sorted integer tuples
     exhausted: bool
     nodes_visited: int
+    # work counters, not part of the answer: "sieved" values dropped by the
+    # leaf sieve (a leaf's whole range, also past a budget stop), root
+    # "extractions" and sieve "memo_entries" built
+    stats: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def format_report(report: SearchReport) -> str:
@@ -253,16 +266,6 @@ def _integer_roots(coeffs, B):
     return sorted(roots)
 
 
-def _residue_marks(rows, m):
-    """marks[v] for v mod m: whether sum_e rows[e](v) y^e is nonzero mod m
-    at every y mod m; rows[e] is a coefficient list in powers of v."""
-    marks = []
-    for v in range(m):
-        coeffs = [_horner(row, v) % m for row in rows]
-        marks.append(all(_horner(coeffs, y) % m for y in range(m)))
-    return marks
-
-
 def _support(monomial) -> int:
     """Bit i set iff variable i occurs in the exponent tuple."""
     mask = 0
@@ -307,7 +310,12 @@ class _BoxSearch:
         self.hit_budget = False
         self.points = set()
         self.nvars = system.n
-        self.marks = {}  # (m, rows mod m) -> _residue_marks
+        # (m, first, idx, assignment mod m) -> verdict per residue of idx
+        self.verdicts = {}
+        # (m, c_1, ..., c_d) -> {sum c_e y^e mod m : y mod m}
+        self.images = {}
+        self.sieved = 0  # values the leaf sieve dropped
+        self.extractions = 0  # calls of _integer_roots
 
         # assignment order: variables in the lowest-degree equations first
         scores = {}
@@ -350,6 +358,7 @@ class _BoxSearch:
                 idx = mask.bit_length() - 1
                 # every other variable is gone, so _split gives one row
                 [coeffs] = _split(terms, idx).values()
+                self.extractions += 1
                 self._branch(eqs, assignment, idx, _integer_roots(coeffs, self.B))
                 return
 
@@ -405,10 +414,10 @@ class _BoxSearch:
         _explore's rules inline: each value is a counted node that a nonzero
         constant prunes; the first non-constant equation gives the roots for
         `last`, and each root is a counted node that must zero every
-        equation; when every equation vanishes, `last` is scanned.  A value
-        that _sieve flags is counted and then skipped, since the first
-        nonzero equation has no root there.  Points are re-verified on the
-        system.
+        equation; when every equation vanishes, `last` is scanned.  Only the
+        values that _survivors keeps are evaluated; the dropped ones between
+        them are counted as nodes in bulk, since the first nonzero equation
+        has no root there.  Points are re-verified on the system.
         """
         last = next(
             (i for i, a in enumerate(assignment) if a is None and i != idx), None
@@ -424,16 +433,15 @@ class _BoxSearch:
                 rows[e] = coeffs
             tables.append(rows)
         top = max((len(row) for rows in tables for row in rows), default=1)
-        # the first nonzero equation; with none, rows [] mark no residue
-        skips = self._sieve(next((rows for rows in tables if rows), []), values)
+        first = next((k for k, rows in enumerate(tables) if rows), None)
+        keep = self._survivors(first, tables, idx, assignment, values)
         B = self.B
-        for value, skip in zip(values, skips):
-            self.nodes += 1
-            if self.nodes > self.budget:
-                self.hit_budget = True
+        counted = -1  # position in values of the last counted value
+        for i in keep:
+            if not self._count(i - counted):
                 break
-            if skip:
-                continue
+            counted = i
+            value = values[i]
             powers = [1] * top
             for e in range(1, top):
                 powers[e] = powers[e - 1] * value
@@ -451,7 +459,11 @@ class _BoxSearch:
                     self._record(assignment)
                     continue
                 lead = next((p for p in polys if p), None)
-                ys = range(-B, B + 1) if lead is None else _integer_roots(lead, B)
+                if lead is None:
+                    ys = range(-B, B + 1)
+                else:
+                    self.extractions += 1
+                    ys = _integer_roots(lead, B)
                 for y in ys:
                     self.nodes += 1
                     if self.nodes > self.budget:
@@ -462,35 +474,88 @@ class _BoxSearch:
                         self._record(assignment)
                 if self.hit_budget:
                     break
+        else:
+            self._count(len(values) - 1 - counted)  # the dropped tail
         assignment[idx] = None
         if last is not None:
             assignment[last] = None
 
-    def _sieve(self, rows, values):
-        """One flag per value: whether the equation given by _leaf's `rows`
-        has no root mod some m of SIEVE_MODULI once idx = value.
+    def _count(self, k):
+        """Count k nodes; False, with nodes at budget + 1, if that trips
+        the budget, as counting them one by one would stop there."""
+        self.nodes += k
+        if self.nodes > self.budget:
+            self.nodes = self.budget + 1
+            self.hit_budget = True
+            return False
+        return True
 
-        Each table marks the residues v mod m at which the equation, with
-        idx = v, is nonzero mod m at every residue of `last`; tables are
-        memoised on (m, rows mod m).  Only a range(-B, B + 1) is sieved, by
-        m when it holds at least 3m values, so that the table costs less
-        than it saves; the flags of one residue lie every m-th place.
-        Lists of extracted roots, at most a degree long, are not sieved.
+    def _survivors(self, first, tables, idx, assignment, values):
+        """Positions in `values` of the values that the leaf sieve keeps.
+
+        E is the equation `first` (None when every equation is zero), given
+        by _leaf's `tables[first]`.  With idx = v, E reads c_0(v) + c_1(v) y
+        + ... + c_d(v) y^d in `last`, and for each m of SIEVE_MODULI in turn
+        the values still alive are tested by their residue v mod m: v is
+        dropped when -c_0(v) mod m is not in the image of c_1(v) y + ... +
+        c_d(v) y^d mod m, since then E has no root mod m, so no integer
+        root.  Only a range(-B, B + 1) is sieved, by m when it holds at least
+        3m values, so that a residue's test costs less than it saves; lists
+        of extracted roots, at most a degree long, are kept whole.  E's rows
+        mod m depend only on (m, first, idx, the assigned values mod m), so
+        each residue's verdict is memoised under that key.
         """
-        skips = bytearray(len(values))
-        if not isinstance(values, range):
-            return skips
+        n = len(values)
+        if first is None or not isinstance(values, range):
+            return range(n)
+        rows = tables[first]
+        alive = range(n)
         for m in SIEVE_MODULI:
-            if 3 * m > len(values):
+            if 3 * m > n or not alive:
                 break
-            key = (m, tuple(tuple(c % m for c in row) for row in rows))
-            marks = self.marks.get(key)
-            if marks is None:
-                marks = self.marks[key] = _residue_marks(key[1], m)
-            for r in compress(range(m), marks):
-                i = (r - values.start) % m
-                skips[i::m] = b"\1" * len(range(i, len(values), m))
-        return skips
+            key = (m, first, idx, tuple(a if a is None else a % m for a in assignment))
+            verdicts = self.verdicts.get(key)
+            if verdicts is None:
+                verdicts = self.verdicts[key] = [None] * m
+            if len(alive) == n:
+                # every residue is present, and the verdicts repeat every m
+                # positions
+                for r in range(m):
+                    if verdicts[r] is None:
+                        verdicts[r] = self._has_root_mod(rows, m, r)
+                shift = values.start % m
+                period = verdicts[shift:] + verdicts[:shift]
+                alive = list(compress(range(n), period * (n // m + 1)))
+                continue
+            kept = []
+            for i in alive:
+                r = (values.start + i) % m
+                verdict = verdicts[r]
+                if verdict is None:
+                    verdict = verdicts[r] = self._has_root_mod(rows, m, r)
+                if verdict:
+                    kept.append(i)
+            alive = kept
+        self.sieved += n - len(alive)
+        return alive
+
+    def _has_root_mod(self, rows, m, r):
+        """Whether sum_e rows[e](r) y^e, rows[e] a coefficient list in
+        powers of v, has a root y mod m; the images of c_1 y + ... + c_d y^d
+        are memoised by (m, c_1, ..., c_d) mod m."""
+        c0, *rest = [_horner(row, r) % m for row in rows]
+        key = (m, *rest)
+        image = self.images.get(key)
+        if image is None:
+            image = self.images[key] = {_horner([0, *rest], y) % m for y in range(m)}
+        return -c0 % m in image
+
+    def stats(self) -> dict:
+        """Work counters: values dropped, root extractions, and the sieve's
+        memo entries built (residue verdicts and images)."""
+        verdicts = sum(len(v) - v.count(None) for v in self.verdicts.values())
+        return {"sieved": self.sieved, "extractions": self.extractions,
+                "memo_entries": verdicts + len(self.images)}
 
     def _record(self, assignment):
         point = tuple(assignment)
@@ -517,6 +582,7 @@ def search_box(
         points=tuple(sorted(engine.points)),
         exhausted=not engine.hit_budget,
         nodes_visited=engine.nodes,
+        stats=engine.stats(),
     )
 
 

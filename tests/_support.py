@@ -6,9 +6,11 @@ from itertools import product
 from operator import mul
 
 from kellerlab._linalg import fraction_matrix_inverse, int_matrix_det, mat_mul
+from kellerlab.bundled import bundled_names, bundled_text
 from kellerlab.diophantine import _integer_roots
 from kellerlab.elim import resultant
 from kellerlab.errors import ExactDivisionError
+from kellerlab.expr_io import parse_system_file
 from kellerlab.keller import CubicLinearForm
 from kellerlab.lattice import egcd
 from kellerlab.polyring import (
@@ -20,6 +22,16 @@ from kellerlab.polyring import (
     substitute,
     with_variables,
 )
+
+
+def bundled_map_names() -> list:
+    """Sorted names of the bundled map files."""
+    return [n for n in bundled_names() if n.endswith(".map")]
+
+
+def load_bundled_system(name: str):
+    """The bundled system file `name`, parsed."""
+    return parse_system_file(bundled_text(name))
 
 
 def random_polynomial(rng, variables, max_degree=3, max_terms=4, coeff_bound=6,

@@ -190,6 +190,24 @@ def test_search_budget_exit_code(capsys, cfsys):
     assert "exhausted: no" in out
 
 
+def test_search_json_reports_stats_beside_results(capsys, cfsys):
+    from kellerlab.diophantine import EquationSystem, format_report, search_box
+    from kellerlab.expr_io import load_system_file
+
+    system = EquationSystem(tuple(load_system_file(cfsys).to_polynomials()))
+    report = search_box(system, 40)
+    code, out, _ = run(capsys, "search", cfsys, "--radius", "40", "--json")
+    doc = json.loads(out)
+    assert code == 0 and doc["results"]["nodes"] == report.nodes_visited == 89
+    # 76 of the 81 values of x1 are dropped, and each of the other 5 has
+    # one root extraction
+    assert doc["stats"] == report.stats
+    assert (report.stats["sieved"], report.stats["extractions"]) == (76, 5)
+    assert report.stats["memo_entries"] > 0
+    code, text, _ = run(capsys, "search", cfsys, "--radius", "40")
+    assert text == format_report(report) and "stats" not in text
+
+
 def test_curve_line_kind(capsys, tri2):
     code, out, _ = run(capsys, "curve", tri2, "--kind", "line",
                        "--u", "0,0", "--v", "0,1")
@@ -597,10 +615,15 @@ def test_json_envelope(capsys, tri2, cfsys, argv, verb):
     assert (code, err) == (0, "")
     assert out.endswith("}\n") and out.count("\n") == 1
     doc = json.loads(out)
-    assert sorted(doc) == ["inputs", "results", "verb"]
+    # search alone adds its work counters beside the deterministic results
+    stats = ["stats"] if verb == "search" else []
+    assert sorted(doc) == ["inputs", "results", *stats, "verb"]
     assert doc["verb"] == verb
     assert sorted(doc["inputs"]) == ["digest"] and len(doc["inputs"]["digest"]) == 16
     assert isinstance(doc["results"], dict) and doc["results"]
+    if stats:
+        assert sorted(doc["stats"]) == ["extractions", "memo_entries", "sieved"]
+        assert all(type(v) is int and v >= 0 for v in doc["stats"].values())
 
 
 @pytest.mark.parametrize("subverb, values", [

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from kellerlab.bundled import bundled_map_names, load_bundled_map
+from kellerlab.bundled import load_bundled_map
 from kellerlab.diophantine import (
     SIEVE_MODULI,
     EquationSystem,
@@ -12,7 +12,6 @@ from kellerlab.diophantine import (
     curve_CFm,
     format_report,
     _integer_roots,
-    _residue_marks,
     _root_bound,
     line_preimage,
     nonzero_point_exists,
@@ -25,6 +24,8 @@ from kellerlab.transforms import choose_clearing_scale, conjugate_by_linear, sca
 
 from _support import (
     ReferenceBoxSearch,
+    bundled_map_names,
+    load_bundled_system,
     naive_grid_points,
     random_polynomial,
     random_rational,
@@ -356,8 +357,6 @@ def test_root_bound_cap_equals_min_of_uncapped():
 
 
 def test_search_box_pinned_cf_triangular_2():
-    from kellerlab.bundled import load_bundled_system
-
     system = EquationSystem(tuple(load_bundled_system("cf_triangular_2.sys").to_polynomials()))
     rep = search_box(system, 1500)
     ks = range(-11, 12)
@@ -409,15 +408,17 @@ class _KindRecorder(ReferenceBoxSearch):
     A kind is (unassigned variables at the node, whether its value came from
     root extraction); node i + 1 is kinds[i], so budget i trips at it.
     `sieved` lists the i at which node i + 1 is a value the leaf sieve
-    skips: one variable is left after it, and the first nonzero equation of
+    drops: one variable is left after it, and the first nonzero equation of
     its parent has no root mod some m of SIEVE_MODULI, where m is used only
-    on a scanned range of at least 3m values.
+    on a scanned range of at least 3m values.  `dropped` lists the
+    assignments at those nodes, in the same order.
     """
 
     def __init__(self, system, B):
         super().__init__(system, B, 10**6)
         self.kinds = []
         self.sieved = []
+        self.dropped = []
         self._parents = [(False, None, [])]
 
     def _branch(self, eqs, assignment, idx, values):
@@ -434,18 +435,19 @@ class _KindRecorder(ReferenceBoxSearch):
         if unassigned == 1 and first is not None:
             if _rootless_mod_some_m(eqs[first][0], assignment.index(None), used):
                 self.sieved.append(len(self.kinds))
+                self.dropped.append(tuple(assignment))
         self.kinds.append((unassigned, extracted))
         super()._explore(eqs, assignment)
 
 
 def _stop_budgets(system, B, rng):
     """Budgets that trip at a leaf child, a root grandchild, a scanned one
-    and a value the sieve skips.
+    and a value the sieve drops.
 
-    Returns ({kind: budget}, the reference's unbudgeted answer, the number
-    of values the sieve may skip); a leaf child is a node with one variable
-    left (none when n = 1), a grandchild one with none left below a leaf
-    child.
+    Returns ({kind: budget}, the reference's unbudgeted answer, the
+    assignments at the values the sieve drops, in visiting order); a leaf
+    child is a node with one variable left (none when n = 1), a grandchild
+    one with none left below a leaf child.
     """
     recorder = _KindRecorder(system, B)
     answer = recorder.run()
@@ -457,7 +459,7 @@ def _stop_budgets(system, B, rng):
         elif unassigned == 0:
             at["root" if extracted else "scan"].append(i)
     budgets = {kind: rng.choice(ix) for kind, ix in at.items() if ix}
-    return budgets, answer, len(recorder.sieved)
+    return budgets, answer, recorder.dropped
 
 
 def _check_against_reference(system, B, budget, expected=None):
@@ -514,44 +516,133 @@ def _s3_map(signs):
 
 def _cf_t2_variant(signs):
     # the benchmark's cf-t2 inputs: the bundled curve under x_i -> s_i x_i
-    from kellerlab.bundled import load_bundled_system
-
     (curve,) = load_bundled_system("cf_triangular_2.sys").to_polynomials()
     names = curve.variables
     bindings = {v: s * Polynomial.variable(names, v) for v, s in zip(names, signs)}
     return EquationSystem((substitute(curve, bindings, names),))
 
 
-def test_search_box_matches_reference_on_curves(monkeypatch):
-    # the benchmark's search inputs, where the sieve fires at B = 40 and 1500
-    skipped = [0]
-    sieve = _BoxSearch._sieve
-
-    def counting(self, rows, values):
-        flags = sieve(self, rows, values)
-        skipped[-1] += sum(flags)
-        return flags
-
-    monkeypatch.setattr(_BoxSearch, "_sieve", counting)
-    rng = random.Random(1717)
+def _benchmark_curves():
+    """The benchmark's search inputs: the cf-t2 variants at B = 1500, and
+    the s3 curves at B = 40 and at B = 7, where the sieve stays off."""
     cases = [(_cf_t2_variant(signs), 1500) for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
     for signs in ((1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1)):
         F = _s3_map(signs)
         for system in (curve_CF(F), EquationSystem((cor1_sum_of_squares(F),))):
             cases += [(system, 7), (system, 40)]
-    for system, B in cases:
+    return cases
+
+
+def test_search_box_matches_reference_on_curves(monkeypatch):
+    # the benchmark's search inputs, where the sieve fires at B = 40 and 1500
+    dropped = [[]]  # per case, the assignment at each value the engine drops
+    survivors = _BoxSearch._survivors
+
+    def recording(self, first, tables, idx, assignment, values):
+        keep = survivors(self, first, tables, idx, assignment, values)
+        kept = set(keep)
+        for i, value in enumerate(values):
+            if i not in kept:
+                point = list(assignment)
+                point[idx] = value
+                dropped[-1].append(tuple(point))
+        return keep
+
+    monkeypatch.setattr(_BoxSearch, "_survivors", recording)
+    rng = random.Random(1717)
+    for system, B in _benchmark_curves():
         budgets, answer, sieved = _stop_budgets(system, B, rng)
         assert "leaf" in budgets and "root" in budgets
         assert ("sieved" in budgets) == (B > 7), (system, B)
-        skipped.append(0)
-        _check_against_reference(system, B, 10**6, answer)
-        # the engine skips exactly the values the reference says it may
-        assert skipped[-1] == sieved, (system, B)
+        dropped.append([])
+        rep = _check_against_reference(system, B, 10**6, answer)
+        # the engine drops exactly the values the reference says it may
+        assert dropped[-1] == sieved, (system, B)
+        assert rep.stats["sieved"] == len(sieved), (system, B)
         for kind, budget in budgets.items():
             stopped = _check_against_reference(system, B, budget)
             assert stopped.nodes_visited == budget + 1 and not stopped.exhausted
             assert format_report(stopped).endswith(
                 f"exhausted: no\nnodes: {budget + 1}\n")
+
+
+def _runs(positions):
+    """Maximal runs of consecutive ints in a sorted list, as (first, last)."""
+    runs = []
+    for i in positions:
+        if runs and runs[-1][1] == i - 1:
+            runs[-1][1] = i
+        else:
+            runs.append([i, i])
+    return [tuple(run) for run in runs]
+
+
+def test_bulk_node_count_matches_reference_inside_dropped_runs():
+    # the leaf counts the values it drops in bulk; a budget that trips
+    # anywhere in a run of them must stop where counting one by one would
+    checked = 0
+    for system, B in _benchmark_curves():
+        if B == 7:
+            continue
+        recorder = _KindRecorder(system, B)
+        answer = recorder.run()
+        first, last = max(_runs(recorder.sieved), key=lambda run: run[1] - run[0])
+        assert last - first >= 40, (system, B)
+        middle = (first + last) // 2
+        for budget in (first - 1, first, first + 1, middle, last - 1, last, last + 1):
+            stopped = _check_against_reference(system, B, budget)
+            assert stopped.nodes_visited == budget + 1 and not stopped.exhausted
+            checked += 1
+        # and a budget of exactly the node count does not trip
+        _check_against_reference(system, B, answer[2], answer)
+    assert checked == 12 * 7
+
+
+def test_search_box_matches_reference_on_the_budget_job():
+    # the benchmark's budget job: s3 sum of squares, B = 200, budget 10000
+    for signs in ((1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1)):
+        system = EquationSystem((cor1_sum_of_squares(_s3_map(signs)),))
+        rep = _check_against_reference(system, 200, 10000)
+        assert rep.nodes_visited == 10001 and not rep.exhausted
+        assert rep.stats["sieved"] > 0
+
+
+@pytest.mark.parametrize("shift", [7, -7])
+def test_sieve_memo_key_names_the_first_nonzero_equation(shift):
+    # x1 is scanned and the leaf scans x2 with x3 last.  At x1 = -shift the
+    # first equation (x1 + shift) q vanishes, so the leaf's first nonzero
+    # equation is the second; at x1 = 0, with the same residue mod 7, it is
+    # the first, +-7 q, which has a root at every residue mod 7.  The range
+    # visits x1 = -7 before 0 and 0 before 7, so the two shifts cover both
+    # orders of the two leaves, which must not share memoised verdicts.  At
+    # x1 = -7 the second equation is x3^2 - x2 - 3, which has no root mod 7
+    # when x2 = 0, 2 or 3 mod 7.
+    W = ("x1", "x2", "x3")
+    system = EquationSystem((
+        P(f"(x1 + {shift})*(x3 - x2^2)", W),
+        P("x3^2 - x2 - 3 + (x1 + 7)*x2", W),
+    ))
+    for B in (10, 12, 20):
+        rep = _check_against_reference(system, B, 10**6)
+        assert rep.stats["sieved"] > 0 and rep.points, B
+
+
+def test_sieve_memo_key_names_the_assigned_variables():
+    # x1 is scanned.  At x1 = 0 the first equation is -7 (x4 - 2), so x4 = 2
+    # is extracted and the leaf scans x2 with x3 last; at x1 = 7 it is
+    # 7 (x3 - 2), so x3 = 2 and the leaf scans x2 with x4 last.  Both
+    # leaves assign the values 0 and 2 mod 7, to different variables, and
+    # the second equation there is x3^2 - x2 - 3 (no root mod 7 at x2 = 0,
+    # 2 or 3) and x4 - x2 - 1 (a root at every x2): they must not share
+    # memoised verdicts.
+    W = ("x1", "x2", "x3", "x4")
+    system = EquationSystem((
+        P("x1*(x3 - 2) + (x1 - 7)*(x4 - 2)", W),
+        P("x3^2 - x2 - 3 + x4 - 2", W),
+    ))
+    for B in (10, 12):
+        rep = _check_against_reference(system, B, 10**6)
+        assert rep.stats["sieved"] > 0 and rep.points, B
 
 
 def test_satisfied_by_matches_rational_evaluation():
@@ -640,39 +731,57 @@ def _random_rows(rng):
 
 
 def test_residue_marks_match_brute_force():
+    # the leaf sieve on one equation p(v, y) in the leaf's value v and last
+    # variable y: idx 0 of two unassigned variables, equation index 0
     rng = random.Random(1919)
-    engine = _BoxSearch(EquationSystem((P("x", ("x",)),)), 60, 10**6)
+    system = EquationSystem((P("x", ("x",)),))
     marked = {m: 0 for m in SIEVE_MODULI}
     zero_mod_m = with_root = 0
     for _ in range(120):
         rows, planted = _random_rows(rng)
         terms = [(i, e, c) for e, row in enumerate(rows) for i, c in enumerate(row) if c]
         tables = {}
+        # the memo keys assume one system, so each p gets its own engine
+        engine = _BoxSearch(system, 60, 10**6)
         for m in SIEVE_MODULI:
             # marked iff no y mod m zeroes p(v, y) mod m
             tables[m] = [
                 all(sum(c * v**i * y**e for i, e, c in terms) % m for y in range(m))
                 for v in range(m)
             ]
-            assert _residue_marks(rows, m) == tables[m], (rows, m)
+            verdicts = [engine._has_root_mod(rows, m, r) for r in range(m)]
+            assert [not ok for ok in verdicts] == tables[m], (rows, m)
             marked[m] += sum(tables[m])
             zero_mod_m += all(c % m == 0 for _, _, c in terms)
-        # the sieve's flags: a modulus m sieves ranges of at least 3m values,
-        # and lists of roots are not sieved
+        # the values dropped: a modulus m sieves ranges of at least 3m
+        # values, and lists of roots are not sieved
         box = range(-60, 61)
         for values in (box, range(-10, 11), range(-9, 31), list(box)):
-            flags = engine._sieve(rows, values)
+            engine = _BoxSearch(system, 60, 10**6)
+            keep = engine._survivors(0, [rows], 0, [None, None], values)
             used = [m for m in SIEVE_MODULI if 3 * m <= len(values)]
             if not isinstance(values, range):
                 used = []
-            assert list(flags) == [any(tables[m][v % m] for m in used) for v in values], (
+            flags = [any(tables[m][v % m] for m in used) for v in values]
+            assert list(keep) == [i for i, flag in enumerate(flags) if not flag], (
                 rows, values)
-        # a flagged value has no integer root in [-200, 200], so a planted
-        # one is never flagged
-        flags = engine._sieve(rows, box)
-        for v, flag in zip(box, flags):
+            assert engine.sieved == sum(flags)
+            # each modulus tests only the residues of the values still alive
+            alive = list(values)
+            for m in used:
+                if not alive:
+                    break
+                [verdicts] = [v for key, v in engine.verdicts.items() if key[0] == m]
+                tested = [r for r, verdict in enumerate(verdicts) if verdict is not None]
+                assert tested == sorted({v % m for v in alive}), (rows, values, m)
+                alive = [v for v in alive if not tables[m][v % m]]
+        # a dropped value has no integer root in [-200, 200], so a planted
+        # one is never dropped
+        engine = _BoxSearch(system, 60, 10**6)
+        keep = set(engine._survivors(0, [rows], 0, [None, None], box))
+        for pos, v in enumerate(box):
             coeffs = [sum(c * v**i for i, c in enumerate(row)) for row in rows]
-            if flag:
+            if pos not in keep:
                 assert all(_value(coeffs, y) for y in range(-200, 201)), (rows, v)
             elif v in planted:
                 assert _value(coeffs, planted[v]) == 0

@@ -4,7 +4,7 @@ from math import lcm
 
 import pytest
 
-from kellerlab.bundled import bundled_map_names, load_bundled_map
+from kellerlab.bundled import load_bundled_map
 from kellerlab.elim import (
     Ideal,
     TermOrder,
@@ -38,6 +38,7 @@ from kellerlab.polyring import (
 from kellerlab.transforms import conjugate_by_linear
 
 from _support import (
+    bundled_map_names,
     discriminant,
     random_polynomial,
     reference_groebner,

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from kellerlab.bundled import bundled_map_names, load_bundled_map
+from kellerlab.bundled import load_bundled_map
 from kellerlab.errors import SingularMatrixError
 from kellerlab.expr_io import parse_polynomial as P
 from kellerlab.keller import CubicLinearForm, is_keller
@@ -20,6 +20,7 @@ from kellerlab.transforms import (
 )
 
 from _support import (
+    bundled_map_names,
     homogeneous_components,
     random_map_fixing_origin,
     random_poly_map,
