@@ -1,0 +1,8 @@
+"""`python -m kellerlab`: the same front door as the `kellerlab` script."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

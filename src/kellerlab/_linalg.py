@@ -2,7 +2,8 @@
 
 One Gauss-Jordan inverse over `Fraction` serves every inverse, including
 the integer inverse of an SL(n, Z) matrix.  Integer determinants use
-fraction-free Bareiss elimination.  Polynomial determinants are Jacobians
+fraction-free Bareiss elimination, and so do rational ones once each row is
+cleared of its denominators.  Polynomial determinants are Jacobians
 (resultants use the subresultant PRS) and use Laplace expansion at every n,
 each minor computed once: on the Jacobians of X + (AX)^3 with a dense A
 it beats polynomial Bareiss with exact division, 0.2 against 2.4 s at
@@ -11,6 +12,7 @@ n = 5 and 3 against 84 s at n = 6 (2-vCPU VM).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import SingularMatrixError
@@ -48,6 +50,20 @@ def int_matrix_det(rows) -> int:
     if any(len(row) != len(a) for row in a):
         raise ValueError("matrix is not square")
     return _det_bareiss(a)
+
+
+def fraction_matrix_det(rows) -> Fraction:
+    """Determinant of a rational matrix: each row times the lcm of its
+    denominators is an integer row, and Bareiss runs on those."""
+    a, scale = [], 1
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        m = math.lcm(*(x.denominator for x in row))
+        a.append([x.numerator * (m // x.denominator) for x in row])
+        scale *= m
+    if any(len(row) != len(a) for row in a):
+        raise ValueError("matrix is not square")
+    return Fraction(_det_bareiss(a), scale)
 
 
 def mat_mul(a, b):

@@ -9,9 +9,10 @@ to standard error; reports are plain text with a --json switch.
 Every verb is a thin adapter over the library; no numerical logic lives
 here.  A handler only computes: it returns its digest inputs, its results,
 its text and, if it can exit other than 0, its exit code; search also
-returns its work counters.  `main` alone reports: it prints the text or the
+returns its work counters, and sigma the route that found it (a certified
+inverse, or elimination).  `main` alone reports: it prints the text or the
 JSON envelope {"verb", "inputs": {"digest"}, "results"}, with a "stats" key
-beside "results" for search, and writes --output.
+beside "results" for search and sigma, and writes --output.
 """
 
 from __future__ import annotations
@@ -213,14 +214,14 @@ def _cmd_bifurcation(args) -> tuple:
 
 def _cmd_sigma(args) -> tuple:
     mf, F = _load_map(args.mapfile)
-    s = fibers.sigma(F)
+    s, route = fibers.sigma_with_route(F)
     results = {"sigma": expr_io.print_polynomial(s)}
     text = f"sigma = {results['sigma']}\n"
     if args.eval:
         u, v = _parse_uv(args.eval, F.n)
         results["value"] = expr_io.format_fraction(s.evaluate(list(u) + list(v)))
         text += f"sigma(u, v) = {results['value']}\n"
-    return (mf, args.eval), results, text
+    return (mf, args.eval), results, text, 0, {"route": route}
 
 
 def _require_cubic_linear(F):

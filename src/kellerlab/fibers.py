@@ -3,6 +3,12 @@ H built from the leading coefficients of the coordinate relations h_i, the
 cone form at infinity, the line-genericity polynomial sigma(U, V) = D * R,
 and the arithmetic feasibility checker for branched covers of the line.
 
+H comes from n per-coordinate Groebner eliminations.  `sigma` skips them
+when `keller.polynomial_inverse` certifies F^-1 with one basis: an
+automorphism is proper, so its bifurcation set is empty and sigma is 1.
+When no inverse is found, or the basis exceeds its budget, sigma falls
+back to the eliminations.
+
 All outputs have rational coefficients by construction.
 """
 
@@ -13,7 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .elim import generic_fiber_degree, minimal_poly_of_coordinate, resultant
-from .errors import NotZeroDimensionalError
+from .errors import BudgetExceededError, NotZeroDimensionalError
+from .keller import polynomial_inverse
 from .polyring import (
     Polynomial,
     PolyMap,
@@ -210,12 +217,34 @@ def sigma(
     bifurcation set is empty the constant 1 is returned: every line is
     generic.  Component data is optional input; with none supplied R = 1.
     Component variables are matched to H's by name.
+
+    With neither `data` nor `components`, a polynomial inverse certified by
+    `keller.polynomial_inverse` gives 1 at once, without the n coordinate
+    eliminations of `bifurcation_data`.  When there is no such inverse, or
+    its basis exceeds the Groebner budget, H comes from the eliminations.
+    `sigma_with_route` also says which of the two answered.
     """
+    return sigma_with_route(F, components, data)[0]
+
+
+def sigma_with_route(
+    F: PolyMap,
+    components=None,
+    data: BifurcationData | None = None,
+) -> tuple:
+    """(sigma(F, components, data), route), where route is "inverse" when a
+    certified polynomial inverse gave sigma = 1 and "elimination" when H
+    did."""
+    us, vs = _uv_ring(F.n)
+    ring = us + vs
+    if data is None and not components:
+        try:
+            if polynomial_inverse(F) is not None:
+                return Polynomial.one(ring), "inverse"
+        except BudgetExceededError:
+            pass
     if data is None:
         data = bifurcation_data(F, compute_fiber_degree=False)
-    n = F.n
-    us, vs = _uv_ring(n)
-    ring = us + vs
     if components:
         # poly_R binds variables by position, so put every component in H's
         # ring by name first
@@ -230,11 +259,12 @@ def sigma(
             if not divides(comp.h_W, data.H):
                 raise ValueError("component polynomial does not divide H")
     if data.empty_bifurcation_set:
-        return Polynomial.one(ring)
-    D = poly_D(data.H)
-    if components:
-        return D * poly_R(components)
-    return D
+        s = Polynomial.one(ring)
+    else:
+        s = poly_D(data.H)
+        if components:
+            s = s * poly_R(components)
+    return s, "elimination"
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._linalg import fraction_matrix_inverse, poly_matrix_det
+from ._linalg import fraction_matrix_det, fraction_matrix_inverse, poly_matrix_det
 from .elim import MAX_DEGREE, inverse_map
 from .errors import SingularMatrixError
 from .polyring import Polynomial, PolyMap, integer_root
@@ -37,6 +37,38 @@ def default_degree_cap(F: PolyMap) -> int:
     return max(1, F.max_degree()) ** (F.n - 1)
 
 
+def _linear_part(F: PolyMap):
+    """DF(0): the matrix of F's linear coefficients."""
+    n = F.n
+    unit = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    return [[c.coefficient(unit[j]) for j in range(n)] for c in F.components]
+
+
+def polynomial_inverse(
+    F: PolyMap, max_degree: int = MAX_DEGREE, det: Polynomial | None = None
+) -> PolyMap | None:
+    """G = F^-1 when one Groebner basis within `max_degree` certifies it,
+    else None.
+
+    It returns None at once, without the basis, when DF(0), the matrix of
+    linear coefficients, is singular, or when det DF is not a nonzero
+    constant: an automorphism has both.  The first test is the cheap one;
+    it spares maps like (x, xy) the det DF expansion.  Otherwise the answer
+    is `elim.inverse_map(F, max_degree)` (van den Essen's criterion), whose
+    BudgetExceededError propagates.  A caller that already has det DF
+    passes it as `det`.
+    """
+    if not F.is_square():
+        raise ValueError("map must have as many components as variables")
+    if fraction_matrix_det(_linear_part(F)) == 0:
+        return None
+    if det is None:
+        det = jacobian_det(F)
+    if not det.is_constant() or det.is_zero():
+        return None
+    return inverse_map(F, max_degree)
+
+
 @dataclass(frozen=True)
 class FormalInverse:
     """Inverse of a map fixing the origin, decided up to a degree cap.
@@ -56,43 +88,36 @@ def formal_inverse(
 ) -> FormalInverse:
     """Polynomial inverse of F, if F is an automorphism of degree <= the cap.
 
-    Requires F(0) = 0 and DF(0) invertible.  A Jacobian determinant that is
-    not a nonzero constant rules out an inverse; otherwise the inverse is
-    read off one Groebner basis (`elim.inverse_map`), whose degree budget
-    is at least the cap.  The default cap is `default_degree_cap(F)`.  The
-    same bound applied to G = F^-1 gives d <= (deg G)^(n-1), so a cap with
-    cap^(n-1) < d returns at once, without the basis.  A non-exact result
-    carries the linear part's inverse L^-1 Y as its map; at a lower cap it
-    means "not invertible within bound", never "not invertible".
-    A caller that already has det DF passes it as `det`.
+    Requires F(0) = 0 and DF(0) invertible.  The inverse comes from
+    `polynomial_inverse`, with a Groebner degree budget of at least the cap,
+    and counts only when its degree is within the cap.  The default cap is
+    `default_degree_cap(F)`.  The same bound applied to G = F^-1 gives
+    d <= (deg G)^(n-1), so a cap with cap^(n-1) < d returns at once,
+    without the basis.  A non-exact result carries the linear part's
+    inverse L^-1 Y as its map; at a lower cap it means "not invertible
+    within bound", never "not invertible".  A caller that already has
+    det DF passes it as `det`.
     """
     if not F.is_square():
         raise ValueError("map must have as many components as variables")
     if not F.fixes_origin():
         raise ValueError("map must fix the origin")
-    variables = F.variables
-    n = F.n
     if degree_cap is None:
         degree_cap = default_degree_cap(F)
     if degree_cap < 1:
         raise ValueError("degree cap must be at least 1")
 
-    unit = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    L = [[F.components[i].coefficient(unit[j]) for j in range(n)] for i in range(n)]
+    if degree_cap ** (F.n - 1) >= F.max_degree():
+        # None when DF(0) is singular, which raises below
+        G = polynomial_inverse(F, max(MAX_DEGREE, degree_cap), det)
+        if G is not None and G.max_degree() <= degree_cap:
+            return FormalInverse(map=G, degree_bound=degree_cap, exact=True)
     try:
-        Linv = fraction_matrix_inverse(L)
+        Linv = fraction_matrix_inverse(_linear_part(F))
     except SingularMatrixError:
         raise SingularMatrixError("DF(0) is singular; no formal inverse") from None
-
-    if degree_cap ** (n - 1) >= F.max_degree():
-        if det is None:
-            det = jacobian_det(F)
-        if det.is_constant() and not det.is_zero():
-            G = inverse_map(F, max(MAX_DEGREE, degree_cap))
-            if G is not None and G.max_degree() <= degree_cap:
-                return FormalInverse(map=G, degree_bound=degree_cap, exact=True)
     return FormalInverse(
-        map=PolyMap.linear(Linv, variables), degree_bound=degree_cap, exact=False
+        map=PolyMap.linear(Linv, F.variables), degree_bound=degree_cap, exact=False
     )
 
 

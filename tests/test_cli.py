@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import runpy
 import shlex
 import sys
 
@@ -73,6 +74,34 @@ def test_sigma_verb_with_eval(capsys, bif):
     assert code == 0
     assert "sigma = V1" in out
     assert "sigma(u, v) = 1" in out
+
+
+def test_triangular_6_sigma_answers_where_bifurcation_exits_on_its_budget(capsys):
+    # sigma reads its answer off the certified inverse; bifurcation still
+    # runs the eliminations, whose first basis needs degree 81
+    path = os.path.join(ROOT, MAPS, "triangular_6.map")
+    assert run(capsys, "bifurcation", path) == (
+        3, "", "error: basis element degree 81 exceeds budget 80; input beyond desk scale\n")
+    assert run(capsys, "sigma", path) == (0, "sigma = 1\n", "")
+    code, out, err = run(capsys, "sigma", path, "--json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert (doc["results"], doc["stats"]) == ({"sigma": "1"}, {"route": "inverse"})
+
+
+def test_sigma_json_reports_its_route_beside_results(capsys, tri2, bif):
+    for path, route in ((tri2, "inverse"), (bif, "elimination")):
+        code, out, err = run(capsys, "sigma", path, "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["stats"] == {"route": route}
+
+
+def test_python_dash_m_runs_the_cli(capsys, bif, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["kellerlab", "sigma", bif])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("kellerlab", run_name="__main__")
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out == "sigma = V1\n"
 
 
 def test_sigma_eval_usage_error(capsys, bif):
@@ -615,15 +644,18 @@ def test_json_envelope(capsys, tri2, cfsys, argv, verb):
     assert (code, err) == (0, "")
     assert out.endswith("}\n") and out.count("\n") == 1
     doc = json.loads(out)
-    # search alone adds its work counters beside the deterministic results
-    stats = ["stats"] if verb == "search" else []
+    # search adds its work counters, and sigma its route, beside the
+    # deterministic results
+    stats = ["stats"] if verb in ("search", "sigma") else []
     assert sorted(doc) == ["inputs", "results", *stats, "verb"]
     assert doc["verb"] == verb
     assert sorted(doc["inputs"]) == ["digest"] and len(doc["inputs"]["digest"]) == 16
     assert isinstance(doc["results"], dict) and doc["results"]
-    if stats:
+    if verb == "search":
         assert sorted(doc["stats"]) == ["extractions", "memo_entries", "sieved"]
         assert all(type(v) is int and v >= 0 for v in doc["stats"].values())
+    if verb == "sigma":
+        assert doc["stats"] == {"route": "inverse"}
 
 
 @pytest.mark.parametrize("subverb, values", [

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+import kellerlab.keller
 from kellerlab.bundled import load_bundled_map
+from kellerlab.errors import BudgetExceededError
 from kellerlab.expr_io import parse_polynomial as P
 from kellerlab.fibers import (
     ComponentData,
@@ -15,6 +17,7 @@ from kellerlab.fibers import (
     poly_D,
     poly_R,
     sigma,
+    sigma_with_route,
 )
 from kellerlab.polyring import (
     Polynomial,
@@ -28,6 +31,7 @@ from kellerlab.polyring import (
 from kellerlab.transforms import conjugate_by_linear, extend_variables, scale_conjugate
 
 from _support import (
+    bundled_map_names,
     discriminant,
     is_scalar_multiple,
     random_polynomial,
@@ -189,6 +193,87 @@ def test_sigma_binds_component_variables_by_name():
         assert s.variables == UV
         assert s == expected, ring
         assert s.evaluate([0, 0, 1, 0]) == 1
+
+
+# the hard tier's automorphism classes (base map, conjugating matrix A),
+# copied from the benchmark's generator
+HARD_AUTOMORPHISMS = {
+    "c3": ("triangular_3", ((1, 0, 1), (1, 1, 0), (0, 0, 1))),
+    "s3": ("triangular_3", ((1, 0, 1), (0, 1, 0), (0, 0, 1))),
+    "n4a": ("triangular_4", ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 1, 1))),
+    "n4b": ("triangular_4", ((1, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))),
+    "n4s": ("triangular_4", ((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 0), (0, 0, 0, 1))),
+}
+
+
+def _hard_automorphism(tag):
+    base, A = HARD_AUTOMORPHISMS[tag]
+    return conjugate_by_linear(load_bundled_map(base + ".map").to_poly_map(), A)
+
+
+def _sigma_cases():
+    # triangular_6's eliminations exceed the Groebner degree budget
+    for name in bundled_map_names():
+        if name != "triangular_6.map":
+            yield name, load_bundled_map(name).to_poly_map()
+    for tag in HARD_AUTOMORPHISMS:
+        yield tag, _hard_automorphism(tag)
+
+
+@pytest.mark.parametrize("name, F", list(_sigma_cases()))
+def test_sigma_by_inverse_matches_sigma_by_elimination(name, F):
+    s, route = sigma_with_route(F)
+    assert s == sigma(F, data=bifurcation_data(F, compute_fiber_degree=False))
+    assert sigma(F) == s
+    # every bundled map but the two bifurcation exemplars is an automorphism
+    assert route == ("elimination" if name.startswith("bif_") else "inverse")
+
+
+def _count_inverse_map(monkeypatch):
+    calls = []
+    inner = kellerlab.keller.inverse_map
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(kellerlab.keller, "inverse_map", counting)
+    return calls
+
+
+def test_sigma_skips_the_basis_without_a_unit_jacobian(monkeypatch):
+    calls = _count_inverse_map(monkeypatch)
+    UV = ("U1", "U2", "V1", "V2")
+    # DF(0) is singular on (x, xy)
+    F = load_bundled_map("bif_x_xy.map").to_poly_map()
+    assert sigma_with_route(F) == (P("V1", UV), "elimination")
+    # DF(0) is the identity on x -> x + x^3, but det DF = 1 + 3x^2; the map
+    # is finite, so the eliminations find an empty bifurcation set
+    F = PolyMap([P("x + x^3", ("x",))])
+    assert sigma_with_route(F) == (Polynomial.one(("U1", "V1")), "elimination")
+    assert calls == []
+    # a Keller map reaches the basis once, and so does (2x, y), whose det DF
+    # is the nonzero constant 2
+    assert sigma_with_route(F_TRI)[1] == "inverse"
+    assert sigma_with_route(PolyMap([P("2*x", V), P("y", V)]))[1] == "inverse"
+    assert len(calls) == 2
+
+
+def test_sigma_with_components_eliminates_on_an_automorphism():
+    bad = ComponentData(P("Y1", Y2), (P("Y2", Y2),))
+    with pytest.raises(ValueError, match="divide"):
+        sigma(F_TRI, components=[bad])
+
+
+def test_sigma_falls_back_when_the_inverse_basis_exceeds_its_budget(monkeypatch):
+    def over_budget(F, max_degree):
+        raise BudgetExceededError("basis size exceeds budget 0")
+
+    F = _hard_automorphism("c3")
+    expected = sigma(F, data=bifurcation_data(F, compute_fiber_degree=False))
+    monkeypatch.setattr(kellerlab.keller, "inverse_map", over_budget)
+    assert sigma_with_route(F) == (expected, "elimination")
+    assert sigma_with_route(F_XY) == (P("V1", ("U1", "U2", "V1", "V2")), "elimination")
 
 
 def test_assert_c2_examples():

@@ -14,6 +14,7 @@ from kellerlab.keller import (
     formal_inverse,
     is_keller,
     jacobian_det,
+    polynomial_inverse,
 )
 from kellerlab.polyring import Polynomial, PolyMap, substitute
 from kellerlab.transforms import conjugate_by_linear
@@ -115,6 +116,17 @@ def test_formal_inverse_preconditions():
         formal_inverse(PolyMap([P("x + 1", V), P("y", V)]), 2)
     with pytest.raises(SingularMatrixError):
         formal_inverse(PolyMap([P("x", V), P("x*y", V)]), 2)
+
+
+def test_polynomial_inverse_needs_no_fixed_origin():
+    # unlike formal_inverse, it takes any map, and None means no inverse
+    F = PolyMap([P("2*x + y^2 + 1", V), P("y - 3", V)])
+    G = polynomial_inverse(F)
+    assert F.compose(G) == PolyMap.identity(V) == G.compose(F)
+    assert polynomial_inverse(PolyMap([P("x", V), P("x*y", V)])) is None
+    assert polynomial_inverse(PolyMap([P("x + x^3", ("x",))])) is None
+    with pytest.raises(ValueError, match="as many components"):
+        polynomial_inverse(PolyMap([P("x + y", V)]))
 
 
 def test_inverse_roundtrip_when_exact():

@@ -4,7 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from kellerlab._linalg import fraction_matrix_inverse, int_matrix_det, mat_mul, poly_matrix_det
+from kellerlab._linalg import (
+    fraction_matrix_det,
+    fraction_matrix_inverse,
+    int_matrix_det,
+    mat_mul,
+    poly_matrix_det,
+)
 from kellerlab.errors import SingularMatrixError
 from kellerlab.keller import jacobian_matrix
 from kellerlab.polyring import Polynomial, PolyMap
@@ -32,23 +38,39 @@ def test_fraction_matrix_inverse_singular():
         fraction_matrix_inverse([[1, 2], [2, 4]])
 
 
-def test_int_matrix_det_against_naive_expansion():
-    def naive(rows):
-        n = len(rows)
-        if n == 1:
-            return rows[0][0]
-        total = 0
-        for j in range(n):
-            minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-            term = rows[0][j] * naive(minor)
-            total += -term if j % 2 else term
-        return total
+def _naive_det(rows):
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    total = 0
+    for j in range(n):
+        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
+        term = rows[0][j] * _naive_det(minor)
+        total += -term if j % 2 else term
+    return total
 
+
+def test_int_matrix_det_against_naive_expansion():
     rng = random.Random(2222)
     for _ in range(30):
         n = rng.choice([2, 3, 4, 5])
         rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-        assert int_matrix_det(rows) == naive(rows)
+        assert int_matrix_det(rows) == _naive_det(rows)
+
+
+def test_fraction_matrix_det_against_naive_expansion():
+    rng = random.Random(2323)
+    singular = 0
+    for _ in range(60):
+        n = rng.choice([1, 2, 3, 4])
+        rows = [[Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)]
+                for _ in range(n)]
+        det = fraction_matrix_det(rows)
+        assert type(det) is Fraction and det == _naive_det(rows)
+        singular += det == 0
+    assert singular > 0
+    with pytest.raises(ValueError, match="not square"):
+        fraction_matrix_det([[1, 2]])
 
 
 def test_int_matrix_det_zero_pivot_column_is_int_zero():
