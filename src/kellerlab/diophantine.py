@@ -12,32 +12,34 @@ where at most one variable is left after the assignment, builds no child
 maps: the `_split` rows of each equation are keyed by the power of the last
 variable, so a value gives its coefficient lists in that variable directly,
 and the roots of the first non-constant one are checked on every equation.
-An integer root y has m | p(y mod m) for every m, so the values p(0),
-p(+-1), p(+-2) and p(+-3) rule out every nonzero root when some m = 2, 3, 4,
-5 or 7 divides none of the values at its residues; most extractions end
-there, in O(d).  The rest run a divisor test on the constant term for
-candidates up to a root bound of the polynomial, cut at the box radius.
-Every reported point is re-verified on the int equations.
+A root extraction is a divisor test on the constant term for candidates
+up to a root bound of the polynomial, cut at the box radius.  Every
+reported point is re-verified on the int equations.
 
 A residue sieve drops the leaf's scanned values at which the first nonzero
 equation E cannot vanish.  With idx = v, E reads c_0(v) + c_1(v) y + ... +
 c_d(v) y^d in the last variable y, and v is dropped when, for some m of
 SIEVE_MODULI, -c_0(v) mod m is not a value of c_1(v) y + ... + c_d(v) y^d
-mod m: then E has no root mod m, so no integer root.  The moduli run in
-order over the values still alive, on scanned ranges of at least 3m
-values.  Only the residues v mod m of those values are tested, and each
-verdict is memoised under (m, E's index, idx, the assigned values mod m),
-which fix E's coefficients mod m, and each image set under (m, c_1, ...,
-c_d mod m).  On the CF curves c_1..c_d do not depend on v, so one image set
-per modulus serves the whole search.  The leaf evaluates the surviving
-values only and counts the dropped ones as nodes in bulk, one each, as the
-plain recursion does: it gives each exactly one node and no point, since
-the equations before E are zero, so either E or a later equation is a
-nonzero constant and prunes, or E is the non-constant equation whose roots
-would be branched on, and it has none.  A budget that trips inside a
-dropped run stops at budget + 1.  Node counts, points and budget stops are
-therefore those of the unsieved search.  The report's `stats` count the
-dropped values, the root extractions and the memo entries built.
+mod m: then E has no root mod m, so no integer root.  Each m tests the
+values still alive on scanned ranges of at least 3m values and is skipped
+on shorter ones, so 5, the last, alone sieves 15 to 20 values.  A value
+kept on 27 or more gives E a root mod 8, 9, 7 and 5, hence mod 2, 3 and 4,
+so the root extraction tests no residues: it would reject only where E
+vanishes at v, a zero root was stripped, the values were not sieved, or
+above the leaf.  Only the residues v mod m of the values alive are tested,
+and each verdict is memoised under (m, E's index, idx, the assigned values
+mod m), which fix E's coefficients mod m, and each image set under (m,
+c_1, ..., c_d mod m).  On the CF curves c_1..c_d do not depend on v, so
+one image set per modulus serves the whole search.  The leaf evaluates the
+surviving values only and counts the dropped ones as nodes in bulk, one
+each, as the plain recursion does: it gives each exactly one node and no
+point, since the equations before E are zero, so either E or a later
+equation is a nonzero constant and prunes, or E is the non-constant
+equation whose roots would be branched on, and it has none.  A budget that
+trips inside a dropped run stops at budget + 1.  Node counts, points and
+budget stops are therefore those of the unsieved search.  The report's
+`stats` count the dropped values, the root extractions and the memo
+entries built.
 
 A node budget turns large searches into a reported non-exhaustive result.
 The node at which the budget trips is counted, so a stopped search reports
@@ -60,8 +62,8 @@ from .fibers import Line
 from .polyring import Polynomial, PolyMap, _add_terms, integer_root, make_primitive
 
 DEFAULT_NODE_BUDGET = 1_000_000
-# moduli of the leaf's residue sieve, ascending
-SIEVE_MODULI = (7, 8, 9, 11, 13)
+# moduli of the leaf's residue sieve, in the order they are tried
+SIEVE_MODULI = (7, 8, 9, 11, 13, 5)
 
 
 @dataclass(frozen=True)
@@ -220,40 +222,17 @@ def _horner(coeffs, y):
 def _integer_roots(coeffs, B):
     """Sorted integer roots within [-B, B] of sum coeffs[k] y^k (not all 0).
 
-    Zero roots are stripped.  An integer polynomial has p(y) = p(y mod m)
-    mod m, so a nonzero root y needs a residue r with m | p(r): p(0), p(1),
-    p(-1), p(2), p(-2), p(3) and p(-3) decide that for m = 2, 3, 4, 5 and 7,
-    and when some m has no such residue there is none.  The cubic curves
-    give shifted cubes (y + a)^3 + k, and cubing is a bijection mod 2, 3
-    and 5, so only m = 4 (-k = 2 mod 4) and m = 7 (the cubes mod 7 are 0
-    and +-1) can reject those.  Otherwise y divides the remaining
+    Zero roots are stripped.  A nonzero root y divides the remaining
     constant term, and |y| is at most the root bound of p(y) for y > 0 and
     of p(-y) for y < 0, so only those candidates up to B are trial-divided
-    and then checked exactly.
+    and then checked exactly (residues are the leaf sieve's test).
     """
     shift = 0
     while coeffs[shift] == 0:
         shift += 1
     roots = [0] if shift else []
     body = coeffs[shift:]
-    # p at the residues 0, 1, -1, 2, -2, 3 and -3; the first m form a full
-    # set mod m
     c0 = body[0]
-    p1 = sum(body)
-    pm1 = 2 * sum(body[::2]) - p1
-    if c0 & 1 and p1 & 1 or c0 % 3 and p1 % 3 and pm1 % 3:
-        return roots
-    p2 = _horner(body, 2)
-    if c0 % 4 and p1 % 4 and pm1 % 4 and p2 % 4:
-        return roots
-    pm2 = _horner(body, -2)
-    if c0 % 5 and p1 % 5 and pm1 % 5 and p2 % 5 and pm2 % 5:
-        return roots
-    if (
-        c0 % 7 and p1 % 7 and pm1 % 7 and p2 % 7 and pm2 % 7
-        and _horner(body, 3) % 7 and _horner(body, -3) % 7
-    ):
-        return roots
     pos = _root_bound(body, B)
     neg = _root_bound([-c if k & 1 else c for k, c in enumerate(body)], B)
     for y in range(1, max(pos, neg) + 1):
@@ -499,11 +478,11 @@ class _BoxSearch:
         the values still alive are tested by their residue v mod m: v is
         dropped when -c_0(v) mod m is not in the image of c_1(v) y + ... +
         c_d(v) y^d mod m, since then E has no root mod m, so no integer
-        root.  Only a range(-B, B + 1) is sieved, by m when it holds at least
-        3m values, so that a residue's test costs less than it saves; lists
-        of extracted roots, at most a degree long, are kept whole.  E's rows
-        mod m depend only on (m, first, idx, the assigned values mod m), so
-        each residue's verdict is memoised under that key.
+        root.  Only a range(-B, B + 1) is sieved, by each m for which it
+        holds at least 3m values, so that a residue's test costs less than
+        it saves; lists of extracted roots, at most a degree long, are kept
+        whole.  E's rows mod m depend only on (m, first, idx, the assigned
+        values mod m), so each residue's verdict is memoised under that key.
         """
         n = len(values)
         if first is None or not isinstance(values, range):
@@ -511,8 +490,10 @@ class _BoxSearch:
         rows = tables[first]
         alive = range(n)
         for m in SIEVE_MODULI:
-            if 3 * m > n or not alive:
+            if not alive:
                 break
+            if 3 * m > n:
+                continue
             key = (m, first, idx, tuple(a if a is None else a % m for a in assignment))
             verdicts = self.verdicts.get(key)
             if verdicts is None:

@@ -1,8 +1,9 @@
 """Groebner bases over Q: elimination ideals, minimal polynomials of map
 coordinates, fiber counting, and resultants.
 
-Resultants are taken at the actual degrees in the eliminated variable, by
-the subresultant PRS of `polyring` (the gcd's loop).
+`resultant` (Res_t at the actual t-degrees) is `polyring.resultant`, read
+off the subresultant PRS that the gcd runs; it is imported here, where
+`fibers` takes it from.
 
 Buchberger with the normal selection strategy and the Gebauer-Moeller
 pair update (JSC 6, 1988), on polyring's packed monomials: a term order is
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd
 
 from .errors import (
     BudgetExceededError,
@@ -36,14 +37,12 @@ from .polyring import (
     MonomialLayout,
     Polynomial,
     PolyMap,
-    _grlex_layout,
     _pack,
-    _power_quotient,
     _unpack,
     fresh_names,
     make_primitive,
     rename_variables,
-    subresultant_prs,
+    resultant,  # noqa: F401  (elim.resultant is the resultant of `fibers`)
     with_variables,
 )
 
@@ -510,51 +509,3 @@ def generic_fiber_degree(F: PolyMap, sample) -> int:
                     seen.add(t)
                     stack.append(t)
     return count
-
-
-# ---- resultants ----
-
-
-def resultant(p: Polynomial, q: Polynomial, t: str) -> Polynomial:
-    """Res_t(p, q) at the actual t-degrees (m, n): the determinant of the
-    Sylvester matrix of p and q as polynomials in t.
-
-    The subresultant PRS (`polyring.subresultant_prs`, shared with the gcd)
-    computes it on the integer numerators of p and q.  An operand c of
-    t-degree 0 (the zero polynomial counts as degree 0) gives c^n (c^m).
-    """
-    if p.variables != q.variables:
-        raise VariableMismatchError("resultant operands over different variables")
-    if t not in p.variables:
-        raise ValueError(f"unknown variable {t!r}")
-    dp, dq = max(p.degree_in(t), 0), max(q.degree_in(t), 0)
-    if dp == dq == 0:
-        raise ValueError("at least one t-degree must be positive")
-    # a degree-0 operand leaves only the other operand's rows: c times the identity
-    if dq == 0:
-        return q**dp
-    if dp == 0:
-        return p**dq
-    idx = p.variables.index(t)
-    # the PRS sees integers only: Res(P/d_p, Q/d_q) = d_p^(-n) d_q^(-m) Res(P, Q)
-    den_p = lcm(*(c.denominator for c in p.terms.values()))
-    den_q = lcm(*(c.denominator for c in q.terms.values()))
-    P = p if den_p == 1 else p * den_p
-    Q = q if den_q == 1 else q * den_q
-    if dp >= dq:
-        a, b, h, sign = subresultant_prs(P, Q, idx)
-    else:
-        a, b, h, sign = subresultant_prs(Q, P, idx)
-        if dp & dq & 1:
-            sign = -sign
-    if b.is_zero():
-        return b
-    # Res(P, Q) = sign * b^da / h^(da - 1) on packed integers: for da >= 2,
-    # h^(da - 1) divides b^da, whose degree then bounds every term
-    da = a.degree_in(t)
-    layout = _grlex_layout(len(p.variables), max(da * b.total_degree(), h.total_degree()))
-    _, pb = _pack(b.terms, layout)
-    _, ph = _pack(h.terms, layout)
-    res = _power_quotient(dict(pb), dict(ph), da, layout)
-    res = [(k, sign * c) for k, c in res.items()]
-    return Polynomial._raw(p.variables, _unpack(res, den_p**dq * den_q**dp, layout))

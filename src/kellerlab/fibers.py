@@ -3,11 +3,11 @@ H built from the leading coefficients of the coordinate relations h_i, the
 cone form at infinity, the line-genericity polynomial sigma(U, V) = D * R,
 and the arithmetic feasibility checker for branched covers of the line.
 
-H comes from n per-coordinate Groebner eliminations.  `sigma` skips them
-when `keller.polynomial_inverse` certifies F^-1 with one basis: an
-automorphism is proper, so its bifurcation set is empty and sigma is 1.
-When no inverse is found, or the basis exceeds its budget, sigma falls
-back to the eliminations.
+H comes from n per-coordinate Groebner eliminations.  `sigma` and
+`assert_c2` skip them when `keller.polynomial_inverse` certifies F^-1 with
+one basis: an automorphism is proper, so its bifurcation set is empty and
+sigma is 1.  When no inverse is found, or the basis exceeds its budget,
+both fall back to the eliminations.
 
 All outputs have rational coefficients by construction.
 """
@@ -205,6 +205,15 @@ def poly_R(components) -> Polynomial:
     return total
 
 
+def _certified_inverse(F: PolyMap) -> bool:
+    """Whether `keller.polynomial_inverse` certifies F^-1 (then H = 1, there
+    is no cone and sigma = 1); a basis past its budget certifies nothing."""
+    try:
+        return polynomial_inverse(F) is not None
+    except BudgetExceededError:
+        return False
+
+
 def sigma(
     F: PolyMap,
     components=None,
@@ -237,12 +246,8 @@ def sigma_with_route(
     did."""
     us, vs = _uv_ring(F.n)
     ring = us + vs
-    if data is None and not components:
-        try:
-            if polynomial_inverse(F) is not None:
-                return Polynomial.one(ring), "inverse"
-        except BudgetExceededError:
-            pass
+    if data is None and not components and _certified_inverse(F):
+        return Polynomial.one(ring), "inverse"
     if data is None:
         data = bifurcation_data(F, compute_fiber_degree=False)
     if components:
@@ -288,18 +293,20 @@ def assert_c2(
 
     Returns a pair of C2Status: the first for the fixed base point u (needs
     H(u) != 0), the second for the fixed direction v (needs coneform(v) != 0,
-    vacuous when the bifurcation set is empty).
+    vacuous when the bifurcation set is empty).  With neither `data` nor
+    `components` a certified inverse answers, as in `sigma`.
     """
-    if data is None:
-        data = bifurcation_data(F, compute_fiber_degree=False)
     n = F.n
     u = [Fraction(x) for x in u]
     v = [Fraction(x) for x in v]
     if len(u) != n or len(v) != n:
         raise ValueError("point/direction length does not match the map")
-    s = sigma(F, components=components, data=data)
     us, vs = _uv_ring(n)
     ring = us + vs
+    inverse = data is None and not components and _certified_inverse(F)
+    if not inverse and data is None:
+        data = bifurcation_data(F, compute_fiber_degree=False)
+    s = Polynomial.one(ring) if inverse else sigma(F, components=components, data=data)
 
     def side(fixed_names, values, label):
         bind = {name: Polynomial.variable(ring, name) for name in ring}
@@ -308,11 +315,11 @@ def assert_c2(
             return C2Status(False, f"{label} vanishes identically")
         return C2Status(True, f"{label} is not identically zero")
 
-    if not data.empty_bifurcation_set and data.H.evaluate(u) == 0:
+    if not inverse and not data.empty_bifurcation_set and data.H.evaluate(u) == 0:
         first = C2Status(None, "precondition violated: u lies on {H = 0}")
     else:
         first = side(us, u, "sigma(u, V)")
-    if data.cone_form is not None and data.cone_form.evaluate(v) == 0:
+    if not inverse and data.cone_form is not None and data.cone_form.evaluate(v) == 0:
         second = C2Status(None, "precondition violated: v lies on the cone at infinity")
     else:
         second = side(vs, v, "sigma(U, v)")

@@ -652,14 +652,14 @@ def _power_quotient(g, h, e, layout):
 
 
 def _in_powers(f: Polynomial, idx: int, layout):
-    """f as a list, indexed by the power of x_idx, of {packed monomial of
-    the other variables: int} maps.  f must have integer coefficients."""
+    """(den, coeffs): f = F/den for the lcm den of f's denominators, and
+    coeffs lists, indexed by the power of x_idx, the {packed monomial of
+    the other variables: int} maps of F."""
+    den = math.lcm(*(c.denominator for c in f.terms.values()))
     out = [{} for _ in range(1 + max(e[idx] for e in f.terms))]
     for e, c in f.terms.items():
-        if c.denominator != 1:
-            raise ValueError("the subresultant PRS needs integer coefficients")
-        out[e[idx]][layout(e[:idx] + e[idx + 1 :])] = c.numerator
-    return out
+        out[e[idx]][layout(e[:idx] + e[idx + 1 :])] = c.numerator * (den // c.denominator)
+    return den, out
 
 
 def _from_powers(coeffs, variables, idx: int, layout) -> Polynomial:
@@ -701,26 +701,26 @@ def _prem(a, b, layout):
     return r
 
 
-def subresultant_prs(p: Polynomial, q: Polynomial, idx: int):
-    """Run the subresultant PRS of p, q in x_idx down to degree 0.
+def _prs(p: Polynomial, q: Polynomial, idx: int):
+    """Run the subresultant PRS of P = den_p p and Q = den_q q in x_idx
+    down to degree 0, for deg p >= deg q >= 1 in x_idx.
 
-    Needs integer coefficients and deg p >= deg q >= 1 in x_idx.  Collins's
-    sequence in the form of Cohen, *A Course in Computational Algebraic
-    Number Theory*, Alg. 3.3.7 (without its content step): each
+    Collins's sequence in the form of Cohen, *A Course in Computational
+    Algebraic Number Theory*, Alg. 3.3.7 (without its content step): each
     pseudo-remainder is divided exactly by g h^delta, then g = lc of the
     divisor and h = h^(1 - delta) g^delta, so every member stays in the
-    coefficient ring.  Returns (a, b, h, sign): b is the first member of
-    degree < 1, a the member before it, and sign = (-1)^(sum of deg a *
-    deg b over the steps).  b = 0 when p and q share a factor of positive
-    degree; otherwise Res(p, q) = sign * lc(b)^deg a / h^(deg a - 1).
+    coefficient ring.  Returns (a, b, h, sign, den_p, den_q, layout): a and
+    b are `_in_powers` lists, b the first member of degree < 1 ([] when P
+    and Q share a factor of positive degree) and a the member before it; h
+    is a {packed monomial: int} map, sign = (-1)^(sum of deg a * deg b over
+    the steps), and Res(P, Q) = sign * b[0]^deg a / h^(deg a - 1).  `layout`
+    packs the variables other than x_idx.
 
-    The sequence runs on integers: p and q are converted once by
-    `_in_powers`, and only a, b and h are built as Polynomials.  Degree
-    bound of the packed fields: let m = deg p, n = deg q and A, B the
+    Degree bound of the fields: let m = deg p, n = deg q and A, B the
     largest total degree of a coefficient of p and of q.  Every member is a
-    subresultant up to sign, a determinant of at most n rows of p's
-    coefficients and m rows of q's, and h and g are leading coefficients
-    of members, so each has total degree at most D = n A + m B.  A step of
+    subresultant up to sign, a determinant of at most n rows of P's
+    coefficients and m rows of Q's, and h and g are leading coefficients of
+    members, so each has total degree at most D = n A + m B.  A step of
     degree drop delta <= m - 1 multiplies by lc^(delta + 1); its products,
     g h^delta and g^delta stay within (delta + 2) D.  The fields hold
     (m + 1) D, and a term past it raises InternalCheckError.
@@ -733,7 +733,7 @@ def subresultant_prs(p: Polynomial, q: Polynomial, idx: int):
 
     bound = (m + 1) * (n * coefficient_degree(p) + m * coefficient_degree(q))
     layout = _grlex_layout(len(p.variables) - 1, bound)
-    a, b = _in_powers(p, idx, layout), _in_powers(q, idx, layout)
+    (den_p, a), (den_q, b) = _in_powers(p, idx, layout), _in_powers(q, idx, layout)
     one = {0: 1}
     g = h = one
     sign = 1
@@ -756,12 +756,42 @@ def subresultant_prs(p: Polynomial, q: Polynomial, idx: int):
         b = r
         if len(b) == 1:
             break
-    return (
-        _from_powers(a, p.variables, idx, layout),
-        _from_powers(b, p.variables, idx, layout),
-        _from_powers([h], p.variables, idx, layout),
-        sign,
-    )
+    return a, b, h, sign, den_p, den_q, layout
+
+
+def resultant(p: Polynomial, q: Polynomial, t: str) -> Polynomial:
+    """Res_t(p, q) at the actual t-degrees (m, n): the determinant of the
+    Sylvester matrix of p and q as polynomials in t.
+
+    Read off the gcd's PRS `_prs`: Res(p, q) = d_p^(-n) d_q^(-m) sign b^da /
+    h^(da - 1), taken in the PRS's own layout, which holds b^da (total
+    degree da D <= m D).  An operand c of t-degree 0 (the zero polynomial
+    counts as degree 0) gives c^n (c^m).
+    """
+    if p.variables != q.variables:
+        raise VariableMismatchError("resultant operands over different variables")
+    if t not in p.variables:
+        raise ValueError(f"unknown variable {t!r}")
+    dp, dq = max(p.degree_in(t), 0), max(q.degree_in(t), 0)
+    if dp == dq == 0:
+        raise ValueError("at least one t-degree must be positive")
+    # a degree-0 operand leaves only the other operand's rows: c times the identity
+    if dq == 0:
+        return q**dp
+    if dp < dq:  # Res(p, q) = (-1)^(m n) Res(q, p)
+        res = resultant(q, p, t)
+        return -res if dp & dq & 1 else res
+    idx = p.variables.index(t)
+    a, b, h, sign, den_p, den_q, layout = _prs(p, q, idx)
+    if not b:
+        return Polynomial.zero(p.variables)
+    res = _power_quotient(b[0], h, len(a) - 1, layout)
+    den = den_p**dq * den_q**dp
+    unpack = layout.unpack
+    return Polynomial._raw(p.variables, {
+        e[:idx] + (0,) + e[idx:]: Fraction(sign * c, den)
+        for e, c in ((unpack(key), c) for key, c in res.items())
+    })
 
 
 def _prs_gcd(f: Polynomial, g: Polynomial, idx: int) -> Polynomial:
@@ -772,10 +802,11 @@ def _prs_gcd(f: Polynomial, g: Polynomial, idx: int) -> Polynomial:
     name = f.variables[idx]
     if f.degree_in(name) < g.degree_in(name):
         f, g = g, f
-    last, rem, _, _ = subresultant_prs(f, g, idx)
-    if not rem.is_zero():
+    a, b, *_, layout = _prs(f, g, idx)
+    if b:
         return Polynomial.one(f.variables)
-    coeffs = [c for c in coefficients_in(last, f.variables[idx]) if not c.is_zero()]
+    last = _from_powers(a, f.variables, idx, layout)
+    coeffs = [c for c in coefficients_in(last, name) if not c.is_zero()]
     cont = _gcd_many(coeffs)
     return exact_div(last, cont)
 

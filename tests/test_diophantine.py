@@ -492,7 +492,8 @@ def _random_system(rng):
 
 def test_search_box_matches_reference_on_random_systems():
     rng = random.Random(1616)
-    stops = {"leaf": 0, "root": 0, "scan": 0}  # boxes too small to sieve
+    # boxes of at most 15 values: only m = 5 sieves, at B = 7
+    stops = {"leaf": 0, "root": 0, "scan": 0, "sieved": 0}
     found = 0
     for _ in range(2000):
         system = _random_system(rng)
@@ -504,7 +505,9 @@ def test_search_box_matches_reference_on_random_systems():
             stopped = _check_against_reference(system, B, budget)
             assert stopped.nodes_visited == budget + 1 and not stopped.exhausted
             stops[kind] += 1
-    assert min(stops.values()) >= 200 and found >= 500, (stops, found)
+    assert min(stops["leaf"], stops["root"], stops["scan"]) >= 200 and found >= 500, (
+        stops, found)
+    assert stops["sieved"] >= 10, stops
 
 
 def _s3_map(signs):
@@ -788,6 +791,33 @@ def test_residue_marks_match_brute_force():
                 with_root += 1
     assert min(marked.values()) >= 200 and zero_mod_m >= 20 and with_root >= 300, (
         marked, zero_mod_m, with_root)
+
+
+def test_short_ranges_are_sieved_by_five_alone():
+    # 15 to 20 values fail the 3m gate of every modulus but 5, the last one
+    # tried: a gated modulus is skipped, and the sieve goes on to the next
+    rng = random.Random(2020)
+    system = EquationSystem((P("x", ("x",)),))
+    assert [m for m in SIEVE_MODULI if 3 * m <= 20] == [5]
+    dropped = 0
+    for _ in range(120):
+        rows, planted = _random_rows(rng)
+        start = rng.randint(-30, 10)
+        values = range(start, start + rng.randint(15, 20))
+        engine = _BoxSearch(system, 60, 10**6)
+        keep = list(engine._survivors(0, [rows], 0, [None, None], values))
+        expected = []
+        for pos, v in enumerate(values):
+            coeffs = [sum(c * v**i for i, c in enumerate(row)) for row in rows]
+            # v survives iff p(v, y) has a root y mod 5
+            if any(_value(coeffs, y) % 5 == 0 for y in range(5)):
+                expected.append(pos)
+            elif v in planted:
+                raise AssertionError((rows, v))
+        assert keep == expected, (rows, values)
+        assert engine.sieved == len(values) - len(keep)
+        dropped += engine.sieved
+    assert dropped >= 300, dropped
 
 
 def test_search_box_matches_reference_where_the_sieve_fires():

@@ -28,11 +28,12 @@ from kellerlab.fibers import bifurcation_data, poly_D
 from kellerlab.polyring import (
     Polynomial,
     PolyMap,
+    _from_powers,
     _grlex_layout,
+    _prs,
     _times,
     squarefree_part,
     substitute,
-    subresultant_prs,
     with_variables,
 )
 from kellerlab.transforms import conjugate_by_linear
@@ -688,7 +689,8 @@ def test_packed_prs_abnormal_sequence():
             r = _random_in_t(rng, dq - 2).map_coefficients(lambda c: c * 30)
             p = (t + P("a", TAB)) * q + r
             assert p.is_integral() and q.is_integral()
-            a, b, _, _ = subresultant_prs(p, q, 0)
+            a, b, *_, layout = _prs(p, q, 0)
+            a, b = (_from_powers(f, TAB, 0, layout) for f in (a, b))
             assert a.degree_in("t") <= dq - 2 and b.degree_in("t") < 1
             _check_against_sylvester(p, q)
             _check_against_sylvester(_with_denominators(rng, q), _with_denominators(rng, p))
@@ -702,12 +704,39 @@ def test_packed_prs_common_factor_gives_zero():
         q = _random_in_t(rng, dq) * common
         assert resultant(p, q, "t").is_zero()
         _check_against_sylvester(p, q)
-        # the PRS ends in 0, and its last member is a multiple of the factor
-        P_, Q_ = (f * lcm(*(c.denominator for c in f.terms.values())) for f in (p, q))
-        first, second = (P_, Q_) if dp >= dq else (Q_, P_)
-        last, zero, _, _ = subresultant_prs(first, second, 0)
-        assert zero.is_zero() and last.degree_in("t") >= 2
+        # the PRS of the numerators ends in 0, and its last member is a
+        # multiple of the factor
+        first, second = (p, q) if dp >= dq else (q, p)
+        last, zero, _, _, den_1, den_2, layout = _prs(first, second, 0)
+        assert (den_1, den_2) == tuple(
+            lcm(*(c.denominator for c in f.terms.values())) for f in (first, second))
+        last = _from_powers(last, TAB, 0, layout)
+        assert zero == [] and last.degree_in("t") >= 2
         assert resultant(last, common, "t").is_zero()
+
+
+def test_resultant_of_dense_operands_fits_the_prs_layout():
+    # b^da / h^(da - 1) is taken in the PRS's own packed layout: at t-degrees
+    # (5, 4) with dense coefficients of total degree 3 in a, b, b^da reaches
+    # total degree 4 D for D = 4 * 3 + 5 * 3, inside the fields' 6 D
+    rng = random.Random(4408)
+    monomials = [(i, j) for i in range(4) for j in range(4 - i)]
+    t = Polynomial.variable(TAB, "t")
+
+    def dense(degree):
+        f = Polynomial.zero(TAB)
+        for k in range(degree + 1):
+            coeff = {(0, i, j): Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                                         rng.choice((1, 1, 2, 3)))
+                     for i, j in monomials}
+            f = f + Polynomial(TAB, coeff) * t**k
+        return f
+
+    p, q = dense(5), dense(4)
+    expected = reference_resultant(p, q, "t", 5, 4)
+    assert expected.total_degree() == 27
+    assert resultant(p, q, "t") == expected
+    assert resultant(q, p, "t") == expected  # (-1)^(5 * 4) = 1
 
 
 HARD_XP4Y = """name: hard-xp4y-++
@@ -732,9 +761,7 @@ def test_poly_D_of_the_hard_tier_xp4y():
     assert with_variables(poly_D(H), ring) == expected  # (-1)^6 = 1
 
 
-def test_packed_prs_needs_integers_and_guards_its_fields():
-    with pytest.raises(ValueError, match="integer coefficients"):
-        subresultant_prs(P("1/2*t^2 + a", TAB), P("t + b", TAB), 0)
+def test_packed_prs_guards_its_fields():
     # fields that hold degree 7: a degree-8 product term sets a guard bit
     layout = _grlex_layout(1, 7)
     x4 = {layout((4,)): 1}

@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+import kellerlab.fibers
 import kellerlab.keller
 from kellerlab.bundled import load_bundled_map
 from kellerlab.errors import BudgetExceededError
 from kellerlab.expr_io import parse_polynomial as P
 from kellerlab.fibers import (
+    C2Status,
     ComponentData,
     Line,
     assert_c2,
@@ -284,6 +286,32 @@ def test_assert_c2_examples():
     assert bad_u.ok is None
     _, bad_v = assert_c2(F_XY, (1, 0), (0, 1))
     assert bad_v.ok is None
+
+
+def test_assert_c2_reads_an_automorphism_off_its_inverse(monkeypatch):
+    # triangular_6's eliminations exceed the Groebner degree budget; its
+    # certified inverse gives H = 1 and no cone, so both sides hold
+    F6 = load_bundled_map("triangular_6.map").to_poly_map()
+    ok = (C2Status(True, "sigma(u, V) is not identically zero"),
+          C2Status(True, "sigma(U, v) is not identically zero"))
+    assert assert_c2(F6, (1,) * 6, (1,) * 6) == ok
+    # the other automorphisms: the statuses of the elimination route, with
+    # the eliminations left out
+    rng = random.Random(2424)
+    cases = [(tag, _hard_automorphism(tag)) for tag in ("c3", "s3")]
+    cases += [(name, load_bundled_map(name).to_poly_map())
+              for name in ("triangular_2.map", "triangular_3.map")]
+    expected = {}
+    for tag, F in cases:
+        u = [rng.randint(-3, 3) for _ in range(F.n)]
+        v = [rng.randint(-3, 3) or 1 for _ in range(F.n)]
+        data = bifurcation_data(F, compute_fiber_degree=False)
+        expected[tag] = (u, v, assert_c2(F, u, v, data=data))
+        assert expected[tag][2] == ok
+    monkeypatch.setattr(kellerlab.fibers, "bifurcation_data", None)
+    for tag, F in cases:
+        u, v, statuses = expected[tag]
+        assert assert_c2(F, u, v) == statuses
 
 
 def test_cone_vanishing_samples():
