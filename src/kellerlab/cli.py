@@ -66,14 +66,14 @@ def _parse_matrix(text: str):
     return rows
 
 
-def _parse_uv(text: str, n: int):
+def _parse_uv(text: str, n: int) -> fibers.Line:
     halves = text.split(";")
     if len(halves) != 2:
         raise KellerlabError("expected 'u1,...,un;v1,...,vn'")
     u, v = _parse_vector(halves[0]), _parse_vector(halves[1])
     if len(u) != n or len(v) != n:
         raise KellerlabError(f"point and direction must have {n} coordinates")
-    return u, v
+    return fibers.Line(u, v)
 
 
 def _int_at_least(text: str, low: int, word: str) -> int:
@@ -218,8 +218,8 @@ def _cmd_sigma(args) -> tuple:
     results = {"sigma": expr_io.print_polynomial(s)}
     text = f"sigma = {results['sigma']}\n"
     if args.eval:
-        u, v = _parse_uv(args.eval, F.n)
-        results["value"] = expr_io.format_fraction(s.evaluate(list(u) + list(v)))
+        line = _parse_uv(args.eval, F.n)
+        results["value"] = expr_io.format_fraction(s.evaluate(line.u + line.v))
         text += f"sigma(u, v) = {results['value']}\n"
     return (mf, args.eval), results, text, 0, {"route": route}
 

@@ -11,6 +11,13 @@ and the subresultant PRS convert their operands once to integer numerators
 (over a common denominator) with each monomial packed into one int, run on
 integers, and build a `Fraction` only for the terms of the result.  Sums
 stay on fractions, added in place into one accumulator by `_add_terms`.
+
+Gcds, and so squarefree parts, take integer gcds of values first: GCDHEU
+evaluates at integer points xi >= 2 min(|p|oo, |q|oo) + 29 and accepts the
+candidate rebuilt from the xi-adic digits of the value gcd only when exact
+division shows that it divides both sides.  When HEU_GCD_POINTS points per
+variable fail, or a point passes HEU_GCD_MAX_BITS bits, the recursive
+subresultant PRS computes the same gcd.
 """
 
 from __future__ import annotations
@@ -858,15 +865,138 @@ def make_positive(p: Polynomial) -> Polynomial:
     return -p if p.terms[max(p.terms)] < 0 else p
 
 
+# ---- heuristic gcd ----
+#
+# GCDHEU (Char, Geddes & Gonnet, "GCDHEU: heuristic polynomial GCD
+# algorithm based on integer GCD computation", J. Symbolic Comput. 7, 1989)
+# on {exponent tuple: int} maps.  Its theorem: for A, B primitive and an
+# integer xi > 1 + 2 min(|A|oo, |B|oo), if the primitive part G of the
+# symmetric xi-adic expansion of gcd(A(xi), B(xi)) divides A and B, then G
+# is their gcd.  So a candidate is accepted only after exact division, and
+# a point that gives none is replaced by a larger one.
+
+# evaluation points tried per evaluated variable before the pair goes to
+# the PRS
+HEU_GCD_POINTS = 6
+# an evaluation point of more bits than this sends the pair to the PRS
+HEU_GCD_MAX_BITS = 1 << 14
+
+
+def _heu_gcd(a: Polynomial, b: Polynomial):
+    """Gcd of nonzero Z-primitive polynomials by GCDHEU, Z-primitive with a
+    positive lex-leading coefficient; None when every point tried gives a
+    candidate that does not divide both, or a point passes the bit cap."""
+    nvars = len(a.variables)
+    used = [i for i in range(nvars) if any(e[i] for e in a.terms)
+            or any(e[i] for e in b.terms)]
+
+    def ints(p):
+        return {tuple([e[i] for i in used]): c.numerator for e, c in p.terms.items()}
+
+    g = _heu(ints(a), ints(b))
+    if g is None:
+        return None
+    terms = {}
+    for k, c in g.items():
+        e = [0] * nvars
+        for i, x in zip(used, k):
+            e[i] = x
+        terms[tuple(e)] = Fraction(c)
+    return make_positive(Polynomial._raw(a.variables, terms))
+
+
+def _heu(a, b):
+    """Gcd of nonzero {exponent tuple: int} maps over the same variables,
+    with the gcd of their integer contents, up to sign; None on failure.
+
+    The first variable is evaluated at xi and the gcd of the images taken
+    recursively, down to `math.gcd` on integers."""
+    ca, cb = math.gcd(*a.values()), math.gcd(*b.values())
+    c = math.gcd(ca, cb)
+    zero = (0,) * len(next(iter(a)))
+    if _is_constant(a, zero) or _is_constant(b, zero):
+        return {zero: c}
+    a = {e: v // ca for e, v in a.items()}
+    b = {e: v // cb for e, v in b.items()}
+    xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 29
+    for _ in range(HEU_GCD_POINTS):
+        if xi.bit_length() > HEU_GCD_MAX_BITS:
+            return None
+        ea, eb = _at(a, xi), _at(b, xi)
+        g = _heu(ea, eb) if ea and eb else ea or eb
+        if g:
+            g = _adic(g, xi)
+            cg = math.gcd(*g.values())
+            g = {e: v // cg for e, v in g.items()}
+            # a constant candidate is a unit, which divides both
+            if _is_constant(g, zero) or _divides_ints(g, a) and _divides_ints(g, b):
+                return {e: v * c for e, v in g.items()}
+        xi = xi * 73794 * integer_root(xi, 4) // 27011
+    return None
+
+
+def _is_constant(a, zero):
+    return len(a) == 1 and zero in a
+
+
+def _at(a, xi):
+    """The map of a with its first variable set to xi; zeros dropped."""
+    powers = [1]
+    for _ in range(max(e[0] for e in a)):
+        powers.append(powers[-1] * xi)
+    out = {}
+    get = out.get
+    for e, c in a.items():
+        k = e[1:]
+        out[k] = get(k, 0) + c * powers[e[0]]
+    return {k: v for k, v in out.items() if v}
+
+
+def _adic(g, xi):
+    """The map whose first variable carries the symmetric xi-adic digits,
+    in (-xi/2, xi/2], of each coefficient of g."""
+    half = xi // 2
+    out = {}
+    for e, c in g.items():
+        k = 0
+        while c:
+            r = c % xi
+            if r > half:
+                r -= xi
+            if r:
+                out[(k,) + e] = r
+            c = (c - r) // xi
+            k += 1
+    return out
+
+
+def _divides_ints(d, a):
+    """True when the {exponent tuple: int} map d divides a exactly."""
+    degree = max(map(sum, a))
+    if max(map(sum, d)) > degree:
+        return False
+    layout = _grlex_layout(len(next(iter(a))), degree)
+    dividend = sorted([(layout(e), c) for e, c in a.items()], reverse=True)
+    divisor = sorted([(layout(e), c) for e, c in d.items()], reverse=True)
+    try:
+        _divide_packed(dividend, divisor, layout.guard)
+    except ExactDivisionError:
+        return False
+    return True
+
+
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     """Gcd in Q[X]: Z-primitive, positive lex-leading coefficient.
 
-    Recursive subresultant PRS in the least-frequent variable, each PRS on
-    packed integer coefficients.  Adequate at desk scale (total degree <=
-    12, <= 6 variables): there it takes milliseconds.  Dense inputs beyond
-    that still grow their PRS coefficients fast: `squarefree_part` of a
-    dense degree-18 polynomial in 3 variables takes about 20 s, nearly all
-    of it in the PRS's products and exact divisions.
+    Both sides are made Z-primitive, then GCDHEU (`_heu_gcd`) evaluates
+    the variables in turn at integer points xi >= 2 min(|p|oo, |q|oo) + 29,
+    above the theorem's bound, takes the integer gcd of the values, rebuilds
+    a candidate by symmetric xi-adic expansion and keeps it only when exact
+    division shows that it divides both sides.  A failed point is replaced
+    by a larger one, up to HEU_GCD_POINTS points per variable; after that,
+    or once a point passes HEU_GCD_MAX_BITS bits, the pair goes to the
+    recursive subresultant PRS in the least-frequent variable (`_gcd_z`),
+    which gives the same gcd.
     """
     if isinstance(q, (int, Fraction)):
         q = Polynomial.constant(p.variables, q)
@@ -877,7 +1007,9 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
         return make_primitive(q)
     if q.is_zero():
         return make_primitive(p)
-    return _gcd_z(make_primitive(p), make_primitive(q))
+    p, q = make_primitive(p), make_primitive(q)
+    g = _heu_gcd(p, q)
+    return _gcd_z(p, q) if g is None else g
 
 
 def squarefree_part(p: Polynomial) -> Polynomial:
@@ -885,7 +1017,11 @@ def squarefree_part(p: Polynomial) -> Polynomial:
 
     Computed as p / gcd(p, dp/dx_1, ..., dp/dx_n); the result is a generator
     of the radical of (p), integer-primitive with positive lex-leading
-    coefficient.
+    coefficient.  Each gcd is a `poly_gcd`: GCDHEU at points xi >= 2 min(|g|oo,
+    |dp/dx_i|oo) + 29, its candidate checked by exact division, with the
+    subresultant PRS as the fallback.  On a dense degree-18 product f g f
+    in 3 variables it takes milliseconds where the PRS alone took about
+    half a minute.
     """
     if p.is_zero():
         raise ValueError("squarefree part of the zero polynomial is undefined")

@@ -110,6 +110,14 @@ def test_sigma_eval_usage_error(capsys, bif):
     assert "error" in err
 
 
+def test_zero_direction_is_rejected_by_sigma_and_curve_alike(capsys, bif):
+    for argv in (["sigma", bif, "--eval", "1,2;0,0"],
+                 ["sigma", bif, "--eval=1,2;0,0", "--json"],
+                 ["curve", bif, "--kind", "line", "--u", "1,2", "--v", "0,0"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", "error: direction must be nonzero\n")
+
+
 def test_transform_scale(capsys, tri2):
     code, out, err = run(capsys, "transform", "scale", "--r", "2", tri2)
     assert code == 0

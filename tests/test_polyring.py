@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from kellerlab import polyring
 from kellerlab.errors import ExactDivisionError, VariableMismatchError
 from kellerlab.polyring import (
     Polynomial,
     PolyMap,
     _add_terms,
     _as_int,
+    divides,
     exact_div,
     integer_content,
     integer_root,
@@ -179,8 +181,6 @@ def test_poly_gcd_primitive_convention():
 
 
 def test_poly_gcd_recovers_planted_common_factor():
-    from kellerlab.polyring import divides
-
     rng = random.Random(606)
     for _ in range(25):
         g, a = coprime_pair(rng, V, max_degree=3)
@@ -190,6 +190,114 @@ def test_poly_gcd_recovers_planted_common_factor():
         assert divides(d, g * a)
         assert divides(d, g * b)
         assert divides(make_primitive(g), d)
+
+
+def _prs_gcd_of(p, q):
+    """The gcd that `poly_gcd` read off the subresultant PRS alone."""
+    return polyring._gcd_z(make_primitive(p), make_primitive(q))
+
+
+def _nonzero_polynomial(rng, ring, **kwargs):
+    while True:
+        p = random_polynomial(rng, ring, allow_zero=False, **kwargs)
+        if p:  # equal monomials drawn twice can cancel
+            return p
+
+
+def test_heuristic_gcd_matches_prs_on_planted_factors():
+    rng = random.Random(2525)
+    names = ("x", "y", "z", "w", "u", "v")
+    for trial in range(120):
+        ring = names[: 1 + trial % 6]
+        planted = _nonzero_polynomial(rng, ring, max_degree=3, max_terms=4)
+        a = make_primitive(planted * _nonzero_polynomial(rng, ring, max_degree=4, max_terms=5))
+        b = make_primitive(planted * _nonzero_polynomial(rng, ring, max_degree=3, max_terms=4))
+        expected = polyring._gcd_z(a, b)
+        assert polyring._heu_gcd(a, b) == expected
+        assert poly_gcd(a, b) == expected
+        assert divides(make_primitive(planted), expected)
+
+
+def test_heuristic_gcd_edge_cases():
+    W = ("x", "y", "z", "w")
+    x, y, z, w = (Polynomial.variable(W, v) for v in W)
+    one = Polynomial.one(W)
+    big = 2**70
+    cases = [
+        (Polynomial.constant(W, 6), Polynomial.constant(W, 4), one),  # constants
+        (Polynomial.constant(W, 6), x * y + 3, one),
+        (x**2 - 3 * x * y, Polynomial.constant(W, Fraction(-2, 3)), one),
+        (x * y + 1, z * w - 2, one),  # no variable in common
+        ((x + 1) * y, (x + 1) * (z**2 + w), x + 1),  # y and z, w on one side only
+        ((x - y) * (x + z), x - y, x - y),  # one operand divides the other
+        (x - y, (x - y) ** 3 * (w + 1), x - y),
+        (-(x**2) * y + z, -(x**2) * y + z, x**2 * y - z),  # negative lex-leading
+        (-(y + 1) * (x - 2), -(y + 1) * (x + w), y + 1),
+        (big * (x + y) * (z - 1), big * 3 * (x + y) ** 2, x + y),  # content 2^70
+        (big * x + big, 3 * x + 3, x + 1),
+        (Fraction(1, 2) * x * y + Fraction(3, 4) * y, Fraction(2, 3) * y**2,  # rationals
+         y),
+        (Fraction(5, 7) * (x - Fraction(1, 3)) * (z + w), (3 * x - 1) * w, 3 * x - 1),
+        # at the first point, 33, the values 65 * 1089 and 65 * 63 share the
+        # extra factor 9, and the candidate x^2 - 15 x - 9 divides neither
+        (2 * x**3 - x**2, 4 * x**2 - 8 * x + 3, 2 * x - 1),
+    ]
+    for p, q, expected in cases:
+        assert poly_gcd(p, q) == expected
+        assert poly_gcd(q, p) == expected
+        assert _prs_gcd_of(p, q) == expected
+        assert polyring._heu_gcd(make_primitive(p), make_primitive(q)) == expected
+
+
+def test_poly_gcd_falls_back_to_the_prs_when_the_heuristic_fails(monkeypatch):
+    rng = random.Random(2626)
+    ring = ("x", "y", "z")
+    pairs = []
+    for _ in range(10):
+        planted = _nonzero_polynomial(rng, ring, max_degree=2, max_terms=3)
+        pairs.append((planted * _nonzero_polynomial(rng, ring, max_degree=3),
+                      planted * _nonzero_polynomial(rng, ring, max_degree=3)))
+    expected = [_prs_gcd_of(p, q) for p, q in pairs]
+    calls = []
+    monkeypatch.setattr(polyring, "_heu_gcd", lambda a, b: calls.append((a, b)))
+    assert [poly_gcd(p, q) for p, q in pairs] == expected
+    assert len(calls) == len(pairs)
+
+
+def test_heuristic_gcd_leaves_inputs_past_the_bit_cap_to_the_prs(monkeypatch):
+    prs_runs = []
+    prs = polyring._prs
+
+    def counting_prs(*args):
+        prs_runs.append(args)
+        return prs(*args)
+
+    monkeypatch.setattr(polyring, "_prs", counting_prs)
+    # the first point is 2 min(|a|oo, |b|oo) + 29, so a norm of 2^k makes it
+    # k + 2 bits long
+    cap = polyring.HEU_GCD_MAX_BITS
+    for k, past_cap in ((cap - 2, False), (cap - 1, True)):
+        norm = 2**k
+        a = (X + norm) * (X - 1)
+        b = (X + norm) * (X + 2 * Y)
+        assert min(max(abs(c) for c in p.terms.values()) for p in (a, b)) == norm
+        prs_runs.clear()
+        assert (polyring._heu_gcd(a, b) is None) == past_cap
+        assert poly_gcd(a, b) == X + norm
+        assert bool(prs_runs) == past_cap
+
+
+def test_squarefree_part_of_dense_trivariate_takes_no_prs(monkeypatch):
+    # a dense input on which the PRS alone took tens of seconds: its
+    # subresultant coefficients grow to degree (m + 1) D in the other variables
+    def no_prs(*args):
+        raise AssertionError("squarefree_part entered the subresultant PRS")
+
+    monkeypatch.setattr(polyring, "_prs", no_prs)
+    rng = random.Random(7)
+    f = random_polynomial(rng, ("x", "y", "z"), 6, 15, allow_zero=False)
+    g = random_polynomial(rng, ("x", "y", "z"), 6, 15, allow_zero=False)
+    assert squarefree_part(f * g * f) == make_primitive(f * g)
 
 
 def test_distributivity_and_no_zero_coefficients():

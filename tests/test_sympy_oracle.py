@@ -198,6 +198,26 @@ def test_hard_tier_degree4_line_discriminant_matches_sympy():
         )
 
 
+def test_hard_tier_squarefree_part_matches_sympy():
+    # the benchmark's non-Keller sigma inputs: x, x p(x) y for p = x - 1,
+    # (x - 1)(x + 2) and (x - 1)(x + 2)(x - 3), conjugated by D A with
+    # A = ((2, 1), (1, 1)), D = diag(1, +-1); H is the squarefree part of
+    # the product of the leading coefficients a_i
+    A_2 = ((2, 1), (1, 1))
+    for p in ("x - 1", "(x - 1)*(x + 2)", "(x - 1)*(x + 2)*(x - 3)"):
+        base = PolyMap([P("x", V), P(f"x*({p})*y", V)])
+        for sign in (1, -1):
+            D_A = tuple(tuple(s * a for a in row) for s, row in zip((1, sign), A_2))
+            data = bifurcation_data(conjugate_by_linear(base, D_A),
+                                    compute_fiber_degree=False)
+            product = data.a[0] * data.a[1]
+            assert not product.is_constant()
+            ours = squarefree_part(product)
+            theirs = sympy.sqf_part(to_sympy(product))
+            assert ours == make_primitive(from_sympy(theirs, product.variables))
+            assert data.H == ours
+
+
 def test_5x5_poly_matrix_det_matches_sympy():
     rng = random.Random(31342)
     for _ in range(4):
