@@ -214,11 +214,12 @@ def _cmd_bifurcation(args) -> tuple:
 
 def _cmd_sigma(args) -> tuple:
     mf, F = _load_map(args.mapfile)
+    # a malformed --eval is reported before, not after, the work
+    line = _parse_uv(args.eval, F.n) if args.eval else None
     s, route = fibers.sigma_with_route(F)
     results = {"sigma": expr_io.print_polynomial(s)}
     text = f"sigma = {results['sigma']}\n"
-    if args.eval:
-        line = _parse_uv(args.eval, F.n)
+    if line is not None:
         results["value"] = expr_io.format_fraction(s.evaluate(line.u + line.v))
         text += f"sigma(u, v) = {results['value']}\n"
     return (mf, args.eval), results, text, 0, {"route": route}

@@ -10,7 +10,14 @@ Expression grammar (recursive descent, precedence climbing):
 
 Numbers are integer or rational literals `p/q` with no embedded spaces;
 exponents are non-negative integer literals; implicit multiplication is
-forbidden.  A power of a base with more than one term is expanded, so its
+forbidden.
+
+A product of numbers and variable powers, such as `3*x1^2*x2`, is built as
+one (Fraction, exponent tuple) term and added straight into its
+expression's term map.  A `Polynomial` is built only for a parenthesised
+sub-expression, and its products with single terms and powers of single
+terms skip packing (`Polynomial.__mul__`, `__pow__`).  A power of a base
+with more than one term is expanded, so its
 degree is capped at MAX_POWER_DEGREE and its term count, bounded before
 expanding by C(degree + k, k) for a base in k variables, at MAX_POWER_TERMS:
 `(x+y+1)^200` and `(x+y+z+w+1)^24` are ParseErrors at the `^`, not 20301 and
@@ -44,6 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 from typing import NamedTuple
 
 from .errors import ParseError
@@ -161,13 +169,25 @@ def _tokenize(text, line=1, column=1):
 # ---- parser ----
 
 
+_ONE = Fraction(1)
+
+
 class _Parser:
-    """Recursive descent over a token stream, one token of lookahead."""
+    """Recursive descent over a token stream, one token of lookahead.
+
+    `term`, `factor`, `atom` and `base` return a product of numbers and
+    variable powers as one (Fraction, exponent tuple) pair, which `expr`
+    adds into its term map as it is.  Only a parenthesised sub-expression is
+    a Polynomial, and only a product or power that takes one in builds
+    another."""
 
     def __init__(self, tokens, variables):
         self.tokens = tokens
         self.cur = next(tokens)
         self.variables = tuple(variables)
+        # the zero exponent tuple, and each variable's own
+        self.zero = zero = (0,) * len(self.variables)
+        self.units = {v: zero[:i] + (1,) + zero[i + 1 :] for i, v in enumerate(self.variables)}
 
     def advance(self):
         tok = self.cur
@@ -188,19 +208,36 @@ class _Parser:
             self.fail(f"unexpected token {self.cur.text!r}")
         return p
 
+    def polynomial(self, t) -> Polynomial:
+        """A term pair as a Polynomial; a Polynomial as it is."""
+        if type(t) is not tuple:
+            return t
+        c, m = t
+        return Polynomial._raw(self.variables, {m: c} if c else {})
+
     def expr(self) -> Polynomial:
         # add each term into one term map, not p + q per term
-        acc = dict(self.term().terms)
-        while self.cur.kind == "op" and self.cur.text in "+-":
+        acc = {}
+        sign = 1
+        while True:
+            t = self.term()
+            if type(t) is not tuple:
+                _add_terms(acc, t.terms, sign)
+            elif t[0]:
+                _add_terms(acc, {t[1]: t[0] if sign > 0 else -t[0]})
+            if not (self.cur.kind == "op" and self.cur.text in "+-"):
+                return Polynomial._raw(self.variables, acc)
             sign = 1 if self.advance().text == "+" else -1
-            _add_terms(acc, self.term().terms, sign)
-        return Polynomial._raw(self.variables, acc)
 
-    def term(self) -> Polynomial:
+    def term(self):
         p = self.factor()
         while self.cur.kind == "op" and self.cur.text == "*":
             star = self.advance()
             q = self.factor()
+            if type(p) is tuple and type(q) is tuple:
+                p = (p[0] * q[0], tuple(map(add, p[1], q[1])))
+                continue
+            p, q = self.polynomial(p), self.polynomial(q)
             if len(p.terms) > 1 and len(q.terms) > 1:
                 k = len(p.support_variables() | q.support_variables())
                 degree = p.total_degree() + q.total_degree()
@@ -217,17 +254,21 @@ class _Parser:
                 tok,
             )
 
-    def factor(self) -> Polynomial:
+    def factor(self):
         if self.cur.kind == "op" and self.cur.text == "-":
             self.advance()
-            return -self.factor()
+            t = self.factor()
+            return (-t[0], t[1]) if type(t) is tuple else -t
         return self.atom()
 
-    def atom(self) -> Polynomial:
+    def atom(self):
         p = self.base()
         while self.cur.kind == "op" and self.cur.text == "^":
             caret = self.advance()
             e = self.exponent()
+            if type(p) is tuple:
+                p = (p[0] ** e, tuple(x * e for x in p[1]))
+                continue
             degree = p.total_degree() * e
             if len(p.terms) > 1:
                 if degree > MAX_POWER_DEGREE:
@@ -251,16 +292,16 @@ class _Parser:
         self.advance()
         return int(tok.value)
 
-    def base(self) -> Polynomial:
+    def base(self):
         tok = self.cur
         if tok.kind == "number":
             self.advance()
-            return Polynomial.constant(self.variables, tok.value)
+            return (tok.value, self.zero)
         if tok.kind == "name":
-            if tok.text not in self.variables:
+            if tok.text not in self.units:
                 self.fail(f"unknown variable {tok.text!r}")
             self.advance()
-            return Polynomial.variable(self.variables, tok.text)
+            return (_ONE, self.units[tok.text])
         if tok.kind == "op" and tok.text == "(":
             self.advance()
             p = self.expr()

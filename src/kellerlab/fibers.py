@@ -18,9 +18,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .elim import generic_fiber_degree, minimal_poly_of_coordinate, resultant
+from .elim import MAX_DEGREE, generic_fiber_degree, minimal_poly_of_coordinate, resultant
 from .errors import BudgetExceededError, NotZeroDimensionalError
-from .keller import polynomial_inverse
+from .keller import default_degree_cap, polynomial_inverse
 from .polyring import (
     Polynomial,
     PolyMap,
@@ -207,9 +207,11 @@ def poly_R(components) -> Polynomial:
 
 def _certified_inverse(F: PolyMap) -> bool:
     """Whether `keller.polynomial_inverse` certifies F^-1 (then H = 1, there
-    is no cone and sigma = 1); a basis past its budget certifies nothing."""
+    is no cone and sigma = 1) within the degree budget of `formal_inverse`,
+    the larger of the Groebner budget and d^(n-1); a basis past its budget
+    certifies nothing."""
     try:
-        return polynomial_inverse(F) is not None
+        return polynomial_inverse(F, max(MAX_DEGREE, default_degree_cap(F))) is not None
     except BudgetExceededError:
         return False
 

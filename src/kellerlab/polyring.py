@@ -9,8 +9,11 @@ safe to share across threads and picklable.
 `Fraction` is the interface, not the arithmetic: products, exact division
 and the subresultant PRS convert their operands once to integer numerators
 (over a common denominator) with each monomial packed into one int, run on
-integers, and build a `Fraction` only for the terms of the result.  Sums
-stay on fractions, added in place into one accumulator by `_add_terms`.
+integers, and build a `Fraction` only for the terms of the result.  A
+product with a single-term operand packs nothing: it shifts the other
+operand's exponent tuples and scales its coefficients, and a power of a
+single term is one term.  Sums stay on fractions, added in place into one
+accumulator by `_add_terms`.
 
 Gcds, and so squarefree parts, take integer gcds of values first: GCDHEU
 evaluates at integer points xi >= 2 min(|p|oo, |q|oo) + 29 and accepts the
@@ -26,7 +29,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
-from operator import mul
+from operator import add, mul
 
 from .errors import ExactDivisionError, InternalCheckError, VariableMismatchError
 
@@ -139,6 +142,18 @@ def _mul_into(acc, pa, pb):
             k = ka + kb
             acc[k] = get(k, 0) + ca * cb
     return acc
+
+
+def _times_term(terms, mono, coef):
+    """The term map of terms * coef*x^mono, for a nonzero coef: each
+    exponent tuple shifted by mono and each coefficient scaled, unpacked."""
+    if any(mono):
+        terms = {tuple(map(add, m, mono)): c for m, c in terms.items()}
+        if coef == 1:
+            return terms
+    elif coef == 1:
+        return dict(terms)
+    return {m: c * coef for m, c in terms.items()}
 
 
 def _add_terms(acc, terms, scale=1):
@@ -301,15 +316,16 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = _as_fraction(other)
-            if other == 0:
-                return Polynomial.zero(self.variables)
-            return Polynomial._raw(
-                self.variables, {m: c * other for m, c in self.terms.items()}
-            )
+            other = Polynomial.constant(self.variables, other)
         self._check_same_ring(other)
-        if not self.terms or not other.terms:
+        a, b = self.terms, other.terms
+        if not a or not b:
             return Polynomial.zero(self.variables)
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            ((mono, coef),) = b.items()
+            return Polynomial._raw(self.variables, _times_term(a, mono, coef))
         degree = self.total_degree() + other.total_degree()
         layout = _grlex_layout(len(self.variables), degree)
         da, pa = _pack(self.terms, layout)
@@ -322,6 +338,9 @@ class Polynomial:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative int")
+        if len(self.terms) == 1 and n:
+            ((mono, coef),) = self.terms.items()
+            return Polynomial._raw(self.variables, {tuple(e * n for e in mono): coef**n})
         result = Polynomial.one(self.variables)
         base = self
         while n:
@@ -517,21 +536,35 @@ def integer_root(n: int, k: int) -> int:
         r = nxt
 
 
+def _numerators(terms):
+    """(common denominator, [integer numerator over it]) of a term map's
+    coefficients, in the order of the map."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return den, [c.numerator * (den // c.denominator) for c in terms.values()]
+
+
 def integer_content(p: Polynomial) -> Fraction:
     """Positive rational c with p/c integral, primitive (0 for p = 0)."""
     if p.is_zero():
         return Fraction(0)
-    den = math.lcm(*(c.denominator for c in p.terms.values()))
-    num = 0
-    for c in p.terms.values():
-        num = math.gcd(num, abs(c.numerator * (den // c.denominator)))
-    return Fraction(num, den)
+    den, nums = _numerators(p.terms)
+    return Fraction(math.gcd(*nums), den)
 
 
 def make_primitive(p: Polynomial) -> Polynomial:
-    """Scale to integer coefficients with content 1, lex-leading coefficient > 0."""
-    c = integer_content(p)  # 0 only for p = 0, which has no coefficient to divide
-    return make_positive(p.map_coefficients(lambda x: x / c))
+    """Scale to integer coefficients with content 1, lex-leading coefficient > 0.
+
+    Divides on integers: p = (g/den) * q with g the gcd of the numerators
+    over the common denominator den, its sign that of the lex-leading one."""
+    if p.is_zero():
+        return p
+    den, nums = _numerators(p.terms)
+    g = math.gcd(*nums)
+    if p.terms[max(p.terms)] < 0:  # exponent tuples compare lexicographically
+        g = -g
+    if den == 1 and g == 1:
+        return p
+    return Polynomial._raw(p.variables, {m: Fraction(a // g) for m, a in zip(p.terms, nums)})
 
 
 # ---- exact division and gcd ----

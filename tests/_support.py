@@ -232,6 +232,75 @@ def reference_mul(p: Polynomial, q: Polynomial) -> Polynomial:
     return Polynomial(p.variables, res)
 
 
+def reference_pow(p: Polynomial, e: int) -> Polynomial:
+    """p^e as e - 1 products by reference_mul."""
+    out = Polynomial.constant(p.variables, 1)
+    for _ in range(e):
+        out = reference_mul(out, p)
+    return out
+
+
+def random_expression(rng, variables, depth=2, max_degree=6):
+    """(text, Polynomial) of a random expression in the parser's grammar
+    over `variables`, the polynomial built from Polynomial.variable/constant,
+    reference_mul and a plain dict sum only.
+
+    The text has numbers (0 and p/q included), unary minus (also doubled),
+    powers with exponent 0 and powers of powers, products of single terms
+    and of parenthesised sums, nested `depth` deep.  A power is only taken
+    while its degree stays at most `max_degree`, so no cap is reached."""
+
+    def total(p, q, sign):
+        terms = dict(p.terms)
+        for m, c in q.terms.items():
+            terms[m] = terms.get(m, 0) + sign * c
+        return Polynomial(variables, terms)  # the constructor drops zeros
+
+    def base(d):
+        r = rng.random()
+        if d and r < 0.25:
+            text, p = expr(d - 1)
+            return f"({text})", p
+        if r < 0.55 or not variables:
+            num, den = rng.randint(0, 9), rng.choice((1, 1, 2, 3, 4))
+            text = str(num) if den == 1 else f"{num}/{den}"
+            return text, Polynomial.constant(variables, Fraction(num, den))
+        name = rng.choice(variables)
+        return name, Polynomial.variable(variables, name)
+
+    def atom(d):
+        text, p = base(d)
+        while rng.random() < 0.35:
+            e = rng.randint(0, 3)
+            if max(p.total_degree(), 1) * e > max_degree:
+                break
+            text, p = f"{text}^{e}", reference_pow(p, e)
+        return text, p
+
+    def factor(d):
+        if rng.random() < 0.15:
+            text, p = factor(d)
+            return f"-{text}", reference_mul(Polynomial.constant(variables, -1), p)
+        return atom(d)
+
+    def term(d):
+        text, p = factor(d)
+        for _ in range(rng.randint(0, 3)):
+            t, q = factor(d)
+            text, p = f"{text}*{t}", reference_mul(p, q)
+        return text, p
+
+    def expr(d):
+        text, p = term(d)
+        for _ in range(rng.randint(0, 3)):
+            op = rng.choice("+-")
+            t, q = term(d)
+            text, p = f"{text} {op} {t}", total(p, q, 1 if op == "+" else -1)
+        return text, p
+
+    return expr(depth)
+
+
 def grlex_key(exps):
     """Sort key realizing graded lex (earlier variables dominate ties)."""
     return (sum(exps), exps)

@@ -371,15 +371,42 @@ def test_transform_without_its_option_is_a_clean_error(capsys, tri2, subverb, op
     assert err == f"error: --{option} is required for transform {subverb}\n"
 
 
-def test_check_chain_inverse_of_degree_81(capsys, tmp_path):
-    # deg G = 81 is the default cap and one above the default Groebner budget
-    path = tmp_path / "chain5.map"
-    comps = ["x1"] + [f"x{i} + x{i - 1}^3" for i in range(2, 6)]
-    path.write_text("vars: x1 x2 x3 x4 x5\n" + "".join(
+# x1, x_i + x_(i-1)^3 for n = 5: deg G = 81 is the default cap d^(n-1) and
+# one above the default Groebner budget
+CHAIN5 = ["x1"] + [f"x{i} + x{i - 1}^3" for i in range(2, 6)]
+
+
+def _write_map(path, comps):
+    names = " ".join(f"x{i}" for i in range(1, len(comps) + 1))
+    path.write_text(f"vars: {names}\n" + "".join(
         f"F{i} = {c}\n" for i, c in enumerate(comps, start=1)))
-    code, out, err = run(capsys, "check", str(path))
+    return str(path)
+
+
+def test_check_chain_inverse_of_degree_81(capsys, tmp_path):
+    path = _write_map(tmp_path / "chain5.map", CHAIN5)
+    code, out, err = run(capsys, "check", path)
     assert code == 0
     assert out.strip().endswith("inverse: exact (degree 81)")
+
+
+def test_sigma_certifies_the_chain_inverse_of_degree_81(capsys, tmp_path):
+    # sigma's inverse route allows the degree that check's does
+    path = _write_map(tmp_path / "chain5.map", CHAIN5)
+    assert run(capsys, "sigma", path) == (0, "sigma = 1\n", "")
+
+
+def test_sigma_eval_is_read_before_sigma_is_computed(capsys, tmp_path):
+    # sigma of this cyclic map runs into the Groebner degree budget, which a
+    # malformed --eval must not reach
+    comps = ["x1 + x2^3", "x2 + x3^3", "x3 + x4^3", "x4 + x1^3"]
+    path = _write_map(tmp_path / "cyclic4.map", comps)
+    assert run(capsys, "sigma", path, "--eval", "1,0") == (
+        1, "", "error: expected 'u1,...,un;v1,...,vn'\n")
+    assert run(capsys, "sigma", path, "--eval=1,2,3,4;0,0,0,0") == (
+        1, "", "error: direction must be nonzero\n")
+    assert run(capsys, "sigma", path, "--eval=1,2;3,4") == (
+        1, "", "error: point and direction must have 4 coordinates\n")
 
 
 @pytest.mark.parametrize("cap", [None, 1, 2, 50])

@@ -24,7 +24,14 @@ from kellerlab.expr_io import (
 )
 from kellerlab.polyring import Polynomial, PolyMap
 
-from _support import naive_mul, random_poly_map, random_polynomial
+from _support import (
+    naive_mul,
+    random_expression,
+    random_poly_map,
+    random_polynomial,
+    reference_mul,
+    reference_pow,
+)
 
 V = ("x", "y")
 
@@ -53,6 +60,47 @@ def test_parse_rationals_and_unary_minus():
     p = parse_polynomial("-1/2*x + 3/4", V)
     assert p.coefficient((1, 0)) == Fraction(-1, 2)
     assert p.coefficient((0, 0)) == Fraction(3, 4)
+
+
+def test_parse_matches_the_reference_builder_on_random_expressions():
+    rng = random.Random(2626)
+    rings = [(), ("x",), V, ("x1", "x2", "x3")]
+    for _ in range(400):
+        ring = rng.choice(rings)
+        text, expected = random_expression(rng, ring)
+        got = parse_polynomial(text, ring)
+        assert got == expected, text
+        assert all(type(c) is Fraction and c for c in got.terms.values()), text
+
+
+def test_parse_single_terms_and_their_products():
+    x, y = (Polynomial.variable(V, v) for v in V)
+
+    def c(value):
+        return Polynomial.constant(V, value)
+
+    s = reference_mul(c(3), x) + y  # a parenthesised sum, 3*x + y
+    cases = {
+        "--x": x,
+        "-x*-y": reference_mul(x, y),
+        "0*x": Polynomial.zero(V),
+        "x - x": Polynomial.zero(V),
+        "x^0": c(1),
+        "0^0": c(1),
+        "(x + y)^0": c(1),
+        "2^3*x": reference_mul(c(8), x),
+        "3/4*x^2": reference_mul(c(Fraction(3, 4)), reference_pow(x, 2)),
+        "(2*x)^3": reference_mul(c(8), reference_pow(x, 3)),
+        "x^2^3": reference_pow(x, 6),
+        "-2*x*(3*x + y)*y": reference_mul(reference_mul(c(-2), x), reference_mul(s, y)),
+        "(3*x + y)*(3*x - y)*(3*x + y)": reference_mul(
+            reference_mul(s, reference_mul(c(3), x) - y), s),
+        "0*(3*x + y)": Polynomial.zero(V),
+        "(3*x + y)*0": Polynomial.zero(V),
+        "x*y - y*x + 1/2": c(Fraction(1, 2)),
+    }
+    for text, expected in cases.items():
+        assert parse_polynomial(text, V) == expected, text
 
 
 def test_print_examples():

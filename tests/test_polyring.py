@@ -30,6 +30,7 @@ from _support import (
     random_rational,
     reference_exact_div,
     reference_mul,
+    reference_pow,
 )
 
 V = ("x", "y")
@@ -402,6 +403,37 @@ def test_kernel_mul_matches_reference_loop():
         assert all(type(c) is Fraction and c for c in got.terms.values())
 
 
+def test_single_term_products_and_powers_match_the_reference():
+    rng = random.Random(2627)
+    rings = [V, ("x",), ("x", "y", "z", "w")]
+    for _ in range(300):
+        ring = rng.choice(rings)
+        p = _random_rational_polynomial(rng, ring, max_degree=5, max_terms=7)
+        # one term: a constant (0, 1 and -1 included) or a monomial, either
+        # with a rational coefficient
+        coef = rng.choice((0, 1, -1, random_rational(rng)))
+        mono = [0] * len(ring)
+        for _ in range(rng.choice((0, rng.randint(1, 4)))):
+            mono[rng.randrange(len(ring))] += 1
+        t = Polynomial(ring, {tuple(mono): coef})
+        scalar = Polynomial.constant(ring, coef)
+        for got, expected in ((p * t, reference_mul(p, t)), (t * p, reference_mul(t, p)),
+                              (t * t, reference_mul(t, t)), (p * coef, reference_mul(p, scalar)),
+                              (coef * p, reference_mul(scalar, p))):
+            assert got.terms == expected.terms
+            assert all(type(c) is Fraction and c for c in got.terms.values())
+        for e in range(5):
+            got = t**e
+            assert got.terms == reference_pow(t, e).terms
+            assert all(type(c) is Fraction and c for c in got.terms.values())
+    # products with the constant 1 copy the operand's terms
+    one = Polynomial.one(V)
+    p = Fraction(1, 2) * X**2 - Y
+    assert (one * p).terms == p.terms and (one * p).terms is not p.terms
+    assert (X * Y**2) ** 3 == X**3 * Y**6
+    assert Polynomial.zero(V) ** 0 == one and Polynomial.zero(V) ** 2 == 0
+
+
 def test_kernel_mul_edge_cases():
     zero = Polynomial.zero(V)
     p = Fraction(1, 2) * X + Fraction(2, 3) * Y**2 - 5
@@ -423,6 +455,30 @@ def test_kernel_mul_edge_cases():
     q = Fraction(7, 3) * X**150 + Y**301 - 1
     assert (wide * q).terms == reference_mul(wide, q).terms
     assert (wide * q).terms[(200, 304)] == 1
+
+
+def test_make_primitive_matches_division_by_the_content():
+    def reference(p):
+        c = integer_content(p)
+        return polyring.make_positive(p.map_coefficients(lambda x: x / c))
+
+    rng = random.Random(909)
+    rings = [V, ("x",), ("x", "y", "z")]
+    for _ in range(400):
+        ring = rng.choice(rings)
+        p = _random_rational_polynomial(rng, ring, max_degree=4, max_terms=6)
+        # common factors, with either sign, so that contents other than 1
+        # and negative lex-leading coefficients occur often
+        p = p * rng.choice((1, -1, 2, -6, Fraction(5, 3), Fraction(-4, 9)))
+        got = make_primitive(p)
+        assert got == reference(p)
+        assert all(type(c) is Fraction and c.denominator == 1 for c in got.terms.values())
+    # integral, content 1 and a positive lex-leading coefficient: the input
+    p = 3 * X + 2 * Y - 5
+    assert make_primitive(p) is p
+    assert make_primitive(-p) == p
+    assert make_primitive(Polynomial.zero(V)).is_zero()
+    assert make_primitive(Polynomial.constant(V, Fraction(-4, 7))) == 1
 
 
 def test_kernel_exact_div_matches_reference_loop():
