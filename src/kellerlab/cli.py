@@ -66,14 +66,8 @@ def _parse_matrix(text: str):
     return rows
 
 
-def _parse_uv(text: str, n: int) -> fibers.Line:
-    halves = text.split(";")
-    if len(halves) != 2:
-        raise KellerlabError("expected 'u1,...,un;v1,...,vn'")
-    u, v = _parse_vector(halves[0]), _parse_vector(halves[1])
-    if len(u) != n or len(v) != n:
-        raise KellerlabError(f"point and direction must have {n} coordinates")
-    return fibers.Line(u, v)
+def _parse_line(u: str, v: str, n: int) -> fibers.Line:
+    return fibers.Line(_parse_vector(u), _parse_vector(v)).in_dimension(n)
 
 
 def _int_at_least(text: str, low: int, word: str) -> int:
@@ -215,7 +209,12 @@ def _cmd_bifurcation(args) -> tuple:
 def _cmd_sigma(args) -> tuple:
     mf, F = _load_map(args.mapfile)
     # a malformed --eval is reported before, not after, the work
-    line = _parse_uv(args.eval, F.n) if args.eval else None
+    line = None
+    if args.eval:
+        halves = args.eval.split(";")
+        if len(halves) != 2:
+            raise KellerlabError("expected 'u1,...,un;v1,...,vn'")
+        line = _parse_line(*halves, F.n)
     s, route = fibers.sigma_with_route(F)
     results = {"sigma": expr_io.print_polynomial(s)}
     text = f"sigma = {results['sigma']}\n"
@@ -285,8 +284,7 @@ def _cmd_curve(args) -> tuple:
     elif kind == "line":
         if not args.u or not args.v:
             raise KellerlabError("--u and --v are required for kind line")
-        line = fibers.Line(_parse_vector(args.u), _parse_vector(args.v))
-        system = diophantine.line_preimage(F, line)
+        system = diophantine.line_preimage(F, _parse_line(args.u, args.v, F.n))
     else:  # sumsq; argparse restricts the choices
         system = diophantine.EquationSystem((diophantine.cor1_sum_of_squares(F),))
     sf = expr_io.SystemFile(

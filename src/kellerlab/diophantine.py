@@ -130,8 +130,7 @@ def line_preimage(F: PolyMap, line: Line) -> EquationSystem:
     With p the least index where v_p != 0, the n-1 equations are
     (F_i - u_i) v_p - (F_p - u_p) v_i = 0 for i != p.
     """
-    if line.n != F.n:
-        raise ValueError("line dimension does not match component count")
+    line.in_dimension(F.n)
     p = next(i for i, x in enumerate(line.v) if x)
     Fp = F.components[p] - line.u[p]
     eqs = []

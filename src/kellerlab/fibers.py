@@ -4,10 +4,10 @@ cone form at infinity, the line-genericity polynomial sigma(U, V) = D * R,
 and the arithmetic feasibility checker for branched covers of the line.
 
 H comes from n per-coordinate Groebner eliminations.  `sigma` and
-`assert_c2` skip them when `keller.polynomial_inverse` certifies F^-1 with
-one basis: an automorphism is proper, so its bifurcation set is empty and
-sigma is 1.  When no inverse is found, or the basis exceeds its budget,
-both fall back to the eliminations.
+`assert_c2`, given no data or components, skip them when
+`keller.polynomial_inverse` certifies F^-1: an automorphism is proper, so
+H = 1, there is no cone and sigma is 1.  When no inverse is found, or the
+basis exceeds its budget, they fall back to the eliminations.
 
 All outputs have rational coefficients by construction.
 """
@@ -15,12 +15,13 @@ All outputs have rational coefficients by construction.
 from __future__ import annotations
 
 import random
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .elim import MAX_DEGREE, generic_fiber_degree, minimal_poly_of_coordinate, resultant
+from .elim import generic_fiber_degree, minimal_poly_of_coordinate, resultant
 from .errors import BudgetExceededError, NotZeroDimensionalError
-from .keller import default_degree_cap, polynomial_inverse
+from .keller import polynomial_inverse
 from .polyring import (
     Polynomial,
     PolyMap,
@@ -53,6 +54,12 @@ class Line:
     @property
     def n(self) -> int:
         return len(self.u)
+
+    def in_dimension(self, n: int) -> "Line":
+        """This line, once checked to lie in n-space."""
+        if self.n != n:
+            raise ValueError(f"point and direction must have {n} coordinates")
+        return self
 
 
 @dataclass(frozen=True)
@@ -98,7 +105,7 @@ def bifurcation_data(F: PolyMap, compute_fiber_degree: bool = True) -> Bifurcati
     values outside {H = 0}.
     """
     hs = tuple(minimal_poly_of_coordinate(F, i) for i in range(1, F.n + 1))
-    y_ring = tuple(f"Y{k}" for k in range(1, F.n + 1))
+    y_ring = hs[0].variables[:-1]  # (Y1, ..., Yn, T) without T
     aas = []
     for h in hs:
         coeffs = coefficients_in(h, "T")
@@ -205,15 +212,35 @@ def poly_R(components) -> Polynomial:
     return total
 
 
-def _certified_inverse(F: PolyMap) -> bool:
-    """Whether `keller.polynomial_inverse` certifies F^-1 (then H = 1, there
-    is no cone and sigma = 1) within the degree budget of `formal_inverse`,
-    the larger of the Groebner budget and d^(n-1); a basis past its budget
-    certifies nothing."""
-    try:
-        return polynomial_inverse(F, max(MAX_DEGREE, default_degree_cap(F))) is not None
-    except BudgetExceededError:
-        return False
+def _sigma_and_data(F: PolyMap, components, data) -> tuple:
+    """(sigma, data), with data None when a certified inverse answered: the
+    one route of `sigma`, `sigma_with_route` and `assert_c2`."""
+    us, vs = _uv_ring(F.n)
+    ring = us + vs
+    if data is None:
+        with suppress(BudgetExceededError):  # a basis past its budget certifies nothing
+            if not components and polynomial_inverse(F) is not None:
+                return Polynomial.one(ring), None
+        data = bifurcation_data(F, compute_fiber_degree=False)
+    if components:
+        # poly_R binds variables by position, so put every component in H's
+        # ring by name first
+        components = [
+            ComponentData(
+                with_variables(comp.h_W, data.H.variables),
+                tuple(with_variables(g, data.H.variables) for g in comp.g_list),
+            )
+            for comp in components
+        ]
+        if not all(divides(comp.h_W, data.H) for comp in components):
+            raise ValueError("component polynomial does not divide H")
+    if data.empty_bifurcation_set:
+        s = Polynomial.one(ring)
+    else:
+        s = poly_D(data.H)
+        if components:
+            s = s * poly_R(components)
+    return s, data
 
 
 def sigma(
@@ -227,15 +254,10 @@ def sigma(
     on the cone at infinity, or meet the supplied bad components.  When the
     bifurcation set is empty the constant 1 is returned: every line is
     generic.  Component data is optional input; with none supplied R = 1.
-    Component variables are matched to H's by name.
-
-    With neither `data` nor `components`, a polynomial inverse certified by
-    `keller.polynomial_inverse` gives 1 at once, without the n coordinate
-    eliminations of `bifurcation_data`.  When there is no such inverse, or
-    its basis exceeds the Groebner budget, H comes from the eliminations.
-    `sigma_with_route` also says which of the two answered.
+    Component variables are matched to H's by name.  H comes by the
+    module's route; `sigma_with_route` also says which way.
     """
-    return sigma_with_route(F, components, data)[0]
+    return _sigma_and_data(F, components, data)[0]
 
 
 def sigma_with_route(
@@ -246,32 +268,8 @@ def sigma_with_route(
     """(sigma(F, components, data), route), where route is "inverse" when a
     certified polynomial inverse gave sigma = 1 and "elimination" when H
     did."""
-    us, vs = _uv_ring(F.n)
-    ring = us + vs
-    if data is None and not components and _certified_inverse(F):
-        return Polynomial.one(ring), "inverse"
-    if data is None:
-        data = bifurcation_data(F, compute_fiber_degree=False)
-    if components:
-        # poly_R binds variables by position, so put every component in H's
-        # ring by name first
-        components = [
-            ComponentData(
-                with_variables(comp.h_W, data.H.variables),
-                tuple(with_variables(g, data.H.variables) for g in comp.g_list),
-            )
-            for comp in components
-        ]
-        for comp in components:
-            if not divides(comp.h_W, data.H):
-                raise ValueError("component polynomial does not divide H")
-    if data.empty_bifurcation_set:
-        s = Polynomial.one(ring)
-    else:
-        s = poly_D(data.H)
-        if components:
-            s = s * poly_R(components)
-    return s, "elimination"
+    s, data = _sigma_and_data(F, components, data)
+    return s, "inverse" if data is None else "elimination"
 
 
 @dataclass(frozen=True)
@@ -295,20 +293,14 @@ def assert_c2(
 
     Returns a pair of C2Status: the first for the fixed base point u (needs
     H(u) != 0), the second for the fixed direction v (needs coneform(v) != 0,
-    vacuous when the bifurcation set is empty).  With neither `data` nor
-    `components` a certified inverse answers, as in `sigma`.
+    vacuous when the bifurcation set is empty).  (u, v) must be a `Line` in
+    F's space; a certified inverse answers, as in `sigma`.
     """
-    n = F.n
-    u = [Fraction(x) for x in u]
-    v = [Fraction(x) for x in v]
-    if len(u) != n or len(v) != n:
-        raise ValueError("point/direction length does not match the map")
-    us, vs = _uv_ring(n)
+    line = Line(u, v).in_dimension(F.n)
+    u, v = line.u, line.v
+    us, vs = _uv_ring(F.n)
     ring = us + vs
-    inverse = data is None and not components and _certified_inverse(F)
-    if not inverse and data is None:
-        data = bifurcation_data(F, compute_fiber_degree=False)
-    s = Polynomial.one(ring) if inverse else sigma(F, components=components, data=data)
+    s, data = _sigma_and_data(F, components, data)
 
     def side(fixed_names, values, label):
         bind = {name: Polynomial.variable(ring, name) for name in ring}
@@ -317,11 +309,11 @@ def assert_c2(
             return C2Status(False, f"{label} vanishes identically")
         return C2Status(True, f"{label} is not identically zero")
 
-    if not inverse and not data.empty_bifurcation_set and data.H.evaluate(u) == 0:
+    if data is not None and not data.empty_bifurcation_set and data.H.evaluate(u) == 0:
         first = C2Status(None, "precondition violated: u lies on {H = 0}")
     else:
         first = side(us, u, "sigma(u, V)")
-    if not inverse and data.cone_form is not None and data.cone_form.evaluate(v) == 0:
+    if data is not None and data.cone_form is not None and data.cone_form.evaluate(v) == 0:
         second = C2Status(None, "precondition violated: v lies on the cone at infinity")
     else:
         second = side(vs, v, "sigma(U, v)")
@@ -329,6 +321,18 @@ def assert_c2(
 
 
 # ---- arithmetic feasibility of the branch data ----
+
+
+def _branch_data(d, local_degrees) -> tuple:
+    """(d, local degrees) as ints, d >= 1 and each degree in [1, d]."""
+    d = _as_int(d)
+    if d < 1:
+        raise ValueError("covering degree must be at least 1")
+    local_degrees = list(map(_as_int, local_degrees))
+    for e in local_degrees:
+        if not 1 <= e <= d:
+            raise ValueError(f"local degree {e} outside [1, {d}]")
+    return d, local_degrees
 
 
 def hurwitz_genus(d: int, local_degrees) -> Fraction:
@@ -339,13 +343,7 @@ def hurwitz_genus(d: int, local_degrees) -> Fraction:
     result may be negative or non-integral; the caller interprets that as
     infeasibility of the proposed branch data.
     """
-    d = _as_int(d)
-    if d < 1:
-        raise ValueError("covering degree must be at least 1")
-    local_degrees = list(map(_as_int, local_degrees))
-    for e in local_degrees:
-        if not 1 <= e <= d:
-            raise ValueError(f"local degree {e} outside [1, {d}]")
+    d, local_degrees = _branch_data(d, local_degrees)
     ramification = sum(e - 1 for e in local_degrees)
     return Fraction(2 - 2 * d + ramification, 2)
 
@@ -355,9 +353,10 @@ def assertion3_feasible(d: int, local_degrees, g) -> tuple:
 
     Rejects a non-integral genus, then the two impossible shapes for the
     curves at hand (a single branch at infinity forces d = 1 and g = 0, two
-    branches force g = 0), then a negative genus.
+    branches force g = 0), then a negative genus.  d and the local degrees
+    are checked as in `hurwitz_genus`.
     """
-    local_degrees = list(map(_as_int, local_degrees))
+    d, local_degrees = _branch_data(d, local_degrees)
     g = Fraction(g)
     if g.denominator != 1:
         return False, "non-integral genus"

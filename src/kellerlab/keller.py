@@ -45,18 +45,18 @@ def _linear_part(F: PolyMap):
 
 
 def polynomial_inverse(
-    F: PolyMap, max_degree: int = MAX_DEGREE, det: Polynomial | None = None
+    F: PolyMap, degree_cap: int | None = None, det: Polynomial | None = None
 ) -> PolyMap | None:
-    """G = F^-1 when one Groebner basis within `max_degree` certifies it,
-    else None.
+    """G = F^-1 when one Groebner basis certifies it, else None.
 
     It returns None at once, without the basis, when DF(0), the matrix of
     linear coefficients, is singular, or when det DF is not a nonzero
     constant: an automorphism has both.  The first test is the cheap one;
     it spares maps like (x, xy) the det DF expansion.  Otherwise the answer
-    is `elim.inverse_map(F, max_degree)` (van den Essen's criterion), whose
-    BudgetExceededError propagates.  A caller that already has det DF
-    passes it as `det`.
+    is `elim.inverse_map` (van den Essen's criterion) within the degree
+    budget max(`elim.MAX_DEGREE`, cap), cap = `default_degree_cap(F)` unless
+    given; its BudgetExceededError propagates.  A caller that already has
+    det DF passes it as `det`.
     """
     if not F.is_square():
         raise ValueError("map must have as many components as variables")
@@ -66,7 +66,9 @@ def polynomial_inverse(
         det = jacobian_det(F)
     if not det.is_constant() or det.is_zero():
         return None
-    return inverse_map(F, max_degree)
+    if degree_cap is None:
+        degree_cap = default_degree_cap(F)
+    return inverse_map(F, max(MAX_DEGREE, degree_cap))
 
 
 @dataclass(frozen=True)
@@ -89,14 +91,13 @@ def formal_inverse(
     """Polynomial inverse of F, if F is an automorphism of degree <= the cap.
 
     Requires F(0) = 0 and DF(0) invertible.  The inverse comes from
-    `polynomial_inverse`, with a Groebner degree budget of at least the cap,
-    and counts only when its degree is within the cap.  The default cap is
-    `default_degree_cap(F)`.  The same bound applied to G = F^-1 gives
-    d <= (deg G)^(n-1), so a cap with cap^(n-1) < d returns at once,
-    without the basis.  A non-exact result carries the linear part's
-    inverse L^-1 Y as its map; at a lower cap it means "not invertible
-    within bound", never "not invertible".  A caller that already has
-    det DF passes it as `det`.
+    `polynomial_inverse` at the same cap, `default_degree_cap(F)` unless
+    given, and counts only when its degree is within the cap.  The same
+    bound applied to G = F^-1 gives d <= (deg G)^(n-1), so a cap with
+    cap^(n-1) < d returns at once, without the basis.  A non-exact result
+    carries the linear part's inverse L^-1 Y as its map; at a lower cap it
+    means "not invertible within bound", never "not invertible".  A caller
+    that already has det DF passes it as `det`.
     """
     if not F.is_square():
         raise ValueError("map must have as many components as variables")
@@ -109,7 +110,7 @@ def formal_inverse(
 
     if degree_cap ** (F.n - 1) >= F.max_degree():
         # None when DF(0) is singular, which raises below
-        G = polynomial_inverse(F, max(MAX_DEGREE, degree_cap), det)
+        G = polynomial_inverse(F, degree_cap, det)
         if G is not None and G.max_degree() <= degree_cap:
             return FormalInverse(map=G, degree_bound=degree_cap, exact=True)
     try:

@@ -118,6 +118,19 @@ def test_zero_direction_is_rejected_by_sigma_and_curve_alike(capsys, bif):
         assert (code, out, err) == (1, "", "error: direction must be nonzero\n")
 
 
+def test_wrong_length_vectors_are_rejected_by_sigma_and_curve_alike(capsys, bif):
+    # one line rule, so one message: a line in the wrong space, and a point
+    # and direction of different lengths
+    for u, v, err in (
+        ("1,2,3", "1,1,1", "error: point and direction must have 2 coordinates\n"),
+        ("1,2", "1", "error: point and direction have different lengths\n"),
+    ):
+        for argv in (["sigma", bif, f"--eval={u};{v}"],
+                     ["sigma", bif, f"--eval={u};{v}", "--json"],
+                     ["curve", bif, "--kind", "line", "--u", u, "--v", v]):
+            assert run(capsys, *argv) == (1, "", err)
+
+
 def test_transform_scale(capsys, tri2):
     code, out, err = run(capsys, "transform", "scale", "--r", "2", tri2)
     assert code == 0

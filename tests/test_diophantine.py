@@ -76,6 +76,11 @@ def test_line_preimage_examples():
         assert naive_grid_points(a, 4) == naive_grid_points(b, 4)
 
 
+def test_line_preimage_takes_a_line_in_the_map_space():
+    with pytest.raises(ValueError, match="^point and direction must have 2 coordinates$"):
+        line_preimage(F_TRI, Line((0, 0, 0), (0, 1, 0)))
+
+
 def test_cor1_sum_of_squares_examples():
     assert cor1_sum_of_squares(PolyMap.identity(V)) == P("x^2", V)
     assert cor1_sum_of_squares(F_TRI) == P("(x + y^3)^2", V)

@@ -222,6 +222,23 @@ def _sigma_cases():
         yield tag, _hard_automorphism(tag)
 
 
+def _automorphisms():
+    # every bundled map but the two bifurcation exemplars, and the hard tier
+    for name in bundled_map_names():
+        if not name.startswith("bif_"):
+            yield name, load_bundled_map(name).to_poly_map()
+    for tag in HARD_AUTOMORPHISMS:
+        yield tag, _hard_automorphism(tag)
+
+
+@pytest.mark.parametrize("name, F", list(_automorphisms()))
+def test_polynomial_inverse_is_the_formal_inverse(name, F):
+    # one budget rule: polynomial_inverse's default cap is formal_inverse's
+    inv = kellerlab.keller.formal_inverse(F)
+    assert inv.exact
+    assert kellerlab.keller.polynomial_inverse(F) == inv.map
+
+
 @pytest.mark.parametrize("name, F", list(_sigma_cases()))
 def test_sigma_by_inverse_matches_sigma_by_elimination(name, F):
     s, route = sigma_with_route(F)
@@ -312,6 +329,39 @@ def test_assert_c2_reads_an_automorphism_off_its_inverse(monkeypatch):
     for tag, F in cases:
         u, v, statuses = expected[tag]
         assert assert_c2(F, u, v) == statuses
+
+
+@pytest.mark.parametrize("F", [
+    load_bundled_map("triangular_2.map").to_poly_map(),  # the inverse route
+    PolyMap([P("x + x^3", ("x",))]),  # elimination, H = 1
+    F_XY,  # elimination, with a cone
+], ids=["triangular_2", "x+x^3", "x,xy"])
+def test_assert_c2_rejects_a_zero_direction(F):
+    # sigma(U, 0) is the constant sigma(U + t 0) and says nothing about lines
+    u = (1,) * F.n
+    with pytest.raises(ValueError, match="^direction must be nonzero$"):
+        assert_c2(F, u, (0,) * F.n)
+    with pytest.raises(ValueError, match=f"^point and direction must have {F.n} coordinates$"):
+        assert_c2(F, u + (1,), (1,) * (F.n + 1))
+
+
+def test_assert_c2_takes_one_route(monkeypatch):
+    # one assert_c2 call: one inverse basis on an automorphism and no
+    # elimination; one bifurcation_data on (x, xy), whose DF(0) is singular
+    inverse_calls = _count_inverse_map(monkeypatch)
+    data_calls = []
+    inner = kellerlab.fibers.bifurcation_data
+
+    def counting(*args, **kwargs):
+        data_calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(kellerlab.fibers, "bifurcation_data", counting)
+    first, second = assert_c2(_hard_automorphism("c3"), (1, 2, 3), (1, -1, 2))
+    assert first.ok is second.ok is True
+    assert (len(inverse_calls), len(data_calls)) == (1, 0)
+    assert assert_c2(F_XY, (1, 0), (1, 1))[1].ok is True
+    assert (len(inverse_calls), len(data_calls)) == (1, 1)
 
 
 def test_cone_vanishing_samples():
@@ -469,6 +519,17 @@ def test_hurwitz_entry_points_refuse_non_integral_local_degrees():
             assertion3_feasible(3, (bad,), 0)
     assert hurwitz_genus(3, (Fraction(3),)) == hurwitz_genus(3, (3,)) == -1
     assert assertion3_feasible(3, (Fraction(2), Fraction(1)), 0) == (True, "consistent branch data")
+
+
+def test_assertion3_feasible_checks_the_branch_data_as_hurwitz_genus_does():
+    # a local degree above d, and a non-integral d, used to be "consistent"
+    with pytest.raises(ValueError, match=r"local degree 5 outside \[1, 1\]"):
+        assertion3_feasible(1, [5], 0)
+    with pytest.raises(ValueError, match="expected an integer"):
+        assertion3_feasible(2.5, [1, 1], 0)
+    with pytest.raises(ValueError, match="covering degree must be at least 1"):
+        assertion3_feasible(0, [], 0)
+    assert assertion3_feasible(2.0, (Fraction(1), 1), 0) == (True, "consistent branch data")
 
 
 def test_hurwitz_genus_refuses_a_non_integral_covering_degree():

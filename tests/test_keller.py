@@ -193,6 +193,18 @@ def test_chain_inverse_at_cap_81_is_not_a_budget_exit():
     assert inv.exact and inv.map.max_degree() == 81
 
 
+def test_polynomial_inverse_budget_reaches_the_default_cap():
+    # the same chain: with no cap given, polynomial_inverse reads the cap
+    # d^(n-1) = 81, as formal_inverse does, and finds the inverse instead
+    # of stopping at the Groebner budget 80
+    X = tuple(f"x{i}" for i in range(1, 6))
+    F = PolyMap([P("x1", X)] + [P(f"x{i} + x{i - 1}^3", X) for i in range(2, 6)])
+    G = polynomial_inverse(F)
+    assert G.max_degree() == 81
+    assert G == formal_inverse(F).map
+    assert F.compose(G) == PolyMap.identity(X)
+
+
 def test_permutation_triangular_is_keller_and_invertible():
     # strictly triangular only after reordering the variables (x2, x3, x1)
     form = CubicLinearForm(((0, 0, 1), (0, 0, 0), (0, 2, 0)))

@@ -478,6 +478,27 @@ def test_make_primitive_matches_division_by_the_content():
     assert make_primitive(p) is p
     assert make_primitive(-p) == p
     assert make_primitive(Polynomial.zero(V)).is_zero()
+
+
+def test_squarefree_part_needs_no_normalisation():
+    # squarefree_part returns the quotient p / gcd as it is: it must already
+    # be what make_primitive makes of it, also for rational inputs and
+    # negative lex-leading coefficients
+    rng = random.Random(1048)
+    rings = [V, ("x",), ("x", "y", "z")]
+    negative = 0
+    for _ in range(150):
+        ring = rng.choice(rings)
+        f = _random_rational_polynomial(rng, ring, max_degree=3, max_terms=4)
+        g = _random_rational_polynomial(rng, ring, max_degree=3, max_terms=4)
+        p = f * f * g * rng.choice((1, -1, Fraction(-2, 3), Fraction(7, 5)))
+        if p.is_zero():
+            continue
+        negative += p.terms[max(p.terms)] < 0
+        got = squarefree_part(p)
+        assert got == make_primitive(got)
+        assert divides(got, p) and squarefree_part(got) == got
+    assert negative > 30
     assert make_primitive(Polynomial.constant(V, Fraction(-4, 7))) == 1
 
 
