@@ -44,7 +44,10 @@ entries built.
 A node budget turns large searches into a reported non-exhaustive result.
 The node at which the budget trips is counted, so a stopped search reports
 budget + 1 nodes.  The budget does not count a root extraction's trial
-divisions, so at a large radius one node can take seconds.
+divisions, so at a large radius one node can take seconds.  A system in
+which some variable's degree times bit_length(B) passes
+MAX_SEARCH_POWER_BITS is refused with BudgetExceededError before any
+powers table is built.
 
 Reports cannot certify emptiness: "none in box" always means "no nonzero
 integer point with max-norm <= B", nothing more.
@@ -57,11 +60,16 @@ from itertools import compress
 from math import prod
 from operator import mul
 
-from .errors import VariableMismatchError
+from .errors import BudgetExceededError, VariableMismatchError
 from .fibers import Line
 from .polyring import Polynomial, PolyMap, _add_terms, integer_root, make_primitive
 
 DEFAULT_NODE_BUDGET = 1_000_000
+# Largest degree * bit_length(B) of a variable of a searched system: the
+# powers tables of `_branch` and `_leaf` hold value^e for every e up to the
+# degree, about degree^2 * bit_length(B) / 2 bits per value, so x^3000000 at
+# radius 2 would fill the memory.
+MAX_SEARCH_POWER_BITS = 1 << 14
 # moduli of the leaf's residue sieve, in the order they are tried
 SIEVE_MODULI = (7, 8, 9, 11, 13, 5)
 
@@ -551,10 +559,20 @@ def search_box(
     """All integer solutions with max-norm <= B, within a node budget.
 
     Every reported point is re-verified against all equations exactly.
-    `exhausted` is true iff the budget was never hit.
+    `exhausted` is true iff the budget was never hit.  BudgetExceededError
+    when a variable's degree times bit_length(B) passes
+    MAX_SEARCH_POWER_BITS.
     """
     if B < 0:
         raise ValueError("box radius must be non-negative")
+    for i, name in enumerate(system.variables):
+        degree = max((e[i] for terms in system.integer_terms for e in terms), default=0)
+        bits = degree * B.bit_length()
+        if bits > MAX_SEARCH_POWER_BITS:
+            raise BudgetExceededError(
+                f"variable {name} has degree {degree}: its powers at box radius {B} "
+                f"take up to {bits} bits, past the bound of {MAX_SEARCH_POWER_BITS} bits"
+            )
     engine = _BoxSearch(system, B, budget)
     engine.run()
     return SearchReport(

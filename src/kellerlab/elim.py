@@ -331,7 +331,7 @@ def groebner(I: Ideal, order: TermOrder, max_degree: int = MAX_DEGREE) -> Ideal:
         _, r = _normal_form(s, basis, layout)
         if not r:
             continue
-        degree = max(sum(layout.unpack(m)) for m in r)
+        degree = max(map(layout.degree, r))
         if degree > max_degree:
             raise BudgetExceededError(
                 f"basis element degree {degree} exceeds budget "

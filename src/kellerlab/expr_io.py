@@ -9,22 +9,32 @@ Expression grammar (recursive descent, precedence climbing):
     base   := NUMBER | NAME | '(' expr ')'
 
 Numbers are integer or rational literals `p/q` with no embedded spaces;
-exponents are non-negative integer literals; implicit multiplication is
-forbidden.
+exponents are number literals of non-negative integer value; implicit
+multiplication is forbidden.
 
-A product of numbers and variable powers, such as `3*x1^2*x2`, is built as
-one (Fraction, exponent tuple) term and added straight into its
-expression's term map.  A `Polynomial` is built only for a parenthesised
-sub-expression, and its products with single terms and powers of single
-terms skip packing (`Polynomial.__mul__`, `__pow__`).  A power of a base
-with more than one term is expanded, so its
-degree is capped at MAX_POWER_DEGREE and its term count, bounded before
-expanding by C(degree + k, k) for a base in k variables, at MAX_POWER_TERMS:
+The parser reads the text at offsets with compiled regular expressions and
+builds no token list.  One match of `_FACTOR` reads a factor with the
+whitespace around it: unary minuses, then a number or a name together with
+its chain of `^` exponents, or a `(`.  A term is kept as an integer
+numerator, an integer denominator and an exponent list, and becomes one
+Fraction when it is added to its expression's term map.  A parenthesised
+sub-expression is one recursive `expr` call and becomes a `Polynomial`; its
+products with single terms and powers of single terms skip packing
+(`Polynomial.__mul__`, `__pow__`).  Only a text with an error is read as
+tokens from its start, so that a lexical error anywhere in it (a bad
+character, `p/` or `p/0`) is reported before a syntax error ahead of it.
+
+A power of a base with more than one term is expanded, so its degree is
+capped at MAX_POWER_DEGREE and its term count, bounded before expanding by
+C(degree + k, k) for a base in k variables, at MAX_POWER_TERMS:
 `(x+y+1)^200` and `(x+y+z+w+1)^24` are ParseErrors at the `^`, not 20301 and
 20475 terms.  A product of two factors with more than one term is bounded
 the same way, by the smaller of |a|*|b| and C(deg a + deg b + k, k), so
-`(x+y+z+w+1)^20*(x+y+z+w+1)^20` is a ParseError at the `*`.  Map files are
-the line-oriented format
+`(x+y+z+w+1)^20*(x+y+z+w+1)^20` is a ParseError at the `*`.  A power c^e
+of a coefficient c other than 0 and ±1, of a number or of a single term
+such as `(9*x)^e`, is refused at the `^` when bit_length(c)·e passes
+MAX_POWER_BITS; numbers written out in digits are not capped.  Map files
+are the line-oriented format
 
     # comment
     name: some-label          (optional metadata before the header)
@@ -49,10 +59,9 @@ Numbers are read and printed exactly at any length, past the interpreter's
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add
-from typing import NamedTuple
 
 from .errors import ParseError
 from .polyring import Polynomial, PolyMap, _add_terms
@@ -65,6 +74,9 @@ MAX_POWER_DEGREE = 64
 # A product of two factors with more than one term is held to the same cap,
 # bounded by the smaller of |a|*|b| and C(deg a + deg b + k, k).
 MAX_POWER_TERMS = 20000
+# Largest bound bit_length(c) * e on the bits of a power c^e of a coefficient:
+# `3^3000000` is a ParseError, not 1.4 million digits.
+MAX_POWER_BITS = 1 << 16
 
 # ---- integers of any length ----
 
@@ -97,221 +109,207 @@ def format_int(n: int) -> str:
     return format_int(high) + format_int(low).zfill(k)
 
 
-# ---- tokenizer ----
-
-_OPS = set("+-*^()")
-
-
-class _Token(NamedTuple):
-    kind: str  # number | name | op | end
-    text: str
-    value: object
-    line: int
-    column: int
-
-
-def _is_name_start(ch):
-    return ch.isalpha() or ch == "_"
-
-
-def _is_name_char(ch):
-    return ch.isalnum() or ch == "_"
-
-
-def _tokenize(text, line=1, column=1):
-    """Tokens of `text`, which starts at (line, column), lazily, ending with
-    one 'end' token.  Columns count from 1 at the start of each line."""
-    i = 0
-    n = len(text)
-    bol = -column  # text[i] is at column i - bol
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            if ch == "\n":
-                line += 1
-                bol = i
-            i += 1
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            value = Fraction(parse_int(text[i:j]))
-            if j < n and text[j] == "/":
-                k = j + 1
-                while k < n and text[k].isdecimal():
-                    k += 1
-                if k == j + 1:
-                    raise ParseError(
-                        "expected digits after '/' in rational literal", line, j - bol
-                    )
-                den = parse_int(text[j + 1 : k])
-                if den == 0:
-                    raise ParseError("zero denominator", line, j + 1 - bol)
-                value /= den
-                j = k
-            yield _Token("number", text[i:j], value, line, i - bol)
-            i = j
-        elif _is_name_start(ch):
-            j = i
-            while j < n and _is_name_char(text[j]):
-                j += 1
-            yield _Token("name", text[i:j], text[i:j], line, i - bol)
-            i = j
-        elif ch in _OPS:
-            yield _Token("op", ch, ch, line, i - bol)
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, i - bol)
-    yield _Token("end", "", None, line, n - bol)
-
-
 # ---- parser ----
 
+# A factor and the whitespace around it: unary minuses, then a number p or
+# p/q or a name with its chain of ^ links, or a '('.  An exponent is a number
+# of integer value, so it may be written p/q where q divides p.
+_CHAIN = r"((?:\s*\^\s*\d+(?:/\d+)?(?![\d/]))*)\s*"
+_FACTOR = re.compile(r"([\s-]*)(?:(?:(\d+)(?:/(\d+))?|(\w+))" + _CHAIN + r"|\(\s*)")
+_CLOSED_CHAIN = re.compile(_CHAIN)  # the chain after a ')'
+_LINK = re.compile(r"\^\s*(\d+)(?:/(\d+))?")
+_SIGNS = re.compile(r"[\s-]*")
+_SPACE = re.compile(r"\s*")
+# one token, for error messages and the lexical check of a text with an error
+_TOKEN = re.compile(r"\s*(?:(\d+)(?:(/)(\d*))?|(\w+)|[-+*^()])")
+_WORD = re.compile(r"\w+")
 
-_ONE = Fraction(1)
+
+def _starts_name(word) -> bool:
+    """True when a run of word characters is a name token: it starts with a
+    letter or '_', not with a digit or another character such as '²'."""
+    return word[:1].isalpha() or word[:1] == "_"
 
 
-class _Parser:
-    """Recursive descent over a token stream, one token of lookahead.
+class _Scanner:
+    """Recursive descent over the text at offsets, one `expr` call per
+    parenthesised sub-expression."""
 
-    `term`, `factor`, `atom` and `base` return a product of numbers and
-    variable powers as one (Fraction, exponent tuple) pair, which `expr`
-    adds into its term map as it is.  Only a parenthesised sub-expression is
-    a Polynomial, and only a product or power that takes one in builds
-    another."""
+    __slots__ = ("text", "line", "column", "variables", "index")
 
-    def __init__(self, tokens, variables):
-        self.tokens = tokens
-        self.cur = next(tokens)
-        self.variables = tuple(variables)
-        # the zero exponent tuple, and each variable's own
-        self.zero = zero = (0,) * len(self.variables)
-        self.units = {v: zero[:i] + (1,) + zero[i + 1 :] for i, v in enumerate(self.variables)}
+    def __init__(self, text, variables, line, column):
+        self.text = text
+        self.line = line
+        self.column = column
+        self.variables = variables
+        self.index = {v: i for i, v in enumerate(variables) if _starts_name(v)}
 
-    def advance(self):
-        tok = self.cur
-        self.cur = next(self.tokens)
-        return tok
-
-    def fail(self, message, tok=None):
-        tok = tok or self.cur
-        # a lexical error anywhere in the text wins over this one: drain the
-        # rest of the stream, which raises at the first bad character
-        for _ in self.tokens:
-            pass
-        raise ParseError(message, tok.line, tok.column)
-
-    def parse(self) -> Polynomial:
-        p = self.expr()
-        if self.cur.kind != "end":
-            self.fail(f"unexpected token {self.cur.text!r}")
-        return p
-
-    def polynomial(self, t) -> Polynomial:
-        """A term pair as a Polynomial; a Polynomial as it is."""
-        if type(t) is not tuple:
-            return t
-        c, m = t
-        return Polynomial._raw(self.variables, {m: c} if c else {})
-
-    def expr(self) -> Polynomial:
-        # add each term into one term map, not p + q per term
+    def expr(self, pos, nested):
+        """(Polynomial, offset after it) of the expression at pos, which ends
+        at the end of the text, or at a ')' (read) when nested."""
+        text = self.text
+        match = _FACTOR.match
+        index = self.index
+        nvars = len(self.variables)
         acc = {}
         sign = 1
         while True:
-            t = self.term()
-            if type(t) is not tuple:
-                _add_terms(acc, t.terms, sign)
-            elif t[0]:
-                _add_terms(acc, {t[1]: t[0] if sign > 0 else -t[0]})
-            if not (self.cur.kind == "op" and self.cur.text in "+-"):
-                return Polynomial._raw(self.variables, acc)
-            sign = 1 if self.advance().text == "+" else -1
+            # the term: num/den * x^exps, times poly once a factor has parentheses
+            num, den, exps, poly, star = sign, 1, [0] * nvars, None, None
+            while True:
+                m = match(text, pos)
+                if m is None:
+                    self.fail_factor(pos)
+                minus, digits, denom, name, chain = m.groups()
+                pos = m.end()
+                if minus.count("-") & 1:
+                    num = -num
+                q = None
+                if name is not None:
+                    i = index.get(name)
+                    if i is None:
+                        self.fail(f"unknown variable {name!r}", m.start(4))
+                    exps[i] += self.exponent(chain, m.start(5)) if chain else 1
+                elif digits is not None:
+                    c, d = parse_int(digits), 1
+                    if denom is not None:
+                        d = parse_int(denom)
+                        if not d:
+                            self.fail("zero denominator", m.start(3))
+                        g = math.gcd(c, d)
+                        c, d = c // g, d // g
+                    for caret, e in self.links(chain, m.start(5)) if chain else ():
+                        self.cap_bits(c, d, e, caret)
+                        c, d = c**e, d**e
+                    num *= c
+                    den *= d
+                else:
+                    q, pos = self.expr(pos, True)
+                    m = _CLOSED_CHAIN.match(text, pos)
+                    pos = m.end()
+                    for caret, e in self.links(m[1], m.start(1)) if m[1] else ():
+                        q = self.power(q, e, caret)
+                ch = text[pos : pos + 1]
+                if ch == "^":
+                    self.fail_exponent(pos)
+                if q is not None:
+                    p = self.times(poly, num, den, exps)
+                    num, den, exps = 1, 1, [0] * nvars
+                    if len(p.terms) > 1 and len(q.terms) > 1:
+                        k = len(p.support_variables() | q.support_variables())
+                        degree = p.total_degree() + q.total_degree()
+                        bound = min(len(p.terms) * len(q.terms), math.comb(degree + k, k))
+                        self.cap_terms("product", bound, star)
+                    poly = p * q
+                if ch != "*":
+                    break
+                star = pos
+                pos += 1
+            if poly is not None:
+                _add_terms(acc, self.times(poly, num, den, exps).terms)
+            elif num:
+                _add_terms(acc, {tuple(exps): Fraction(num, den) if den != 1 else Fraction(num)})
+            if ch == "+" or ch == "-":
+                sign = 1 if ch == "+" else -1
+                pos += 1
+            elif nested:
+                if ch != ")":
+                    self.fail("expected ')'", pos)
+                return Polynomial._raw(self.variables, acc), pos + 1
+            else:
+                if ch:
+                    self.fail(f"unexpected token {self.token(pos)!r}", pos)
+                return Polynomial._raw(self.variables, acc), pos
 
-    def term(self):
-        p = self.factor()
-        while self.cur.kind == "op" and self.cur.text == "*":
-            star = self.advance()
-            q = self.factor()
-            if type(p) is tuple and type(q) is tuple:
-                p = (p[0] * q[0], tuple(map(add, p[1], q[1])))
-                continue
-            p, q = self.polynomial(p), self.polynomial(q)
-            if len(p.terms) > 1 and len(q.terms) > 1:
-                k = len(p.support_variables() | q.support_variables())
-                degree = p.total_degree() + q.total_degree()
-                bound = min(len(p.terms) * len(q.terms), math.comb(degree + k, k))
-                self.cap_terms("product", bound, star)
-            p = p * q
-        return p
+    def times(self, poly, num, den, exps):
+        """poly * num/den * x^exps, with None for poly standing for 1."""
+        if poly is not None and num == den and not any(exps):
+            return poly
+        t = Polynomial._raw(self.variables, {tuple(exps): Fraction(num, den)} if num else {})
+        return t if poly is None else poly * t
 
-    def cap_terms(self, what, bound, tok):
-        if bound > MAX_POWER_TERMS:
-            self.fail(
-                f"{what} of up to {bound} terms exceeds the cap of "
-                f"{MAX_POWER_TERMS} terms",
-                tok,
-            )
+    def exponent(self, chain, start):
+        """The product of the exponents of the chain at offset start."""
+        if chain[1:].isdecimal():  # one link '^INT'
+            return parse_int(chain[1:])
+        return math.prod(e for _, e in self.links(chain, start))
 
-    def factor(self):
-        if self.cur.kind == "op" and self.cur.text == "-":
-            self.advance()
-            t = self.factor()
-            return (-t[0], t[1]) if type(t) is tuple else -t
-        return self.atom()
+    def links(self, chain, start):
+        """(offset of the '^', exponent) of each link of the chain at start."""
+        for m in _LINK.finditer(self.text, start, start + len(chain)):
+            e = parse_int(m[1])
+            if m[2] is not None:
+                d = parse_int(m[2])
+                if not d:
+                    self.fail("zero denominator", m.start(2))
+                if e % d:
+                    self.fail("non-integer exponent", m.start(1))
+                e //= d
+            yield m.start(), e
 
-    def atom(self):
-        p = self.base()
-        while self.cur.kind == "op" and self.cur.text == "^":
-            caret = self.advance()
-            e = self.exponent()
-            if type(p) is tuple:
-                p = (p[0] ** e, tuple(x * e for x in p[1]))
-                continue
+    def power(self, p, e, caret):
+        """p^e for a Polynomial p, under the caps."""
+        if len(p.terms) > 1:
             degree = p.total_degree() * e
-            if len(p.terms) > 1:
-                if degree > MAX_POWER_DEGREE:
-                    self.fail(
-                        f"power of degree {degree} exceeds the cap of {MAX_POWER_DEGREE}",
-                        caret,
-                    )
-                k = len(p.support_variables())
-                self.cap_terms("power", math.comb(degree + k, k), caret)
-            p = p**e
-        return p
+            if degree > MAX_POWER_DEGREE:
+                self.fail(f"power of degree {degree} exceeds the cap of {MAX_POWER_DEGREE}", caret)
+            k = len(p.support_variables())
+            self.cap_terms("power", math.comb(degree + k, k), caret)
+        elif p.terms:
+            ((_, c),) = p.terms.items()
+            self.cap_bits(c.numerator, c.denominator, e, caret)
+        return p**e
 
-    def exponent(self) -> int:
-        tok = self.cur
-        if tok.kind == "op" and tok.text == "-":
-            self.fail("negative exponent")
-        if tok.kind != "number":
-            self.fail("expected integer exponent")
-        if tok.value.denominator != 1:
-            self.fail("non-integer exponent")
-        self.advance()
-        return int(tok.value)
+    def cap_terms(self, what, bound, pos):
+        if bound > MAX_POWER_TERMS:
+            cap = f"the cap of {MAX_POWER_TERMS} terms"
+            self.fail(f"{what} of up to {bound} terms exceeds {cap}", pos)
 
-    def base(self):
-        tok = self.cur
-        if tok.kind == "number":
-            self.advance()
-            return (tok.value, self.zero)
-        if tok.kind == "name":
-            if tok.text not in self.units:
-                self.fail(f"unknown variable {tok.text!r}")
-            self.advance()
-            return (_ONE, self.units[tok.text])
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
-            p = self.expr()
-            if not (self.cur.kind == "op" and self.cur.text == ")"):
-                self.fail("expected ')'")
-            self.advance()
-            return p
-        if tok.kind == "end":
-            self.fail("unexpected end of input")
-        self.fail(f"unexpected token {tok.text!r}")
+    def cap_bits(self, num, den, e, caret):
+        """Refuse (num/den)^e when bit_length * e passes MAX_POWER_BITS; a
+        coefficient of magnitude 0 or 1 never grows."""
+        bits = max(num.bit_length(), den.bit_length()) * e
+        if bits > e and bits > MAX_POWER_BITS:
+            cap = f"the cap of {MAX_POWER_BITS} bits"
+            self.fail(f"power of a coefficient of up to {bits} bits exceeds {cap}", caret)
+
+    def fail_factor(self, pos):
+        """The error of a text at pos that does not start a factor."""
+        pos = _SIGNS.match(self.text, pos).end()
+        if pos == len(self.text):
+            self.fail("unexpected end of input", pos)
+        self.fail(f"unexpected token {self.token(pos)!r}", pos)
+
+    def fail_exponent(self, caret):
+        """The error of a '^' at caret not followed by a number of integer value."""
+        pos = _SPACE.match(self.text, caret + 1).end()
+        negative = self.text.startswith("-", pos)
+        self.fail("negative exponent" if negative else "expected integer exponent", pos)
+
+    def token(self, pos):
+        m = _TOKEN.match(self.text, pos)
+        return m[0] if m else self.text[pos]
+
+    def fail(self, message, pos):
+        """Raise the first lexical error of the text, as the tokens of the
+        grammar would, or `message` at pos if there is none."""
+        text, at = self.text, 0
+        # up to the end, a character no token starts with, or a word like '²x'
+        while (m := _TOKEN.match(text, at)) and (m[4] is None or _starts_name(m[4])):
+            if m[2] and not m[3]:
+                message, pos = "expected digits after '/' in rational literal", m.start(2)
+                break
+            if m[3] and not parse_int(m[3]):
+                message, pos = "zero denominator", m.start(3)
+                break
+            at = m.end()
+        else:
+            at = _SPACE.match(text, at).end()
+            if at < len(text):
+                message, pos = f"unexpected character {text[at]!r}", at
+        bol = text.rfind("\n", 0, pos)  # columns count from 1 in each line
+        column = pos - bol if bol >= 0 else pos + self.column
+        raise ParseError(message, self.line + text.count("\n", 0, pos), column)
 
 
 def parse_polynomial(text: str, variables, line=1, column=1) -> Polynomial:
@@ -319,7 +317,7 @@ def parse_polynomial(text: str, variables, line=1, column=1) -> Polynomial:
     variables = tuple(variables)
     if len(set(variables)) != len(variables):
         raise ValueError("duplicate variable names")
-    return _Parser(_tokenize(text, line, column), variables).parse()
+    return _Scanner(text, variables, line, column).expr(0, False)[0]
 
 
 # ---- printing ----
@@ -412,7 +410,7 @@ class SystemFile:
 
 
 def _check_name(name, lineno, col):
-    if not (name and _is_name_start(name[0]) and all(_is_name_char(c) for c in name)):
+    if not (_WORD.fullmatch(name) and _starts_name(name)):
         raise ParseError(f"bad identifier {name!r}", lineno, col)
 
 

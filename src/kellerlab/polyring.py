@@ -76,27 +76,32 @@ class MonomialLayout:
     `width` bits wide, guard bit included; calling the layout packs.
     """
 
-    __slots__ = ("width", "guard", "_mults", "_shifts")
+    __slots__ = ("width", "guard", "_mults", "_shifts", "_degree_shifts")
 
     def __init__(self, blocks, width):
         nvars = sum(len(idx) for _, idx in blocks)
         top = sum(len(idx) + graded for graded, idx in blocks) * width
         mults, shifts, guard = [0] * nvars, [0] * nvars, 0
+        degree_shifts = []  # the fields whose sum is the total degree
         for graded, idx in blocks:
             degree_unit = 0
             if graded:
                 top -= width
                 degree_unit = 1 << top
                 guard |= degree_unit << (width - 1)
+                degree_shifts.append(top)
             for i in idx:
                 top -= width
                 shifts[i] = top
                 mults[i] = (1 << top) + degree_unit
                 guard |= 1 << (top + width - 1)
+                if not graded:
+                    degree_shifts.append(top)
         self.width = width
         self.guard = guard
         self._mults = tuple(mults)
         self._shifts = tuple(shifts)
+        self._degree_shifts = tuple(degree_shifts)
 
     def __call__(self, exps) -> int:
         return sum(map(mul, exps, self._mults))
@@ -104,6 +109,12 @@ class MonomialLayout:
     def unpack(self, key) -> Exponents:
         mask = (1 << self.width) - 1
         return tuple([(key >> s) & mask for s in self._shifts])
+
+    def degree(self, key) -> int:
+        """Total degree of a packed monomial: the degree field of each graded
+        block plus the exponents of each ungraded one."""
+        mask = (1 << self.width) - 1
+        return sum([(key >> s) & mask for s in self._degree_shifts])
 
 
 @lru_cache(maxsize=128)
@@ -916,9 +927,11 @@ HEU_GCD_MAX_BITS = 1 << 14
 
 
 def _heu_gcd(a: Polynomial, b: Polynomial):
-    """Gcd of nonzero Z-primitive polynomials by GCDHEU, Z-primitive with a
-    positive lex-leading coefficient; None when every point tried gives a
-    candidate that does not divide both, or a point passes the bit cap."""
+    """(g, a / g) for the gcd g of nonzero Z-primitive polynomials by
+    GCDHEU, g Z-primitive with a positive lex-leading coefficient; None when
+    every point tried gives a candidate that does not divide both, or a
+    point passes the bit cap.  The cofactor a / g is the quotient of the
+    exact division that accepted g."""
     nvars = len(a.variables)
     used = [i for i in range(nvars) if any(e[i] for e in a.terms)
             or any(e[i] for e in b.terms)]
@@ -926,21 +939,27 @@ def _heu_gcd(a: Polynomial, b: Polynomial):
     def ints(p):
         return {tuple([e[i] for i in used]): c.numerator for e, c in p.terms.items()}
 
-    g = _heu(ints(a), ints(b))
-    if g is None:
+    def polynomial(t):
+        terms = {}
+        for k, c in t.items():
+            e = [0] * nvars
+            for i, x in zip(used, k):
+                e[i] = x
+            terms[tuple(e)] = Fraction(c)
+        return Polynomial._raw(a.variables, terms)
+
+    found = _heu(ints(a), ints(b))
+    if found is None:
         return None
-    terms = {}
-    for k, c in g.items():
-        e = [0] * nvars
-        for i, x in zip(used, k):
-            e[i] = x
-        terms[tuple(e)] = Fraction(c)
-    return make_positive(Polynomial._raw(a.variables, terms))
+    g, cofactor = map(polynomial, found)
+    positive = make_positive(g)
+    return positive, cofactor if positive is g else -cofactor
 
 
 def _heu(a, b):
-    """Gcd of nonzero {exponent tuple: int} maps over the same variables,
-    with the gcd of their integer contents, up to sign; None on failure.
+    """(g, a / g) for the gcd g of nonzero {exponent tuple: int} maps over
+    the same variables, with the gcd of their integer contents, up to sign;
+    None on failure.
 
     The first variable is evaluated at xi and the gcd of the images taken
     recursively, down to `math.gcd` on integers."""
@@ -948,7 +967,7 @@ def _heu(a, b):
     c = math.gcd(ca, cb)
     zero = (0,) * len(next(iter(a)))
     if _is_constant(a, zero) or _is_constant(b, zero):
-        return {zero: c}
+        return {zero: c}, {e: v // c for e, v in a.items()}
     a = {e: v // ca for e, v in a.items()}
     b = {e: v // cb for e, v in b.items()}
     xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 29
@@ -956,14 +975,22 @@ def _heu(a, b):
         if xi.bit_length() > HEU_GCD_MAX_BITS:
             return None
         ea, eb = _at(a, xi), _at(b, xi)
-        g = _heu(ea, eb) if ea and eb else ea or eb
+        if ea and eb:
+            g = _heu(ea, eb)
+            g = g and g[0]
+        else:
+            g = ea or eb
         if g:
             g = _adic(g, xi)
             cg = math.gcd(*g.values())
             g = {e: v // cg for e, v in g.items()}
-            # a constant candidate is a unit, which divides both
-            if _is_constant(g, zero) or _divides_ints(g, a) and _divides_ints(g, b):
-                return {e: v * c for e, v in g.items()}
+            if _is_constant(g, zero):  # a unit, which divides both
+                quotient = {e: v * g[zero] for e, v in a.items()}
+            else:  # a nonzero b has a nonempty quotient
+                quotient = _quotient_ints(b, g) and _quotient_ints(a, g)
+            if quotient is not None:
+                k = ca // c
+                return {e: v * c for e, v in g.items()}, {e: v * k for e, v in quotient.items()}
         xi = xi * 73794 * integer_root(xi, 4) // 27011
     return None
 
@@ -1003,19 +1030,20 @@ def _adic(g, xi):
     return out
 
 
-def _divides_ints(d, a):
-    """True when the {exponent tuple: int} map d divides a exactly."""
+def _quotient_ints(a, d):
+    """a / d for {exponent tuple: int} maps when d divides a exactly, else None."""
     degree = max(map(sum, a))
     if max(map(sum, d)) > degree:
-        return False
+        return None
     layout = _grlex_layout(len(next(iter(a))), degree)
     dividend = sorted([(layout(e), c) for e, c in a.items()], reverse=True)
     divisor = sorted([(layout(e), c) for e, c in d.items()], reverse=True)
     try:
-        _divide_packed(dividend, divisor, layout.guard)
+        quotient = _divide_packed(dividend, divisor, layout.guard)
     except ExactDivisionError:
-        return False
-    return True
+        return None
+    unpack = layout.unpack
+    return {unpack(k): c for k, c in quotient}
 
 
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -1041,8 +1069,8 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     if q.is_zero():
         return make_primitive(p)
     p, q = make_primitive(p), make_primitive(q)
-    g = _heu_gcd(p, q)
-    return _gcd_z(p, q) if g is None else g
+    found = _heu_gcd(p, q)
+    return _gcd_z(p, q) if found is None else found[0]
 
 
 def squarefree_part(p: Polynomial) -> Polynomial:
@@ -1055,19 +1083,26 @@ def squarefree_part(p: Polynomial) -> Polynomial:
     |dp/dx_i|oo) + 29, its candidate checked by exact division, with the
     subresultant PRS as the fallback.  On a dense degree-18 product f g f
     in 3 variables it takes milliseconds where the PRS alone took about
-    half a minute.
+    half a minute.  GCDHEU accepts gcd(p, dp/dx_1) only after dividing p by
+    it; while the later gcds leave it as it is, that quotient is the
+    answer, and p is divided again only when they do not.
     """
     if p.is_zero():
         raise ValueError("squarefree part of the zero polynomial is undefined")
     p = make_primitive(p)
     if p.is_constant():
         return Polynomial.one(p.variables)
-    g = p
-    for name in sorted(p.support_variables()):
-        g = poly_gcd(g, p.partial_derivative(name))
+    first, *rest = sorted(p.support_variables())
+    dp = make_primitive(p.partial_derivative(first))
+    found = _heu_gcd(p, dp)
+    g, quotient = (_gcd_z(p, dp), None) if found is None else found
+    for name in rest:
         if g.is_constant():
             break
-    return exact_div(p, g)
+        h = poly_gcd(g, p.partial_derivative(name))
+        if h != g:
+            g, quotient = h, None
+    return exact_div(p, g) if quotient is None else quotient
 
 
 # ---- polynomial maps ----

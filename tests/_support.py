@@ -3,21 +3,24 @@
 import math
 from fractions import Fraction
 from itertools import product
-from operator import mul
+from operator import add, mul
+from typing import NamedTuple
 
 from kellerlab._linalg import fraction_matrix_inverse, int_matrix_det, mat_mul
 from kellerlab.bundled import bundled_names, bundled_text
 from kellerlab.diophantine import _integer_roots
 from kellerlab.elim import resultant
-from kellerlab.errors import ExactDivisionError
-from kellerlab.expr_io import parse_system_file
+from kellerlab.errors import ExactDivisionError, ParseError
+from kellerlab.expr_io import MAX_POWER_DEGREE, MAX_POWER_TERMS, parse_int, parse_system_file
 from kellerlab.keller import CubicLinearForm
 from kellerlab.lattice import egcd
 from kellerlab.polyring import (
     Polynomial,
     PolyMap,
+    _add_terms,
     coefficients_in,
     exact_div,
+    make_primitive,
     poly_gcd,
     substitute,
     with_variables,
@@ -246,9 +249,15 @@ def random_expression(rng, variables, depth=2, max_degree=6):
     reference_mul and a plain dict sum only.
 
     The text has numbers (0 and p/q included), unary minus (also doubled),
-    powers with exponent 0 and powers of powers, products of single terms
-    and of parenthesised sums, nested `depth` deep.  A power is only taken
-    while its degree stays at most `max_degree`, so no cap is reached."""
+    powers with exponent 0, powers of powers and exponents written p/q of
+    integer value, products of single terms and of parenthesised sums,
+    nested `depth` deep, and spaces, tabs and line breaks between tokens.
+    A power is only taken while its degree stays at most `max_degree`, so no
+    cap is reached."""
+
+    def gap():
+        r = rng.random()
+        return "" if r < 0.5 else " " if r < 0.85 else rng.choice(("  ", "\t", "\n", " \n "))
 
     def total(p, q, sign):
         terms = dict(p.terms)
@@ -260,7 +269,7 @@ def random_expression(rng, variables, depth=2, max_degree=6):
         r = rng.random()
         if d and r < 0.25:
             text, p = expr(d - 1)
-            return f"({text})", p
+            return f"({gap()}{text}{gap()})", p
         if r < 0.55 or not variables:
             num, den = rng.randint(0, 9), rng.choice((1, 1, 2, 3, 4))
             text = str(num) if den == 1 else f"{num}/{den}"
@@ -274,20 +283,22 @@ def random_expression(rng, variables, depth=2, max_degree=6):
             e = rng.randint(0, 3)
             if max(p.total_degree(), 1) * e > max_degree:
                 break
-            text, p = f"{text}^{e}", reference_pow(p, e)
+            k = rng.choice((1, 1, 1, 1, 2, 3))
+            exponent = str(e) if k == 1 else f"{e * k}/{k}"
+            text, p = f"{text}{gap()}^{gap()}{exponent}", reference_pow(p, e)
         return text, p
 
     def factor(d):
         if rng.random() < 0.15:
             text, p = factor(d)
-            return f"-{text}", reference_mul(Polynomial.constant(variables, -1), p)
+            return f"-{gap()}{text}", reference_mul(Polynomial.constant(variables, -1), p)
         return atom(d)
 
     def term(d):
         text, p = factor(d)
         for _ in range(rng.randint(0, 3)):
             t, q = factor(d)
-            text, p = f"{text}*{t}", reference_mul(p, q)
+            text, p = f"{text}{gap()}*{gap()}{t}", reference_mul(p, q)
         return text, p
 
     def expr(d):
@@ -295,10 +306,219 @@ def random_expression(rng, variables, depth=2, max_degree=6):
         for _ in range(rng.randint(0, 3)):
             op = rng.choice("+-")
             t, q = term(d)
-            text, p = f"{text} {op} {t}", total(p, q, 1 if op == "+" else -1)
+            text, p = f"{text}{gap()}{op}{gap()}{t}", total(p, q, 1 if op == "+" else -1)
         return text, p
 
     return expr(depth)
+
+
+# ---- the token-stream parser, kept as the oracle of expr_io's scanner ----
+
+
+class _RefToken(NamedTuple):
+    kind: str  # number | name | op | end
+    text: str
+    value: object
+    line: int
+    column: int
+
+
+def _ref_tokenize(text, line=1, column=1):
+    """Tokens of `text`, which starts at (line, column), lazily, ending with
+    one 'end' token.  Columns count from 1 at the start of each line."""
+    i = 0
+    n = len(text)
+    bol = -column  # text[i] is at column i - bol
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            if ch == "\n":
+                line += 1
+                bol = i
+            i += 1
+            continue
+        if ch.isdecimal():
+            j = i
+            while j < n and text[j].isdecimal():
+                j += 1
+            value = Fraction(parse_int(text[i:j]))
+            if j < n and text[j] == "/":
+                k = j + 1
+                while k < n and text[k].isdecimal():
+                    k += 1
+                if k == j + 1:
+                    raise ParseError(
+                        "expected digits after '/' in rational literal", line, j - bol
+                    )
+                den = parse_int(text[j + 1 : k])
+                if den == 0:
+                    raise ParseError("zero denominator", line, j + 1 - bol)
+                value /= den
+                j = k
+            yield _RefToken("number", text[i:j], value, line, i - bol)
+            i = j
+        elif ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            yield _RefToken("name", text[i:j], text[i:j], line, i - bol)
+            i = j
+        elif ch in "+-*^()":
+            yield _RefToken("op", ch, ch, line, i - bol)
+            i += 1
+        else:
+            raise ParseError(f"unexpected character {ch!r}", line, i - bol)
+    yield _RefToken("end", "", None, line, n - bol)
+
+
+class _RefParser:
+    """Recursive descent over a token stream, one token of lookahead.
+
+    `term`, `factor`, `atom` and `base` return a product of numbers and
+    variable powers as one (Fraction, exponent tuple) pair, which `expr`
+    adds into its term map as it is.  Only a parenthesised sub-expression is
+    a Polynomial, and only a product or power that takes one in builds
+    another."""
+
+    def __init__(self, tokens, variables):
+        self.tokens = tokens
+        self.cur = next(tokens)
+        self.variables = tuple(variables)
+        self.zero = zero = (0,) * len(self.variables)
+        self.units = {v: zero[:i] + (1,) + zero[i + 1 :] for i, v in enumerate(self.variables)}
+
+    def advance(self):
+        tok = self.cur
+        self.cur = next(self.tokens)
+        return tok
+
+    def fail(self, message, tok=None):
+        tok = tok or self.cur
+        # a lexical error anywhere in the text wins over this one: drain the
+        # rest of the stream, which raises at the first bad character
+        for _ in self.tokens:
+            pass
+        raise ParseError(message, tok.line, tok.column)
+
+    def parse(self) -> Polynomial:
+        p = self.expr()
+        if self.cur.kind != "end":
+            self.fail(f"unexpected token {self.cur.text!r}")
+        return p
+
+    def polynomial(self, t) -> Polynomial:
+        if type(t) is not tuple:
+            return t
+        c, m = t
+        return Polynomial._raw(self.variables, {m: c} if c else {})
+
+    def expr(self) -> Polynomial:
+        acc = {}
+        sign = 1
+        while True:
+            t = self.term()
+            if type(t) is not tuple:
+                _add_terms(acc, t.terms, sign)
+            elif t[0]:
+                _add_terms(acc, {t[1]: t[0] if sign > 0 else -t[0]})
+            if not (self.cur.kind == "op" and self.cur.text in "+-"):
+                return Polynomial._raw(self.variables, acc)
+            sign = 1 if self.advance().text == "+" else -1
+
+    def term(self):
+        p = self.factor()
+        while self.cur.kind == "op" and self.cur.text == "*":
+            star = self.advance()
+            q = self.factor()
+            if type(p) is tuple and type(q) is tuple:
+                p = (p[0] * q[0], tuple(map(add, p[1], q[1])))
+                continue
+            p, q = self.polynomial(p), self.polynomial(q)
+            if len(p.terms) > 1 and len(q.terms) > 1:
+                k = len(p.support_variables() | q.support_variables())
+                degree = p.total_degree() + q.total_degree()
+                bound = min(len(p.terms) * len(q.terms), math.comb(degree + k, k))
+                self.cap_terms("product", bound, star)
+            p = p * q
+        return p
+
+    def cap_terms(self, what, bound, tok):
+        if bound > MAX_POWER_TERMS:
+            self.fail(
+                f"{what} of up to {bound} terms exceeds the cap of "
+                f"{MAX_POWER_TERMS} terms",
+                tok,
+            )
+
+    def factor(self):
+        if self.cur.kind == "op" and self.cur.text == "-":
+            self.advance()
+            t = self.factor()
+            return (-t[0], t[1]) if type(t) is tuple else -t
+        return self.atom()
+
+    def atom(self):
+        p = self.base()
+        while self.cur.kind == "op" and self.cur.text == "^":
+            caret = self.advance()
+            e = self.exponent()
+            if type(p) is tuple:
+                p = (p[0] ** e, tuple(x * e for x in p[1]))
+                continue
+            degree = p.total_degree() * e
+            if len(p.terms) > 1:
+                if degree > MAX_POWER_DEGREE:
+                    self.fail(
+                        f"power of degree {degree} exceeds the cap of {MAX_POWER_DEGREE}",
+                        caret,
+                    )
+                k = len(p.support_variables())
+                self.cap_terms("power", math.comb(degree + k, k), caret)
+            p = p**e
+        return p
+
+    def exponent(self) -> int:
+        tok = self.cur
+        if tok.kind == "op" and tok.text == "-":
+            self.fail("negative exponent")
+        if tok.kind != "number":
+            self.fail("expected integer exponent")
+        if tok.value.denominator != 1:
+            self.fail("non-integer exponent")
+        self.advance()
+        return int(tok.value)
+
+    def base(self):
+        tok = self.cur
+        if tok.kind == "number":
+            self.advance()
+            return (tok.value, self.zero)
+        if tok.kind == "name":
+            if tok.text not in self.units:
+                self.fail(f"unknown variable {tok.text!r}")
+            self.advance()
+            return (Fraction(1), self.units[tok.text])
+        if tok.kind == "op" and tok.text == "(":
+            self.advance()
+            p = self.expr()
+            if not (self.cur.kind == "op" and self.cur.text == ")"):
+                self.fail("expected ')'")
+            self.advance()
+            return p
+        if tok.kind == "end":
+            self.fail("unexpected end of input")
+        self.fail(f"unexpected token {tok.text!r}")
+
+
+def reference_parse_polynomial(text, variables, line=1, column=1) -> Polynomial:
+    """expr_io.parse_polynomial by the token-stream parser it replaced: a
+    lazy per-character tokenizer and one method per grammar rule, with
+    Fraction arithmetic per factor.  It has no cap on the bit length of a
+    power of a coefficient."""
+    variables = tuple(variables)
+    if len(set(variables)) != len(variables):
+        raise ValueError("duplicate variable names")
+    return _RefParser(_ref_tokenize(text, line, column), variables).parse()
 
 
 def grlex_key(exps):
@@ -328,6 +548,20 @@ def reference_exact_div(p: Polynomial, q: Polynomial) -> Polynomial:
             else:
                 rem.pop(t, None)
     return Polynomial(p.variables, quot)
+
+
+def reference_squarefree_part(p: Polynomial) -> Polynomial:
+    """p / gcd(p, dp/dx_1, ..., dp/dx_n) with the gcds by poly_gcd and the
+    quotient by one more exact_div of p by the last gcd."""
+    p = make_primitive(p)
+    if p.is_constant():
+        return Polynomial.one(p.variables)
+    g = p
+    for name in sorted(p.support_variables()):
+        g = poly_gcd(g, p.partial_derivative(name))
+        if g.is_constant():
+            break
+    return exact_div(p, g)
 
 
 def reference_key_function(order, variables):

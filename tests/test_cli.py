@@ -439,6 +439,23 @@ def test_check_json_reports_the_degree_cap(capsys, tmp_path, cap):
     assert json.loads(out)["results"]["inverse"]["degree_cap"] == expected
 
 
+def test_search_refuses_powers_past_the_bound(capsys, tmp_path, monkeypatch):
+    import kellerlab.diophantine
+
+    # `x^3000000 - y` at radius 2 would fill the memory with the powers of x;
+    # the same check on x^30 - y with the bound lowered to 59 bits, below
+    # 30 * bit_length(2) = 60
+    path = tmp_path / "high.sys"
+    path.write_text("vars: x y\nx^30 - y\n")
+    monkeypatch.setattr(kellerlab.diophantine, "MAX_SEARCH_POWER_BITS", 59)
+    assert run(capsys, "search", str(path), "--radius", "2") == (3, "", (
+        "error: variable x has degree 30: its powers at box radius 2 take up to "
+        "60 bits, past the bound of 59 bits\n"))
+    monkeypatch.setattr(kellerlab.diophantine, "MAX_SEARCH_POWER_BITS", 60)
+    code, out, _ = run(capsys, "search", str(path), "--radius", "2")
+    assert code == 0 and {"-1 1", "0 0", "1 1"} <= set(out.splitlines())
+
+
 def test_check_groebner_budget_exit_code(capsys, tmp_path, monkeypatch):
     import kellerlab.elim
 

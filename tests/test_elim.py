@@ -134,6 +134,19 @@ def test_packed_keys_sort_like_reference_keys():
         assert sorted(exps, key=key) == sorted(exps, key=ref)
 
 
+def test_layout_degree_reads_the_degree_fields():
+    # groebner's degree budget sums each graded block's degree field and
+    # unpacks only the exponents of ungraded (lex) blocks
+    rng = random.Random(1212)
+    W = ("x", "y", "z", "w")
+    layouts = [order.key_function(W) for order in _orders(W)] + [_grlex_layout(4, 300)]
+    for layout in layouts:
+        for _ in range(150):
+            m = layout(tuple(rng.choice((0, 0, 1, 2, 5, 300)) for _ in W))
+            assert layout.degree(m) == sum(layout.unpack(m))
+        assert layout.degree(layout((0, 0, 0, 0))) == 0
+
+
 def test_reduce_poly_matches_reference():
     rng = random.Random(1111)
     W = ("x", "y", "z")

@@ -1,3 +1,5 @@
+import importlib.util
+import os
 import random
 import re
 import tracemalloc
@@ -5,8 +7,10 @@ from fractions import Fraction
 
 import pytest
 
+from kellerlab.bundled import bundled_names, bundled_text
 from kellerlab.errors import ParseError
 from kellerlab.expr_io import (
+    MAX_POWER_BITS,
     MAX_POWER_DEGREE,
     MapFile,
     SystemFile,
@@ -30,6 +34,7 @@ from _support import (
     random_poly_map,
     random_polynomial,
     reference_mul,
+    reference_parse_polynomial,
     reference_pow,
 )
 
@@ -435,6 +440,25 @@ def test_product_with_too_many_terms_is_capped():
     assert len(parse_polynomial("x^200*(x+y+z+w+1)^20", W).terms) == 10626
 
 
+def test_power_of_a_coefficient_is_capped():
+    # 3^3000000 took half a second to parse, and its 1.43 M digits long to print
+    for text, column in (("3^3000000*x", 2), ("x - (9*x)^3000000", 10), ("x*2^100^1000", 8)):
+        with pytest.raises(ParseError, match="power of a coefficient .* exceeds the cap") as err:
+            parse_polynomial(text, V)
+        assert (err.value.line, err.value.column) == (1, column), text
+    # the bound is bit_length * e: 2^32768 is at the cap, 2^32769 past it
+    half = MAX_POWER_BITS // 2
+    assert parse_polynomial(f"2^{half}", V) == Polynomial.constant(V, 2**half)
+    with pytest.raises(ParseError, match=f"up to {MAX_POWER_BITS + 2} bits"):
+        parse_polynomial(f"2^{half + 1}", V)
+    # coefficients 0 and ±1 never grow, and variables carry no coefficient
+    x, y = (Polynomial.variable(V, v) for v in V)
+    assert parse_polynomial("1^3000000*x + (-1)^3000001*y + 0^3000000", V) == x - y
+    assert parse_polynomial("(-x)^3000000", V) == Polynomial(V, {(3000000, 0): 1})
+    # numbers written out in digits are not capped
+    assert parse_polynomial("9" * 30000, V) == Polynomial.constant(V, 10**30000 - 1)
+
+
 def test_powers_below_the_cap_parse():
     assert MAX_POWER_DEGREE >= 60
     p = parse_polynomial("(x+y+1)^60", V)
@@ -565,3 +589,98 @@ def test_files_round_trip_with_random_metadata():
         assert (back.variables, back.equations, back.metadata) == (
             sf.variables, sf.equations, sf.metadata)
         assert back.to_polynomials() == polys
+
+
+# ---- the scanner against the token-stream parser it replaced ----
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# texts on which the two kinds of error and the exponent rules meet
+SCANNER_CORPUS = NEGATIVE_CORPUS + [
+    "x + ) @", "x ** 1/0", "2 + ²", "x^²", "1/²", "²x", "x²", "٣*x + 1/٤", "x +\n  @",
+    "(x\n+ y", "(x y)", "(x ^ y)", "x^", "x^2^y", "x^1/", "x^2/3/4", "x^4/2", "x^0/5",
+    "x^4/0", "(x+1)^4/2", "(x+1)^2/4", "1/2^3", "(x + )", "x + ^2", "3/", "3/x", "x1/0",
+    "_", "x ^\n2", "x(y)", "(x)(y)", "-", "- -", "x - - - y", "x\t+\x0by", "\u00a0x",
+    "x^99999999999999999999", "0^0", "(x+y)^0", "((x)", "x))", "2 3/4", "x^ -2",
+    "(x+y+z+w+1)^20*(x+y+z+w+1)^20^y", "(x+y+1)^200 @", "x +\n(x+y+1)^65",
+    "1" + "9" * 5000 + "/1" + "0" * 4998 + "1" + "*x", "x^" + "1" * 5000, "1/" + "0" * 5000,
+]
+
+
+def _outcome(parse, text, ring, **where):
+    """The polynomial, or the (message, line, column) of the ParseError."""
+    try:
+        return parse(text, ring, **where)
+    except ParseError as err:
+        return err.message, err.line, err.column
+
+
+def _assert_same_outcome(text, ring, **where):
+    got = _outcome(parse_polynomial, text, ring, **where)
+    # the cap on powers of coefficients is the one rule the old parser lacks
+    if not (type(got) is tuple and got[0].startswith("power of a coefficient")):
+        assert got == _outcome(reference_parse_polynomial, text, ring, **where), repr(text)
+    return got
+
+
+def test_scanner_matches_the_token_stream_parser_on_random_expressions():
+    rng = random.Random(2828)
+    rings = [(), ("x",), V, ("x1", "x2", "x3")]
+    for _ in range(400):
+        ring = rng.choice(rings)
+        text, expected = random_expression(rng, ring, depth=rng.choice((1, 2, 3)))
+        assert _assert_same_outcome(text, ring) == expected, text
+
+
+def test_scanner_matches_the_token_stream_parser_on_edited_texts():
+    # seeded insertions and deletions of characters in valid texts: most
+    # edits make a lexical or a syntax error, or both
+    rng = random.Random(2929)
+    rings = [(), ("x",), V, ("x1", "x2", "x3")]
+    errors = 0
+    for _ in range(1500):
+        ring = rng.choice(rings)
+        text, _ = random_expression(rng, ring, depth=1)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randint(0, len(text))
+            if text and rng.random() < 0.5:
+                text = text[:i] + text[i + 1 :]
+            else:
+                text = text[:i] + rng.choice("xyz012/^*+-() \n@²٣_") + text[i:]
+        errors += type(_assert_same_outcome(text, ring)) is tuple
+    assert 500 < errors < 1450
+
+
+@pytest.mark.parametrize("text", SCANNER_CORPUS)
+def test_scanner_matches_the_token_stream_parser_on_the_corpus(text):
+    for where in ({}, {"line": 4, "column": 7}):
+        _assert_same_outcome(text, V, **where)
+
+
+def _hard_tier_texts():
+    """Every map of the benchmark's hard tier, each sign variant, and the
+    curve systems of its n = 3 classes, as the benchmark writes them."""
+    spec = importlib.util.spec_from_file_location(
+        "hardgen", os.path.join(ROOT, "bench", "hardgen.py"))
+    hardgen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(hardgen)
+    from kellerlab.diophantine import cor1_sum_of_squares, curve_CF
+
+    for name in hardgen.CLASSES:
+        for signs in hardgen.members(name):
+            G, meta = hardgen.build_map(name, signs)
+            yield format_map_file(map_file_from_poly_map(G, meta))
+            if name in ("c3", "s3"):
+                for polys in (curve_CF(G).polynomials, (cor1_sum_of_squares(G),)):
+                    equations = tuple(print_polynomial(p) for p in polys)
+                    yield format_system_file(SystemFile(G.variables, equations))
+
+
+def test_scanner_matches_the_token_stream_parser_on_every_shipped_file():
+    texts = [bundled_text(name) for name in bundled_names()] + list(_hard_tier_texts())
+    assert len(texts) > 50
+    for text in texts:
+        f = (parse_map_file if "\nF1 =" in text else parse_system_file)(text)
+        exprs = f.components if isinstance(f, MapFile) else f.equations
+        for expr, parsed in zip(exprs, f.parsed):
+            assert _assert_same_outcome(expr, f.variables) == parsed

@@ -39,6 +39,7 @@ from _support import (
     random_polynomial,
     random_rational,
     reference_resultant,
+    reference_squarefree_part,
     random_sl2,
     univariate_coeffs,
     univariate_gcd_degree,
@@ -206,6 +207,19 @@ HARD_AUTOMORPHISMS = {
     "n4b": ("triangular_4", ((1, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))),
     "n4s": ("triangular_4", ((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 0), (0, 0, 0, 1))),
 }
+
+
+def test_squarefree_part_of_the_hard_tier_sigma_products():
+    # the hard tier's conjugated non-Keller exemplars, H of degree 1 to 4:
+    # x, x*p(x)*y conjugated by A_2 = [[2, 1], [1, 1]]
+    for p in ("1", "(x - 1)", "(x - 1)*(x + 2)", "(x - 1)*(x + 2)*(x - 3)"):
+        F = conjugate_by_linear(PolyMap([P("x", V), P(f"x*{p}*y", V)]), ((2, 1), (1, 1)))
+        data = bifurcation_data(F, compute_fiber_degree=False)
+        product = data.a[0]
+        for a in data.a[1:]:
+            product = product * a
+        assert data.H == reference_squarefree_part(product)
+        assert data.H.total_degree() == p.count("x") + 1
 
 
 def _hard_automorphism(tag):

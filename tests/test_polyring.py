@@ -31,6 +31,7 @@ from _support import (
     reference_exact_div,
     reference_mul,
     reference_pow,
+    reference_squarefree_part,
 )
 
 V = ("x", "y")
@@ -214,7 +215,8 @@ def test_heuristic_gcd_matches_prs_on_planted_factors():
         a = make_primitive(planted * _nonzero_polynomial(rng, ring, max_degree=4, max_terms=5))
         b = make_primitive(planted * _nonzero_polynomial(rng, ring, max_degree=3, max_terms=4))
         expected = polyring._gcd_z(a, b)
-        assert polyring._heu_gcd(a, b) == expected
+        g, cofactor = polyring._heu_gcd(a, b)
+        assert g == expected and g * cofactor == a
         assert poly_gcd(a, b) == expected
         assert divides(make_primitive(planted), expected)
 
@@ -247,7 +249,8 @@ def test_heuristic_gcd_edge_cases():
         assert poly_gcd(p, q) == expected
         assert poly_gcd(q, p) == expected
         assert _prs_gcd_of(p, q) == expected
-        assert polyring._heu_gcd(make_primitive(p), make_primitive(q)) == expected
+        g, cofactor = polyring._heu_gcd(make_primitive(p), make_primitive(q))
+        assert g == expected and g * cofactor == make_primitive(p)
 
 
 def test_poly_gcd_falls_back_to_the_prs_when_the_heuristic_fails(monkeypatch):
@@ -299,6 +302,44 @@ def test_squarefree_part_of_dense_trivariate_takes_no_prs(monkeypatch):
     f = random_polynomial(rng, ("x", "y", "z"), 6, 15, allow_zero=False)
     g = random_polynomial(rng, ("x", "y", "z"), 6, 15, allow_zero=False)
     assert squarefree_part(f * g * f) == make_primitive(f * g)
+
+
+def test_squarefree_part_matches_the_division_by_the_last_gcd():
+    rng = random.Random(1059)
+    rings = [("x",), V, ("x", "y", "z")]
+    for _ in range(100):
+        ring = rng.choice(rings)
+        f, g, h = (_nonzero_polynomial(rng, ring, max_degree=2, max_terms=3) for _ in range(3))
+        p = f ** rng.randint(1, 3) * g ** rng.randint(1, 2) * h
+        assert squarefree_part(p) == reference_squarefree_part(p)
+    # gcd(p, dp/dx) = (x + 1)(y + 1), and dp/dy takes it down to x + 1
+    p = (X + 1) ** 2 * (Y + 1)
+    assert squarefree_part(p) == reference_squarefree_part(p) == (X + 1) * (Y + 1)
+
+
+def test_squarefree_part_divides_p_once(monkeypatch):
+    # GCDHEU accepts the first gcd g only after dividing p by it; when the
+    # later gcds leave g as it is, that quotient is the squarefree part, and
+    # p is not divided by g a second time
+    dividends = []
+    divide = polyring._divide_packed
+
+    def counting(dividend, divisor, guard):
+        dividends.append(sorted(c for _, c in dividend))
+        return divide(dividend, divisor, guard)
+
+    monkeypatch.setattr(polyring, "_divide_packed", counting)
+    rng = random.Random(1060)
+    x, y, z = (Polynomial.variable(("x", "y", "z"), v) for v in "xyz")
+    for _ in range(5):
+        a, b, c, d = (rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(4))
+        # squarefree and coprime, both in x: every gcd is f
+        f, g = x * (y + a) + z**2 + b, x**2 + c * y * z + d
+        p = make_primitive(f * f * g)
+        expected = reference_squarefree_part(p)
+        dividends.clear()
+        assert squarefree_part(p) == expected
+        assert dividends.count(sorted(int(c) for c in p.terms.values())) == 1
 
 
 def test_distributivity_and_no_zero_coefficients():
