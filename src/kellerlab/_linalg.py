@@ -5,9 +5,12 @@ the integer inverse of an SL(n, Z) matrix.  Integer determinants use
 fraction-free Bareiss elimination, and so do rational ones once each row is
 cleared of its denominators.  Polynomial determinants are Jacobians
 (resultants use the subresultant PRS) and use Laplace expansion at every n,
-each minor computed once: on the Jacobians of X + (AX)^3 with a dense A
-it beats polynomial Bareiss with exact division, 0.2 against 2.4 s at
-n = 5 and 3 against 84 s at n = 6 (2-vCPU VM).
+each minor computed once and kept as packed integers.  On the Jacobian of
+X + (AX)^3 with A over {-1, 0, 1} it takes 14-17 ms at n = 5 (23 nonzero
+entries in A) and 0.18-0.20 s at n = 6 (31 nonzero, 10624 terms), against
+68 ms and 1.1 s when every product and sum ran on Fraction polynomials
+(best of 5, 2-vCPU VM); polynomial Bareiss with exact division took 2.4 s
+at n = 5 and 84 s at n = 6.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import math
 from fractions import Fraction
 
 from .errors import SingularMatrixError
-from .polyring import Polynomial, _add_terms, _as_int
+from .polyring import Polynomial, _as_int, _grlex_layout, _mul_into, _unpack
 
 
 def fraction_matrix_inverse(rows):
@@ -96,25 +99,52 @@ def poly_matrix_det(rows) -> Polynomial:
 def _det_cofactor(a) -> Polynomial:
     """Laplace expansion along the first column, recursively, with the minor
     of each set of rows against the trailing columns computed once: at most
-    2^n minors, where expanding every minor afresh walks n!/2 paths."""
+    2^n minors, where expanding every minor afresh walks n!/2 paths.
+
+    The columns are taken sparsest first, so the fewest terms multiply the
+    largest minors; the permutation only changes the sign.  Each row is
+    cleared of its denominators and each entry packed once, into one grlex
+    layout whose fields hold the sum of the rows' degrees; the minors are
+    {packed monomial: int} sums of `_mul_into` products, and only the
+    determinant, over the product of the row denominators, is unpacked."""
     n = len(a)
+    variables = a[0][0].variables
+    if n == 1:
+        return a[0][0]
+    order = sorted(range(n), key=lambda j: sum(len(row[j].terms) for row in a))
+    degree = sum(max(max(e.total_degree() for e in row), 0) for row in a)
+    layout = _grlex_layout(len(variables), degree)
+    den = 1
+    packed = []  # packed[i][col]: entry (i, order[col]) times row i's denominator
+    for row in a:
+        m = math.lcm(*(c.denominator for e in row for c in e.terms.values()))
+        packed.append([
+            [(layout(exps), c.numerator * (m // c.denominator))
+             for exps, c in row[j].terms.items()]
+            for j in order
+        ])
+        den *= m
+    if sum(x > y for k, x in enumerate(order) for y in order[k + 1 :]) % 2:
+        den = -den  # an odd permutation of the columns
     minors = {}
 
     def minor(rows):
         col = n - len(rows)
         if col == n - 1:
-            return a[rows[0]][col]
+            return packed[rows[0]][col]
         det = minors.get(rows)
         if det is None:
             acc = {}
             for k, i in enumerate(rows):
-                if not a[i][col].is_zero():
-                    term = a[i][col] * minor(rows[:k] + rows[k + 1 :])
-                    _add_terms(acc, term.terms, -1 if k % 2 else 1)
-            det = minors[rows] = Polynomial._raw(a[0][0].variables, acc)
+                entry = packed[i][col]
+                if entry:
+                    if k % 2:
+                        entry = [(key, -c) for key, c in entry]
+                    _mul_into(acc, entry, minor(rows[:k] + rows[k + 1 :]))
+            det = minors[rows] = [(key, c) for key, c in acc.items() if c]
         return det
 
-    return minor(tuple(range(n)))
+    return Polynomial._raw(variables, _unpack(minor(tuple(range(n))), den, layout))
 
 
 def _det_bareiss(a) -> int:

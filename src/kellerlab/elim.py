@@ -215,22 +215,12 @@ def _normal_form(work, basis, layout):
     return scale, {m: c * (scale // s) for m, c, s in split}
 
 
-def _lcm(a, b, layout):
-    # each field of the lcm is below twice the field range: it cannot carry
-    lcm = layout(map(max, layout.unpack(a), layout.unpack(b)))
-    if lcm & layout.guard:
-        raise BudgetExceededError(_OVERFLOW)
-    return lcm
-
-
-def _s_polynomial(f, g, layout):
+def _s_polynomial(f, g, lcm, guard):
     """(b/q)*x^(L - lf)*f - (a/q)*x^(L - lg)*g for basis pairs (lf, f) and
     (lg, g) with leading coefficients a, b, q = gcd(a, b), L = lcm(lf, lg)."""
     (lf, f), (lg, g) = f, g
-    lcm = _lcm(lf, lg, layout)
     a, b = f[lf], g[lg]
     q = gcd(a, b)
-    guard = layout.guard
     work = {}
     get = work.get
     for d, factor, p in ((lcm - lf, b // q, f), (lcm - lg, -a // q, g)):
@@ -279,6 +269,7 @@ def groebner(I: Ideal, order: TermOrder, max_degree: int = MAX_DEGREE) -> Ideal:
     # (lead, primitive packed polynomial with lead coefficient > 0), every
     # element in order of arrival; each one reduces
     basis = []
+    leads = []  # the exponents of each basis lead, unpacked once
     active = []  # indices of the elements whose lead no later lead divides
     pairs = {}  # pending pair (i, j), i < j -> lcm of the two leads
     queue = []  # heap of (lcm, i, j); an entry no longer in `pairs` is stale
@@ -286,8 +277,16 @@ def groebner(I: Ideal, order: TermOrder, max_degree: int = MAX_DEGREE) -> Ideal:
     def update(lead, g):
         """Add (lead, g) to the basis and update the pairs (Gebauer-Moeller)."""
         t = len(basis)
-        lcms = [_lcm(h, lead, layout) for h, _ in basis]  # lcm(s, t) for s < t
+        exps = layout.unpack(lead)
+        lcms = []  # lcm(s, t) for s < t
+        for h in leads:
+            # each field of the lcm is below twice the field range: it cannot carry
+            m = layout(map(max, h, exps))
+            if m & guard:
+                raise BudgetExceededError(_OVERFLOW)
+            lcms.append(m)
         basis.append((lead, g))
+        leads.append(exps)
         # B_k: lead(t) divides lcm(i, j), and lcm(i, j) is neither lcm(i, t)
         # nor lcm(j, t), so the S-pairs (i, t) and (j, t) cover (i, j)
         for (i, j), m in list(pairs.items()):
@@ -324,10 +323,10 @@ def groebner(I: Ideal, order: TermOrder, max_degree: int = MAX_DEGREE) -> Ideal:
     if not basis:
         return Ideal((Polynomial.zero(variables),))
     while queue:
-        _, i, j = heappop(queue)
+        lcm, i, j = heappop(queue)
         if pairs.pop((i, j), None) is None:
             continue
-        s = _s_polynomial(basis[i], basis[j], layout)
+        s = _s_polynomial(basis[i], basis[j], lcm, guard)
         _, r = _normal_form(s, basis, layout)
         if not r:
             continue

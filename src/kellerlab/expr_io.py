@@ -33,8 +33,9 @@ the same way, by the smaller of |a|*|b| and C(deg a + deg b + k, k), so
 `(x+y+z+w+1)^20*(x+y+z+w+1)^20` is a ParseError at the `*`.  A power c^e
 of a coefficient c other than 0 and ±1, of a number or of a single term
 such as `(9*x)^e`, is refused at the `^` when bit_length(c)·e passes
-MAX_POWER_BITS; numbers written out in digits are not capped.  Map files
-are the line-oriented format
+MAX_POWER_BITS; numbers written out in digits are not capped.  A '(' nested
+more than MAX_NESTING_DEPTH deep is refused at that '('.  Map files are the
+line-oriented format
 
     # comment
     name: some-label          (optional metadata before the header)
@@ -77,6 +78,10 @@ MAX_POWER_TERMS = 20000
 # Largest bound bit_length(c) * e on the bits of a power c^e of a coefficient:
 # `3^3000000` is a ParseError, not 1.4 million digits.
 MAX_POWER_BITS = 1 << 16
+# Deepest nesting of parentheses.  The scanner recurses once per '(', so a
+# deeper '(' is a ParseError at that '(' well before the interpreter's
+# recursion limit; the bundled and hard-tier maps nest at most 3 deep.
+MAX_NESTING_DEPTH = 256
 
 # ---- integers of any length ----
 
@@ -144,9 +149,10 @@ class _Scanner:
         self.variables = variables
         self.index = {v: i for i, v in enumerate(variables) if _starts_name(v)}
 
-    def expr(self, pos, nested):
-        """(Polynomial, offset after it) of the expression at pos, which ends
-        at the end of the text, or at a ')' (read) when nested."""
+    def expr(self, pos, depth):
+        """(Polynomial, offset after it) of the expression at pos inside depth
+        parentheses, which ends at the end of the text, or at a ')' (read)
+        when depth > 0."""
         text = self.text
         match = _FACTOR.match
         index = self.index
@@ -184,7 +190,10 @@ class _Scanner:
                     num *= c
                     den *= d
                 else:
-                    q, pos = self.expr(pos, True)
+                    if depth == MAX_NESTING_DEPTH:
+                        cap = f"the cap of {MAX_NESTING_DEPTH}"
+                        self.fail(f"parentheses nested deeper than {cap}", m.end(1))
+                    q, pos = self.expr(pos, depth + 1)
                     m = _CLOSED_CHAIN.match(text, pos)
                     pos = m.end()
                     for caret, e in self.links(m[1], m.start(1)) if m[1] else ():
@@ -212,7 +221,7 @@ class _Scanner:
             if ch == "+" or ch == "-":
                 sign = 1 if ch == "+" else -1
                 pos += 1
-            elif nested:
+            elif depth:
                 if ch != ")":
                     self.fail("expected ')'", pos)
                 return Polynomial._raw(self.variables, acc), pos + 1
@@ -317,7 +326,7 @@ def parse_polynomial(text: str, variables, line=1, column=1) -> Polynomial:
     variables = tuple(variables)
     if len(set(variables)) != len(variables):
         raise ValueError("duplicate variable names")
-    return _Scanner(text, variables, line, column).expr(0, False)[0]
+    return _Scanner(text, variables, line, column).expr(0, 0)[0]
 
 
 # ---- printing ----

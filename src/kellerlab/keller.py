@@ -9,7 +9,7 @@ from fractions import Fraction
 from ._linalg import fraction_matrix_det, fraction_matrix_inverse, poly_matrix_det
 from .elim import MAX_DEGREE, inverse_map
 from .errors import SingularMatrixError
-from .polyring import Polynomial, PolyMap, integer_root
+from .polyring import Polynomial, PolyMap, _grlex_layout, _mul_into, _pack, integer_root
 
 
 def jacobian_matrix(F: PolyMap):
@@ -187,6 +187,18 @@ def _icbrt(n: int):
     return -r if n < 0 else r
 
 
+def _is_cube(form: Polynomial, rest: Polynomial) -> bool:
+    """form**3 == rest for a linear form and a homogeneous cubic, on packed
+    integers: with form = P_f/d_f and rest = P_rest/d_rest, the test is
+    P_f^3 * d_rest == P_rest * d_f^3."""
+    layout = _grlex_layout(len(form.variables), 3)
+    d_f, p_f = _pack(form.terms, layout)
+    d_rest, p_rest = _pack(rest.terms, layout)
+    cube = _mul_into({}, p_f, _mul_into({}, p_f, p_f).items())
+    scale = d_f**3
+    return {m: c * d_rest for m, c in cube.items() if c} == {m: c * scale for m, c in p_rest}
+
+
 def as_cubic_linear(F: PolyMap):
     """Recognize F_i = X_i + <a_i, X>^3 and return the matrix A.
 
@@ -224,7 +236,7 @@ def as_cubic_linear(F: PolyMap):
             exps = tuple(2 if t == k else (1 if t == j else 0) for t in range(n))
             coeffs[j] = rest.coefficient(exps) / (3 * ck * ck)
         (form,) = PolyMap.linear([coeffs], variables).components
-        if form**3 != rest:
+        if not _is_cube(form, rest):
             return CubicLinearRejection(i, "remainder is not the cube of a linear form")
         rows.append(tuple(coeffs))
     return CubicLinearForm(tuple(rows))

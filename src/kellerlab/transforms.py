@@ -164,10 +164,11 @@ def cor1_extension(form: CubicLinearForm) -> CubicLinearForm:
     F = form.to_map(variables[:n])
     expected = [c - last for c in F.compose(PolyMap.linear(shift, variables)).components]
     expected.append(last)
-    if PolyMap(expected) != result.to_map(variables):
+    G = result.to_map(variables)
+    if PolyMap(expected) != G:
         raise InternalCheckError("extension matrix disagrees with the composition")
 
-    if is_keller(F) and not is_keller(result.to_map(variables)):
+    if is_keller(F) and not is_keller(G):
         raise InternalCheckError("extension of a Keller form is not Keller")
     return result
 

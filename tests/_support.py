@@ -12,7 +12,7 @@ from kellerlab.diophantine import _integer_roots
 from kellerlab.elim import resultant
 from kellerlab.errors import ExactDivisionError, ParseError
 from kellerlab.expr_io import MAX_POWER_DEGREE, MAX_POWER_TERMS, parse_int, parse_system_file
-from kellerlab.keller import CubicLinearForm
+from kellerlab.keller import CubicLinearForm, CubicLinearRejection, _rational_cube_root
 from kellerlab.lattice import egcd
 from kellerlab.polyring import (
     Polynomial,
@@ -657,24 +657,68 @@ def reference_groebner(gens, key):
 
 def reference_det(rows) -> Polynomial:
     """Determinant of a square polynomial matrix by Laplace expansion along
-    the columns, each minor (a set of rows against the trailing columns)
-    computed once."""
+    the first column, recursively, each minor (a set of rows against the
+    trailing columns) computed once, on `Fraction` term maps: every product
+    goes through `Polynomial.__mul__` and every sum through `_add_terms`.
+    This was `_linalg._det_cofactor` before its minors were kept packed."""
     n = len(rows)
-    variables = rows[0][0].variables
-    minors = {(): Polynomial.one(variables)}
+    minors = {}
 
-    def det(free):
-        if free not in minors:
-            col = n - len(free)
-            total = Polynomial.zero(variables)
+    def minor(free):
+        col = n - len(free)
+        if col == n - 1:
+            return rows[free[0]][col]
+        det = minors.get(free)
+        if det is None:
+            acc = {}
             for k, i in enumerate(free):
                 if not rows[i][col].is_zero():
-                    term = rows[i][col] * det(free[:k] + free[k + 1:])
-                    total = total - term if k % 2 else total + term
-            minors[free] = total
-        return minors[free]
+                    term = rows[i][col] * minor(free[:k] + free[k + 1 :])
+                    _add_terms(acc, term.terms, -1 if k % 2 else 1)
+            det = minors[free] = Polynomial._raw(rows[0][0].variables, acc)
+        return det
 
-    return det(tuple(range(n)))
+    return minor(tuple(range(n)))
+
+
+def reference_as_cubic_linear(F: PolyMap):
+    """`keller.as_cubic_linear` with its last test written as form**3 != rest
+    on `Fraction` polynomials, as it was before the test ran on packed
+    integers."""
+    if not F.is_square():
+        return CubicLinearRejection(0, "map is not square")
+    variables = F.variables
+    n = F.n
+    rows = []
+    for i, comp in enumerate(F.components, start=1):
+        rest = comp - Polynomial.variable(variables, variables[i - 1])
+        if rest.is_zero():
+            rows.append(tuple(Fraction(0) for _ in range(n)))
+            continue
+        if any(sum(m) != 3 for m in rest.terms):
+            return CubicLinearRejection(
+                i, "component minus X_i is not homogeneous of degree 3"
+            )
+        lm = max(rest.terms)
+        lc = rest.terms[lm]
+        k = next((j for j, e in enumerate(lm) if e), None)
+        if lm.count(0) != n - 1 or lm[k] != 3:
+            return CubicLinearRejection(i, "leading term is not the cube of a variable")
+        ck = _rational_cube_root(lc)
+        if ck is None:
+            return CubicLinearRejection(i, "leading coefficient is not a perfect cube")
+        coeffs = [Fraction(0)] * n
+        coeffs[k] = ck
+        for j in range(n):
+            if j == k:
+                continue
+            exps = tuple(2 if t == k else (1 if t == j else 0) for t in range(n))
+            coeffs[j] = rest.coefficient(exps) / (3 * ck * ck)
+        (form,) = PolyMap.linear([coeffs], variables).components
+        if form**3 != rest:
+            return CubicLinearRejection(i, "remainder is not the cube of a linear form")
+        rows.append(tuple(coeffs))
+    return CubicLinearForm(tuple(rows))
 
 
 def reference_resultant(p: Polynomial, q: Polynomial, t, m, n) -> Polynomial:

@@ -357,6 +357,17 @@ def test_search_term_count_bomb_is_a_parse_error(capsys, tmp_path):
     assert "line 2" in err and "terms" in err
 
 
+def test_search_deep_nesting_is_a_parse_error(capsys, tmp_path):
+    # one recursive call per '(' used to end in a RecursionError traceback
+    path = tmp_path / "deep.sys"
+    path.write_text("vars: x\n" + "(" * 1200 + "x" + ")" * 1200 + "\n")
+    code, out, err = run(capsys, "search", str(path), "--radius", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: line 2, column ") and "nest" in err
+    assert "Traceback" not in err
+
+
 def test_check_degree_cap_below_inverse_degree(capsys, tri2):
     code, out, err = run(capsys, "check", tri2, "--degree-cap", "2")
     assert code == 0

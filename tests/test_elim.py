@@ -381,6 +381,9 @@ def test_exponent_past_field_width_is_budget_exit():
     half = big // 2
     with pytest.raises(BudgetExceededError, match="packed monomial"):
         groebner(Ideal((P(f"x - y^{half}", V), P("x^2 - x", V))), TermOrder.lex(V))
+    # an lcm whose degree field overflows, though each lead fits: x^half*y^half
+    with pytest.raises(BudgetExceededError, match="packed monomial"):
+        groebner(Ideal((P(f"x^{half} - 1", V), P(f"y^{half} - 1", V))), TermOrder.grlex(V))
     key = TermOrder.lex(V).key_function(V)
     with pytest.raises(BudgetExceededError, match="packed monomial"):
         reduce_poly(P("x^2", V), [P(f"x - y^{half}", V)], key)

@@ -10,6 +10,7 @@ import pytest
 from kellerlab.bundled import bundled_names, bundled_text
 from kellerlab.errors import ParseError
 from kellerlab.expr_io import (
+    MAX_NESTING_DEPTH,
     MAX_POWER_BITS,
     MAX_POWER_DEGREE,
     MapFile,
@@ -457,6 +458,26 @@ def test_power_of_a_coefficient_is_capped():
     assert parse_polynomial("(-x)^3000000", V) == Polynomial(V, {(3000000, 0): 1})
     # numbers written out in digits are not capped
     assert parse_polynomial("9" * 30000, V) == Polynomial.constant(V, 10**30000 - 1)
+
+
+def test_nesting_is_capped_at_the_first_parenthesis_past_the_cap():
+    # the scanner recurses once per '(': 1000 levels were a RecursionError
+    x = Polynomial.variable(V, "x")
+    assert 3 <= MAX_NESTING_DEPTH <= 500
+    k = MAX_NESTING_DEPTH
+    assert parse_polynomial("(" * k + "x" + ")" * k, V) == x
+    assert parse_polynomial("y + " + "(" * k + "-x" + ")" * k + "^2", V) == x * x + (
+        Polynomial.variable(V, "y"))
+    for prefix, depth in (("", k + 1), ("2*y - ", k + 1), ("", 1200)):
+        text = prefix + "(" * depth + "x" + ")" * depth
+        with pytest.raises(ParseError, match=f"nested deeper than the cap of {k}") as err:
+            parse_polynomial(text, V)
+        assert (err.value.line, err.value.column) == (1, len(prefix) + k + 1), text
+    # the same rule in a map file, with the column counted in its line
+    text = "vars: x y\nF1 = " + "(" * (k + 1) + "x" + ")" * (k + 1) + "\nF2 = y\n"
+    with pytest.raises(ParseError, match="nested deeper") as err:
+        parse_map_file(text)
+    assert (err.value.line, err.value.column) == (2, len("F1 = ") + k + 1)
 
 
 def test_powers_below_the_cap_parse():

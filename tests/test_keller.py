@@ -19,7 +19,12 @@ from kellerlab.keller import (
 from kellerlab.polyring import Polynomial, PolyMap, substitute
 from kellerlab.transforms import conjugate_by_linear
 
-from _support import random_poly_map, random_triangular_form
+from _support import (
+    random_poly_map,
+    random_rational,
+    random_triangular_form,
+    reference_as_cubic_linear,
+)
 
 V = ("x", "y")
 
@@ -291,3 +296,45 @@ def test_cubic_linear_roundtrip_random_matrices():
             got = as_cubic_linear(form.to_map(variables))
             assert isinstance(got, CubicLinearForm)
             assert got.matrix == form.matrix
+
+
+def test_as_cubic_linear_matches_the_fraction_cube_rule():
+    # the packed test P_f^3 * d_rest == P_rest * d_f^3 gives the same form,
+    # or the same rejection, as form**3 != rest on Fractions
+    rng = random.Random(2929)
+    outcomes = set()
+    for trial in range(120):
+        n = trial % 3 + 2
+        variables = tuple(f"x{i}" for i in range(1, n + 1))
+        xs = [Polynomial.variable(variables, v) for v in variables]
+        components = []
+        for x in xs:
+            # rational rows: each entry over its own denominator
+            row = [random_rational(rng, 3, (1, 2, 3, 4)) if rng.random() < 0.7 else 0
+                   for _ in range(n)]
+            cube = sum((c * y for c, y in zip(row, xs)), Polynomial.zero(variables)) ** 3
+            kind = rng.choice(("cube", "twice", "eight", "perturbed", "headless", "low"))
+            if kind == "twice":
+                cube = cube * 2  # the remainder 2 * cube
+            elif kind == "eight":
+                cube = cube * 8  # the cube of twice the form
+            elif kind == "perturbed" and not cube.is_zero():
+                m = rng.choice(sorted(cube.terms))
+                cube = cube + Polynomial(variables, {m: random_rational(rng, 2, (1, 5))})
+            elif kind == "headless" and not cube.is_zero():
+                lead = max(cube.terms)  # the cube of a variable; no other term is
+                cube = cube - Polynomial(variables, {lead: cube.terms[lead]})
+            elif kind == "low":
+                cube = cube + rng.choice(xs) * rng.choice(xs)
+            components.append(x + cube)
+        F = PolyMap(components)
+        got, ref = as_cubic_linear(F), reference_as_cubic_linear(F)
+        assert got == ref, (F, got, ref)
+        outcomes.add(got.reason if isinstance(got, CubicLinearRejection) else "form")
+    assert outcomes == {
+        "form",
+        "component minus X_i is not homogeneous of degree 3",
+        "leading term is not the cube of a variable",
+        "leading coefficient is not a perfect cube",
+        "remainder is not the cube of a linear form",
+    }

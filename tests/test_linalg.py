@@ -15,7 +15,7 @@ from kellerlab.errors import SingularMatrixError
 from kellerlab.keller import jacobian_matrix
 from kellerlab.polyring import Polynomial, PolyMap
 
-from _support import random_polynomial
+from _support import random_polynomial, reference_det
 
 
 def test_fraction_matrix_inverse_roundtrip():
@@ -80,20 +80,26 @@ def test_int_matrix_det_zero_pivot_column_is_int_zero():
         assert det == 0 and type(det) is int
 
 
+def _cubic_linear_jacobian(rng, n, min_nonzero=0):
+    """The Jacobian of X + (AX)^3 for a nonsingular A over {-1, 0, 1} with
+    at least min_nonzero nonzero entries."""
+    V = tuple(f"x{k}" for k in range(1, n + 1))
+    xs = [Polynomial.variable(V, v) for v in V]
+    A = [[0] * n for _ in range(n)]
+    while int_matrix_det(A) == 0 or sum(map(bool, sum(A, []))) < min_nonzero:
+        A = [[rng.choice((0, 1, -1)) for _ in range(n)] for _ in range(n)]
+    F = PolyMap([x + sum((a * y for a, y in zip(row, xs)), Polynomial.zero(V)) ** 3
+                 for x, row in zip(xs, A)])
+    return jacobian_matrix(F)
+
+
 def test_poly_matrix_det_matches_int_det_at_points():
     # Jacobians of X + (AX)^3 with a nonsingular A over {0, 1, -1} at n = 5
     # and 6: the determinant evaluated at integer points against Bareiss on
     # the evaluated integer matrix
     rng = random.Random(4444)
     for n in (5, 6):
-        V = tuple(f"x{k}" for k in range(1, n + 1))
-        xs = [Polynomial.variable(V, v) for v in V]
-        A = [[0] * n for _ in range(n)]
-        while int_matrix_det(A) == 0:
-            A = [[rng.choice((0, 1, -1)) for _ in range(n)] for _ in range(n)]
-        F = PolyMap([x + sum((a * y for a, y in zip(row, xs)), Polynomial.zero(V)) ** 3
-                     for x, row in zip(xs, A)])
-        J = jacobian_matrix(F)
+        J = _cubic_linear_jacobian(rng, n)
         det = poly_matrix_det(J)
         assert det.total_degree() == 2 * n
         for _ in range(4):
@@ -180,3 +186,71 @@ def test_int_matrix_det_refuses_non_integral_entries():
         with pytest.raises(ValueError, match="expected an integer"):
             int_matrix_det(((bad, 1), (0, 1)))
     assert int_matrix_det(((Fraction(3), 1), (Fraction(4, 2), 1))) == 1
+
+
+# ---- the packed Laplace expansion against the Fraction one ----
+
+
+def _assert_same_det(rows):
+    det, ref = poly_matrix_det(rows), reference_det(rows)
+    # the same terms with the same reduced Fractions
+    assert det == ref
+    assert all(type(c) is Fraction for c in det.terms.values())
+    return det
+
+
+def test_poly_matrix_det_matches_the_fraction_oracle_at_small_n():
+    rng = random.Random(2929)
+    V = ("x", "y", "z")
+    for trial in range(75):
+        n = trial % 5 + 1
+        rows = [[random_polynomial(rng, V, max_degree=2, max_terms=3) for _ in range(n)]
+                for _ in range(n)]
+        _assert_same_det(rows)
+
+
+def test_poly_matrix_det_with_denominators_that_differ_within_a_row():
+    rng = random.Random(3030)
+    V = ("x", "y")
+    for trial in range(40):
+        n = trial % 5 + 1
+        rows = []
+        for _ in range(n):
+            # each entry over its own denominator, so no row has one common
+            # denominator and the row's lcm is a proper multiple of most
+            row = [random_polynomial(rng, V, max_degree=2, max_terms=3)
+                   * Fraction(rng.choice((1, 2, 3, 5, 7)), rng.choice((1, 2, 3, 4, 9)))
+                   for _ in range(n)]
+            rows.append(row)
+        _assert_same_det(rows)
+    # det [[x/2, 1/3], [y/5, 1/7]] = x/14 - y/15
+    x, y = (Polynomial.variable(V, v) for v in V)
+    det = _assert_same_det([[x * Fraction(1, 2), Polynomial.constant(V, Fraction(1, 3))],
+                            [y * Fraction(1, 5), Polynomial.constant(V, Fraction(1, 7))]])
+    assert det == x * Fraction(1, 14) - y * Fraction(1, 15)
+
+
+def test_poly_matrix_det_with_zero_entries_and_a_zero_column():
+    rng = random.Random(3131)
+    V = ("x", "y", "z")
+    zero = Polynomial.zero(V)
+    for trial in range(40):
+        n = trial % 5 + 1
+        rows = [[random_polynomial(rng, V, max_degree=2, max_terms=2)
+                 if rng.random() < 0.5 else zero for _ in range(n)] for _ in range(n)]
+        _assert_same_det(rows)
+        col = rng.randrange(n)
+        for row in rows:
+            row[col] = zero
+        assert _assert_same_det(rows).is_zero()
+    # an all-zero matrix, and a zero first row
+    assert _assert_same_det([[zero] * 3 for _ in range(3)]).is_zero()
+    rows = [[zero] * 4] + [[random_polynomial(rng, V) for _ in range(4)] for _ in range(3)]
+    assert _assert_same_det(rows).is_zero()
+
+
+def test_poly_matrix_det_of_a_dense_cubic_linear_jacobian_at_n_6():
+    # A with at most 4 zeros of 36, so nearly every entry of J is dense
+    J = _cubic_linear_jacobian(random.Random(3232), 6, min_nonzero=32)
+    det = _assert_same_det(J)
+    assert det.total_degree() == 12 and len(det.terms) > 10000

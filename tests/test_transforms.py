@@ -224,6 +224,36 @@ def test_cor1_extension_row_sums():
         assert all(x == 0 for x in ext.matrix[3])
 
 
+def test_cor1_extension_builds_its_map_once_and_keeps_both_checks(monkeypatch):
+    import kellerlab.transforms as transforms
+    from kellerlab.errors import InternalCheckError
+
+    built = []
+    to_map = CubicLinearForm.to_map
+
+    def counted(self, variables=None):
+        built.append(self.n)
+        return to_map(self, variables)
+
+    def squared(self, variables=None):  # the extension's map, composed with itself
+        G = to_map(self, variables)
+        return G.compose(G) if self.n == 3 else G
+
+    monkeypatch.setattr(CubicLinearForm, "to_map", counted)
+    form = CubicLinearForm(((0, 1), (0, 0)))
+    cor1_extension(form)
+    assert built == [2, 3]  # the input's map, then the extension's, once
+    # the composition check: an extension whose map disagrees is refused
+    monkeypatch.setattr(CubicLinearForm, "to_map", squared)
+    with pytest.raises(InternalCheckError, match="disagrees with the composition"):
+        cor1_extension(form)
+    # the Keller check: the extension of a Keller form is Keller
+    monkeypatch.setattr(CubicLinearForm, "to_map", to_map)
+    monkeypatch.setattr(transforms, "is_keller", lambda F: F.n == 2)
+    with pytest.raises(InternalCheckError, match="not Keller"):
+        cor1_extension(form)
+
+
 def test_choose_clearing_scale_examples():
     assert choose_clearing_scale([(0, 0)]) == 1
     assert choose_clearing_scale([(0, 0), (2, 3)]) == 4
