@@ -9,23 +9,38 @@ H comes from n per-coordinate Groebner eliminations.  `sigma` and
 H = 1, there is no cone and sigma is 1.  When no inverse is found, or the
 basis exceeds its budget, they fall back to the eliminations.
 
+Every line resultant r(U, V) of sigma (D, and each factor of R) is one
+resultant in t of p(U + tV) and q(U + tV), and two identities let it be
+computed on the slice U1 = 0, V1 = 1 of the 2n line parameters:
+Res_t(p(t + s), q(t + s)) = Res_t(p, q) gives r(U + sV, V) = r(U, V), and
+p(U + t lambda V) = p(U + (lambda t) V) gives r(U, lambda V) =
+lambda^k r(U, V) for k = deg p deg q (k = d^2 for D, whose dp/dt brings one
+more lambda).  So r(U, V) = V1^k E((V1 U_j - U1 V_j) / V1, V_j / V1) for
+E(u, w) = r((0, u), (1, w)), a resultant over 2n - 2 parameters, which is
+re-expanded exactly on packed integers (`_slice_resultant`).
+
 All outputs have rational coefficients by construction.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .elim import generic_fiber_degree, minimal_poly_of_coordinate, resultant
-from .errors import BudgetExceededError, NotZeroDimensionalError
+from .errors import BudgetExceededError, InternalCheckError, NotZeroDimensionalError
 from .keller import polynomial_inverse
 from .polyring import (
     Polynomial,
     PolyMap,
     _as_int,
+    _grlex_layout,
+    _mul_into,
+    _unpack,
     coefficients_in,
     divides,
     squarefree_part,
@@ -153,21 +168,79 @@ def _uv_ring(n):
     return us, vs
 
 
-def _on_line(p: Polynomial, us, vs):
-    """p(U + t V) over the ring (U..., V..., t)."""
-    ring = us + vs + ("t",)
+def _on_slice(p: Polynomial) -> Polynomial:
+    """p(U + tV) on the slice U1 = 0, V1 = 1: p's first variable goes to t
+    and its k-th to U_k + t V_k, over the ring (U2..Un, V2..Vn, t)."""
+    us, vs = _uv_ring(len(p.variables))
+    ring = us[1:] + vs[1:] + ("t",)
     t = Polynomial.variable(ring, "t")
-    bindings = {}
-    for name, uname, vname in zip(p.variables, us, vs):
-        bindings[name] = (
-            Polynomial.variable(ring, uname) + t * Polynomial.variable(ring, vname)
-        )
-    return substitute(p, bindings, ring)
+    line = [t] + [
+        Polynomial.variable(ring, u) + t * Polynomial.variable(ring, v)
+        for u, v in zip(us[1:], vs[1:])
+    ]
+    return substitute(p, dict(zip(p.variables, line)), ring)
 
 
-def _line_resultant(p: Polynomial, q: Polynomial, us, vs) -> Polynomial:
-    """Res_t(p, q) over (U..., V...), for p and q over (U..., V..., t)."""
-    return with_variables(resultant(p, q, "t"), us + vs)
+def _slice_resultant(p: Polynomial, q: Polynomial, k: int, n: int) -> Polynomial:
+    """The line resultant r(U, V) over (U, V), from p and q on the slice.
+
+    E(u, w) = Res_t(p, q) is r((0, u), (1, w)), and r is invariant under
+    U -> U + sV and homogeneous of degree k in V, so
+
+        r(U, V) = V1^k E((V1 U_j - U1 V_j) / V1, V_j / V1).
+
+    A term c u^a w^b of E gives c prod_j L_j^(a_j) V^b V1^(k - |a| - |b|)
+    with L_j = V1 U_j - U1 V_j, an exponent of V1 that only the sum need
+    keep non-negative.  So every term is lifted by V1^(top - |a| - |b|),
+    top = max(k, largest |a| + |b|), the terms are grouped by a and each
+    group multiplied once by prod_j L_j^(a_j) on packed integers, and V1 is
+    shifted down by top - k at the end; a term that this would leave with
+    a negative exponent raises InternalCheckError.
+    """
+    us, vs = _uv_ring(n)
+    E = resultant(p, q, "t")
+    if E.is_zero():
+        return Polynomial.zero(us + vs)
+    m = n - 1
+    top = max(k, max(sum(e) for e in E.terms))  # e's t exponent is 0
+    # a lifted product has degree top + |a| <= 2 top
+    layout = _grlex_layout(2 * n, 2 * top)
+
+    zero = (0,) * (2 * n)
+    units = [layout(zero[:i] + (1,) + zero[i + 1 :]) for i in range(2 * n)]  # U, then V
+    powers = {}
+
+    def power(j, e):
+        # L_j^e = sum_i C(e, i) (V1 U_j)^(e - i) (-U1 V_j)^i, for U_j at index j
+        if (j, e) not in powers:
+            a, b = units[j] + units[n], units[0] + units[n + j]
+            powers[j, e] = [((e - i) * a + i * b, (-1) ** i * math.comb(e, i))
+                            for i in range(e + 1)]
+        return powers[j, e]
+
+    den = math.lcm(*(c.denominator for c in E.terms.values()))
+    groups = {}
+    for e, c in E.terms.items():
+        alpha, beta = e[:m], e[m : 2 * m]
+        key = (top - sum(e)) * units[n] + sum(map(mul, beta, units[n + 1 :]))
+        groups.setdefault(alpha, []).append((key, c.numerator * (den // c.denominator)))
+    acc = {}
+    for alpha, group in groups.items():
+        factor = [(0, 1)]
+        for j, a in enumerate(alpha, start=1):
+            if a:
+                factor = _mul_into({}, factor, power(j, a)).items()
+        _mul_into(acc, group, factor)
+    shift = (top - k) * units[n]
+    guard = layout.guard
+    out = []
+    for key, c in acc.items():
+        if c:
+            key -= shift
+            if key < 0 or key & guard:
+                raise InternalCheckError("a line resultant has a negative power of V1")
+            out.append((key, c))
+    return Polynomial._raw(us + vs, _unpack(out, den, layout))
 
 
 def poly_D(H: Polynomial) -> Polynomial:
@@ -180,35 +253,51 @@ def poly_D(H: Polynomial) -> Polynomial:
     at infinity (where the t-degree drops), which the discriminant alone
     would miss; for d = 1, dp/dt is coneform(V) itself and D is the cone
     factor alone.
+
+    D is computed on the slice U1 = 0, V1 = 1 and re-expanded exactly
+    (`_slice_resultant`), by two identities: Res_t(p(t + s), q(t + s)) =
+    Res_t(p, q), so D(U + sV, V) = D(U, V); and H(U + t lambda V) =
+    p(lambda t), whose t-derivative brings one more factor lambda, so
+    D(U, lambda V) = lambda^(d^2) D(U, V).  On the slice the t-leading
+    coefficient is coneform(1, V2, ..., Vn), still nonzero, so the slice
+    resultant is taken at the same degrees (d, d - 1).
     """
     if H.is_constant():
         raise ValueError("H must be nonconstant")
-    us, vs = _uv_ring(len(H.variables))
-    p = _on_line(H, us, vs)
-    D = _line_resultant(p, p.partial_derivative("t"), us, vs)
     d = H.total_degree()
-    return -D if d * (d - 1) // 2 % 2 else D
+    p = _on_slice(H)
+    if d * (d - 1) // 2 % 2:  # Res_t(-p, -dp/dt) = (-1)^(d + d - 1) Res_t(p, dp/dt)
+        p = -p
+    return _slice_resultant(p, p.partial_derivative("t"), d * d, len(H.variables))
 
 
 def poly_R(components) -> Polynomial:
     """Product over components of Res_t(h_W(U+tV), g_VW(U+tV)); the empty
     product is the constant 1.  A polynomial p(U + tV) has t-degree deg p
     (its t-leading coefficient is the leading form of p at V), so these are
-    the resultants at formal degrees (deg h_W, deg g_VW).  The k-th
-    variable of each component's ring is bound to U_k + t V_k."""
+    the resultants at formal degrees (a, b) = (deg h_W, deg g_VW).  The k-th
+    variable of each component's ring is bound to U_k + t V_k, so every
+    component must be over one ring.
+
+    Each factor r is invariant under U -> U + sV and satisfies r(U, lambda
+    V) = lambda^(ab) r(U, V), so it is computed on the slice U1 = 0, V1 = 1
+    and re-expanded exactly, as in `poly_D`."""
     components = tuple(components)
     if not components:
         return Polynomial.one(())
-    n = len(components[0].h_W.variables)
+    ring = components[0].h_W.variables
+    for comp in components:
+        if comp.h_W.variables != ring or any(g.variables != ring for g in comp.g_list):
+            raise ValueError("component polynomials over different variables")
+    n = len(ring)
     us, vs = _uv_ring(n)
     total = Polynomial.one(us + vs)
     for comp in components:
         h = comp.h_W
-        h_line = _on_line(h, us, vs)
+        h_slice = _on_slice(h)
         for g in comp.g_list:
-            if g.variables != h.variables:
-                raise ValueError("component polynomials over different variables")
-            total = total * _line_resultant(h_line, _on_line(g, us, vs), us, vs)
+            k = h.total_degree() * g.total_degree()
+            total = total * _slice_resultant(h_slice, _on_slice(g), k, n)
     return total
 
 

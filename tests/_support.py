@@ -751,6 +751,64 @@ def discriminant(p: Polynomial, t: str) -> Polynomial:
     return exact_div(sign * res, coefficients_in(p, t)[d])
 
 
+# The full-ring line resultants that `fibers.poly_D` and `fibers.poly_R`
+# ran before they moved to the slice U1 = 0, V1 = 1: one resultant in t
+# over all 2n line parameters (U, V), kept as their oracle.
+
+
+def _uv_ring(n):
+    us = tuple(f"U{k}" for k in range(1, n + 1))
+    vs = tuple(f"V{k}" for k in range(1, n + 1))
+    return us, vs
+
+
+def _on_line(p: Polynomial, us, vs):
+    """p(U + t V) over the ring (U..., V..., t)."""
+    ring = us + vs + ("t",)
+    t = Polynomial.variable(ring, "t")
+    bindings = {}
+    for name, uname, vname in zip(p.variables, us, vs):
+        bindings[name] = (
+            Polynomial.variable(ring, uname) + t * Polynomial.variable(ring, vname)
+        )
+    return substitute(p, bindings, ring)
+
+
+def _line_resultant(p: Polynomial, q: Polynomial, us, vs) -> Polynomial:
+    """Res_t(p, q) over (U..., V...), for p and q over (U..., V..., t)."""
+    return with_variables(resultant(p, q, "t"), us + vs)
+
+
+def reference_poly_D(H: Polynomial) -> Polynomial:
+    """(-1)^(d(d-1)/2) Res_t(p, dp/dt) for p = H(U + tV), over (U, V)."""
+    if H.is_constant():
+        raise ValueError("H must be nonconstant")
+    us, vs = _uv_ring(len(H.variables))
+    p = _on_line(H, us, vs)
+    D = _line_resultant(p, p.partial_derivative("t"), us, vs)
+    d = H.total_degree()
+    return -D if d * (d - 1) // 2 % 2 else D
+
+
+def reference_poly_R(components) -> Polynomial:
+    """Product over components of Res_t(h_W(U+tV), g_VW(U+tV)); the empty
+    product is the constant 1."""
+    components = tuple(components)
+    if not components:
+        return Polynomial.one(())
+    n = len(components[0].h_W.variables)
+    us, vs = _uv_ring(n)
+    total = Polynomial.one(us + vs)
+    for comp in components:
+        h = comp.h_W
+        h_line = _on_line(h, us, vs)
+        for g in comp.g_list:
+            if g.variables != h.variables:
+                raise ValueError("component polynomials over different variables")
+            total = total * _line_resultant(h_line, _on_line(g, us, vs), us, vs)
+    return total
+
+
 def reference_scale_conjugate(F: PolyMap, r) -> PolyMap:
     """(1/r) F(rX) by substituting r x for each variable x."""
     r = Fraction(r)

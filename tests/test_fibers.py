@@ -6,12 +6,14 @@ import pytest
 import kellerlab.fibers
 import kellerlab.keller
 from kellerlab.bundled import load_bundled_map
-from kellerlab.errors import BudgetExceededError
+from kellerlab.errors import BudgetExceededError, InternalCheckError
 from kellerlab.expr_io import parse_polynomial as P
 from kellerlab.fibers import (
     C2Status,
     ComponentData,
     Line,
+    _on_slice,
+    _slice_resultant,
     assert_c2,
     assertion3_feasible,
     bifurcation_data,
@@ -41,6 +43,8 @@ from _support import (
     reference_resultant,
     reference_squarefree_part,
     random_sl2,
+    reference_poly_D,
+    reference_poly_R,
     univariate_coeffs,
     univariate_gcd_degree,
 )
@@ -159,6 +163,80 @@ def test_poly_D_hard_tier_matches_sylvester():
             assert poly_D(H) == _cone_times_discriminant(H)
 
 
+def _rational_polynomial(rng, ring, d, max_terms=4):
+    """A seeded polynomial over `ring` of total degree d with rational
+    coefficients."""
+    while True:
+        p = random_polynomial(rng, ring, max_degree=d, max_terms=max_terms, allow_zero=False)
+        if p.total_degree() == d:
+            return p.map_coefficients(lambda c: c / rng.choice((1, 2, 3, 5)))
+
+
+def _ring(n):
+    return tuple(f"Y{k}" for k in range(1, n + 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_poly_D_matches_the_full_ring_resultant(n):
+    rng = random.Random(3030 + n)
+    for d in (1, 2, 3, 4):
+        for max_terms in (3, 2 + 2 * d):
+            H = _rational_polynomial(rng, _ring(n), d, max_terms)
+            assert poly_D(H) == reference_poly_D(H), (n, d, H)
+
+
+def test_poly_D_of_a_non_squarefree_H_is_zero():
+    for ring in (("Y1",), Y2, _ring(3)):
+        f = P(" + ".join(ring) + " - 1", ring)
+        g = P(f"2*{ring[0]} - 3", ring)
+        for H in (f * f, f * f * g, g * g * g * f):
+            assert poly_D(H).is_zero()
+            assert reference_poly_D(H).is_zero()
+
+
+def test_poly_R_matches_the_full_ring_resultants():
+    rng = random.Random(3131)
+    for n in (1, 2, 3):
+        for _ in range(4):
+            components = [
+                ComponentData(
+                    _rational_polynomial(rng, _ring(n), rng.randint(1, 3)),
+                    tuple(_rational_polynomial(rng, _ring(n), rng.randint(0, 2))
+                          for _ in range(rng.randint(1, 2))),
+                )
+                for _ in range(2)
+            ]
+            assert poly_R(components) == reference_poly_R(components), components
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_poly_D_is_invariant_along_the_line_and_homogeneous_in_the_direction(n):
+    # D(U + sV, V) = D(U, V) and D(U, lambda V) = lambda^(d^2) D(U, V), with s
+    # and lambda fresh variables
+    rng = random.Random(3232 + n)
+    us = tuple(f"U{k}" for k in range(1, n + 1))
+    vs = tuple(f"V{k}" for k in range(1, n + 1))
+    ring = us + vs + ("s", "lam")
+    s, lam = P("s", ring), P("lam", ring)
+    for d in (1, 2, 3):
+        H = _rational_polynomial(rng, _ring(n), d)
+        D = with_variables(poly_D(H), ring)
+        same = {x: P(x, ring) for x in us + vs}
+        shifted = dict(same, **{u: P(u, ring) + s * P(v, ring) for u, v in zip(us, vs)})
+        scaled = dict(same, **{v: lam * P(v, ring) for v in vs})
+        assert substitute(D, shifted, ring) == D
+        assert substitute(D, scaled, ring) == lam ** (d * d) * D
+
+
+def test_a_wrong_homogeneity_degree_is_an_internal_check_error():
+    # Res_t(Y1, Y2) on the line is U2 V1 - U1 V2, of degree k = 1 in V;
+    # rebuilt with k = 0, its U1 V2 term would need V1^-1
+    h, g = (_on_slice(P(y, Y2)) for y in Y2)
+    assert _slice_resultant(h, g, 1, 2) == P("U2*V1 - U1*V2", ("U1", "U2", "V1", "V2"))
+    with pytest.raises(InternalCheckError, match="negative power of V1"):
+        _slice_resultant(h, g, 0, 2)
+
+
 def test_poly_R_examples():
     assert poly_R([]).constant_value() == 1
     comp = ComponentData(P("Y1", Y2), (P("Y2", Y2),))
@@ -166,6 +244,20 @@ def test_poly_R_examples():
     UV = ("U1", "U2", "V1", "V2")
     assert is_scalar_multiple(R, P("U2*V1 - U1*V2", UV))
     assert R.evaluate([1, 0, 0, 1]) in (1, -1)
+
+
+def test_poly_R_refuses_components_over_different_rings(monkeypatch):
+    # poly_R binds variables by position, so components over different
+    # rings have no common line: refused in either order, before any resultant
+    def no_resultant(*args):
+        raise AssertionError("a resultant ran before the ring check")
+
+    monkeypatch.setattr(kellerlab.fibers, "resultant", no_resultant)
+    c1 = ComponentData(P("Y1 + Y2", Y2), (P("Y2", Y2),))
+    c2 = ComponentData(P("Y1", ("Y1",)), (P("Y1 - 1", ("Y1",)),))
+    for components in ([c1, c2], [c2, c1]):
+        with pytest.raises(ValueError, match="component polynomials over different variables"):
+            poly_R(components)
 
 
 def test_sigma_examples():

@@ -21,7 +21,7 @@ from kellerlab.elim import (
     resultant,
 )
 from kellerlab.expr_io import parse_polynomial as P
-from kellerlab.fibers import bifurcation_data
+from kellerlab.fibers import bifurcation_data, poly_D
 from kellerlab.keller import CubicLinearForm, formal_inverse
 from kellerlab.polyring import (
     Polynomial,
@@ -196,6 +196,41 @@ def test_hard_tier_degree4_line_discriminant_matches_sympy():
             {tuple(int(e) for e in m): Fraction(int(c.p), int(c.q))
              for m, c in theirs.terms()},
         )
+
+
+def test_three_variable_line_discriminant_matches_sympy():
+    # poly_D(H) = coneform(V) Disc_t(H(U + tV)) over (U1..U3, V1..V3), for
+    # seeded H of degree 2 and 3 in three variables
+    rng = random.Random(31342)
+    Y3 = ("Y1", "Y2", "Y3")
+    ring = ("U1", "U2", "U3", "V1", "V2", "V3", "t")
+    syms = sympy.symbols(ring)
+    line = {y: P(f"U{k} + t*V{k}", ring) for k, y in enumerate(Y3, start=1)}
+    direction = {y: P(f"V{k}", ring) for k, y in enumerate(Y3, start=1)}
+
+    def expr(p):
+        out = sympy.Integer(0)
+        for m, c in p.terms.items():
+            term = sympy.Rational(c.numerator, c.denominator)
+            for sym, e in zip(syms, m):
+                term *= sym**e
+            out += term
+        return out
+
+    for d in (2, 2, 2, 3, 3, 3):
+        H = random_polynomial(rng, Y3, max_degree=d, max_terms=4, allow_zero=False)
+        while H.total_degree() != d:
+            H = random_polynomial(rng, Y3, max_degree=d, max_terms=4, allow_zero=False)
+        H = H.map_coefficients(lambda c: c / rng.choice((1, 2, 3)))
+        restricted = substitute(H, line, ring)
+        cone = substitute(H.leading_form(), direction, ring)
+        theirs = sympy.Poly(expr(cone) * sympy.discriminant(expr(restricted), syms[-1]),
+                            *syms[:-1])
+        assert poly_D(H) == Polynomial(
+            ring[:-1],
+            {tuple(int(e) for e in m): Fraction(int(c.p), int(c.q))
+             for m, c in theirs.terms()},
+        ), H
 
 
 def test_hard_tier_squarefree_part_matches_sympy():
