@@ -15,11 +15,17 @@ at n = 5 and 84 s at n = 6.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .errors import SingularMatrixError
-from .polyring import Polynomial, _as_int, _grlex_layout, _mul_into, _unpack
+from .polyring import (
+    Polynomial,
+    _as_int,
+    _clear_denominators,
+    _from_packed,
+    _grlex_layout,
+    _mul_into,
+)
 
 
 def fraction_matrix_inverse(rows):
@@ -60,9 +66,8 @@ def fraction_matrix_det(rows) -> Fraction:
     denominators is an integer row, and Bareiss runs on those."""
     a, scale = [], 1
     for row in rows:
-        row = [Fraction(x) for x in row]
-        m = math.lcm(*(x.denominator for x in row))
-        a.append([x.numerator * (m // x.denominator) for x in row])
+        m, row = _clear_denominators([Fraction(x) for x in row])
+        a.append(row)
         scale *= m
     if any(len(row) != len(a) for row in a):
         raise ValueError("matrix is not square")
@@ -117,12 +122,10 @@ def _det_cofactor(a) -> Polynomial:
     den = 1
     packed = []  # packed[i][col]: entry (i, order[col]) times row i's denominator
     for row in a:
-        m = math.lcm(*(c.denominator for e in row for c in e.terms.values()))
-        packed.append([
-            [(layout(exps), c.numerator * (m // c.denominator))
-             for exps, c in row[j].terms.items()]
-            for j in order
-        ])
+        m, nums = _clear_denominators([c for e in row for c in e.terms.values()])
+        nums = iter(nums)
+        entries = [[(layout(exps), next(nums)) for exps in e.terms] for e in row]
+        packed.append([entries[j] for j in order])
         den *= m
     if sum(x > y for k, x in enumerate(order) for y in order[k + 1 :]) % 2:
         den = -den  # an odd permutation of the columns
@@ -144,7 +147,7 @@ def _det_cofactor(a) -> Polynomial:
             det = minors[rows] = [(key, c) for key, c in acc.items() if c]
         return det
 
-    return Polynomial._raw(variables, _unpack(minor(tuple(range(n))), den, layout))
+    return _from_packed(variables, minor(tuple(range(n))), den, layout)
 
 
 def _det_bareiss(a) -> int:

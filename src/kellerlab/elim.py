@@ -37,8 +37,8 @@ from .polyring import (
     MonomialLayout,
     Polynomial,
     PolyMap,
+    _from_packed,
     _pack,
-    _unpack,
     fresh_names,
     make_primitive,
     rename_variables,
@@ -147,11 +147,6 @@ def _packed(p: Polynomial, layout):
     return den, dict(terms)
 
 
-def _unpacked(p, variables, layout, den=1) -> Polynomial:
-    """The polynomial p/den, for a {packed monomial: int} map p."""
-    return Polynomial._raw(variables, _unpack(p.items(), den, layout))
-
-
 def _primitive(p, lead):
     """p divided by its content, with a positive coefficient at `lead`."""
     content = gcd(*p.values())
@@ -248,7 +243,7 @@ def reduce_poly(p: Polynomial, basis, key) -> Polynomial:
         reducers.append((max(g), g))
     den, work = _packed(p, key)
     scale, r = _normal_form(work, reducers, key)
-    return _unpacked(r, p.variables, key, scale * den)
+    return _from_packed(p.variables, r.items(), scale * den, key)
 
 
 def groebner(I: Ideal, order: TermOrder, max_degree: int = MAX_DEGREE) -> Ideal:
@@ -355,7 +350,7 @@ def groebner(I: Ideal, order: TermOrder, max_degree: int = MAX_DEGREE) -> Ideal:
     for idx, (lead, g) in enumerate(minimal):
         others = minimal[:idx] + minimal[idx + 1 :]
         _, r = _normal_form(g, others, layout)
-        reduced.append(_unpacked(r, variables, layout, r[lead]))
+        reduced.append(_from_packed(variables, r.items(), r[lead], layout))
     return Ideal(tuple(reduced))
 
 

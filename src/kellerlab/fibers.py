@@ -38,9 +38,10 @@ from .polyring import (
     Polynomial,
     PolyMap,
     _as_int,
+    _clear_denominators,
+    _from_packed,
     _grlex_layout,
     _mul_into,
-    _unpack,
     coefficients_in,
     divides,
     squarefree_part,
@@ -218,12 +219,12 @@ def _slice_resultant(p: Polynomial, q: Polynomial, k: int, n: int) -> Polynomial
                             for i in range(e + 1)]
         return powers[j, e]
 
-    den = math.lcm(*(c.denominator for c in E.terms.values()))
+    den, nums = _clear_denominators(E.terms.values())
     groups = {}
-    for e, c in E.terms.items():
+    for e, c in zip(E.terms, nums):
         alpha, beta = e[:m], e[m : 2 * m]
         key = (top - sum(e)) * units[n] + sum(map(mul, beta, units[n + 1 :]))
-        groups.setdefault(alpha, []).append((key, c.numerator * (den // c.denominator)))
+        groups.setdefault(alpha, []).append((key, c))
     acc = {}
     for alpha, group in groups.items():
         factor = [(0, 1)]
@@ -240,7 +241,7 @@ def _slice_resultant(p: Polynomial, q: Polynomial, k: int, n: int) -> Polynomial
             if key < 0 or key & guard:
                 raise InternalCheckError("a line resultant has a negative power of V1")
             out.append((key, c))
-    return Polynomial._raw(us + vs, _unpack(out, den, layout))
+    return _from_packed(us + vs, out, den, layout)
 
 
 def poly_D(H: Polynomial) -> Polynomial:

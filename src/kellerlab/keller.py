@@ -71,6 +71,7 @@ def polynomial_inverse(
     return inverse_map(F, max(MAX_DEGREE, degree_cap))
 
 
+# kept while bench/tracing.py wraps formal_inverse by name and reads result.map
 @dataclass(frozen=True)
 class FormalInverse:
     """Inverse of a map fixing the origin, decided up to a degree cap.

@@ -9,7 +9,8 @@ safe to share across threads and picklable.
 `Fraction` is the interface, not the arithmetic: products, exact division
 and the subresultant PRS convert their operands once to integer numerators
 (over a common denominator) with each monomial packed into one int, run on
-integers, and build a `Fraction` only for the terms of the result.  A
+integers, and build a `Fraction` only for the terms of the result
+(`_clear_denominators` is the one way in, `_from_packed` the one way out).  A
 product with a single-term operand packs nothing: it shifts the other
 operand's exponent tuples and scales its coefficients, and a power of a
 single term is one term.  Sums stay on fractions, added in place into one
@@ -123,24 +124,37 @@ def _grlex_layout(nvars: int, degree: int) -> MonomialLayout:
     return MonomialLayout(((True, range(nvars)),), degree.bit_length() + 1)
 
 
-def _pack(terms, layout):
-    """(common denominator, [(packed monomial, integer numerator)])."""
+def _clear_denominators(values):
+    """(den, [integer numerator over den]) for a collection of rationals
+    (ints carry `numerator` and `denominator` too), den the lcm of their
+    denominators: (1, []) for none.  The one way into the integer kernel."""
     den = 1
-    for c in terms.values():
+    for c in values:
         if c.denominator != 1:
             den = math.lcm(den, c.denominator)
-    packed = []
-    for exps, c in terms.items():
-        packed.append((layout(exps), c.numerator * (den // c.denominator)))
-    return den, packed
+    if den == 1:
+        return 1, [c.numerator for c in values]
+    return den, [c.numerator * (den // c.denominator) for c in values]
 
 
-def _unpack(packed, den, layout):
-    """Term map of (packed monomial, numerator) pairs over `den`; zeros dropped."""
+def _pack(terms, layout):
+    """(common denominator, [(packed monomial, integer numerator)]) of a
+    term map, rational or integer."""
+    den, nums = _clear_denominators(terms.values())
+    # the bound method skips the call slot's lookup on each monomial
+    return den, list(zip(map(layout.__call__, terms), nums))
+
+
+def _from_packed(variables, packed, den, layout) -> Polynomial:
+    """The Polynomial of (packed monomial, numerator) pairs over `den`,
+    zeros dropped.  The one way out of the integer kernel (`_from_powers`
+    is its form for a list indexed by a main variable's power)."""
     unpack = layout.unpack
     if den == 1:
-        return {unpack(key): Fraction(c) for key, c in packed if c}
-    return {unpack(key): Fraction(c, den) for key, c in packed if c}
+        terms = {unpack(key): Fraction(c) for key, c in packed if c}
+    else:
+        terms = {unpack(key): Fraction(c, den) for key, c in packed if c}
+    return Polynomial._raw(variables, terms)
 
 
 def _mul_into(acc, pa, pb):
@@ -342,7 +356,7 @@ class Polynomial:
         da, pa = _pack(self.terms, layout)
         db, pb = _pack(other.terms, layout)
         res = _mul_into({}, pa, pb)
-        return Polynomial._raw(self.variables, _unpack(res.items(), da * db, layout))
+        return _from_packed(self.variables, res.items(), da * db, layout)
 
     __rmul__ = __mul__
 
@@ -420,14 +434,6 @@ class Polynomial:
                     v *= x**e
             total += v
         return total
-
-    def map_coefficients(self, fn):
-        res = {}
-        for m, c in self.terms.items():
-            v = fn(c)
-            if v:
-                res[m] = v
-        return Polynomial._raw(self.variables, res)
 
 
 def substitute(p: Polynomial, bindings, target_variables) -> Polynomial:
@@ -547,18 +553,11 @@ def integer_root(n: int, k: int) -> int:
         r = nxt
 
 
-def _numerators(terms):
-    """(common denominator, [integer numerator over it]) of a term map's
-    coefficients, in the order of the map."""
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    return den, [c.numerator * (den // c.denominator) for c in terms.values()]
-
-
 def integer_content(p: Polynomial) -> Fraction:
     """Positive rational c with p/c integral, primitive (0 for p = 0)."""
     if p.is_zero():
         return Fraction(0)
-    den, nums = _numerators(p.terms)
+    den, nums = _clear_denominators(p.terms.values())
     return Fraction(math.gcd(*nums), den)
 
 
@@ -569,7 +568,7 @@ def make_primitive(p: Polynomial) -> Polynomial:
     over the common denominator den, its sign that of the lex-leading one."""
     if p.is_zero():
         return p
-    den, nums = _numerators(p.terms)
+    den, nums = _clear_denominators(p.terms.values())
     g = math.gcd(*nums)
     if p.terms[max(p.terms)] < 0:  # exponent tuples compare lexicographically
         g = -g
@@ -607,7 +606,7 @@ def exact_div(p: Polynomial, q: Polynomial) -> Polynomial:
     quot = _divide_packed(dividend, divisor, layout.guard)
     scale = Fraction(dq, dp * cq)
     quot = [(k, c * scale.numerator) for k, c in quot]
-    return Polynomial._raw(p.variables, _unpack(quot, scale.denominator, layout))
+    return _from_packed(p.variables, quot, scale.denominator, layout)
 
 
 def _divide_packed(dividend, divisor, guard):
@@ -706,21 +705,22 @@ def _in_powers(f: Polynomial, idx: int, layout):
     """(den, coeffs): f = F/den for the lcm den of f's denominators, and
     coeffs lists, indexed by the power of x_idx, the {packed monomial of
     the other variables: int} maps of F."""
-    den = math.lcm(*(c.denominator for c in f.terms.values()))
+    den, nums = _clear_denominators(f.terms.values())
     out = [{} for _ in range(1 + max(e[idx] for e in f.terms))]
-    for e, c in f.terms.items():
-        out[e[idx]][layout(e[:idx] + e[idx + 1 :])] = c.numerator * (den // c.denominator)
+    for e, c in zip(f.terms, nums):
+        out[e[idx]][layout(e[:idx] + e[idx + 1 :])] = c
     return den, out
 
 
-def _from_powers(coeffs, variables, idx: int, layout) -> Polynomial:
-    """The Polynomial of an `_in_powers` list."""
+def _from_powers(coeffs, variables, idx: int, layout, den=1) -> Polynomial:
+    """The Polynomial of an `_in_powers` list over `den` (which may be
+    negative); its maps hold no zeros."""
     unpack = layout.unpack
     terms = {}
     for k, coeff in enumerate(coeffs):
         for key, c in coeff.items():
             e = unpack(key)
-            terms[e[:idx] + (k,) + e[idx:]] = Fraction(c)
+            terms[e[:idx] + (k,) + e[idx:]] = Fraction(c, den)
     return Polynomial._raw(variables, terms)
 
 
@@ -837,12 +837,7 @@ def resultant(p: Polynomial, q: Polynomial, t: str) -> Polynomial:
     if not b:
         return Polynomial.zero(p.variables)
     res = _power_quotient(b[0], h, len(a) - 1, layout)
-    den = den_p**dq * den_q**dp
-    unpack = layout.unpack
-    return Polynomial._raw(p.variables, {
-        e[:idx] + (0,) + e[idx:]: Fraction(sign * c, den)
-        for e, c in ((unpack(key), c) for key, c in res.items())
-    })
+    return _from_powers([res], p.variables, idx, layout, sign * den_p**dq * den_q**dp)
 
 
 def _prs_gcd(f: Polynomial, g: Polynomial, idx: int) -> Polynomial:
@@ -1036,8 +1031,8 @@ def _quotient_ints(a, d):
     if max(map(sum, d)) > degree:
         return None
     layout = _grlex_layout(len(next(iter(a))), degree)
-    dividend = sorted([(layout(e), c) for e, c in a.items()], reverse=True)
-    divisor = sorted([(layout(e), c) for e, c in d.items()], reverse=True)
+    dividend = sorted(_pack(a, layout)[1], reverse=True)
+    divisor = sorted(_pack(d, layout)[1], reverse=True)
     try:
         quotient = _divide_packed(dividend, divisor, layout.guard)
     except ExactDivisionError:

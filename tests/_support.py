@@ -55,6 +55,11 @@ def random_polynomial(rng, variables, max_degree=3, max_terms=4, coeff_bound=6,
     return Polynomial(variables, {m: c for m, c in terms.items() if c})
 
 
+def map_coefficients(p, fn):
+    """p with fn applied to each coefficient, in term order; zeros dropped."""
+    return Polynomial(p.variables, {m: fn(c) for m, c in p.terms.items()})
+
+
 def random_rational(rng, num_bound=5, den_choices=(1, 2, 3)):
     return Fraction(rng.randint(-num_bound, num_bound), rng.choice(den_choices))
 

@@ -41,6 +41,7 @@ from kellerlab.transforms import conjugate_by_linear
 from _support import (
     bundled_map_names,
     discriminant,
+    map_coefficients,
     random_polynomial,
     reference_groebner,
     reference_key_function,
@@ -159,12 +160,12 @@ def test_reduce_poly_matches_reference():
                 for _ in range(rng.randint(1, 3))
             ]
             basis = [
-                b.map_coefficients(lambda c: c / rng.choice((1, 2, 3)))
+                map_coefficients(b, lambda c: c / rng.choice((1, 2, 3)))
                 for b in basis
                 if not b.is_zero()
             ]
             p = random_polynomial(rng, W, max_degree=5, max_terms=6)
-            p = p.map_coefficients(lambda c: c / rng.choice((1, 4, 9, 11)))
+            p = map_coefficients(p, lambda c: c / rng.choice((1, 4, 9, 11)))
             assert reduce_poly(p, basis, key) == reference_reduce_poly(p, basis, ref)
 
 
@@ -176,8 +177,10 @@ def test_groebner_elements_list_their_terms_in_descending_order():
         key = order.key_function(W)
         for _ in range(8):
             gens = [
-                random_polynomial(rng, W, max_degree=3, max_terms=5, allow_zero=False)
-                .map_coefficients(lambda c: c / rng.choice((1, 2, 3)))
+                map_coefficients(
+                    random_polynomial(rng, W, max_degree=3, max_terms=5, allow_zero=False),
+                    lambda c: c / rng.choice((1, 2, 3)),
+                )
                 for _ in range(2)
             ]
             for g in groebner(Ideal(tuple(gens)), order).generators:
@@ -191,7 +194,7 @@ def _rational_generators(rng, variables, count):
     for _ in range(count):
         g = random_polynomial(rng, variables, max_degree=3, max_terms=3,
                               allow_zero=False)
-        gens.append(g.map_coefficients(lambda c: c / rng.choice((1, 2, 3, 5, 7))))
+        gens.append(map_coefficients(g, lambda c: c / rng.choice((1, 2, 3, 5, 7))))
     return gens
 
 
@@ -591,7 +594,7 @@ def _random_in_t(rng, degree, lead_constant=False):
     def coefficient(allow_zero=True):
         c = random_polynomial(rng, TAB[1:], max_degree=2, max_terms=2, coeff_bound=4,
                               allow_zero=allow_zero)
-        return with_variables(c.map_coefficients(lambda x: x / rng.choice((1, 2, 3))), TAB)
+        return with_variables(map_coefficients(c, lambda x: x / rng.choice((1, 2, 3))), TAB)
 
     lead = Polynomial.constant(TAB, rng.choice((1, -2, Fraction(3, 2))))
     while not lead_constant and lead.is_constant():
@@ -661,7 +664,7 @@ def test_resultant_zero_and_constant_operands():
 
 def _with_denominators(rng, p):
     """p with every coefficient divided by one of 7, 11, 13 and 14."""
-    scaled = p.map_coefficients(lambda c: c / rng.choice((7, 11, 13, 14)))
+    scaled = map_coefficients(p, lambda c: c / rng.choice((7, 11, 13, 14)))
     assert not scaled.is_integral()
     return scaled
 
@@ -701,8 +704,8 @@ def test_packed_prs_abnormal_sequence():
     t = Polynomial.variable(TAB, "t")
     for dq in (3, 4):
         for _ in range(3):
-            q = _random_in_t(rng, dq).map_coefficients(lambda c: c * 30)
-            r = _random_in_t(rng, dq - 2).map_coefficients(lambda c: c * 30)
+            q = map_coefficients(_random_in_t(rng, dq), lambda c: c * 30)
+            r = map_coefficients(_random_in_t(rng, dq - 2), lambda c: c * 30)
             p = (t + P("a", TAB)) * q + r
             assert p.is_integral() and q.is_integral()
             a, b, *_, layout = _prs(p, q, 0)

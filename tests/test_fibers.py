@@ -38,6 +38,7 @@ from _support import (
     bundled_map_names,
     discriminant,
     is_scalar_multiple,
+    map_coefficients,
     random_polynomial,
     random_rational,
     reference_resultant,
@@ -131,7 +132,7 @@ def test_poly_D_is_the_cone_factor_times_the_discriminant():
         ring = ("Y1", "Y2", "Y3")[: 2 + trial % 2]
         d = 1 + trial % 4
         H = random_polynomial(rng, ring, max_degree=d, max_terms=4, allow_zero=False)
-        H = H.map_coefficients(lambda c: c / rng.choice((1, 2, 3)))
+        H = map_coefficients(H, lambda c: c / rng.choice((1, 2, 3)))
         if H.is_constant():
             continue
         assert poly_D(H) == _cone_times_discriminant(H)
@@ -169,7 +170,7 @@ def _rational_polynomial(rng, ring, d, max_terms=4):
     while True:
         p = random_polynomial(rng, ring, max_degree=d, max_terms=max_terms, allow_zero=False)
         if p.total_degree() == d:
-            return p.map_coefficients(lambda c: c / rng.choice((1, 2, 3, 5)))
+            return map_coefficients(p, lambda c: c / rng.choice((1, 2, 3, 5)))
 
 
 def _ring(n):

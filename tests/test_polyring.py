@@ -11,6 +11,10 @@ from kellerlab.polyring import (
     PolyMap,
     _add_terms,
     _as_int,
+    _clear_denominators,
+    _grlex_layout,
+    _pack,
+    _quotient_ints,
     divides,
     exact_div,
     integer_content,
@@ -24,6 +28,7 @@ from kellerlab.polyring import (
 from _support import (
     coprime_pair,
     homogeneous_components,
+    map_coefficients,
     naive_mul,
     random_linear_bindings,
     random_polynomial,
@@ -429,7 +434,7 @@ def test_poly_map_linear_matches_sum_of_scaled_variables():
 def _random_rational_polynomial(rng, variables, **kwargs):
     """random_polynomial with each coefficient over its own denominator."""
     p = random_polynomial(rng, variables, **kwargs)
-    return p.map_coefficients(lambda c: c / rng.choice((1, 1, 2, 3, 4, 9, 10)))
+    return map_coefficients(p, lambda c: c / rng.choice((1, 1, 2, 3, 4, 9, 10)))
 
 
 def test_kernel_mul_matches_reference_loop():
@@ -442,6 +447,23 @@ def test_kernel_mul_matches_reference_loop():
         got = p * q
         assert got.terms == reference_mul(p, q).terms
         assert all(type(c) is Fraction and c for c in got.terms.values())
+
+
+def test_clear_denominators_is_the_one_way_into_the_integer_kernel():
+    # an int-valued map, as `_quotient_ints` packs it: ints carry their
+    # numerator and a denominator of 1
+    a = {(2, 0): 6, (1, 1): -4, (0, 0): 10}
+    assert _clear_denominators(a.values()) == (1, [6, -4, 10])
+    layout = _grlex_layout(2, 2)
+    assert _pack(a, layout) == (1, [(layout(e), c) for e, c in a.items()])
+    assert _quotient_ints(a, {(1, 0): 3, (0, 1): -2}) is None
+    assert _quotient_ints(a, {(0, 0): 2}) == {(2, 0): 3, (1, 1): -2, (0, 0): 5}
+    # pairwise coprime denominators: the lcm is their product
+    values = [Fraction(1, 2), Fraction(-2, 3), Fraction(4, 5), Fraction(7)]
+    assert _clear_denominators(values) == (30, [15, -20, 24, 210])
+    # the empty map
+    assert _clear_denominators({}.values()) == (1, [])
+    assert _pack({}, layout) == (1, [])
 
 
 def test_single_term_products_and_powers_match_the_reference():
@@ -501,7 +523,7 @@ def test_kernel_mul_edge_cases():
 def test_make_primitive_matches_division_by_the_content():
     def reference(p):
         c = integer_content(p)
-        return polyring.make_positive(p.map_coefficients(lambda x: x / c))
+        return polyring.make_positive(map_coefficients(p, lambda x: x / c))
 
     rng = random.Random(909)
     rings = [V, ("x",), ("x", "y", "z")]

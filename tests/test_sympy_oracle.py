@@ -33,7 +33,7 @@ from kellerlab.polyring import (
 )
 from kellerlab.transforms import conjugate_by_linear
 
-from _support import discriminant, random_polynomial
+from _support import discriminant, map_coefficients, random_polynomial
 
 V = ("x", "y")
 SYMS = sympy.symbols("x y")
@@ -221,7 +221,7 @@ def test_three_variable_line_discriminant_matches_sympy():
         H = random_polynomial(rng, Y3, max_degree=d, max_terms=4, allow_zero=False)
         while H.total_degree() != d:
             H = random_polynomial(rng, Y3, max_degree=d, max_terms=4, allow_zero=False)
-        H = H.map_coefficients(lambda c: c / rng.choice((1, 2, 3)))
+        H = map_coefficients(H, lambda c: c / rng.choice((1, 2, 3)))
         restricted = substitute(H, line, ring)
         cone = substitute(H.leading_form(), direction, ring)
         theirs = sympy.Poly(expr(cone) * sympy.discriminant(expr(restricted), syms[-1]),
@@ -258,8 +258,10 @@ def test_5x5_poly_matrix_det_matches_sympy():
     for _ in range(4):
         rows = [
             [
-                random_polynomial(rng, V, max_degree=2, max_terms=3, coeff_bound=4)
-                .map_coefficients(lambda c: c / rng.choice((1, 2, 3)))
+                map_coefficients(
+                    random_polynomial(rng, V, max_degree=2, max_terms=3, coeff_bound=4),
+                    lambda c: c / rng.choice((1, 2, 3)),
+                )
                 for _ in range(5)
             ]
             for _ in range(5)
