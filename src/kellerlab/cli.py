@@ -31,21 +31,19 @@ from . import diophantine, expr_io, fibers, keller, lattice, transforms
 from .errors import BudgetExceededError, KellerlabError
 
 
-# a signed integer or ratio of integers, read exactly at any length
+# a signed integer or ratio of integers, read exactly at any length; the
+# only form a rational option takes (no decimals or exponents, whose size
+# nothing would bound)
 _INT_RATIO = re.compile(r"([+-]?)(\d+)(?:/(\d+))?")
 
 
 def _parse_fraction(text: str) -> Fraction:
-    literal = text.strip()
-    match = _INT_RATIO.fullmatch(literal)
-    try:
-        if match is None:
-            return Fraction(literal)
-        sign, num, den = match.groups()
-        value = Fraction(expr_io.parse_int(num), expr_io.parse_int(den or "1"))
-        return -value if sign == "-" else value
-    except (ValueError, ZeroDivisionError) as exc:
-        raise KellerlabError(f"bad rational literal {text!r}") from exc
+    match = _INT_RATIO.fullmatch(text.strip())
+    den = match and expr_io.parse_int(match[3] or "1")
+    if not den:  # no match, or a zero denominator
+        raise KellerlabError(f"bad rational literal {text!r}")
+    value = Fraction(expr_io.parse_int(match[2]), den)
+    return -value if match[1] == "-" else value
 
 
 def _parse_vector(text: str):

@@ -6,22 +6,25 @@ exponent tuples aligned with an ordered variable list, and the zero
 polynomial has an empty term map.  Values are immutable after construction,
 safe to share across threads and picklable.
 
-`Fraction` is the interface, not the arithmetic: products, exact division
-and the subresultant PRS convert their operands once to integer numerators
-(over a common denominator) with each monomial packed into one int, run on
-integers, and build a `Fraction` only for the terms of the result
-(`_clear_denominators` is the one way in, `_from_packed` the one way out).  A
-product with a single-term operand packs nothing: it shifts the other
-operand's exponent tuples and scales its coefficients, and a power of a
-single term is one term.  Sums stay on fractions, added in place into one
+`Fraction` is the interface, not the arithmetic: products, exact division,
+the subresultant PRS and GCDHEU convert their operands once to integer
+numerators (over a common denominator) with each monomial packed into one
+int, run on integers, and build a `Fraction` only for the terms of the
+result (`_clear_denominators` is the one way in, `_from_packed` the one way
+out).  A product with a single-term operand packs nothing: it shifts the
+other operand's exponent tuples and scales its coefficients, and a power of
+a single term is one term.  Sums stay on fractions, added in place into one
 accumulator by `_add_terms`.
 
 Gcds, and so squarefree parts, take integer gcds of values first: GCDHEU
 evaluates at integer points xi >= 2 min(|p|oo, |q|oo) + 29 and accepts the
 candidate rebuilt from the xi-adic digits of the value gcd only when exact
-division shows that it divides both sides.  When HEU_GCD_POINTS points per
-variable fail, or a point passes HEU_GCD_MAX_BITS bits, the recursive
-subresultant PRS computes the same gcd.
+division shows that it divides both sides.  It runs on packed monomials:
+evaluating a variable subtracts its field from each key, a digit adds it
+back, and a candidate is checked by the heap division that `exact_div`
+runs.  When HEU_GCD_POINTS points per variable fail, or a point passes
+HEU_GCD_MAX_BITS bits, the recursive subresultant PRS computes the same
+gcd.
 """
 
 from __future__ import annotations
@@ -908,7 +911,7 @@ def make_positive(p: Polynomial) -> Polynomial:
 #
 # GCDHEU (Char, Geddes & Gonnet, "GCDHEU: heuristic polynomial GCD
 # algorithm based on integer GCD computation", J. Symbolic Comput. 7, 1989)
-# on {exponent tuple: int} maps.  Its theorem: for A, B primitive and an
+# on {packed monomial: int} maps.  Its theorem: for A, B primitive and an
 # integer xi > 1 + 2 min(|A|oo, |B|oo), if the primitive part G of the
 # symmetric xi-adic expansion of gcd(A(xi), B(xi)) divides A and B, then G
 # is their gcd.  So a candidate is accepted only after exact division, and
@@ -926,119 +929,107 @@ def _heu_gcd(a: Polynomial, b: Polynomial):
     GCDHEU, g Z-primitive with a positive lex-leading coefficient; None when
     every point tried gives a candidate that does not divide both, or a
     point passes the bit cap.  The cofactor a / g is the quotient of the
-    exact division that accepted g."""
-    nvars = len(a.variables)
-    used = [i for i in range(nvars) if any(e[i] for e in a.terms)
-            or any(e[i] for e in b.terms)]
+    exact division that accepted g.
 
-    def ints(p):
-        return {tuple([e[i] for i in used]): c.numerator for e, c in p.terms.items()}
-
-    def polynomial(t):
-        terms = {}
-        for k, c in t.items():
-            e = [0] * nvars
-            for i, x in zip(used, k):
-                e[i] = x
-            terms[tuple(e)] = Fraction(c)
-        return Polynomial._raw(a.variables, terms)
-
-    found = _heu(ints(a), ints(b))
+    Both sides are packed once, in a grlex layout whose fields hold twice
+    their degree D: an accepted gcd of the values has degree at most D, and
+    its xi-adic digits add at most D more (`_adic`)."""
+    degree = max(a.total_degree(), b.total_degree())
+    layout = _grlex_layout(len(a.variables), 2 * degree)
+    names = a.support_variables() | b.support_variables()
+    used = [i for i, name in enumerate(a.variables) if name in names]
+    found = _heu(dict(_pack(a.terms, layout)[1]), dict(_pack(b.terms, layout)[1]),
+                 used, layout, degree)
     if found is None:
         return None
-    g, cofactor = map(polynomial, found)
+    g, cofactor = (_from_packed(a.variables, t.items(), 1, layout) for t in found)
     positive = make_positive(g)
     return positive, cofactor if positive is g else -cofactor
 
 
-def _heu(a, b):
-    """(g, a / g) for the gcd g of nonzero {exponent tuple: int} maps over
-    the same variables, with the gcd of their integer contents, up to sign;
-    None on failure.
+def _heu(a, b, used, layout, degree):
+    """(g, a / g) for the gcd g of nonzero {packed monomial: int} maps of
+    total degree at most `degree`, with the gcd of their integer contents,
+    up to sign; None on failure.
 
-    The first variable is evaluated at xi and the gcd of the images taken
-    recursively, down to `math.gcd` on integers."""
+    The variables x_i, i in `used`, are evaluated in turn: x_used[0] at xi,
+    and the gcd of the images taken recursively, down to `math.gcd` on
+    integers."""
     ca, cb = math.gcd(*a.values()), math.gcd(*b.values())
     c = math.gcd(ca, cb)
-    zero = (0,) * len(next(iter(a)))
-    if _is_constant(a, zero) or _is_constant(b, zero):
-        return {zero: c}, {e: v // c for e, v in a.items()}
-    a = {e: v // ca for e, v in a.items()}
-    b = {e: v // cb for e, v in b.items()}
+    if a.keys() == {0} or b.keys() == {0}:  # a constant side
+        return {0: c}, {k: v // c for k, v in a.items()}
+    a = {k: v // ca for k, v in a.items()}
+    b = {k: v // cb for k, v in b.items()}
+    i, rest = used[0], used[1:]
     xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 29
     for _ in range(HEU_GCD_POINTS):
         if xi.bit_length() > HEU_GCD_MAX_BITS:
             return None
-        ea, eb = _at(a, xi), _at(b, xi)
+        ea, eb = _at(a, xi, i, layout), _at(b, xi, i, layout)
         if ea and eb:
-            g = _heu(ea, eb)
+            g = _heu(ea, eb, rest, layout, degree)
             g = g and g[0]
         else:
             g = ea or eb
         if g:
-            g = _adic(g, xi)
+            g = _adic(g, xi, layout._mults[i], degree)
+        if g:
             cg = math.gcd(*g.values())
-            g = {e: v // cg for e, v in g.items()}
-            if _is_constant(g, zero):  # a unit, which divides both
-                quotient = {e: v * g[zero] for e, v in a.items()}
-            else:  # a nonzero b has a nonempty quotient
-                quotient = _quotient_ints(b, g) and _quotient_ints(a, g)
+            g = {k: v // cg for k, v in g.items()}
+            if g.keys() == {0}:  # a unit, which divides both
+                quotient = {k: v * g[0] for k, v in a.items()}
+            else:
+                divisor = sorted(g.items(), reverse=True)
+                try:
+                    _quotient(b, divisor, layout)
+                    quotient = _quotient(a, divisor, layout)
+                except ExactDivisionError:
+                    quotient = None
             if quotient is not None:
                 k = ca // c
-                return {e: v * c for e, v in g.items()}, {e: v * k for e, v in quotient.items()}
+                return {m: v * c for m, v in g.items()}, {m: v * k for m, v in quotient.items()}
         xi = xi * 73794 * integer_root(xi, 4) // 27011
     return None
 
 
-def _is_constant(a, zero):
-    return len(a) == 1 and zero in a
-
-
-def _at(a, xi):
-    """The map of a with its first variable set to xi; zeros dropped."""
+def _at(a, xi, i, layout):
+    """The map of a with x_i set to xi: each key loses e units of x_i for
+    its exponent e, and its coefficient gains xi^e; zeros dropped."""
+    shift, unit = layout._shifts[i], layout._mults[i]
+    mask = (1 << layout.width) - 1
+    exps = [(k >> shift) & mask for k in a]
     powers = [1]
-    for _ in range(max(e[0] for e in a)):
+    for _ in range(max(exps)):
         powers.append(powers[-1] * xi)
     out = {}
     get = out.get
-    for e, c in a.items():
-        k = e[1:]
-        out[k] = get(k, 0) + c * powers[e[0]]
+    for (k, c), e in zip(a.items(), exps):
+        k -= e * unit
+        out[k] = get(k, 0) + c * powers[e]
     return {k: v for k, v in out.items() if v}
 
 
-def _adic(g, xi):
-    """The map whose first variable carries the symmetric xi-adic digits,
-    in (-xi/2, xi/2], of each coefficient of g."""
+def _adic(g, xi, unit, degree):
+    """The map whose variable of packed `unit` carries the symmetric xi-adic
+    digits, in (-xi/2, xi/2], of each coefficient of g, digit e adding e
+    units; None once a digit would sit above `degree`, where no divisor of
+    the operands has a term."""
     half = xi // 2
     out = {}
-    for e, c in g.items():
-        k = 0
+    for k, c in g.items():
+        e = 0
         while c:
+            if e > degree:
+                return None
             r = c % xi
             if r > half:
                 r -= xi
             if r:
-                out[(k,) + e] = r
+                out[k + e * unit] = r
             c = (c - r) // xi
-            k += 1
+            e += 1
     return out
-
-
-def _quotient_ints(a, d):
-    """a / d for {exponent tuple: int} maps when d divides a exactly, else None."""
-    degree = max(map(sum, a))
-    if max(map(sum, d)) > degree:
-        return None
-    layout = _grlex_layout(len(next(iter(a))), degree)
-    dividend = sorted(_pack(a, layout)[1], reverse=True)
-    divisor = sorted(_pack(d, layout)[1], reverse=True)
-    try:
-        quotient = _divide_packed(dividend, divisor, layout.guard)
-    except ExactDivisionError:
-        return None
-    unpack = layout.unpack
-    return {unpack(k): c for k, c in quotient}
 
 
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:

@@ -12,8 +12,8 @@ from fractions import Fraction
 from ._linalg import fraction_matrix_inverse
 from .errors import InternalCheckError
 from .keller import CubicLinearForm, is_keller
-from .polyring import (Polynomial, PolyMap, _add_terms, _as_int, fresh_names,
-                       substitute, with_variables)
+from .polyring import (Polynomial, PolyMap, _as_int, fresh_names, substitute,
+                       with_variables)
 
 
 def scale_conjugate(F: PolyMap, r) -> PolyMap:
@@ -58,13 +58,7 @@ def conjugate_by_linear(F: PolyMap, A) -> PolyMap:
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError("matrix size does not match the variable count")
     mid = F.compose(PolyMap.linear(fraction_matrix_inverse(rows), variables))
-    comps = []
-    for row in rows:
-        acc = {}
-        for a, q in zip(row, mid.components):
-            _add_terms(acc, q.terms, a)
-        comps.append(Polynomial._raw(variables, acc))
-    return PolyMap(comps)
+    return PolyMap.linear(rows, variables).compose(mid)
 
 
 def translate_to_origin(F: PolyMap, a) -> PolyMap:

@@ -599,6 +599,19 @@ def test_bad_counts_are_usage_errors(capsys, tri2, argv, option):
     assert f"argument {option}: must be" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["transform", "scale", "{map}", "--r=1e400"],
+    ["transform", "translate", "{map}", "--vector=1e3,0"],
+])
+def test_rational_options_refuse_exponent_notation(capsys, tri2, argv):
+    # a rational option reads a sign, digits and an optional /digits only:
+    # Fraction("1e10000000") alone takes seconds to build, and nothing else
+    # bounds the size of an exponent literal
+    code, out, err = run(capsys, *[arg.format(map=tri2) for arg in argv])
+    assert (code, out) == (1, "")
+    assert "bad rational literal" in err
+
+
 def test_coefficients_past_the_int_str_limit(capsys, tmp_path):
     # the coefficient r^2 has 4400 digits: past the 4300 that int() and str()
     # accept by default

@@ -14,7 +14,7 @@ from kellerlab.polyring import (
     _clear_denominators,
     _grlex_layout,
     _pack,
-    _quotient_ints,
+    _quotient,
     divides,
     exact_div,
     integer_content,
@@ -296,6 +296,62 @@ def test_heuristic_gcd_leaves_inputs_past_the_bit_cap_to_the_prs(monkeypatch):
         assert bool(prs_runs) == past_cap
 
 
+def test_adic_refuses_a_digit_above_the_degree_bound_and_heu_tries_the_next_point(
+        monkeypatch):
+    layout = _grlex_layout(2, 4)
+    unit, y = layout((1, 0)), layout((0, 1))
+    # 17 = 2 - 2*5 + 1*5^2 in symmetric base-5 digits, 3 = -2 + 1*5
+    assert polyring._adic({y: 17, 0: 3}, 5, unit, 2) == {
+        y: 2, y + unit: -2, y + 2 * unit: 1, 0: -2, unit: 1}
+    assert polyring._adic({y: 17, 0: 3}, 5, unit, 1) is None
+    assert polyring._adic({0: 3}, 5, unit, 1) == {0: -2, unit: 1}
+
+    # the first point's candidate is refused at a bound of 0; GCDHEU then
+    # evaluates at the next point and accepts x + 1 there
+    adic, points = polyring._adic, []
+
+    def adic_refusing_the_first_point(g, xi, unit, degree):
+        points.append(xi)
+        return adic(g, xi, unit, degree if len(points) > 1 else 0)
+
+    monkeypatch.setattr(polyring, "_adic", adic_refusing_the_first_point)
+    a, b = (X + 1) * (X - 2), (X + 1) * (X + 3)
+    g, cofactor = polyring._heu_gcd(a, b)
+    assert (g, cofactor) == (X + 1, X - 2)
+    first = 2 * 2 + 29  # |a|oo = 2 < |b|oo = 4
+    assert points == [first, first * 73794 * integer_root(first, 4) // 27011]
+
+
+@pytest.mark.parametrize("degree", [1, 3, 4, 7, 8])
+def test_packed_heuristic_gcd_matches_prs_at_each_field_width(degree):
+    # GCDHEU packs both sides into fields that hold 2 D for the larger total
+    # degree D: 3 | 4 and 7 | 8 sit on either side of a step in the width.
+    # b always uses w, which a lacks.
+    width = _grlex_layout(4, 2 * degree).width
+    assert width == {1: 3, 3: 4, 4: 5, 7: 5, 8: 6}[degree]
+    rng = random.Random(3200 + degree)
+    ring = ("x", "y", "z", "w")
+    w = Polynomial.variable(ring, "w")
+
+    def without_w(max_degree, **kwargs):
+        p = _nonzero_polynomial(rng, ring[:3], max_degree=max_degree, **kwargs)
+        return polyring.with_variables(p, ring)
+
+    checked = 0
+    while checked < 10:
+        share = rng.randint(1, degree)
+        planted = without_w(share, max_terms=3)
+        a = planted * without_w(degree - share)
+        b = planted * (_nonzero_polynomial(rng, ring, max_degree=degree - share) + w)
+        if not b or max(a.total_degree(), b.total_degree()) != degree:
+            continue
+        a, b = make_primitive(a), make_primitive(b)
+        expected = polyring._gcd_z(a, b)
+        g, cofactor = polyring._heu_gcd(a, b)
+        assert g == expected and g * cofactor == a
+        checked += 1
+
+
 def test_squarefree_part_of_dense_trivariate_takes_no_prs(monkeypatch):
     # a dense input on which the PRS alone took tens of seconds: its
     # subresultant coefficients grow to degree (m + 1) D in the other variables
@@ -450,14 +506,17 @@ def test_kernel_mul_matches_reference_loop():
 
 
 def test_clear_denominators_is_the_one_way_into_the_integer_kernel():
-    # an int-valued map, as `_quotient_ints` packs it: ints carry their
-    # numerator and a denominator of 1
+    # an int-valued map: ints carry their numerator and a denominator of 1
     a = {(2, 0): 6, (1, 1): -4, (0, 0): 10}
     assert _clear_denominators(a.values()) == (1, [6, -4, 10])
     layout = _grlex_layout(2, 2)
     assert _pack(a, layout) == (1, [(layout(e), c) for e, c in a.items()])
-    assert _quotient_ints(a, {(1, 0): 3, (0, 1): -2}) is None
-    assert _quotient_ints(a, {(0, 0): 2}) == {(2, 0): 3, (1, 1): -2, (0, 0): 5}
+    packed = dict(_pack(a, layout)[1])
+    divisor = sorted(_pack({(1, 0): 3, (0, 1): -2}, layout)[1], reverse=True)
+    with pytest.raises(ExactDivisionError):
+        _quotient(packed, divisor, layout)
+    assert _quotient(packed, [(layout((0, 0)), 2)], layout) == {
+        layout(e): c for e, c in {(2, 0): 3, (1, 1): -2, (0, 0): 5}.items()}
     # pairwise coprime denominators: the lcm is their product
     values = [Fraction(1, 2), Fraction(-2, 3), Fraction(4, 5), Fraction(7)]
     assert _clear_denominators(values) == (30, [15, -20, 24, 210])

@@ -39,18 +39,18 @@ V = ("x", "y")
 SYMS = sympy.symbols("x y")
 
 
-def to_sympy(p: Polynomial):
+def to_sympy(p: Polynomial, syms=SYMS):
     expr = sympy.Integer(0)
     for m, c in p.terms.items():
         term = sympy.Rational(c.numerator, c.denominator)
-        for s, e in zip(SYMS, m):
+        for s, e in zip(syms, m):
             term *= s**e
         expr += term
     return sympy.expand(expr)
 
 
-def from_sympy(expr, variables=V):
-    poly = sympy.Poly(expr, *SYMS[: len(variables)])
+def from_sympy(expr, variables=V, syms=SYMS):
+    poly = sympy.Poly(expr, *syms[: len(variables)])
     terms = {}
     for monom, coef in poly.terms():
         q = sympy.Rational(coef)
@@ -66,6 +66,23 @@ def test_gcd_matches_sympy():
         ours = poly_gcd(p, q)
         theirs = sympy.gcd(to_sympy(p), to_sympy(q))
         assert ours == make_primitive(from_sympy(theirs))
+
+
+def test_planted_factor_gcd_matches_sympy_in_one_to_five_variables():
+    # GCDHEU against sympy's gcd, which shares no code with the
+    # subresultant PRS that the polyring tests use as the reference
+    rng = random.Random(31344)
+    names = ("x", "y", "z", "w", "u")
+    syms = sympy.symbols(names)
+    for trial in range(40):
+        ring = names[: 1 + trial % 5]
+        planted = random_polynomial(rng, ring, max_degree=3, max_terms=3, allow_zero=False)
+        a = planted * random_polynomial(rng, ring, max_degree=3, max_terms=4, allow_zero=False)
+        b = planted * random_polynomial(rng, ring, max_degree=3, max_terms=3, allow_zero=False)
+        if a.is_zero() or b.is_zero():  # equal monomials drawn twice can cancel
+            continue
+        theirs = sympy.gcd(to_sympy(a, syms), to_sympy(b, syms))
+        assert poly_gcd(a, b) == make_primitive(from_sympy(theirs, ring, syms)), (a, b)
 
 
 def test_squarefree_part_matches_sympy():
