@@ -10,7 +10,11 @@ pair update (JSC 6, 1988), on polyring's packed monomials: a term order is
 a `MonomialLayout`.  The working basis holds primitive integer
 polynomials, {packed monomial: int} maps with a positive leading
 coefficient; normal forms are fraction-free and take the leading term from
-a heap.  Fractions appear only when the reduced basis is made monic.
+a heap.  `_reduced_basis` returns the reduced basis in that form, and each
+caller reads it there: `groebner` makes every element monic, `eliminate`
+and `minimal_poly_of_coordinate` convert only the elements free of the
+eliminated variables, `inverse_map` builds each G_i with one Fraction per
+term, and `generic_fiber_degree` unpacks the leads alone.
 
 A budget on basis size, total degree and packed-field overflow stops many
 runaway computations with BudgetExceededError, but it bounds no time: a run
@@ -40,10 +44,7 @@ from .polyring import (
     _from_packed,
     _pack,
     fresh_names,
-    make_primitive,
-    rename_variables,
     resultant,  # noqa: F401  (elim.resultant is the resultant of `fibers`)
-    with_variables,
 )
 
 # ---- term orders ----
@@ -246,15 +247,20 @@ def reduce_poly(p: Polynomial, basis, key) -> Polynomial:
     return _from_packed(p.variables, r.items(), scale * den, key)
 
 
-def groebner(I: Ideal, order: TermOrder, max_degree: int = MAX_DEGREE) -> Ideal:
-    """Reduced Groebner basis of I with respect to `order`.
+def _packed_generators(polys, layout):
+    """The nonzero polynomials among `polys` as integer maps under `layout`,
+    each den * p for den the lcm of its denominators."""
+    return [_packed(g, layout)[1] for g in polys if not g.is_zero()]
 
-    Each element is monic and lists its terms in descending order, so
-    `next(iter(g.terms))` is its leading monomial.  The zero ideal gives the
-    single zero generator.
+
+def _reduced_basis(gens, layout, max_degree: int):
+    """Reduced Groebner basis of the ideal of the nonzero integer maps
+    `gens` under `layout`'s order; [] when there are none.
+
+    Each element is a primitive {packed monomial: int} map with a positive
+    leading coefficient that lists its terms in descending order, so its
+    first key is its lead.  Elements come in ascending order of their leads.
     """
-    variables = I.variables
-    layout = order.key_function(variables)
     guard = layout.guard
 
     def divides(a, b):
@@ -307,16 +313,11 @@ def groebner(I: Ideal, order: TermOrder, max_degree: int = MAX_DEGREE) -> Ideal:
         active[:] = [s for s in active if not divides(lead, basis[s][0])]
         active.append(t)
 
-    for g in sorted(
-        (_packed(g, layout)[1] for g in I.generators if not g.is_zero()),
-        key=lambda g: sorted(g, reverse=True),
-    ):
+    for g in sorted(gens, key=lambda g: sorted(g, reverse=True)):
         lead = max(g)
         g = _primitive(g, lead)
         if all(g != h for _, h in basis):
             update(lead, g)
-    if not basis:
-        return Ideal((Polynomial.zero(variables),))
     while queue:
         lcm, i, j = heappop(queue)
         if pairs.pop((i, j), None) is None:
@@ -340,8 +341,7 @@ def groebner(I: Ideal, order: TermOrder, max_degree: int = MAX_DEGREE) -> Ideal:
 
     # minimalize (drop generators whose lead is divisible by another lead),
     # then autoreduce every survivor against the others; a minimal lead is
-    # divisible by no other lead, so it survives, and dividing by its
-    # coefficient makes the element monic
+    # divisible by no other lead, so it survives as the remainder's lead
     minimal = []
     for lead, g in sorted(basis, key=lambda lg: lg[0]):
         if not any(divides(h, lead) for h, _ in minimal):
@@ -350,8 +350,43 @@ def groebner(I: Ideal, order: TermOrder, max_degree: int = MAX_DEGREE) -> Ideal:
     for idx, (lead, g) in enumerate(minimal):
         others = minimal[:idx] + minimal[idx + 1 :]
         _, r = _normal_form(g, others, layout)
-        reduced.append(_from_packed(variables, r.items(), r[lead], layout))
-    return Ideal(tuple(reduced))
+        reduced.append(_primitive(r, lead))
+    return reduced
+
+
+def groebner(I: Ideal, order: TermOrder, max_degree: int = MAX_DEGREE) -> Ideal:
+    """Reduced Groebner basis of I with respect to `order`.
+
+    Each element is monic and lists its terms in descending order, so
+    `next(iter(g.terms))` is its leading monomial.  The zero ideal gives the
+    single zero generator.
+    """
+    variables = I.variables
+    layout = order.key_function(variables)
+    basis = _reduced_basis(_packed_generators(I.generators, layout), layout, max_degree)
+    if not basis:
+        return Ideal((Polynomial.zero(variables),))
+    # an element's first coefficient is its leading one
+    return Ideal(tuple(
+        _from_packed(variables, g.items(), next(iter(g.values())), layout)
+        for g in basis
+    ))
+
+
+def _eliminate(I: Ideal, gone, kept):
+    """(layout, elements): the layout of the block order that eliminates
+    `gone`, and the elements of I's reduced basis under it that lie in
+    Q[kept] (`gone` and `kept` split I's variables, each in their order).
+
+    Under the block order each monomial with a variable of `gone` is above
+    each monomial without one, so an element lies in Q[kept] exactly when
+    its lead does: only the leads are read.
+    """
+    variables = I.variables
+    layout = TermOrder.block(gone, kept).key_function(variables)
+    basis = _reduced_basis(_packed_generators(I.generators, layout), layout, MAX_DEGREE)
+    gone_part = layout.unpacker([variables.index(v) for v in gone])
+    return layout, [g for g in basis if not any(gone_part(next(iter(g))))]
 
 
 def eliminate(I: Ideal, keep) -> Ideal:
@@ -363,14 +398,13 @@ def eliminate(I: Ideal, keep) -> Ideal:
         raise VariableMismatchError(f"unknown variable(s) {unknown}")
     gone = [v for v in variables if v not in keep]
     kept = tuple(v for v in variables if v in keep)
-    order = TermOrder.block(gone, kept)
+    layout, elements = _eliminate(I, gone, kept)
+    idx = [variables.index(v) for v in kept]
     gens = tuple(
-        with_variables(g, kept)
-        for g in groebner(I, order).generators
-        if not (g.support_variables() & set(gone))
+        _from_packed(kept, g.items(), next(iter(g.values())), layout, idx)
+        for g in elements
     )
-    # no generator free of `gone`: the zero ideal of Q[keep] (the zero
-    # ideal of I passes through as its zero generator)
+    # no generator free of `gone`: the zero ideal of Q[keep]
     return Ideal(gens or (Polynomial.zero(kept),))
 
 
@@ -378,13 +412,20 @@ def eliminate(I: Ideal, keep) -> Ideal:
 
 
 def graph_ideal(F: PolyMap):
-    """<F_1(X) - Y_1, ..., F_n(X) - Y_n> over Q[X, Y], with the Y names used."""
-    xs = F.variables
+    """<F_1(X) - Y_1, ..., F_n(X) - Y_n> over Q[X, Y], with the Y names used.
+
+    The Y names are Y1..Yn, lengthened past F's variables by `fresh_names`,
+    and each generator is F_j's terms over (X, Y) with the term -Y_j.
+    """
+    xs = tuple(F.variables)
     ys = fresh_names("Y", F.n, xs)
-    ring = tuple(xs) + tuple(ys)
+    ring = xs + tuple(ys)
+    x0, y0 = (0,) * len(xs), (0,) * F.n
     gens = []
-    for f, y in zip(F.components, ys):
-        gens.append(with_variables(f, ring) - Polynomial.variable(ring, y))
+    for j, f in enumerate(F.components):
+        terms = {m + y0: c for m, c in f.terms.items()}
+        terms[x0 + y0[:j] + (1,) + y0[j + 1 :]] = Fraction(-1)
+        gens.append(Polynomial._raw(ring, terms))
     return Ideal(tuple(gens)), ys
 
 
@@ -401,16 +442,22 @@ def inverse_map(F: PolyMap, max_degree: int = MAX_DEGREE):
         raise ValueError("map must have as many components as variables")
     I, ys = graph_ideal(F)
     xs, n = F.variables, F.n
+    layout = TermOrder.block(xs, ys).key_function(I.variables)
+    basis = _reduced_basis(_packed_generators(I.generators, layout), layout, max_degree)
+    unit = {layout(tuple(int(k == i) for k in range(2 * n))): i for i in range(n)}
+    x_part = layout.unpacker(range(n))
     G = [None] * n
-    for g in groebner(I, TermOrder.block(xs, ys), max_degree).generators:
-        # exactly one term meets X, and it is X_i with coefficient 1
-        lead = [m for m in g.terms if any(m[:n])]
-        if len(lead) != 1 or sum(lead[0]) != 1 or g.terms[lead[0]] != 1:
+    for g in basis:
+        # each term that meets X is above each term that does not, so g is
+        # lc*(X_i - G_i(Y)) exactly when its lead is X_i and its next term
+        # is free of X
+        terms = iter(g.items())
+        lead, lc = next(terms)
+        tail = list(terms)
+        i = unit.get(lead)
+        if i is None or tail and any(x_part(tail[0][0])):
             return None
-        i = lead[0].index(1)
-        G[i] = Polynomial._raw(
-            xs, {m[n:]: -c for m, c in g.terms.items() if m != lead[0]}
-        )
+        G[i] = _from_packed(xs, [(m, -c) for m, c in tail], lc, layout, range(n, 2 * n))
     if None in G:
         return None
     return PolyMap(G)
@@ -429,33 +476,37 @@ def minimal_poly_of_coordinate(F: PolyMap, i: int) -> Polynomial:
     if not F.is_square():
         raise ValueError("map must have as many components as variables")
     I, ys = graph_ideal(F)
+    n = F.n
     xi = F.variables[i - 1]
-    keep = ys + [xi]
-    E = eliminate(I, keep)
-    if E.is_zero():
+    layout, elements = _eliminate(
+        I, [v for v in F.variables if v != xi], (xi,) + tuple(ys))
+    if not elements:
         raise NotDominantError(
             f"coordinate {xi!r} satisfies no algebraic relation over the image; "
             "map is not dominant"
         )
-    gens = E.generators
-    if any(g.degree_in(xi) == 0 for g in gens):
+    idx = [*range(n, 2 * n), i - 1]  # (Y1, ..., Yn, T) in the graph ring
+    unpack = layout.unpacker(idx)
+    if any(all(unpack(m)[-1] == 0 for m in g) for g in elements):
         # a relation purely among the Y's: the image lies in a hypersurface
         raise NotDominantError(
             "image satisfies a relation not involving the coordinate; "
             "map is not dominant"
         )
-    if len(gens) != 1:
+    if len(elements) != 1:
         raise InternalCheckError(
             "elimination ideal of a dominant map coordinate is not principal"
         )
-    h = gens[0]
-    canonical = {y: f"Y{k}" for k, y in enumerate(ys, start=1)}
-    canonical[xi] = "T"
-    h = rename_variables(h, canonical)
-    h = with_variables(h, tuple(f"Y{k}" for k in range(1, F.n + 1)) + ("T",))
     # Q[X, Y]/I is Q[X], a domain, so I and its contraction to Q[Y, X_i] are
     # prime: the principal generator h is irreducible, hence squarefree.
-    return make_primitive(h)
+    # h is primitive, so of make_primitive's rule only the sign is left: the
+    # lex-leading coefficient over (Y1, ..., Yn, T) is positive.
+    (h,) = elements
+    terms = h.items()
+    if h[max(h, key=unpack)] < 0:
+        terms = [(m, -c) for m, c in terms]
+    names = tuple(f"Y{k}" for k in range(1, n + 1)) + ("T",)
+    return _from_packed(names, terms, 1, layout, idx)
 
 
 def generic_fiber_degree(F: PolyMap, sample) -> int:
@@ -470,10 +521,11 @@ def generic_fiber_degree(F: PolyMap, sample) -> int:
     if len(sample) != F.n:
         raise ValueError("sample length does not match component count")
     gens = tuple(f - s for f, s in zip(F.components, sample))
-    G = groebner(Ideal(gens), TermOrder.grlex(F.variables))
-    if G.is_zero():
+    layout = TermOrder.grlex(F.variables).key_function(F.variables)
+    basis = _reduced_basis(_packed_generators(gens, layout), layout, MAX_DEGREE)
+    if not basis:
         raise NotZeroDimensionalError("fiber ideal is zero")
-    lms = [next(iter(g.terms)) for g in G.generators]  # groebner's leading terms
+    lms = [layout.unpack(next(iter(g))) for g in basis]  # the leading monomials
     if any(sum(m) == 0 for m in lms):
         return 0  # 1 in the ideal: empty fiber
     nvars = len(F.variables)

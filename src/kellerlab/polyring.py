@@ -114,6 +114,13 @@ class MonomialLayout:
         mask = (1 << self.width) - 1
         return tuple([(key >> s) & mask for s in self._shifts])
 
+    def unpacker(self, idx):
+        """`unpack` restricted to the variables at the indices `idx`, in
+        that order: a function of a packed monomial."""
+        mask = (1 << self.width) - 1
+        shifts = [self._shifts[i] for i in idx]
+        return lambda key: tuple([(key >> s) & mask for s in shifts])
+
     def degree(self, key) -> int:
         """Total degree of a packed monomial: the degree field of each graded
         block plus the exponents of each ungraded one."""
@@ -148,11 +155,14 @@ def _pack(terms, layout):
     return den, list(zip(map(layout.__call__, terms), nums))
 
 
-def _from_packed(variables, packed, den, layout) -> Polynomial:
+def _from_packed(variables, packed, den, layout, idx=None) -> Polynomial:
     """The Polynomial of (packed monomial, numerator) pairs over `den`,
-    zeros dropped.  The one way out of the integer kernel (`_from_powers`
-    is its form for a list indexed by a main variable's power)."""
-    unpack = layout.unpack
+    zeros dropped; `variables[k]` is the layout's variable `idx[k]` (by
+    default `variables` are the layout's own, in order), and any other
+    field is not read.  The one way out of the integer kernel
+    (`_from_powers` is its form for a list indexed by a main variable's
+    power)."""
+    unpack = layout.unpack if idx is None else layout.unpacker(idx)
     if den == 1:
         terms = {unpack(key): Fraction(c) for key, c in packed if c}
     else:

@@ -9,8 +9,14 @@ from typing import NamedTuple
 from kellerlab._linalg import fraction_matrix_inverse, int_matrix_det, mat_mul
 from kellerlab.bundled import bundled_names, bundled_text
 from kellerlab.diophantine import _integer_roots
-from kellerlab.elim import resultant
-from kellerlab.errors import ExactDivisionError, ParseError
+from kellerlab.elim import MAX_DEGREE, Ideal, TermOrder, groebner, resultant
+from kellerlab.errors import (
+    ExactDivisionError,
+    InternalCheckError,
+    NotDominantError,
+    NotZeroDimensionalError,
+    ParseError,
+)
 from kellerlab.expr_io import MAX_POWER_DEGREE, MAX_POWER_TERMS, parse_int, parse_system_file
 from kellerlab.keller import CubicLinearForm, CubicLinearRejection, _rational_cube_root
 from kellerlab.lattice import egcd
@@ -20,8 +26,10 @@ from kellerlab.polyring import (
     _add_terms,
     coefficients_in,
     exact_div,
+    fresh_names,
     make_primitive,
     poly_gcd,
+    rename_variables,
     substitute,
     with_variables,
 )
@@ -658,6 +666,104 @@ def reference_groebner(gens, key):
         r = reference_reduce_poly(g, minimal[:idx] + minimal[idx + 1 :], key)
         reduced.add(r * (1 / r.terms[lead(r)]))
     return reduced
+
+
+# The elimination callers on Fractions: the reduced basis from `groebner`,
+# made monic, then filtered by support, re-embedded, renamed, made
+# primitive or negated as Polynomials.
+
+
+def reference_graph_ideal(F: PolyMap):
+    """<F_j(X) - Y_j> by Polynomial arithmetic, with the Y names used."""
+    xs = F.variables
+    ys = fresh_names("Y", F.n, xs)
+    ring = tuple(xs) + tuple(ys)
+    gens = [with_variables(f, ring) - Polynomial.variable(ring, y)
+            for f, y in zip(F.components, ys)]
+    return Ideal(tuple(gens)), ys
+
+
+def reference_eliminate(I: Ideal, keep) -> Ideal:
+    """The elements of groebner's basis under the block order that
+    eliminates the other variables whose every term is free of them."""
+    variables = I.variables
+    gone = [v for v in variables if v not in keep]
+    kept = tuple(v for v in variables if v in keep)
+    gens = tuple(
+        with_variables(g, kept)
+        for g in groebner(I, TermOrder.block(gone, kept)).generators
+        if not (g.support_variables() & set(gone))
+    )
+    return Ideal(gens or (Polynomial.zero(kept),))
+
+
+def reference_minimal_poly(F: PolyMap, i: int) -> Polynomial:
+    """h_i over (Y1, ..., Yn, T) from reference_eliminate, renamed,
+    re-embedded and made primitive."""
+    I, ys = reference_graph_ideal(F)
+    xi = F.variables[i - 1]
+    gens = reference_eliminate(I, ys + [xi]).generators
+    if gens[0].is_zero():
+        raise NotDominantError(
+            f"coordinate {xi!r} satisfies no algebraic relation over the image; "
+            "map is not dominant"
+        )
+    if any(g.degree_in(xi) == 0 for g in gens):
+        raise NotDominantError(
+            "image satisfies a relation not involving the coordinate; "
+            "map is not dominant"
+        )
+    if len(gens) != 1:
+        raise InternalCheckError(
+            "elimination ideal of a dominant map coordinate is not principal"
+        )
+    canonical = {y: f"Y{k}" for k, y in enumerate(ys, start=1)}
+    canonical[xi] = "T"
+    h = rename_variables(gens[0], canonical)
+    h = with_variables(h, tuple(f"Y{k}" for k in range(1, F.n + 1)) + ("T",))
+    return make_primitive(h)
+
+
+def reference_inverse_map(F: PolyMap, max_degree: int = MAX_DEGREE):
+    """G with groebner's monic basis {X_i - G_i(Y)} under X > Y, each G_i
+    negated from it term by term, or None when the basis has another
+    shape."""
+    I, ys = reference_graph_ideal(F)
+    xs, n = F.variables, F.n
+    G = [None] * n
+    for g in groebner(I, TermOrder.block(xs, ys), max_degree).generators:
+        lead = [m for m in g.terms if any(m[:n])]
+        if len(lead) != 1 or sum(lead[0]) != 1 or g.terms[lead[0]] != 1:
+            return None
+        G[lead[0].index(1)] = Polynomial._raw(
+            xs, {m[n:]: -c for m, c in g.terms.items() if m != lead[0]})
+    if None in G:
+        return None
+    return PolyMap(G)
+
+
+def reference_generic_fiber_degree(F: PolyMap, sample) -> int:
+    """The standard monomials of groebner's grlex basis of <F - sample>,
+    counted by a walk over the box the pure powers among the leads bound."""
+    gens = tuple(f - Fraction(s) for f, s in zip(F.components, sample))
+    G = groebner(Ideal(gens), TermOrder.grlex(F.variables))
+    if G.is_zero():
+        raise NotZeroDimensionalError("fiber ideal is zero")
+    lms = [next(iter(g.terms)) for g in G.generators]
+    if any(sum(m) == 0 for m in lms):
+        return 0
+    bounds = []
+    for v in range(len(F.variables)):
+        pure = [m[v] for m in lms if sum(m) == m[v] and m[v] > 0]
+        if not pure:
+            raise NotZeroDimensionalError(
+                "fiber ideal is not zero-dimensional (sample hit a degenerate value)"
+            )
+        bounds.append(min(pure))
+    return sum(
+        1 for m in product(*(range(b) for b in bounds))
+        if not any(all(a <= b for a, b in zip(lm, m)) for lm in lms)
+    )
 
 
 def reference_det(rows) -> Polynomial:

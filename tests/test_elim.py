@@ -1,9 +1,12 @@
+import importlib.util
+import os
 import random
 from fractions import Fraction
 from math import lcm
 
 import pytest
 
+from kellerlab import elim, polyring
 from kellerlab.bundled import load_bundled_map
 from kellerlab.elim import (
     Ideal,
@@ -12,6 +15,7 @@ from kellerlab.elim import (
     generic_fiber_degree,
     graph_ideal,
     groebner,
+    inverse_map,
     minimal_poly_of_coordinate,
     reduce_poly,
     resultant,
@@ -43,12 +47,19 @@ from _support import (
     discriminant,
     map_coefficients,
     random_polynomial,
+    reference_eliminate,
+    reference_generic_fiber_degree,
+    reference_graph_ideal,
     reference_groebner,
+    reference_inverse_map,
     reference_key_function,
+    reference_minimal_poly,
     reference_reduce_poly,
     reference_resultant,
     reference_s_polynomial,
 )
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 V = ("x", "y")
 
@@ -813,3 +824,127 @@ def test_graph_ideal_names_avoid_collision():
     assert not (set(ys) & set(W))
     h = minimal_poly_of_coordinate(F, 2)
     assert h.variables == ("Y1", "Y2", "T")
+
+
+# ---- the eliminations read the packed basis: against the Fraction path ----
+
+
+def _shown(result):
+    """A Polynomial as (variables, terms in their order), also each one of
+    an Ideal or a PolyMap; any other result as it is."""
+    if isinstance(result, Polynomial):
+        return result.variables, list(result.terms.items())
+    if isinstance(result, Ideal):
+        return [_shown(g) for g in result.generators]
+    if isinstance(result, PolyMap):
+        return [_shown(c) for c in result.components]
+    return result
+
+
+def _outcome(fn, *args):
+    """_shown(fn(*args)), or the type and text of the error it raises."""
+    try:
+        return _shown(fn(*args))
+    except (BudgetExceededError, InternalCheckError, NotDominantError,
+            NotZeroDimensionalError) as e:
+        return type(e), str(e)
+
+
+def _assert_eliminations_match(F, sample):
+    I, ys = graph_ideal(F)
+    J, ys_ref = reference_graph_ideal(F)
+    assert ys == ys_ref and _shown(I) == _shown(J)
+    for i in range(1, F.n + 1):
+        assert _outcome(minimal_poly_of_coordinate, F, i) == _outcome(
+            reference_minimal_poly, F, i)
+    keep = ys + [F.variables[-1]]
+    assert _outcome(eliminate, I, keep) == _outcome(reference_eliminate, I, keep)
+    assert _outcome(inverse_map, F) == _outcome(reference_inverse_map, F)
+    assert _outcome(generic_fiber_degree, F, sample) == _outcome(
+        reference_generic_fiber_degree, F, sample)
+
+
+def _hardgen():
+    spec = importlib.util.spec_from_file_location(
+        "hardgen", os.path.join(ROOT, "bench", "hardgen.py"))
+    hardgen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(hardgen)
+    return hardgen
+
+
+@pytest.mark.parametrize("name", ["c3", "s3", "n4a", "n4b", "xy", "xxm1y", "xp3y", "xp4y"])
+def test_packed_eliminations_match_the_fraction_path_on_the_hard_tier(name):
+    hardgen = _hardgen()
+    rng = random.Random(name)
+    for signs in hardgen.members(name):
+        F, _ = hardgen.build_map(name, signs)
+        _assert_eliminations_match(F, [rng.randint(-9, 9) for _ in range(F.n)])
+
+
+def test_packed_eliminations_match_the_fraction_path_on_n4s_and_the_bundled_maps():
+    maps = [parse_map_file(N4_STRETCH).to_poly_map()]  # n4s at seed 1
+    maps += [load_bundled_map(name).to_poly_map() for name in bundled_map_names()
+             if name != "triangular_6.map"]  # below: its h_1 exceeds the budget
+    rng = random.Random(2121)
+    for F in maps:
+        _assert_eliminations_match(F, [rng.randint(-9, 9) for _ in range(F.n)])
+
+
+def test_packed_eliminations_fail_as_the_fraction_path_does():
+    t6 = load_bundled_map("triangular_6.map").to_poly_map()
+    budget = _outcome(minimal_poly_of_coordinate, t6, 1)
+    assert budget == (BudgetExceededError,
+                      "basis element degree 81 exceeds budget 80; input beyond desk scale")
+    assert budget == _outcome(reference_minimal_poly, t6, 1)
+    for F in (PolyMap([P("x", V), P("x", V)]), PolyMap([P("x^2", V), P("x^2", V)])):
+        for i in (1, 2):
+            got = _outcome(minimal_poly_of_coordinate, F, i)
+            assert got[0] is NotDominantError
+            assert got == _outcome(reference_minimal_poly, F, i)
+    for F in (PolyMap([P("x^2", V), P("y", V)]), PolyMap([P("x", V), P("x*y", V)]),
+              PolyMap([P("x + y^2", V), P("x", V)])):
+        assert inverse_map(F) is None and reference_inverse_map(F) is None
+
+
+def test_eliminations_leave_the_integer_kernel_once_per_answer(monkeypatch):
+    # `_from_packed` builds a Polynomial from packed integers: h_4 and each
+    # G_i are built once, and the fiber count reads the leads only
+    calls = []
+    inner = polyring._from_packed
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(polyring, "_from_packed", counting)
+    monkeypatch.setattr(elim, "_from_packed", counting)
+    F = parse_map_file(N4_STRETCH).to_poly_map()
+    assert len(minimal_poly_of_coordinate(F, 4).terms) == 2104
+    assert len(calls) <= 1
+    calls.clear()
+    assert len(inverse_map(F).components) == 4
+    assert len(calls) <= 4
+    calls.clear()
+    assert generic_fiber_degree(F, [1, 2, 3, 4]) == 1
+    assert calls == []
+
+
+def test_block_order_lead_filter_matches_the_support_filter():
+    # under a block order an element whose lead is free of the first block
+    # is free of it in every term; eliminate keeps exactly the elements the
+    # support filter keeps
+    rng = random.Random(1515)
+    for trial in range(42):
+        W = tuple(rng.sample(("x", "y", "z"), 3))
+        gens = _criteria_generators(rng, W, ("binomial", "coprime")[trial % 2])
+        keep = [v for v in W if rng.random() < 0.5]
+        gone = [v for v in W if v not in keep]
+        layout = TermOrder.block(gone, keep).key_function(W)
+        gone_part = layout.unpacker([W.index(v) for v in gone])
+        basis = elim._reduced_basis(elim._packed_generators(gens, layout), layout,
+                                    elim.MAX_DEGREE)
+        for g in basis:
+            free = [not any(gone_part(m)) for m in g]
+            assert free[0] == all(free)
+        I = Ideal(tuple(gens))
+        assert _outcome(eliminate, I, keep) == _outcome(reference_eliminate, I, keep)
