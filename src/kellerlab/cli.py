@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import diophantine, expr_io, fibers, keller, lattice, transforms
-from .errors import BudgetExceededError, KellerlabError
+from .errors import BudgetExceededError, KellerlabError, NotInvertibleError
 
 
 # a signed integer or ratio of integers, read exactly at any length; the
@@ -174,16 +174,15 @@ def _cmd_check(args) -> tuple:
         inv = keller.formal_inverse(F, cap, det)
     except BudgetExceededError:
         raise  # main's exit 3, not an answer
+    except NotInvertibleError as exc:
+        inv_text = str(exc)
+        inv_json = {"exact": False, "degree_cap": cap, "degree": None}
     except (KellerlabError, ValueError) as exc:
         inv_text = f"not defined ({exc})"
         inv_json = {"exact": False, "degree_cap": cap, "reason": str(exc)}
     else:
-        if inv.exact:
-            inv_text = f"exact (degree {max(0, inv.map.max_degree())})"
-        else:
-            inv_text = f"not invertible within bound (cap {cap})"
-        inv_json = {"exact": inv.exact, "degree_cap": cap,
-                    "degree": inv.map.max_degree() if inv.exact else None}
+        inv_text = f"exact (degree {max(0, inv.map.max_degree())})"
+        inv_json = {"exact": True, "degree_cap": cap, "degree": inv.map.max_degree()}
     results = {"keller": keller_ok, "cubic_linear": cl_json, "inverse": inv_json}
     text = (f"keller: {'yes' if keller_ok else 'no'}, cubic-linear: {cl_text}, "
             f"inverse: {inv_text}\n")

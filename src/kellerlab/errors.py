@@ -24,6 +24,10 @@ class BudgetExceededError(KellerlabError):
     """
 
 
+class NotInvertibleError(KellerlabError):
+    """A map has no polynomial inverse within the degree cap asked for."""
+
+
 class NotZeroDimensionalError(KellerlabError):
     """A fiber ideal expected to be zero-dimensional is not."""
 

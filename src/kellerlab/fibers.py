@@ -5,9 +5,11 @@ and the arithmetic feasibility checker for branched covers of the line.
 
 H comes from n per-coordinate Groebner eliminations.  `sigma` and
 `assert_c2`, given no data or components, skip them when
-`keller.polynomial_inverse` certifies F^-1: an automorphism is proper, so
-H = 1, there is no cone and sigma is 1.  When no inverse is found, or the
-basis exceeds its budget, they fall back to the eliminations.
+`keller.formal_inverse` certifies F^-1: an automorphism is proper, so
+H = 1, there is no cone and sigma is 1.  Its default cap, the
+Bass-Connell-Wright bound, holds every inverse there is.  When it raises,
+because there is no inverse or the basis exceeds its budget, they fall
+back to the eliminations.
 
 Every line resultant r(U, V) of sigma (D, and each factor of R) is one
 resultant in t of p(U + tV) and q(U + tV), and two identities let it be
@@ -32,8 +34,14 @@ from fractions import Fraction
 from operator import mul
 
 from .elim import generic_fiber_degree, minimal_poly_of_coordinate, resultant
-from .errors import BudgetExceededError, InternalCheckError, NotZeroDimensionalError
-from .keller import polynomial_inverse
+from .errors import (
+    BudgetExceededError,
+    InternalCheckError,
+    NotInvertibleError,
+    NotZeroDimensionalError,
+    SingularMatrixError,
+)
+from .keller import formal_inverse
 from .polyring import (
     Polynomial,
     PolyMap,
@@ -308,8 +316,10 @@ def _sigma_and_data(F: PolyMap, components, data) -> tuple:
     us, vs = _uv_ring(F.n)
     ring = us + vs
     if data is None:
-        with suppress(BudgetExceededError):  # a basis past its budget certifies nothing
-            if not components and polynomial_inverse(F) is not None:
+        if not components:
+            # no inverse, or a basis past its budget, leaves H to the eliminations
+            with suppress(BudgetExceededError, NotInvertibleError, SingularMatrixError):
+                formal_inverse(F)
                 return Polynomial.one(ring), None
         data = bifurcation_data(F, compute_fiber_degree=False)
     if components:

@@ -6,9 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._linalg import fraction_matrix_det, fraction_matrix_inverse, poly_matrix_det
+from ._linalg import fraction_matrix_det, poly_matrix_det
 from .elim import MAX_DEGREE, inverse_map
-from .errors import SingularMatrixError
+from .errors import NotInvertibleError, SingularMatrixError
 from .polyring import Polynomial, PolyMap, _grlex_layout, _mul_into, _pack, integer_root
 
 
@@ -44,83 +44,49 @@ def _linear_part(F: PolyMap):
     return [[c.coefficient(unit[j]) for j in range(n)] for c in F.components]
 
 
-def polynomial_inverse(
-    F: PolyMap, degree_cap: int | None = None, det: Polynomial | None = None
-) -> PolyMap | None:
-    """G = F^-1 when one Groebner basis certifies it, else None.
-
-    It returns None at once, without the basis, when DF(0), the matrix of
-    linear coefficients, is singular, or when det DF is not a nonzero
-    constant: an automorphism has both.  The first test is the cheap one;
-    it spares maps like (x, xy) the det DF expansion.  Otherwise the answer
-    is `elim.inverse_map` (van den Essen's criterion) within the degree
-    budget max(`elim.MAX_DEGREE`, cap), cap = `default_degree_cap(F)` unless
-    given; its BudgetExceededError propagates.  A caller that already has
-    det DF passes it as `det`.
-    """
-    if not F.is_square():
-        raise ValueError("map must have as many components as variables")
-    if fraction_matrix_det(_linear_part(F)) == 0:
-        return None
-    if det is None:
-        det = jacobian_det(F)
-    if not det.is_constant() or det.is_zero():
-        return None
-    if degree_cap is None:
-        degree_cap = default_degree_cap(F)
-    return inverse_map(F, max(MAX_DEGREE, degree_cap))
-
-
-# kept while bench/tracing.py wraps formal_inverse by name and reads result.map
 @dataclass(frozen=True)
 class FormalInverse:
-    """Inverse of a map fixing the origin, decided up to a degree cap.
-
-    When `exact` is true, `map` is the polynomial inverse G: F o G = G o F =
-    identity and deg G <= degree_bound.  Otherwise `map` is the inverse
-    L^-1 Y of the linear part alone.
-    """
+    """The polynomial inverse G of F: F o G = G o F = identity and
+    deg G <= degree_bound."""
 
     map: PolyMap
     degree_bound: int
-    exact: bool
 
 
 def formal_inverse(
     F: PolyMap, degree_cap: int | None = None, det: Polynomial | None = None
 ) -> FormalInverse:
-    """Polynomial inverse of F, if F is an automorphism of degree <= the cap.
+    """F^-1 of degree <= the cap, `default_degree_cap(F)` unless given, or
+    an exception that names why there is none.
 
-    Requires F(0) = 0 and DF(0) invertible.  The inverse comes from
-    `polynomial_inverse` at the same cap, `default_degree_cap(F)` unless
-    given, and counts only when its degree is within the cap.  The same
-    bound applied to G = F^-1 gives d <= (deg G)^(n-1), so a cap with
-    cap^(n-1) < d returns at once, without the basis.  A non-exact result
-    carries the linear part's inverse L^-1 Y as its map; at a lower cap it
-    means "not invertible within bound", never "not invertible".  A caller
-    that already has det DF passes it as `det`.
+    The inverse is `elim.inverse_map` (van den Essen's criterion) within
+    the degree budget max(`elim.MAX_DEGREE`, cap); its BudgetExceededError
+    propagates.  SingularMatrixError, raised before any basis, means DF(0),
+    the matrix of linear coefficients, is singular, so F is no automorphism.
+    NotInvertibleError means no inverse of degree <= the cap: det DF is not
+    a nonzero constant, or the basis certifies none within the cap.  The
+    same bound applied to G = F^-1 gives d <= (deg G)^(n-1), so a cap with
+    cap^(n-1) < d raises it at once, without det DF or the basis.  At the
+    default cap it means "not invertible"; at a lower one, only "not
+    invertible within bound".  A caller that already has det DF passes it
+    as `det`.
     """
     if not F.is_square():
         raise ValueError("map must have as many components as variables")
-    if not F.fixes_origin():
-        raise ValueError("map must fix the origin")
     if degree_cap is None:
         degree_cap = default_degree_cap(F)
     if degree_cap < 1:
         raise ValueError("degree cap must be at least 1")
-
+    if fraction_matrix_det(_linear_part(F)) == 0:
+        raise SingularMatrixError("DF(0) is singular; no formal inverse")
     if degree_cap ** (F.n - 1) >= F.max_degree():
-        # None when DF(0) is singular, which raises below
-        G = polynomial_inverse(F, degree_cap, det)
-        if G is not None and G.max_degree() <= degree_cap:
-            return FormalInverse(map=G, degree_bound=degree_cap, exact=True)
-    try:
-        Linv = fraction_matrix_inverse(_linear_part(F))
-    except SingularMatrixError:
-        raise SingularMatrixError("DF(0) is singular; no formal inverse") from None
-    return FormalInverse(
-        map=PolyMap.linear(Linv, F.variables), degree_bound=degree_cap, exact=False
-    )
+        if det is None:
+            det = jacobian_det(F)
+        if det.is_constant() and not det.is_zero():
+            G = inverse_map(F, max(MAX_DEGREE, degree_cap))
+            if G is not None and G.max_degree() <= degree_cap:
+                return FormalInverse(map=G, degree_bound=degree_cap)
+    raise NotInvertibleError(f"not invertible within bound (cap {degree_cap})")
 
 
 # ---- cubic-linear (Druzkowski) forms ----

@@ -106,8 +106,7 @@ def test_criterion_02_inverse_roundtrip():
         n = F.n
         assert n <= 4 and is_keller(F)
         cap = 3 ** (n - 1)
-        inv = formal_inverse(F, cap)
-        assert inv.exact, f"{name}: inverse not exact at cap {cap}"
+        inv = formal_inverse(F, cap)  # raises when there is none within the cap
         ident = PolyMap.identity(F.variables)
         assert F.compose(inv.map) == ident
         assert inv.map.compose(F) == ident

@@ -374,6 +374,42 @@ def test_check_degree_cap_below_inverse_degree(capsys, tri2):
     assert out.strip().endswith("inverse: not invertible within bound (cap 2)")
 
 
+def _check_inverse(capsys, path):
+    """(the text after "inverse: ", the JSON "inverse" object) of `check`."""
+    code, out, err = run(capsys, "check", path)
+    assert (code, err) == (0, "")
+    text = out.strip().split("inverse: ", 1)[1]
+    code, out, err = run(capsys, "check", path, "--json")
+    assert (code, err) == (0, "")
+    return text, json.loads(out)["results"]["inverse"]
+
+
+def test_check_inverse_of_a_map_with_singular_linear_part(capsys, bif):
+    reason = "DF(0) is singular; no formal inverse"
+    assert _check_inverse(capsys, bif) == (
+        f"not defined ({reason})", {"degree_cap": 2, "exact": False, "reason": reason})
+
+
+def test_check_inverse_of_a_non_keller_map_is_not_within_bound(capsys, tmp_path):
+    # DF(0) is invertible, but det DF = 6 - 3y^2 is not constant
+    path = tmp_path / "cubic.map"
+    path.write_text("vars: x y\nF1 = 2*x + y^3\nF2 = x + 3*y\n")
+    assert _check_inverse(capsys, str(path)) == (
+        "not invertible within bound (cap 3)",
+        {"degree": None, "degree_cap": 3, "exact": False})
+
+
+def test_check_inverts_a_map_that_moves_the_origin(capsys, tmp_path):
+    # F(0) = (1, -3): check finds the inverse that sigma certifies
+    path = tmp_path / "shifted.map"
+    path.write_text("vars: x y\nF1 = 2*x + y^2 + 1\nF2 = y - 3\n")
+    assert _check_inverse(capsys, str(path)) == (
+        "exact (degree 2)", {"degree": 2, "degree_cap": 2, "exact": True})
+    code, out, err = run(capsys, "sigma", str(path), "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["stats"]["route"] == "inverse"
+
+
 @pytest.mark.parametrize("cap", ["0", "-3"])
 def test_check_rejects_non_positive_degree_cap(capsys, tri2, cap):
     with pytest.raises(SystemExit) as exc:

@@ -6,13 +6,14 @@ import pytest
 import kellerlab.fibers
 import kellerlab.keller
 from kellerlab.bundled import load_bundled_map
-from kellerlab.errors import BudgetExceededError, InternalCheckError
+from kellerlab.errors import BudgetExceededError, InternalCheckError, NotZeroDimensionalError
 from kellerlab.expr_io import parse_polynomial as P
 from kellerlab.fibers import (
     C2Status,
     ComponentData,
     Line,
     _on_slice,
+    _sample_fiber_degree,
     _slice_resultant,
     assert_c2,
     assertion3_feasible,
@@ -340,10 +341,10 @@ def _automorphisms():
 
 @pytest.mark.parametrize("name, F", list(_automorphisms()))
 def test_polynomial_inverse_is_the_formal_inverse(name, F):
-    # one budget rule: polynomial_inverse's default cap is formal_inverse's
+    # sigma's inverse route asks formal_inverse at its default cap d^(n-1),
+    # the Bass-Connell-Wright bound, which every polynomial inverse meets
     inv = kellerlab.keller.formal_inverse(F)
-    assert inv.exact
-    assert kellerlab.keller.polynomial_inverse(F) == inv.map
+    assert inv.map.max_degree() <= inv.degree_bound == kellerlab.keller.default_degree_cap(F)
 
 
 @pytest.mark.parametrize("name, F", list(_sigma_cases()))
@@ -469,6 +470,53 @@ def test_assert_c2_takes_one_route(monkeypatch):
     assert (len(inverse_calls), len(data_calls)) == (1, 0)
     assert assert_c2(F_XY, (1, 0), (1, 1))[1].ok is True
     assert (len(inverse_calls), len(data_calls)) == (1, 1)
+
+
+def test_assert_c2_fails_both_sides_when_sigma_vanishes():
+    # H = Y1 on (x, xy); a component g = Y1 Y2 shares h_W = Y1, so every
+    # line resultant of R vanishes, sigma = 0, and both preconditions hold
+    comp = ComponentData(P("Y1", Y2), (P("Y1*Y2", Y2),))
+    assert sigma(F_XY, components=[comp]).is_zero()
+    first, second = assert_c2(F_XY, (1, 0), (1, 1), components=[comp])
+    assert first == C2Status(False, "sigma(u, V) vanishes identically")
+    assert second == C2Status(False, "sigma(U, v) vanishes identically")
+
+
+def _counting_fiber_degree(monkeypatch, failures):
+    """Samples passed to `generic_fiber_degree`, which raises
+    NotZeroDimensionalError on the first `failures` of them."""
+    samples = []
+    inner = kellerlab.fibers.generic_fiber_degree
+
+    def flaky(F, sample):
+        samples.append(tuple(sample))
+        if len(samples) <= failures:
+            raise NotZeroDimensionalError("fiber ideal is not zero-dimensional")
+        return inner(F, sample)
+
+    monkeypatch.setattr(kellerlab.fibers, "generic_fiber_degree", flaky)
+    return samples
+
+
+def test_sample_fiber_degree_skips_points_on_H(monkeypatch):
+    # the seeded stream's first point is (3, 7), which lies on Y1 - 3 = 0
+    samples = _counting_fiber_degree(monkeypatch, 0)
+    assert _sample_fiber_degree(F_TRI, Polynomial.one(Y2)) == 1
+    assert samples == [(3, 7)]
+    samples.clear()
+    assert _sample_fiber_degree(F_TRI, P("Y1 - 3", Y2)) == 1
+    assert len(samples) == 1 and samples[0][0] != 3
+
+
+def test_sample_fiber_degree_retries_and_gives_up(monkeypatch):
+    samples = _counting_fiber_degree(monkeypatch, 3)
+    assert _sample_fiber_degree(F_TRI, Polynomial.one(Y2)) == 1
+    assert len(samples) == 4 and len(set(samples)) > 1
+    samples = _counting_fiber_degree(monkeypatch, float("inf"))
+    with pytest.raises(NotZeroDimensionalError,
+                       match="^could not find a sample with a zero-dimensional fiber$"):
+        _sample_fiber_degree(F_TRI, Polynomial.one(Y2))
+    assert len(samples) == 40
 
 
 def test_cone_vanishing_samples():

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+import kellerlab.keller
 from kellerlab.elim import inverse_map
-from kellerlab.errors import BudgetExceededError, SingularMatrixError
+from kellerlab.errors import BudgetExceededError, NotInvertibleError, SingularMatrixError
 from kellerlab.expr_io import parse_polynomial as P
 from kellerlab.keller import (
     CubicLinearForm,
@@ -14,7 +15,6 @@ from kellerlab.keller import (
     formal_inverse,
     is_keller,
     jacobian_det,
-    polynomial_inverse,
 )
 from kellerlab.polyring import Polynomial, PolyMap, substitute
 from kellerlab.transforms import conjugate_by_linear
@@ -52,86 +52,90 @@ def test_is_keller_examples():
 
 def test_formal_inverse_triangular():
     F = PolyMap([P("x + y^3", V), P("y", V)])
-    inv = formal_inverse(F, 3)
-    assert inv.exact
-    assert inv.map == PolyMap([P("x - y^3", V), P("y", V)])
+    assert formal_inverse(F, 3) == FormalInverse(
+        map=PolyMap([P("x - y^3", V), P("y", V)]), degree_bound=3)
 
 
 def test_formal_inverse_non_keller_not_exact():
+    # det DF = 1 - 9x^2y^2: no inverse, and the answer names the cap
     F = PolyMap([P("x + y^3", V), P("y + x^3", V)])
-    inv = formal_inverse(F, 8)
-    assert not inv.exact
-    # a non-exact result carries the inverse of the linear part only
-    assert inv.map == PolyMap.identity(V)
-    assert F.compose(inv.map) != PolyMap.identity(V)
+    with pytest.raises(NotInvertibleError,
+                       match=r"^not invertible within bound \(cap 8\)$"):
+        formal_inverse(F, 8)
 
 
 def test_formal_inverse_of_linear_automorphism_with_jacobian_two():
     # not Keller (det = 2), yet an automorphism
     inv = formal_inverse(PolyMap([P("2*x", V), P("y", V)]), 1)
-    assert inv.exact
     assert inv.map == PolyMap([P("1/2*x", V), P("y", V)])
 
 
-def test_formal_inverse_runs_no_basis_without_constant_jacobian(monkeypatch):
-    import kellerlab.keller
-
+def _no_basis(monkeypatch):
     def no_basis(*args):
         raise AssertionError("Groebner basis run")
 
     monkeypatch.setattr(kellerlab.keller, "inverse_map", no_basis)
+
+
+def test_formal_inverse_runs_no_basis_without_constant_jacobian(monkeypatch):
+    _no_basis(monkeypatch)
     for comps in (("x + y^3", "y + x^3"), ("x + x^2", "y")):
-        assert not formal_inverse(PolyMap([P(c, V) for c in comps]), 8).exact
+        with pytest.raises(NotInvertibleError):
+            formal_inverse(PolyMap([P(c, V) for c in comps]), 8)
 
 
 def test_formal_inverse_cap_below_degree_bound_runs_no_basis(monkeypatch):
-    import kellerlab.keller
-
     # Bass-Connell-Wright applied to G = F^-1 gives deg F <= (deg G)^(n-1),
-    # so at cap 1 this cubic Keller map in 3 variables has no inverse within cap
+    # so at cap 1 this cubic Keller map in 3 variables has no inverse within
+    # cap, and neither det DF nor the basis is needed to say so
     variables = ("x1", "x2", "x3")
     F = CubicLinearForm(((0, 1, 1), (0, 0, 1), (0, 0, 0))).to_map(variables)
     G = inverse_map(F)
     assert G is not None and G.max_degree() > 1
-    expected = FormalInverse(map=PolyMap.identity(variables), degree_bound=1, exact=False)
-
-    def no_basis(*args):
-        raise AssertionError("Groebner basis run")
-
-    monkeypatch.setattr(kellerlab.keller, "inverse_map", no_basis)
-    assert formal_inverse(F, 1) == expected
+    _no_basis(monkeypatch)
+    monkeypatch.setattr(kellerlab.keller, "jacobian_det", None)
+    with pytest.raises(NotInvertibleError, match=r"\(cap 1\)$"):
+        formal_inverse(F, 1)
 
 
 def test_formal_inverse_non_exact_map_is_linear_part():
-    # DF(0) is invertible, but det DF = 6 - 3*y^2 rules out an inverse
+    # DF(0) is invertible, but det DF = 6 - 3*y^2 rules out an inverse; the
+    # linear part's inverse L^-1 Y is not one, so it is not offered as a result
     F = PolyMap([P("2*x + y^3", V), P("x + 3*y", V)])
-    inv = formal_inverse(F, 2)
-    assert not inv.exact
-    assert inv.map == PolyMap([P("1/2*x", V), P("-1/6*x + 1/3*y", V)])
-    assert F.compose(inv.map) != PolyMap.identity(V)
+    with pytest.raises(NotInvertibleError,
+                       match=r"^not invertible within bound \(cap 2\)$"):
+        formal_inverse(F, 2)
+    linear_part = PolyMap([P("1/2*x", V), P("-1/6*x + 1/3*y", V)])
+    assert F.compose(linear_part) != PolyMap.identity(V)
 
 
 def test_formal_inverse_identity():
     inv = formal_inverse(PolyMap.identity(V), 1)
-    assert inv.exact and inv.map == PolyMap.identity(V)
+    assert inv == FormalInverse(map=PolyMap.identity(V), degree_bound=1)
 
 
-def test_formal_inverse_preconditions():
-    with pytest.raises(ValueError, match="origin"):
-        formal_inverse(PolyMap([P("x + 1", V), P("y", V)]), 2)
-    with pytest.raises(SingularMatrixError):
-        formal_inverse(PolyMap([P("x", V), P("x*y", V)]), 2)
-
-
-def test_polynomial_inverse_needs_no_fixed_origin():
-    # unlike formal_inverse, it takes any map, and None means no inverse
-    F = PolyMap([P("2*x + y^2 + 1", V), P("y - 3", V)])
-    G = polynomial_inverse(F)
-    assert F.compose(G) == PolyMap.identity(V) == G.compose(F)
-    assert polynomial_inverse(PolyMap([P("x", V), P("x*y", V)])) is None
-    assert polynomial_inverse(PolyMap([P("x + x^3", ("x",))])) is None
+def test_formal_inverse_preconditions(monkeypatch):
     with pytest.raises(ValueError, match="as many components"):
-        polynomial_inverse(PolyMap([P("x + y", V)]))
+        formal_inverse(PolyMap([P("x + y", V)]))
+    with pytest.raises(ValueError, match="at least 1"):
+        formal_inverse(PolyMap.identity(V), 0)
+    # a singular DF(0) is refused before det DF and the basis
+    _no_basis(monkeypatch)
+    monkeypatch.setattr(kellerlab.keller, "jacobian_det", None)
+    for comps in (("x", "x*y"), ("x^2", "y")):
+        with pytest.raises(SingularMatrixError,
+                           match=r"^DF\(0\) is singular; no formal inverse$"):
+            formal_inverse(PolyMap([P(c, V) for c in comps]), 2)
+
+
+def test_formal_inverse_needs_no_fixed_origin():
+    # F(0) = (1, -3): the criterion does not ask that F fix the origin
+    F = PolyMap([P("2*x + y^2 + 1", V), P("y - 3", V)])
+    inv = formal_inverse(F)
+    assert inv.degree_bound == 2
+    assert F.compose(inv.map) == PolyMap.identity(V) == inv.map.compose(F)
+    with pytest.raises(NotInvertibleError, match=r"\(cap 1\)$"):
+        formal_inverse(PolyMap([P("x + x^3 + 1", ("x",))]))
 
 
 def test_inverse_roundtrip_when_exact():
@@ -141,7 +145,6 @@ def test_inverse_roundtrip_when_exact():
         for _ in range(5):
             F = random_triangular_form(rng, n).to_map(variables)
             inv = formal_inverse(F, 3 ** (n - 1))
-            assert inv.exact
             ident = PolyMap.identity(variables)
             assert F.compose(inv.map) == ident
             assert inv.map.compose(F) == ident
@@ -195,18 +198,18 @@ def test_chain_inverse_at_cap_81_is_not_a_budget_exit():
     with pytest.raises(BudgetExceededError):
         inverse_map(F)
     inv = formal_inverse(F)
-    assert inv.exact and inv.map.max_degree() == 81
+    assert inv.degree_bound == inv.map.max_degree() == 81
 
 
 def test_polynomial_inverse_budget_reaches_the_default_cap():
-    # the same chain: with no cap given, polynomial_inverse reads the cap
-    # d^(n-1) = 81, as formal_inverse does, and finds the inverse instead
-    # of stopping at the Groebner budget 80
+    # the same chain: with no cap given, formal_inverse reads the cap
+    # d^(n-1) = 81 and runs the basis at budget 81, so it finds the inverse
+    # instead of stopping at the Groebner budget 80; an explicit cap 81 agrees
     X = tuple(f"x{i}" for i in range(1, 6))
     F = PolyMap([P("x1", X)] + [P(f"x{i} + x{i - 1}^3", X) for i in range(2, 6)])
-    G = polynomial_inverse(F)
+    G = formal_inverse(F).map
     assert G.max_degree() == 81
-    assert G == formal_inverse(F).map
+    assert G == formal_inverse(F, 81).map
     assert F.compose(G) == PolyMap.identity(X)
 
 
@@ -216,7 +219,7 @@ def test_permutation_triangular_is_keller_and_invertible():
     F = form.to_map()
     assert is_keller(F)
     inv = formal_inverse(F)  # default cap 3^(n-1) = 9
-    assert inv.exact
+    assert inv.degree_bound == 9
     assert inv.map.max_degree() <= 9
 
 

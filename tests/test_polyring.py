@@ -322,6 +322,29 @@ def test_adic_refuses_a_digit_above_the_degree_bound_and_heu_tries_the_next_poin
     assert points == [first, first * 73794 * integer_root(first, 4) // 27011]
 
 
+def test_heuristic_gcd_with_an_operand_that_vanishes_at_the_point(monkeypatch):
+    # the first point is 2 * 1 + 29 = 31, a root of x - 31: the gcd of the
+    # values is then the other value, 32, whose digits give x + 1, which does
+    # not divide x - 31, so GCDHEU goes on to the next point
+    a, b = X - 31, X + 1
+    one = Polynomial.one(V)
+    adic, seen = polyring._adic, []
+
+    def recording_adic(g, xi, unit, degree):
+        seen.append((g, xi))
+        return adic(g, xi, unit, degree)
+
+    monkeypatch.setattr(polyring, "_adic", recording_adic)
+    assert poly_gcd(a, b) == one
+    assert seen[0] == ({0: 32}, 31)
+    assert polyring._heu_gcd(a, b) == (one, a)
+    # with that one point allowed, GCDHEU gives up and the PRS answers
+    monkeypatch.setattr(polyring, "HEU_GCD_POINTS", 1)
+    assert polyring._heu_gcd(a, b) is None
+    assert polyring._gcd_z(a, b) == one
+    assert poly_gcd(a, b) == one
+
+
 @pytest.mark.parametrize("degree", [1, 3, 4, 7, 8])
 def test_packed_heuristic_gcd_matches_prs_at_each_field_width(degree):
     # GCDHEU packs both sides into fields that hold 2 D for the larger total
