@@ -10,11 +10,13 @@ pair update (JSC 6, 1988), on polyring's packed monomials: a term order is
 a `MonomialLayout`.  The working basis holds primitive integer
 polynomials, {packed monomial: int} maps with a positive leading
 coefficient; normal forms are fraction-free and take the leading term from
-a heap.  `_reduced_basis` returns the reduced basis in that form, and each
-caller reads it there: `groebner` makes every element monic, `eliminate`
-and `minimal_poly_of_coordinate` convert only the elements free of the
-eliminated variables, `inverse_map` builds each G_i with one Fraction per
-term, and `generic_fiber_degree` unpacks the leads alone.
+a heap.  `_minimal_basis` runs Buchberger and drops the elements whose
+lead another lead divides, and `_reduced_basis` autoreduces that minimal
+basis; each caller reads the result in packed form: `groebner` makes every
+element monic, `eliminate` and `minimal_poly_of_coordinate` convert only
+the elements free of the eliminated variables, `inverse_map` builds each
+G_i with one Fraction per term, and `generic_fiber_degree` unpacks the
+leads of the minimal basis alone, which are the reduced basis's leads.
 
 A budget on basis size, total degree and packed-field overflow stops many
 runaway computations with BudgetExceededError, but it bounds no time: a run
@@ -253,13 +255,14 @@ def _packed_generators(polys, layout):
     return [_packed(g, layout)[1] for g in polys if not g.is_zero()]
 
 
-def _reduced_basis(gens, layout, max_degree: int):
-    """Reduced Groebner basis of the ideal of the nonzero integer maps
-    `gens` under `layout`'s order; [] when there are none.
+def _minimal_basis(gens, layout, max_degree: int):
+    """Minimal Groebner basis of the ideal of the nonzero integer maps
+    `gens` under `layout`'s order, as (lead, element) pairs in ascending
+    order of their leads; [] when there are none.
 
     Each element is a primitive {packed monomial: int} map with a positive
-    leading coefficient that lists its terms in descending order, so its
-    first key is its lead.  Elements come in ascending order of their leads.
+    leading coefficient, and no lead divides another.  Its leads are those
+    of the reduced basis, which `_reduced_basis` reaches by autoreduction.
     """
     guard = layout.guard
 
@@ -339,13 +342,26 @@ def _reduced_basis(gens, layout, max_degree: int):
                 f"basis size exceeds budget {MAX_BASIS}; input beyond desk scale"
             )
 
-    # minimalize (drop generators whose lead is divisible by another lead),
-    # then autoreduce every survivor against the others; a minimal lead is
-    # divisible by no other lead, so it survives as the remainder's lead
+    # minimalize: drop the elements whose lead another lead divides
     minimal = []
     for lead, g in sorted(basis, key=lambda lg: lg[0]):
         if not any(divides(h, lead) for h, _ in minimal):
             minimal.append((lead, g))
+    return minimal
+
+
+def _reduced_basis(gens, layout, max_degree: int):
+    """Reduced Groebner basis of the ideal of the nonzero integer maps
+    `gens` under `layout`'s order; [] when there are none.
+
+    Each element is a primitive {packed monomial: int} map with a positive
+    leading coefficient that lists its terms in descending order, so its
+    first key is its lead.  Elements come in ascending order of their leads.
+    The minimal basis is autoreduced, each element against the others; a
+    minimal lead is divisible by no other lead, so it survives as the
+    remainder's lead.
+    """
+    minimal = _minimal_basis(gens, layout, max_degree)
     reduced = []
     for idx, (lead, g) in enumerate(minimal):
         others = minimal[:idx] + minimal[idx + 1 :]
@@ -522,10 +538,11 @@ def generic_fiber_degree(F: PolyMap, sample) -> int:
         raise ValueError("sample length does not match component count")
     gens = tuple(f - s for f, s in zip(F.components, sample))
     layout = TermOrder.grlex(F.variables).key_function(F.variables)
-    basis = _reduced_basis(_packed_generators(gens, layout), layout, MAX_DEGREE)
+    # the count reads only the leads, which minimal and reduced bases share
+    basis = _minimal_basis(_packed_generators(gens, layout), layout, MAX_DEGREE)
     if not basis:
         raise NotZeroDimensionalError("fiber ideal is zero")
-    lms = [layout.unpack(next(iter(g))) for g in basis]  # the leading monomials
+    lms = [layout.unpack(lead) for lead, _ in basis]  # the leading monomials
     if any(sum(m) == 0 for m in lms):
         return 0  # 1 in the ideal: empty fiber
     nvars = len(F.variables)

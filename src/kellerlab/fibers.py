@@ -52,6 +52,9 @@ from .polyring import (
     _mul_into,
     coefficients_in,
     divides,
+    exact_div,
+    make_primitive,
+    poly_gcd,
     squarefree_part,
     substitute,
     with_variables,
@@ -117,8 +120,12 @@ class ComponentData:
 def bifurcation_data(F: PolyMap, compute_fiber_degree: bool = True) -> BifurcationData:
     """Compute h_i, a_i, H, and the cone form for a dominant rational map.
 
-    H is the squarefree part of the product of the a_i, integer-primitive
-    with a positive sign; the constant 1 marks an empty bifurcation set.
+    H is the lcm of the radicals of the distinct nonconstant a_i, which
+    equals the squarefree part of their product (the radical of a product
+    is the lcm of the factors' radicals), integer-primitive with a positive
+    lex-leading coefficient; the constant 1 marks an empty bifurcation set.
+    Each squarefree part is taken at the degree of one a_i, not of the
+    product.
     The fiber degree is sampled at seeded random integer points, resampling
     when the fiber ideal is degenerate or the sample lies on {H = 0}.  The
     cone form is the top-degree part of H.
@@ -130,27 +137,37 @@ def bifurcation_data(F: PolyMap, compute_fiber_degree: bool = True) -> Bifurcati
     """
     hs = tuple(minimal_poly_of_coordinate(F, i) for i in range(1, F.n + 1))
     y_ring = hs[0].variables[:-1]  # (Y1, ..., Yn, T) without T
-    aas = []
-    for h in hs:
-        coeffs = coefficients_in(h, "T")
-        lead = coeffs[-1]
-        aas.append(with_variables(lead, y_ring))
-    product = Polynomial.one(y_ring)
-    for a in aas:
-        product = product * a
-    if product.is_constant():
-        H = Polynomial.one(y_ring)
-        cone = None
-    else:
-        H = squarefree_part(product)
-        cone = H.leading_form()
+    aas = tuple(with_variables(coefficients_in(h, "T")[-1], y_ring) for h in hs)
+    H = _radical_lcm(aas, y_ring)
+    cone = None if H.is_constant() else H.leading_form()
 
     degree = None
     if compute_fiber_degree:
         degree = _sample_fiber_degree(F, H)
-    return BifurcationData(
-        h=hs, a=tuple(aas), H=H, cone_form=cone, fiber_degree=degree
-    )
+    return BifurcationData(h=hs, a=aas, H=H, cone_form=cone, fiber_degree=degree)
+
+
+def _radical_lcm(aas, ring) -> Polynomial:
+    """The lcm of the radicals of the nonconstant a_i, over `ring`: the
+    squarefree part of their product, 1 when there are none.
+
+    Each a_i is made primitive, so that a_i and -a_i count once, and each
+    distinct one gets one `squarefree_part`; a radical r joins H as
+    H * (r / gcd(H, r)).  A radical is unique up to a unit, and the sign
+    rule, applied once at the end, picks the representative that the
+    squarefree part of the product has."""
+    H = None
+    seen = set()
+    for a in aas:
+        if a.is_constant():
+            continue
+        a = make_primitive(a)
+        if a in seen:
+            continue
+        seen.add(a)
+        r = squarefree_part(a)
+        H = r if H is None else H * exact_div(r, poly_gcd(H, r))
+    return Polynomial.one(ring) if H is None else make_primitive(H)
 
 
 def _sample_fiber_degree(F, H):

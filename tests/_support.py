@@ -1,6 +1,9 @@
 """Deterministic random generators and independent oracles shared by tests."""
 
+import importlib.util
 import math
+import os
+import random
 from fractions import Fraction
 from itertools import product
 from operator import add, mul
@@ -30,9 +33,20 @@ from kellerlab.polyring import (
     make_primitive,
     poly_gcd,
     rename_variables,
+    squarefree_part,
     substitute,
     with_variables,
 )
+
+
+def load_hardgen():
+    """The benchmark's hard-tier generator, `bench/hardgen.py`, as a module."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "hardgen", os.path.join(root, "bench", "hardgen.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def bundled_map_names() -> list:
@@ -575,6 +589,50 @@ def reference_squarefree_part(p: Polynomial) -> Polynomial:
         if g.is_constant():
             break
     return exact_div(p, g)
+
+
+def reference_bifurcation_H(aas, ring) -> Polynomial:
+    """H as the squarefree part of the product of the a_i over `ring`, the
+    constant 1 when that product is constant."""
+    product = Polynomial.one(ring)
+    for a in aas:
+        product = product * a
+    return Polynomial.one(ring) if product.is_constant() else squarefree_part(product)
+
+
+def leading_coefficient_lists():
+    """Seeded (shape, a_i list, distinct count) triples over (Y1, Y2) and
+    (Y1, Y2, Y3), each built from pairwise coprime nonconstant f, g, h: the
+    a_i equal up to sign and scale, f^2 with f g and g, pairwise shared
+    factors, constants mixed in, and pairwise coprime.  The count is of the
+    nonconstant a_i that differ by more than a rational factor."""
+    rng = random.Random(4242)
+    for variables, max_degree in ((("Y1", "Y2"), 3), (("Y1", "Y2", "Y3"), 3),
+                                  (("Y1", "Y2", "Y3"), 4)):
+        for _ in range(2):
+            yield from _leading_coefficient_shapes(rng, variables, max_degree)
+
+
+def _leading_coefficient_shapes(rng, variables, max_degree):
+    one = Polynomial.one(variables)
+    while True:
+        f, g, h = (random_polynomial(rng, variables, max_degree=max_degree, max_terms=4,
+                                     coeff_bound=4, allow_zero=False) for _ in range(3))
+        if any(p.is_constant() for p in (f, g, h)):
+            continue
+        if all(poly_gcd(p, q) == one for p, q in ((f, g), (g, h), (f, h))):
+            break
+
+    def c(x):
+        return Polynomial.constant(variables, x)
+
+    return [
+        ("up to sign", [f, -f, f * c(Fraction(-2, 3))], 1),
+        ("square", [f * f, f * g, g], 3),
+        ("pairwise shared", [f * g, g * h, f * h], 3),
+        ("constants mixed in", [c(-1), f, c(Fraction(5, 2)), f * g, -f], 2),
+        ("pairwise coprime", [f, g, h], 3),
+    ]
 
 
 def reference_key_function(order, variables):

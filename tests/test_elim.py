@@ -1,5 +1,3 @@
-import importlib.util
-import os
 import random
 from fractions import Fraction
 from math import lcm
@@ -45,6 +43,7 @@ from kellerlab.transforms import conjugate_by_linear
 from _support import (
     bundled_map_names,
     discriminant,
+    load_hardgen,
     map_coefficients,
     random_polynomial,
     reference_eliminate,
@@ -58,8 +57,6 @@ from _support import (
     reference_resultant,
     reference_s_polynomial,
 )
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 V = ("x", "y")
 
@@ -864,17 +861,9 @@ def _assert_eliminations_match(F, sample):
         reference_generic_fiber_degree, F, sample)
 
 
-def _hardgen():
-    spec = importlib.util.spec_from_file_location(
-        "hardgen", os.path.join(ROOT, "bench", "hardgen.py"))
-    hardgen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(hardgen)
-    return hardgen
-
-
 @pytest.mark.parametrize("name", ["c3", "s3", "n4a", "n4b", "xy", "xxm1y", "xp3y", "xp4y"])
 def test_packed_eliminations_match_the_fraction_path_on_the_hard_tier(name):
-    hardgen = _hardgen()
+    hardgen = load_hardgen()
     rng = random.Random(name)
     for signs in hardgen.members(name):
         F, _ = hardgen.build_map(name, signs)
@@ -927,6 +916,55 @@ def test_eliminations_leave_the_integer_kernel_once_per_answer(monkeypatch):
     calls.clear()
     assert generic_fiber_degree(F, [1, 2, 3, 4]) == 1
     assert calls == []
+
+
+def _fiber_count_maps():
+    # every bundled map but triangular_6, and every member of every
+    # hard-tier class
+    for name in bundled_map_names():
+        if name != "triangular_6.map":
+            yield name, load_bundled_map(name).to_poly_map()
+    hardgen = load_hardgen()
+    for name in hardgen.CLASSES:
+        for signs in hardgen.members(name):
+            yield f"{name} {hardgen.sign_tag(signs)}", hardgen.build_map(name, signs)[0]
+
+
+def test_fiber_count_of_the_minimal_basis_is_that_of_the_reduced_basis():
+    # generic_fiber_degree reads the leads of the minimal basis, which are
+    # the reduced basis's, so it counts what groebner's basis counts
+    rng = random.Random(3535)
+    for tag, F in _fiber_count_maps():
+        for _ in range(2):
+            sample = [rng.randint(-9, 9) for _ in range(F.n)]
+            assert _outcome(generic_fiber_degree, F, sample) == _outcome(
+                reference_generic_fiber_degree, F, sample), (tag, sample)
+
+
+def test_fiber_count_runs_no_autoreduction(monkeypatch):
+    # autoreduction runs one _normal_form per minimal element on top of
+    # Buchberger's; the fiber count runs Buchberger's alone
+    calls = []
+    inner = elim._normal_form
+
+    def counting(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(elim, "_normal_form", counting)
+    F = load_hardgen().build_map("c3", (1, 1, 1))[0]
+    sample = [2, -1, 3]
+    layout = TermOrder.grlex(F.variables).key_function(F.variables)
+    gens = elim._packed_generators([f - s for f, s in zip(F.components, sample)], layout)
+    minimal = elim._minimal_basis(gens, layout, elim.MAX_DEGREE)
+    buchberger = len(calls)
+    calls.clear()
+    elim._reduced_basis(gens, layout, elim.MAX_DEGREE)
+    assert buchberger > 0 and len(minimal) > 1
+    assert len(calls) == buchberger + len(minimal)
+    calls.clear()
+    assert generic_fiber_degree(F, sample) == 1
+    assert len(calls) == buchberger
 
 
 def test_block_order_lead_filter_matches_the_support_filter():

@@ -1,5 +1,3 @@
-import importlib.util
-import os
 import random
 import re
 import tracemalloc
@@ -30,6 +28,7 @@ from kellerlab.expr_io import (
 from kellerlab.polyring import Polynomial, PolyMap
 
 from _support import (
+    load_hardgen,
     naive_mul,
     random_expression,
     random_poly_map,
@@ -614,8 +613,6 @@ def test_files_round_trip_with_random_metadata():
 
 # ---- the scanner against the token-stream parser it replaced ----
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
 # texts on which the two kinds of error and the exponent rules meet
 SCANNER_CORPUS = NEGATIVE_CORPUS + [
     "x + ) @", "x ** 1/0", "2 + ²", "x^²", "1/²", "²x", "x²", "٣*x + 1/٤", "x +\n  @",
@@ -681,10 +678,7 @@ def test_scanner_matches_the_token_stream_parser_on_the_corpus(text):
 def _hard_tier_texts():
     """Every map of the benchmark's hard tier, each sign variant, and the
     curve systems of its n = 3 classes, as the benchmark writes them."""
-    spec = importlib.util.spec_from_file_location(
-        "hardgen", os.path.join(ROOT, "bench", "hardgen.py"))
-    hardgen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(hardgen)
+    hardgen = load_hardgen()
     from kellerlab.diophantine import cor1_sum_of_squares, curve_CF
 
     for name in hardgen.CLASSES:

@@ -13,6 +13,7 @@ from kellerlab.fibers import (
     ComponentData,
     Line,
     _on_slice,
+    _radical_lcm,
     _sample_fiber_degree,
     _slice_resultant,
     assert_c2,
@@ -39,9 +40,12 @@ from _support import (
     bundled_map_names,
     discriminant,
     is_scalar_multiple,
+    leading_coefficient_lists,
+    load_hardgen,
     map_coefficients,
     random_polynomial,
     random_rational,
+    reference_bifurcation_H,
     reference_resultant,
     reference_squarefree_part,
     random_sl2,
@@ -314,6 +318,50 @@ def test_squarefree_part_of_the_hard_tier_sigma_products():
             product = product * a
         assert data.H == reference_squarefree_part(product)
         assert data.H.total_degree() == p.count("x") + 1
+
+
+def test_radical_lcm_is_the_squarefree_part_of_the_product():
+    for shape, aas, _ in leading_coefficient_lists():
+        ring = aas[0].variables
+        assert _radical_lcm(aas, ring) == reference_bifurcation_H(aas, ring), shape
+    assert _radical_lcm([P("3", Y2), P("-1/2", Y2)], Y2) == Polynomial.one(Y2)
+    assert _radical_lcm([], Y2) == Polynomial.one(Y2)
+
+
+def test_radical_lcm_takes_one_squarefree_part_per_distinct_a(monkeypatch):
+    # the radical of each distinct a_i, never of a product of them
+    degrees = []
+    inner = kellerlab.fibers.squarefree_part
+
+    def counting(p):
+        degrees.append(p.total_degree())
+        return inner(p)
+
+    monkeypatch.setattr(kellerlab.fibers, "squarefree_part", counting)
+    for shape, aas, distinct in leading_coefficient_lists():
+        degrees.clear()
+        _radical_lcm(aas, aas[0].variables)
+        assert len(degrees) == distinct, shape
+        assert max(degrees) <= max(a.total_degree() for a in aas), shape
+
+
+def _bifurcation_maps():
+    # triangular_6's eliminations exceed the Groebner degree budget
+    for name in bundled_map_names():
+        if name != "triangular_6.map":
+            yield name, load_bundled_map(name).to_poly_map()
+    hardgen = load_hardgen()
+    for name in ("xy", "xxm1y", "xp3y", "xp4y"):
+        for signs in hardgen.members(name):
+            yield f"{name} {hardgen.sign_tag(signs)}", hardgen.build_map(name, signs)[0]
+
+
+@pytest.mark.parametrize("tag, F", list(_bifurcation_maps()))
+def test_bifurcation_H_is_the_squarefree_part_of_the_product(tag, F):
+    data = bifurcation_data(F, compute_fiber_degree=False)
+    H = reference_bifurcation_H(data.a, data.H.variables)
+    assert data.H == H
+    assert data.cone_form == (None if H.is_constant() else H.leading_form())
 
 
 def _hard_automorphism(tag):

@@ -21,7 +21,7 @@ from kellerlab.elim import (
     resultant,
 )
 from kellerlab.expr_io import parse_polynomial as P
-from kellerlab.fibers import bifurcation_data, poly_D
+from kellerlab.fibers import _radical_lcm, bifurcation_data, poly_D
 from kellerlab.keller import CubicLinearForm, formal_inverse
 from kellerlab.polyring import (
     Polynomial,
@@ -33,7 +33,12 @@ from kellerlab.polyring import (
 )
 from kellerlab.transforms import conjugate_by_linear
 
-from _support import discriminant, map_coefficients, random_polynomial
+from _support import (
+    discriminant,
+    leading_coefficient_lists,
+    map_coefficients,
+    random_polynomial,
+)
 
 V = ("x", "y")
 SYMS = sympy.symbols("x y")
@@ -268,6 +273,19 @@ def test_hard_tier_squarefree_part_matches_sympy():
             theirs = sympy.sqf_part(to_sympy(product))
             assert ours == make_primitive(from_sympy(theirs, product.variables))
             assert data.H == ours
+
+
+def test_radical_lcm_matches_sympy_sqf_part():
+    # H of seeded a_i lists that share factors, against sympy's squarefree
+    # part of their product
+    for shape, aas, _ in leading_coefficient_lists():
+        ring = aas[0].variables
+        syms = sympy.symbols(" ".join(ring))
+        product = sympy.Integer(1)
+        for a in aas:
+            product *= to_sympy(a, syms)
+        theirs = from_sympy(sympy.sqf_part(sympy.expand(product)), ring, syms)
+        assert _radical_lcm(aas, ring) == make_primitive(theirs), shape
 
 
 def test_5x5_poly_matrix_det_matches_sympy():
