@@ -11,12 +11,13 @@ a `MonomialLayout`.  The working basis holds primitive integer
 polynomials, {packed monomial: int} maps with a positive leading
 coefficient; normal forms are fraction-free and take the leading term from
 a heap.  `_minimal_basis` runs Buchberger and drops the elements whose
-lead another lead divides, and `_reduced_basis` autoreduces that minimal
-basis; each caller reads the result in packed form: `groebner` makes every
-element monic, `eliminate` and `minimal_poly_of_coordinate` convert only
-the elements free of the eliminated variables, `inverse_map` builds each
-G_i with one Fraction per term, and `generic_fiber_degree` unpacks the
-leads of the minimal basis alone, which are the reduced basis's leads.
+lead another lead divides, and `_autoreduce` reduces minimal elements
+against each other; each caller reads the result in packed form:
+`groebner` makes every element of the reduced basis monic, `inverse_map`
+builds each G_i with one Fraction per term, `eliminate` and
+`minimal_poly_of_coordinate` autoreduce and convert only the elements free
+of the eliminated variables, and `generic_fiber_degree` unpacks the leads
+of the minimal basis alone, which are the reduced basis's leads.
 
 A budget on basis size, total degree and packed-field overflow stops many
 runaway computations with BudgetExceededError, but it bounds no time: a run
@@ -350,24 +351,28 @@ def _minimal_basis(gens, layout, max_degree: int):
     return minimal
 
 
-def _reduced_basis(gens, layout, max_degree: int):
-    """Reduced Groebner basis of the ideal of the nonzero integer maps
-    `gens` under `layout`'s order; [] when there are none.
+def _autoreduce(minimal, layout):
+    """The elements of the minimal basis `minimal`, each reduced against
+    the others and taken in their list order.
 
     Each element is a primitive {packed monomial: int} map with a positive
     leading coefficient that lists its terms in descending order, so its
-    first key is its lead.  Elements come in ascending order of their leads.
-    The minimal basis is autoreduced, each element against the others; a
-    minimal lead is divisible by no other lead, so it survives as the
-    remainder's lead.
+    first key is its lead.  A minimal lead is divisible by no other lead, so
+    it survives as the remainder's lead.
     """
-    minimal = _minimal_basis(gens, layout, max_degree)
     reduced = []
     for idx, (lead, g) in enumerate(minimal):
         others = minimal[:idx] + minimal[idx + 1 :]
         _, r = _normal_form(g, others, layout)
         reduced.append(_primitive(r, lead))
     return reduced
+
+
+def _reduced_basis(gens, layout, max_degree: int):
+    """Reduced Groebner basis of the ideal of the nonzero integer maps
+    `gens` under `layout`'s order, in ascending order of the leads; [] when
+    there are none.  See `_autoreduce` for the form of its elements."""
+    return _autoreduce(_minimal_basis(gens, layout, max_degree), layout)
 
 
 def groebner(I: Ideal, order: TermOrder, max_degree: int = MAX_DEGREE) -> Ideal:
@@ -396,13 +401,19 @@ def _eliminate(I: Ideal, gone, kept):
 
     Under the block order each monomial with a variable of `gone` is above
     each monomial without one, so an element lies in Q[kept] exactly when
-    its lead does: only the leads are read.
+    its lead does: only the leads are read.  Only the minimal elements with
+    such a lead are autoreduced.  Every term of theirs, and every term a
+    reduction step brings in, is free of `gone`, and such a monomial is
+    divisible only by leads free of `gone`: their normal forms against the
+    whole minimal basis are those against the kept elements, taken in the
+    same list order.
     """
     variables = I.variables
     layout = TermOrder.block(gone, kept).key_function(variables)
-    basis = _reduced_basis(_packed_generators(I.generators, layout), layout, MAX_DEGREE)
+    minimal = _minimal_basis(_packed_generators(I.generators, layout), layout, MAX_DEGREE)
     gone_part = layout.unpacker([variables.index(v) for v in gone])
-    return layout, [g for g in basis if not any(gone_part(next(iter(g))))]
+    return layout, _autoreduce(
+        [(lead, g) for lead, g in minimal if not any(gone_part(lead))], layout)
 
 
 def eliminate(I: Ideal, keep) -> Ideal:

@@ -125,10 +125,17 @@ def bifurcation_data(F: PolyMap, compute_fiber_degree: bool = True) -> Bifurcati
     is the lcm of the factors' radicals), integer-primitive with a positive
     lex-leading coefficient; the constant 1 marks an empty bifurcation set.
     Each squarefree part is taken at the degree of one a_i, not of the
-    product.
-    The fiber degree is sampled at seeded random integer points, resampling
-    when the fiber ideal is degenerate or the sample lies on {H = 0}.  The
-    cone form is the top-degree part of H.
+    product.  The cone form is the top-degree part of H.
+
+    The fiber degree d_F = [Q(X):Q(F)] is 1 when every h_i has T-degree 1:
+    h_i = a_i T + b_i is irreducible and h_i(F, x_i) = 0 with a_i(F) != 0
+    (F is dominant), so x_i = -b_i(F)/a_i(F) lies in Q(F) for each i and
+    Q(X) = Q(F).  The sampler would return 1 there too: off {H = 0} the
+    fiber ideal holds each a_i(y) x_i + b_i(y) with a_i(y) != 0, so a
+    fiber has at most one point.  Otherwise d_F is sampled at seeded
+    random integer points, resampling when the fiber ideal is degenerate or
+    the sample lies on {H = 0}; T-degrees alone do not give it, since
+    (x^2, y^2) has T-degrees (2, 2) and d_F = 4.
 
     The a_i construction captures the non-proper (asymptotic) value set;
     for locally diffeomorphic maps that is the whole bifurcation set, which
@@ -143,7 +150,8 @@ def bifurcation_data(F: PolyMap, compute_fiber_degree: bool = True) -> Bifurcati
 
     degree = None
     if compute_fiber_degree:
-        degree = _sample_fiber_degree(F, H)
+        birational = all(h.degree_in("T") == 1 for h in hs)
+        degree = 1 if birational else _sample_fiber_degree(F, H)
     return BifurcationData(h=hs, a=aas, H=H, cone_form=cone, fiber_degree=degree)
 
 

@@ -801,11 +801,12 @@ def test_transform_digest_covers_the_option(capsys, tri2, subverb, values):
     assert digest(first) != digest(second)
 
 
-def test_benchmark_tracer_fits_the_package(bif):
+def test_benchmark_tracer_fits_the_package(capsys, tmp_path):
     # bench/tracing.py wraps functions by name and reads Ideal.generators; a
     # refactor that renames either would otherwise surface only in a traced
     # benchmark run.  The verbs' eliminations read the packed basis and do
     # not call `groebner`, so the tracer meets `groebner` at a direct call.
+    # (x^2, xy) is not birational (d_F = 2), so bifurcation samples a fiber.
     import importlib.util
 
     import kellerlab
@@ -819,16 +820,19 @@ def test_benchmark_tracer_fits_the_package(bif):
     tracer = tracing.Tracer(kellerlab)
     ring = ("x", "y")
     ideal = Ideal(tuple(parse_polynomial(g, ring) for g in ("x^2 - y", "y^2 - x")))
+    path = tmp_path / "double.map"
+    path.write_text("vars: x y\nF1 = x^2\nF2 = x*y\n")
     try:
         tracer.install()
         for i, verb in enumerate(("bifurcation", "sigma")):
             tracer.job = (i, verb)
-            assert kellerlab.cli.main([verb, bif]) == 0
+            assert kellerlab.cli.main([verb, str(path)]) == 0
         tracer.job = (2, "groebner")
         kellerlab.elim.groebner(ideal, TermOrder.lex(ring))
     finally:
         tracer.uninstall()
     assert kellerlab.cli.main is main
+    assert {"d_F = 2", "H = Y1", "sigma = V1"} <= set(capsys.readouterr().out.splitlines())
     names = {span[2] for span in tracer.spans}
     assert {"cli.main", "fibers.bifurcation_data", "elim.generic_fiber_degree",
             "elim.groebner", "elim.resultant", "fibers.poly_D"} <= names

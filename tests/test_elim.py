@@ -967,16 +967,22 @@ def test_fiber_count_runs_no_autoreduction(monkeypatch):
     assert len(calls) == buchberger
 
 
-def test_block_order_lead_filter_matches_the_support_filter():
-    # under a block order an element whose lead is free of the first block
-    # is free of it in every term; eliminate keeps exactly the elements the
-    # support filter keeps
+def _seeded_block_eliminations():
+    """(variables, generators, keep, gone) of 42 seeded ideals in x, y, z,
+    each with a random split of its variables."""
     rng = random.Random(1515)
     for trial in range(42):
         W = tuple(rng.sample(("x", "y", "z"), 3))
         gens = _criteria_generators(rng, W, ("binomial", "coprime")[trial % 2])
         keep = [v for v in W if rng.random() < 0.5]
-        gone = [v for v in W if v not in keep]
+        yield W, gens, keep, [v for v in W if v not in keep]
+
+
+def test_block_order_lead_filter_matches_the_support_filter():
+    # under a block order an element whose lead is free of the first block
+    # is free of it in every term; eliminate keeps exactly the elements the
+    # support filter keeps
+    for W, gens, keep, gone in _seeded_block_eliminations():
         layout = TermOrder.block(gone, keep).key_function(W)
         gone_part = layout.unpacker([W.index(v) for v in gone])
         basis = elim._reduced_basis(elim._packed_generators(gens, layout), layout,
@@ -986,3 +992,69 @@ def test_block_order_lead_filter_matches_the_support_filter():
             assert free[0] == all(free)
         I = Ideal(tuple(gens))
         assert _outcome(eliminate, I, keep) == _outcome(reference_eliminate, I, keep)
+
+
+def _eliminated_elements(I, gone, kept):
+    """`_eliminate`'s elements, each as its list of terms."""
+    _, elements = elim._eliminate(I, gone, kept)
+    return [list(g.items()) for g in elements]
+
+
+def _filtered_reduced_basis(I, gone, kept):
+    """The elements of the whole reduced basis under the block order whose
+    leads are free of `gone`, each as its list of terms."""
+    layout = TermOrder.block(gone, kept).key_function(I.variables)
+    gone_part = layout.unpacker([I.variables.index(v) for v in gone])
+    basis = elim._reduced_basis(elim._packed_generators(I.generators, layout), layout,
+                                elim.MAX_DEGREE)
+    return [list(g.items()) for g in basis if not any(gone_part(next(iter(g))))]
+
+
+def _coordinate_eliminations():
+    # minimal_poly_of_coordinate's elimination, for every coordinate of
+    # every bundled map
+    for name in bundled_map_names():
+        F = load_bundled_map(name).to_poly_map()
+        I, ys = graph_ideal(F)
+        for xi in F.variables:
+            yield (f"{name} {xi}", I, [v for v in F.variables if v != xi],
+                   (xi,) + tuple(ys))
+
+
+def test_eliminate_autoreduces_as_the_whole_reduced_basis_does():
+    # _eliminate autoreduces only the minimal elements free of the
+    # eliminated block; they come out as the whole reduced basis's
+    cases = list(_coordinate_eliminations())
+    for trial, (W, gens, keep, gone) in enumerate(_seeded_block_eliminations()):
+        cases.append((f"seeded {trial}", Ideal(tuple(gens)), gone, keep))
+    # Buchberger leaves y^2 in the tail of z^3 + y^2; autoreduction makes it z
+    W = ("x", "y", "z")
+    cases.append(("tail", Ideal((P("x - y", W), P("y^2 - z", W), P("z^3 + y^2", W))),
+                  ["x"], ["y", "z"]))
+    for tag, I, gone, kept in cases:
+        assert _outcome(_eliminated_elements, I, gone, kept) == _outcome(
+            _filtered_reduced_basis, I, gone, kept), tag
+
+
+def test_eliminate_autoreduces_only_the_kept_elements(monkeypatch):
+    # autoreduction runs one _normal_form per element it reduces; h_1 of
+    # triangular_3 keeps one of several minimal elements
+    calls = []
+    inner = elim._normal_form
+
+    def counting(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(elim, "_normal_form", counting)
+    F = load_bundled_map("triangular_3.map").to_poly_map()
+    I, ys = graph_ideal(F)
+    gone, kept = F.variables[1:], F.variables[:1] + tuple(ys)
+    layout = TermOrder.block(gone, kept).key_function(I.variables)
+    minimal = elim._minimal_basis(elim._packed_generators(I.generators, layout), layout,
+                                  elim.MAX_DEGREE)
+    buchberger = len(calls)
+    calls.clear()
+    _, elements = elim._eliminate(I, gone, kept)
+    assert len(elements) == 1 and len(minimal) > 1
+    assert len(calls) == buchberger + 1

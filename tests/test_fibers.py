@@ -345,11 +345,15 @@ def test_radical_lcm_takes_one_squarefree_part_per_distinct_a(monkeypatch):
         assert max(degrees) <= max(a.total_degree() for a in aas), shape
 
 
-def _bifurcation_maps():
+def _bundled_maps():
     # triangular_6's eliminations exceed the Groebner degree budget
     for name in bundled_map_names():
         if name != "triangular_6.map":
             yield name, load_bundled_map(name).to_poly_map()
+
+
+def _bifurcation_maps():
+    yield from _bundled_maps()
     hardgen = load_hardgen()
     for name in ("xy", "xxm1y", "xp3y", "xp4y"):
         for signs in hardgen.members(name):
@@ -364,16 +368,60 @@ def test_bifurcation_H_is_the_squarefree_part_of_the_product(tag, F):
     assert data.cone_form == (None if H.is_constant() else H.leading_form())
 
 
+V3 = ("x1", "x2", "x3")
+
+
+@pytest.mark.parametrize("F, degree", [
+    (PolyMap([P("x^2", V), P("y", V)]), 2),
+    (PolyMap([P("x^2", V), P("y^2", V)]), 4),
+    # the cyclic cubic x_i + x_{i+1}^3 at n = 3: h_i of T-degree 27
+    (PolyMap([P("x1 + x2^3", V3), P("x2 + x3^3", V3), P("x3 + x1^3", V3)]), 27),
+])
+def test_fiber_degree_of_a_map_that_is_not_birational_is_sampled(monkeypatch, F, degree):
+    calls = []
+    inner = kellerlab.fibers._sample_fiber_degree
+
+    def counting(F, H):
+        calls.append(H)
+        return inner(F, H)
+
+    monkeypatch.setattr(kellerlab.fibers, "_sample_fiber_degree", counting)
+    data = bifurcation_data(F)
+    assert data.fiber_degree == degree
+    assert len(calls) == 1 and any(h.degree_in("T") > 1 for h in data.h)
+
+
+def test_fiber_degree_of_a_birational_map_samples_nothing(monkeypatch):
+    def refuse(F, H):
+        raise AssertionError("sampled a birational map")
+
+    monkeypatch.setattr(kellerlab.fibers, "_sample_fiber_degree", refuse)
+    for F in (F_XY, F_TRI, F_QUAD):
+        assert bifurcation_data(F).fiber_degree == 1
+
+
+def _fiber_degree_maps():
+    # the bundled maps and one member of each hard-tier class
+    yield from _bundled_maps()
+    hardgen = load_hardgen()
+    for name in hardgen.CLASSES:
+        signs = hardgen.members(name)[0]
+        yield f"{name} {hardgen.sign_tag(signs)}", hardgen.build_map(name, signs)[0]
+
+
+@pytest.mark.parametrize("tag, F", list(_fiber_degree_maps()))
+def test_fiber_degree_by_t_degrees_is_the_sampled_one(tag, F):
+    data = bifurcation_data(F)
+    assert data.fiber_degree == _sample_fiber_degree(F, data.H)
+
+
 def _hard_automorphism(tag):
     base, A = HARD_AUTOMORPHISMS[tag]
     return conjugate_by_linear(load_bundled_map(base + ".map").to_poly_map(), A)
 
 
 def _sigma_cases():
-    # triangular_6's eliminations exceed the Groebner degree budget
-    for name in bundled_map_names():
-        if name != "triangular_6.map":
-            yield name, load_bundled_map(name).to_poly_map()
+    yield from _bundled_maps()
     for tag in HARD_AUTOMORPHISMS:
         yield tag, _hard_automorphism(tag)
 
