@@ -27,19 +27,19 @@ def walk(name):
     else:
         print("  bifurcation set empty: every line is generic")
     print(f"  generic fiber degree d_F = {data.fiber_degree}")
-    s = sigma(F, data=data)
+    s = sigma(F)
     print(f"  sigma(U, V) = {print_polynomial(s)}")
-    return F, data
+    return F
 
 
 def main():
     walk("bif_x_xy.map")
     print()
-    F, data = walk("bif_x_xxm1y.map")
+    F = walk("bif_x_xxm1y.map")
 
     print("\ngenericity checks for F = (x, x(x-1)y):")
     for u, v in [((2, 0), (1, 1)), ((0, 0), (1, 1)), ((2, 0), (0, 1))]:
-        first, second = assert_c2(F, u, v, data=data)
+        first, second = assert_c2(F, u, v)
         print(f"  u = {u}, v = {v}")
         print(f"    base point side: {first.detail}")
         print(f"    direction side:  {second.detail}")

@@ -41,9 +41,9 @@ def main():
     show_map("start map (triangular cubic-linear)", F)
     print(f"  keller: {is_keller(F)}")
 
-    data = bifurcation_data(F, compute_fiber_degree=False)
+    data = bifurcation_data(F)
     print(f"  H = {print_polynomial(data.H)} (empty bifurcation set)")
-    print(f"  sigma = {print_polynomial(sigma(F, data=data))}, "
+    print(f"  sigma = {print_polynomial(sigma(F))}, "
           "so every direction is generic")
 
     weights = (1, 2)

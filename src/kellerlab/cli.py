@@ -191,7 +191,7 @@ def _cmd_check(args) -> tuple:
 
 def _cmd_bifurcation(args) -> tuple:
     mf, F = _load_map(args.mapfile)
-    data = fibers.bifurcation_data(F, compute_fiber_degree=not args.no_fiber_degree)
+    data = fibers.bifurcation_data(F)
     results = {}
     for i, (h, a) in enumerate(zip(data.h, data.a), start=1):
         results[f"h{i}"] = expr_io.print_polynomial(h)
@@ -199,7 +199,7 @@ def _cmd_bifurcation(args) -> tuple:
     results["H"] = expr_io.print_polynomial(data.H)
     cone = "none" if data.cone_form is None else expr_io.print_polynomial(data.cone_form)
     results["cone"] = cone
-    results["d_F"] = data.fiber_degree if data.fiber_degree is not None else "skipped"
+    results["d_F"] = "skipped" if args.no_fiber_degree else data.fiber_degree
     return (mf,), results, "".join(f"{k} = {v}\n" for k, v in results.items())
 
 

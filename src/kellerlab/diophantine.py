@@ -325,9 +325,7 @@ class _BoxSearch:
         self._explore(eqs, [None] * self.nvars)
 
     def _explore(self, eqs, assignment):
-        self.nodes += 1
-        if self.nodes > self.budget:
-            self.hit_budget = True
+        if not self._count(1):
             return
 
         for terms, mask in eqs:
@@ -451,9 +449,7 @@ class _BoxSearch:
                     self.extractions += 1
                     ys = _integer_roots(lead, B)
                 for y in ys:
-                    self.nodes += 1
-                    if self.nodes > self.budget:
-                        self.hit_budget = True
+                    if not self._count(1):
                         break
                     if not any(_horner(p, y) for p in polys):
                         assignment[last] = y

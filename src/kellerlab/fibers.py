@@ -4,7 +4,7 @@ cone form at infinity, the line-genericity polynomial sigma(U, V) = D * R,
 and the arithmetic feasibility checker for branched covers of the line.
 
 H comes from n per-coordinate Groebner eliminations.  `sigma` and
-`assert_c2`, given no data or components, skip them when
+`assert_c2`, given no components, skip them when
 `keller.formal_inverse` certifies F^-1: an automorphism is proper, so
 H = 1, there is no cone and sigma is 1.  Its default cap, the
 Bass-Connell-Wright bound, holds every inverse there is.  When it raises,
@@ -31,6 +31,7 @@ import random
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 
 from .elim import generic_fiber_degree, minimal_poly_of_coordinate, resultant
@@ -91,20 +92,37 @@ class Line:
 
 @dataclass(frozen=True)
 class BifurcationData:
-    """Per-map bundle: relations h_i over (Y, T), their leading coefficients
-    a_i over Y, the reduced hypersurface polynomial H (constant 1 when the
-    bifurcation set is empty), its leading form (None when H is constant),
-    and the generic fiber degree when computed."""
+    """Per-map bundle: the map, its relations h_i over (Y, T), their leading
+    coefficients a_i over Y, the reduced hypersurface polynomial H (constant
+    1 when the bifurcation set is empty), its leading form (None when H is
+    constant), and the generic fiber degree, computed when first read."""
 
+    map: PolyMap
     h: tuple
     a: tuple
     H: Polynomial
     cone_form: Polynomial | None
-    fiber_degree: int | None
 
     @property
     def empty_bifurcation_set(self) -> bool:
         return self.H.is_constant()
+
+    @cached_property
+    def fiber_degree(self) -> int:
+        """d_F = [Q(X):Q(F)], 1 when every h_i has T-degree 1.
+
+        There h_i = a_i T + b_i is irreducible and h_i(F, x_i) = 0 with
+        a_i(F) != 0 (F is dominant), so x_i = -b_i(F)/a_i(F) lies in Q(F)
+        for each i and Q(X) = Q(F).  The sampler would return 1 there too:
+        off {H = 0} the fiber ideal holds each a_i(y) x_i + b_i(y) with
+        a_i(y) != 0, so a fiber has at most one point.  Otherwise d_F is
+        sampled at seeded random integer points, resampling when the fiber
+        ideal is degenerate or the sample lies on {H = 0}; T-degrees alone
+        do not give it, since (x^2, y^2) has T-degrees (2, 2) and d_F = 4.
+        """
+        if all(h.degree_in("T") == 1 for h in self.h):
+            return 1
+        return _sample_fiber_degree(self.map, self.H)
 
 
 @dataclass(frozen=True)
@@ -117,8 +135,9 @@ class ComponentData:
     g_list: tuple
 
 
-def bifurcation_data(F: PolyMap, compute_fiber_degree: bool = True) -> BifurcationData:
-    """Compute h_i, a_i, H, and the cone form for a dominant rational map.
+def bifurcation_data(F: PolyMap) -> BifurcationData:
+    """Compute h_i, a_i, H, and the cone form for a dominant rational map;
+    the fiber degree waits until it is read.
 
     H is the lcm of the radicals of the distinct nonconstant a_i, which
     equals the squarefree part of their product (the radical of a product
@@ -126,16 +145,6 @@ def bifurcation_data(F: PolyMap, compute_fiber_degree: bool = True) -> Bifurcati
     lex-leading coefficient; the constant 1 marks an empty bifurcation set.
     Each squarefree part is taken at the degree of one a_i, not of the
     product.  The cone form is the top-degree part of H.
-
-    The fiber degree d_F = [Q(X):Q(F)] is 1 when every h_i has T-degree 1:
-    h_i = a_i T + b_i is irreducible and h_i(F, x_i) = 0 with a_i(F) != 0
-    (F is dominant), so x_i = -b_i(F)/a_i(F) lies in Q(F) for each i and
-    Q(X) = Q(F).  The sampler would return 1 there too: off {H = 0} the
-    fiber ideal holds each a_i(y) x_i + b_i(y) with a_i(y) != 0, so a
-    fiber has at most one point.  Otherwise d_F is sampled at seeded
-    random integer points, resampling when the fiber ideal is degenerate or
-    the sample lies on {H = 0}; T-degrees alone do not give it, since
-    (x^2, y^2) has T-degrees (2, 2) and d_F = 4.
 
     The a_i construction captures the non-proper (asymptotic) value set;
     for locally diffeomorphic maps that is the whole bifurcation set, which
@@ -147,12 +156,7 @@ def bifurcation_data(F: PolyMap, compute_fiber_degree: bool = True) -> Bifurcati
     aas = tuple(with_variables(coefficients_in(h, "T")[-1], y_ring) for h in hs)
     H = _radical_lcm(aas, y_ring)
     cone = None if H.is_constant() else H.leading_form()
-
-    degree = None
-    if compute_fiber_degree:
-        birational = all(h.degree_in("T") == 1 for h in hs)
-        degree = 1 if birational else _sample_fiber_degree(F, H)
-    return BifurcationData(h=hs, a=aas, H=H, cone_form=cone, fiber_degree=degree)
+    return BifurcationData(map=F, h=hs, a=aas, H=H, cone_form=cone)
 
 
 def _radical_lcm(aas, ring) -> Polynomial:
@@ -335,18 +339,17 @@ def poly_R(components) -> Polynomial:
     return total
 
 
-def _sigma_and_data(F: PolyMap, components, data) -> tuple:
+def _sigma_and_data(F: PolyMap, components) -> tuple:
     """(sigma, data), with data None when a certified inverse answered: the
     one route of `sigma`, `sigma_with_route` and `assert_c2`."""
     us, vs = _uv_ring(F.n)
     ring = us + vs
-    if data is None:
-        if not components:
-            # no inverse, or a basis past its budget, leaves H to the eliminations
-            with suppress(BudgetExceededError, NotInvertibleError, SingularMatrixError):
-                formal_inverse(F)
-                return Polynomial.one(ring), None
-        data = bifurcation_data(F, compute_fiber_degree=False)
+    if not components:
+        # no inverse, or a basis past its budget, leaves H to the eliminations
+        with suppress(BudgetExceededError, NotInvertibleError, SingularMatrixError):
+            formal_inverse(F)
+            return Polynomial.one(ring), None
+    data = bifurcation_data(F)
     if components:
         # poly_R binds variables by position, so put every component in H's
         # ring by name first
@@ -368,11 +371,7 @@ def _sigma_and_data(F: PolyMap, components, data) -> tuple:
     return s, data
 
 
-def sigma(
-    F: PolyMap,
-    components=None,
-    data: BifurcationData | None = None,
-) -> Polynomial:
+def sigma(F: PolyMap, components=None) -> Polynomial:
     """The genericity certificate polynomial D(U, V) R(U, V).
 
     Vanishes exactly on the lines that fail transversality, have direction
@@ -380,20 +379,17 @@ def sigma(
     bifurcation set is empty the constant 1 is returned: every line is
     generic.  Component data is optional input; with none supplied R = 1.
     Component variables are matched to H's by name.  H comes by the
-    module's route; `sigma_with_route` also says which way.
+    module's route, chosen from F and the components alone;
+    `sigma_with_route` also says which way.
     """
-    return _sigma_and_data(F, components, data)[0]
+    return _sigma_and_data(F, components)[0]
 
 
-def sigma_with_route(
-    F: PolyMap,
-    components=None,
-    data: BifurcationData | None = None,
-) -> tuple:
-    """(sigma(F, components, data), route), where route is "inverse" when a
+def sigma_with_route(F: PolyMap, components=None) -> tuple:
+    """(sigma(F, components), route), where route is "inverse" when a
     certified polynomial inverse gave sigma = 1 and "elimination" when H
     did."""
-    s, data = _sigma_and_data(F, components, data)
+    s, data = _sigma_and_data(F, components)
     return s, "inverse" if data is None else "elimination"
 
 
@@ -407,25 +403,19 @@ class C2Status:
     detail: str
 
 
-def assert_c2(
-    F: PolyMap,
-    u,
-    v,
-    components=None,
-    data: BifurcationData | None = None,
-):
+def assert_c2(F: PolyMap, u, v, components=None):
     """Check sigma(u, V) != 0 and sigma(U, v) != 0 as polynomials.
 
     Returns a pair of C2Status: the first for the fixed base point u (needs
     H(u) != 0), the second for the fixed direction v (needs coneform(v) != 0,
     vacuous when the bifurcation set is empty).  (u, v) must be a `Line` in
-    F's space; a certified inverse answers, as in `sigma`.
+    F's space; H and sigma come by `sigma`'s route.
     """
     line = Line(u, v).in_dimension(F.n)
     u, v = line.u, line.v
     us, vs = _uv_ring(F.n)
     ring = us + vs
-    s, data = _sigma_and_data(F, components, data)
+    s, data = _sigma_and_data(F, components)
 
     def side(fixed_names, values, label):
         bind = {name: Polynomial.variable(ring, name) for name in ring}

@@ -21,6 +21,7 @@ from kellerlab.errors import (
     ParseError,
 )
 from kellerlab.expr_io import MAX_POWER_DEGREE, MAX_POWER_TERMS, parse_int, parse_system_file
+from kellerlab.fibers import bifurcation_data, poly_D
 from kellerlab.keller import CubicLinearForm, CubicLinearRejection, _rational_cube_root
 from kellerlab.lattice import egcd
 from kellerlab.polyring import (
@@ -976,6 +977,17 @@ def reference_poly_R(components) -> Polynomial:
                 raise ValueError("component polynomials over different variables")
             total = total * _line_resultant(h_line, _on_line(g, us, vs), us, vs)
     return total
+
+
+def sigma_by_elimination(F: PolyMap) -> Polynomial:
+    """sigma with no components by the elimination route, whatever inverse
+    F has: 1 over (U, V) when `bifurcation_data` finds an empty bifurcation
+    set, and D = `poly_D(H)` otherwise."""
+    data = bifurcation_data(F)
+    if data.empty_bifurcation_set:
+        us, vs = _uv_ring(F.n)
+        return Polynomial.one(us + vs)
+    return poly_D(data.H)
 
 
 def reference_scale_conjugate(F: PolyMap, r) -> PolyMap:

@@ -123,7 +123,7 @@ def test_criterion_03_bifurcation_exemplars():
     t0 = time.perf_counter()
     for name, expected, limit in cases:
         t1 = time.perf_counter()
-        data = bifurcation_data(_load(name), compute_fiber_degree=False)
+        data = bifurcation_data(_load(name))
         if expected.is_constant():
             assert data.H == Polynomial.one(Y2)
         else:
@@ -174,25 +174,19 @@ def test_criterion_05_proposition1_identities():
 
     for name in ("bif_x_xy.map", "bif_x_xxm1y.map"):
         F = _load(name)
-        H = bifurcation_data(F, compute_fiber_degree=False).H
+        H = bifurcation_data(F).H
         ys = [Polynomial.variable(Y2, n) for n in Y2]
 
         for r in (Fraction(2), Fraction(3), Fraction(-1)):
-            H_scaled = bifurcation_data(
-                scale_conjugate(F, r), compute_fiber_degree=False
-            ).H
+            H_scaled = bifurcation_data(scale_conjugate(F, r)).H
             expected = substitute(H, {n: r * y for n, y in zip(Y2, ys)}, Y2)
             assert is_scalar_multiple(H_scaled, expected)
 
-        H_ext = bifurcation_data(
-            extend_variables(F, 1), compute_fiber_degree=False
-        ).H
+        H_ext = bifurcation_data(extend_variables(F, 1)).H
         assert is_scalar_multiple(H_ext, with_variables(H, H_ext.variables))
 
         for A in matrices:
-            H_conj = bifurcation_data(
-                conjugate_by_linear(F, A), compute_fiber_degree=False
-            ).H
+            H_conj = bifurcation_data(conjugate_by_linear(F, A)).H
             Ainv = fraction_matrix_inverse(A)
             bindings = {
                 Y2[i]: Ainv[i][0] * ys[0] + Ainv[i][1] * ys[1] for i in range(2)

@@ -76,6 +76,19 @@ def test_sigma_verb_with_eval(capsys, bif):
     assert "sigma(u, v) = 1" in out
 
 
+def test_bifurcation_without_fiber_degree_samples_nothing(capsys, monkeypatch, tmp_path):
+    # (x^2, xy) has d_F = 2, which only a sampled fiber gives
+    def refuse(F, H):
+        raise AssertionError("sampled a fiber")
+
+    monkeypatch.setattr("kellerlab.fibers._sample_fiber_degree", refuse)
+    path = tmp_path / "double.map"
+    path.write_text("vars: x y\nF1 = x^2\nF2 = x*y\n")
+    code, out, err = run(capsys, "bifurcation", str(path), "--no-fiber-degree")
+    assert code == 0
+    assert {"d_F = skipped", "H = Y1"} <= set(out.splitlines())
+
+
 def test_triangular_6_sigma_answers_where_bifurcation_exits_on_its_budget(capsys):
     # sigma reads its answer off the certified inverse; bifurcation still
     # runs the eliminations, whose first basis needs degree 81

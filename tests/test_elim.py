@@ -779,7 +779,7 @@ def test_poly_D_of_the_hard_tier_xp4y():
     # the benchmark's hard sigma job: D = (-1)^(d(d-1)/2) Res_t(p, dp/dt) for
     # p = H(U + tV), here with d = 4 and the 7 x 7 Sylvester determinant
     F = parse_map_file(HARD_XP4Y).to_poly_map()
-    H = bifurcation_data(F, compute_fiber_degree=False).H
+    H = bifurcation_data(F).H
     assert H.total_degree() == 4
     ring = ("U1", "U2", "V1", "V2", "t")
     line = dict(zip(H.variables, (P("U1 + t*V1", ring), P("U2 + t*V2", ring))))

@@ -51,6 +51,7 @@ from _support import (
     random_sl2,
     reference_poly_D,
     reference_poly_R,
+    sigma_by_elimination,
     univariate_coeffs,
     univariate_gcd_degree,
 )
@@ -60,6 +61,7 @@ Y2 = ("Y1", "Y2")
 F_XY = PolyMap([P("x", V), P("x*y", V)])
 F_TRI = PolyMap([P("x + y^3", V), P("y", V)])
 F_QUAD = PolyMap([P("x", V), P("x*(x - 1)*y", V)])
+F_DOUBLE = PolyMap([P("x^2", V), P("x*y", V)])  # d_F = 2, H = Y1
 
 
 def test_bifurcation_data_xy():
@@ -87,7 +89,7 @@ def test_bifurcation_data_two_lines():
 
 def test_bifurcation_defining_identity_and_rationality():
     for F in (F_XY, F_TRI, F_QUAD):
-        data = bifurcation_data(F, compute_fiber_degree=False)
+        data = bifurcation_data(F)
         for i, h in enumerate(data.h, start=1):
             bindings = {f"Y{k}": c for k, c in enumerate(F.components, start=1)}
             bindings["T"] = Polynomial.variable(V, V[i - 1])
@@ -156,7 +158,7 @@ def test_poly_D_hard_tier_matches_sylvester():
         base = PolyMap([P("x", V), P(f"x*{p}*y", V)])
         for sign in (1, -1):
             F = conjugate_by_linear(base, ((2, 1), (sign, sign)))
-            H = bifurcation_data(F, compute_fiber_degree=False).H
+            H = bifurcation_data(F).H
             assert H.total_degree() == d
             restricted = substitute(H, dict(zip(H.variables, line)), ring)
             cone = substitute(H.leading_form(), dict(zip(H.variables, direction)), ring)
@@ -312,7 +314,7 @@ def test_squarefree_part_of_the_hard_tier_sigma_products():
     # x, x*p(x)*y conjugated by A_2 = [[2, 1], [1, 1]]
     for p in ("1", "(x - 1)", "(x - 1)*(x + 2)", "(x - 1)*(x + 2)*(x - 3)"):
         F = conjugate_by_linear(PolyMap([P("x", V), P(f"x*{p}*y", V)]), ((2, 1), (1, 1)))
-        data = bifurcation_data(F, compute_fiber_degree=False)
+        data = bifurcation_data(F)
         product = data.a[0]
         for a in data.a[1:]:
             product = product * a
@@ -362,13 +364,33 @@ def _bifurcation_maps():
 
 @pytest.mark.parametrize("tag, F", list(_bifurcation_maps()))
 def test_bifurcation_H_is_the_squarefree_part_of_the_product(tag, F):
-    data = bifurcation_data(F, compute_fiber_degree=False)
+    data = bifurcation_data(F)
     H = reference_bifurcation_H(data.a, data.H.variables)
     assert data.H == H
     assert data.cone_form == (None if H.is_constant() else H.leading_form())
 
 
 V3 = ("x1", "x2", "x3")
+
+
+def _count_samples(monkeypatch):
+    """The H of each `_sample_fiber_degree` call, which still samples."""
+    calls = []
+    inner = kellerlab.fibers._sample_fiber_degree
+
+    def counting(F, H):
+        calls.append(H)
+        return inner(F, H)
+
+    monkeypatch.setattr(kellerlab.fibers, "_sample_fiber_degree", counting)
+    return calls
+
+
+def _refuse_samples(monkeypatch):
+    def refuse(F, H):
+        raise AssertionError("sampled a fiber")
+
+    monkeypatch.setattr(kellerlab.fibers, "_sample_fiber_degree", refuse)
 
 
 @pytest.mark.parametrize("F, degree", [
@@ -378,26 +400,32 @@ V3 = ("x1", "x2", "x3")
     (PolyMap([P("x1 + x2^3", V3), P("x2 + x3^3", V3), P("x3 + x1^3", V3)]), 27),
 ])
 def test_fiber_degree_of_a_map_that_is_not_birational_is_sampled(monkeypatch, F, degree):
-    calls = []
-    inner = kellerlab.fibers._sample_fiber_degree
-
-    def counting(F, H):
-        calls.append(H)
-        return inner(F, H)
-
-    monkeypatch.setattr(kellerlab.fibers, "_sample_fiber_degree", counting)
+    calls = _count_samples(monkeypatch)
     data = bifurcation_data(F)
     assert data.fiber_degree == degree
     assert len(calls) == 1 and any(h.degree_in("T") > 1 for h in data.h)
 
 
 def test_fiber_degree_of_a_birational_map_samples_nothing(monkeypatch):
-    def refuse(F, H):
-        raise AssertionError("sampled a birational map")
-
-    monkeypatch.setattr(kellerlab.fibers, "_sample_fiber_degree", refuse)
+    _refuse_samples(monkeypatch)
     for F in (F_XY, F_TRI, F_QUAD):
         assert bifurcation_data(F).fiber_degree == 1
+
+
+def test_fiber_degree_is_sampled_once_when_first_read(monkeypatch):
+    calls = _count_samples(monkeypatch)
+    data = bifurcation_data(F_DOUBLE)
+    assert calls == []
+    assert data.fiber_degree == 2
+    assert data.fiber_degree == 2
+    assert len(calls) == 1
+
+
+def test_sigma_reads_no_fiber_degree(monkeypatch):
+    # (x^2, xy) has no inverse, so sigma eliminates; d_F = 2 is never read
+    _refuse_samples(monkeypatch)
+    UV = ("U1", "U2", "V1", "V2")
+    assert sigma_with_route(F_DOUBLE) == (P("V1", UV), "elimination")
 
 
 def _fiber_degree_maps():
@@ -446,10 +474,27 @@ def test_polynomial_inverse_is_the_formal_inverse(name, F):
 @pytest.mark.parametrize("name, F", list(_sigma_cases()))
 def test_sigma_by_inverse_matches_sigma_by_elimination(name, F):
     s, route = sigma_with_route(F)
-    assert s == sigma(F, data=bifurcation_data(F, compute_fiber_degree=False))
+    assert s == sigma_by_elimination(F)
     assert sigma(F) == s
     # every bundled map but the two bifurcation exemplars is an automorphism
     assert route == ("elimination" if name.startswith("bif_") else "inverse")
+
+
+def test_sigma_takes_the_map_alone():
+    # bifurcation data cannot be handed in: (x, xy)'s would give
+    # triangular_2 its sigma V1
+    F = load_bundled_map("triangular_2.map").to_poly_map()
+    G = load_bundled_map("bif_x_xy.map").to_poly_map()
+    other = bifurcation_data(G)
+    with pytest.raises(TypeError):
+        sigma(F, data=other)
+    with pytest.raises(TypeError):
+        sigma_with_route(F, data=other)
+    with pytest.raises(TypeError):
+        assert_c2(F, (1, 0), (1, 1), data=other)
+    UV = ("U1", "U2", "V1", "V2")
+    assert sigma(F) == Polynomial.one(UV)
+    assert sigma(G) == P("V1", UV)
 
 
 def _count_inverse_map(monkeypatch):
@@ -493,7 +538,7 @@ def test_sigma_falls_back_when_the_inverse_basis_exceeds_its_budget(monkeypatch)
         raise BudgetExceededError("basis size exceeds budget 0")
 
     F = _hard_automorphism("c3")
-    expected = sigma(F, data=bifurcation_data(F, compute_fiber_degree=False))
+    expected = sigma_by_elimination(F)
     monkeypatch.setattr(kellerlab.keller, "inverse_map", over_budget)
     assert sigma_with_route(F) == (expected, "elimination")
     assert sigma_with_route(F_XY) == (P("V1", ("U1", "U2", "V1", "V2")), "elimination")
@@ -516,23 +561,23 @@ def test_assert_c2_reads_an_automorphism_off_its_inverse(monkeypatch):
     ok = (C2Status(True, "sigma(u, V) is not identically zero"),
           C2Status(True, "sigma(U, v) is not identically zero"))
     assert assert_c2(F6, (1,) * 6, (1,) * 6) == ok
-    # the other automorphisms: the statuses of the elimination route, with
-    # the eliminations left out
+    # the other automorphisms: the eliminations find an empty bifurcation
+    # set, whose statuses are all ok, and assert_c2 gives them with the
+    # eliminations left out
     rng = random.Random(2424)
     cases = [(tag, _hard_automorphism(tag)) for tag in ("c3", "s3")]
     cases += [(name, load_bundled_map(name).to_poly_map())
               for name in ("triangular_2.map", "triangular_3.map")]
-    expected = {}
+    lines = {}
     for tag, F in cases:
         u = [rng.randint(-3, 3) for _ in range(F.n)]
         v = [rng.randint(-3, 3) or 1 for _ in range(F.n)]
-        data = bifurcation_data(F, compute_fiber_degree=False)
-        expected[tag] = (u, v, assert_c2(F, u, v, data=data))
-        assert expected[tag][2] == ok
+        lines[tag] = (u, v)
+        assert bifurcation_data(F).empty_bifurcation_set
     monkeypatch.setattr(kellerlab.fibers, "bifurcation_data", None)
     for tag, F in cases:
-        u, v, statuses = expected[tag]
-        assert assert_c2(F, u, v) == statuses
+        u, v = lines[tag]
+        assert assert_c2(F, u, v) == ok
 
 
 @pytest.mark.parametrize("F", [
@@ -618,7 +663,7 @@ def test_sample_fiber_degree_retries_and_gives_up(monkeypatch):
 def test_cone_vanishing_samples():
     rng = random.Random(676)
     for F in (F_XY, F_QUAD):
-        data = bifurcation_data(F, compute_fiber_degree=False)
+        data = bifurcation_data(F)
         D = poly_D(data.H)
         for _ in range(50):
             # sample directions on the cone: V1 = 0 for both exemplars
@@ -664,11 +709,9 @@ def test_transversality_matches_root_oracle():
 
 def test_prop1_scale_identity_on_H():
     for F in (F_XY, F_QUAD):
-        H = bifurcation_data(F, compute_fiber_degree=False).H
+        H = bifurcation_data(F).H
         for r in (Fraction(2), Fraction(3), Fraction(-1)):
-            H_scaled = bifurcation_data(
-                scale_conjugate(F, r), compute_fiber_degree=False
-            ).H
+            H_scaled = bifurcation_data(scale_conjugate(F, r)).H
             expected = substitute(
                 H,
                 {name: r * Polynomial.variable(Y2, name) for name in Y2},
@@ -679,9 +722,9 @@ def test_prop1_scale_identity_on_H():
 
 def test_prop1_extension_identity_on_H():
     for F in (F_XY, F_QUAD):
-        H = bifurcation_data(F, compute_fiber_degree=False).H
+        H = bifurcation_data(F).H
         ext = extend_variables(F, 1)
-        H_ext = bifurcation_data(ext, compute_fiber_degree=False).H
+        H_ext = bifurcation_data(ext).H
         bigger = H_ext.variables
         assert is_scalar_multiple(H_ext, with_variables(H, bigger))
 
@@ -691,11 +734,11 @@ def test_prop1_conjugation_identity_on_H():
     from kellerlab._linalg import fraction_matrix_inverse
 
     for F in (F_XY, F_QUAD):
-        H = bifurcation_data(F, compute_fiber_degree=False).H
+        H = bifurcation_data(F).H
         for _ in range(3):
             A = random_sl2(rng)
             conj = conjugate_by_linear(F, A)
-            H_conj = bifurcation_data(conj, compute_fiber_degree=False).H
+            H_conj = bifurcation_data(conj).H
             Ainv = fraction_matrix_inverse(A)
             ys = [Polynomial.variable(Y2, n) for n in Y2]
             bindings = {
@@ -720,7 +763,7 @@ def test_three_variable_stack():
     UV = ("U1", "U2", "U3", "V1", "V2", "V3")
     expected = P("V1*V2*(U1*V2 - U2*V1)^2", UV)
     assert is_scalar_multiple(D, expected)
-    assert sigma(F, data=data) == D
+    assert sigma(F) == D
 
     # a sample line through a generic point with generic direction
     first, second = assert_c2(F, (1, 1, 0), (1, 2, 3))

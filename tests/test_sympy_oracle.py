@@ -203,7 +203,7 @@ def test_hard_tier_degree4_line_discriminant_matches_sympy():
     line = (P("U1 + t*V1", ring), P("U2 + t*V2", ring))
     for sign in (1, -1):
         F = conjugate_by_linear(base, ((2, 1), (sign, sign)))
-        H = bifurcation_data(F, compute_fiber_degree=False).H
+        H = bifurcation_data(F).H
         assert H.total_degree() == 4
         restricted = substitute(H, dict(zip(H.variables, line)), ring)
         expr = sympy.Integer(0)
@@ -265,8 +265,7 @@ def test_hard_tier_squarefree_part_matches_sympy():
         base = PolyMap([P("x", V), P(f"x*({p})*y", V)])
         for sign in (1, -1):
             D_A = tuple(tuple(s * a for a in row) for s, row in zip((1, sign), A_2))
-            data = bifurcation_data(conjugate_by_linear(base, D_A),
-                                    compute_fiber_degree=False)
+            data = bifurcation_data(conjugate_by_linear(base, D_A))
             product = data.a[0] * data.a[1]
             assert not product.is_constant()
             ours = squarefree_part(product)
