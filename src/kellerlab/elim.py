@@ -358,8 +358,12 @@ def _autoreduce(minimal, layout):
     Each element is a primitive {packed monomial: int} map with a positive
     leading coefficient that lists its terms in descending order, so its
     first key is its lead.  A minimal lead is divisible by no other lead, so
-    it survives as the remainder's lead.
+    it survives as the remainder's lead.  A lone element has nothing to be
+    reduced by: its terms are only sorted into descending order.
     """
+    if len(minimal) == 1:
+        ((_, g),) = minimal
+        return [{m: g[m] for m in sorted(g, reverse=True)}]
     reduced = []
     for idx, (lead, g) in enumerate(minimal):
         others = minimal[:idx] + minimal[idx + 1 :]

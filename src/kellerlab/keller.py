@@ -3,13 +3,14 @@ F_i(X) = X_i + <a_i, X>^3."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ._linalg import fraction_matrix_det, poly_matrix_det
 from .elim import MAX_DEGREE, inverse_map
 from .errors import NotInvertibleError, SingularMatrixError
-from .polyring import Polynomial, PolyMap, _grlex_layout, _mul_into, _pack, integer_root
+from .polyring import (Polynomial, PolyMap, _clear_denominators, _from_packed,
+                       _grlex_layout, _mul_into, _pack, integer_root)
 
 
 def jacobian_matrix(F: PolyMap):
@@ -94,9 +95,13 @@ def formal_inverse(
 
 @dataclass(frozen=True)
 class CubicLinearForm:
-    """Matrix A whose rows a_i realize F_i(X) = X_i + <a_i, X>^3."""
+    """Matrix A whose rows a_i realize F_i(X) = X_i + <a_i, X>^3.
+
+    `to_map` expands the map once for each variable tuple and keeps it on
+    the form; the kept maps take no part in equality, hashing or repr."""
 
     matrix: tuple  # tuple of row tuples of Fractions
+    _maps: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = len(self.matrix)
@@ -113,15 +118,47 @@ class CubicLinearForm:
         return all(x.denominator == 1 for row in self.matrix for x in row)
 
     def to_map(self, variables=None) -> PolyMap:
+        """F over `variables` (x1..xn unless given).  A map the form already
+        holds over other names is renamed, not expanded again."""
         if variables is None:
             variables = tuple(f"x{i}" for i in range(1, self.n + 1))
         variables = tuple(variables)
         if len(variables) != self.n:
             raise ValueError("variable count does not match matrix size")
-        forms = PolyMap.linear(self.matrix, variables).components
-        return PolyMap([
-            Polynomial.variable(variables, v) + form**3 for v, form in zip(variables, forms)
-        ])
+        F = self._maps.get(variables)
+        if F is None:
+            if self._maps:
+                held = next(iter(self._maps.values()))
+                F = PolyMap([Polynomial._raw(variables, c.terms) for c in held.components])
+            else:
+                F = _expand(self.matrix, variables)
+            self._maps[variables] = F
+        return F
+
+
+def _packed_cube(packed):
+    """The {packed monomial: int} cube of a packed term list; a sum that
+    cancels stays as a 0.  The one cube of `to_map` and `as_cubic_linear`."""
+    return _mul_into({}, packed, _mul_into({}, packed, packed).items())
+
+
+def _expand(matrix, variables) -> PolyMap:
+    """X_i + <a_i, X>^3 for each row a_i, on packed integers: a row's
+    denominators are cleared once, and each output term is one Fraction."""
+    n = len(variables)
+    layout = _grlex_layout(n, 3)
+    units = [layout(tuple(int(j == i) for j in range(n))) for i in range(n)]
+    comps = []
+    for v, unit, row in zip(variables, units, matrix):
+        den, nums = _clear_denominators(row)
+        form = [(u, a) for u, a in zip(units, nums) if a]
+        if not form:  # a zero row: F_i = X_i
+            comps.append(Polynomial.variable(variables, v))
+            continue
+        scale = den**3
+        terms = [*_packed_cube(form).items(), (unit, scale)]
+        comps.append(_from_packed(variables, terms, scale, layout))
+    return PolyMap(comps)
 
 
 @dataclass(frozen=True)
@@ -161,9 +198,9 @@ def _is_cube(form: Polynomial, rest: Polynomial) -> bool:
     layout = _grlex_layout(len(form.variables), 3)
     d_f, p_f = _pack(form.terms, layout)
     d_rest, p_rest = _pack(rest.terms, layout)
-    cube = _mul_into({}, p_f, _mul_into({}, p_f, p_f).items())
     scale = d_f**3
-    return {m: c * d_rest for m, c in cube.items() if c} == {m: c * scale for m, c in p_rest}
+    cube = {m: c * d_rest for m, c in _packed_cube(p_f).items() if c}
+    return cube == {m: c * scale for m, c in p_rest}
 
 
 def as_cubic_linear(F: PolyMap):
@@ -171,7 +208,8 @@ def as_cubic_linear(F: PolyMap):
 
     Returns a CubicLinearForm, or a CubicLinearRejection naming the first
     offending component.  Works over Q; integrality of A is a separate
-    query on the result.
+    query on the result.  Recognition proves F_i = X_i + <a_i, X>^3 term by
+    term, so the form holds F itself as its map over F.variables.
     """
     if not F.is_square():
         return CubicLinearRejection(0, "map is not square")
@@ -206,4 +244,6 @@ def as_cubic_linear(F: PolyMap):
         if not _is_cube(form, rest):
             return CubicLinearRejection(i, "remainder is not the cube of a linear form")
         rows.append(tuple(coeffs))
-    return CubicLinearForm(tuple(rows))
+    form = CubicLinearForm(tuple(rows))
+    form._maps[variables] = F
+    return form

@@ -13,8 +13,10 @@ int, run on integers, and build a `Fraction` only for the terms of the
 result (`_clear_denominators` is the one way in, `_from_packed` the one way
 out).  A product with a single-term operand packs nothing: it shifts the
 other operand's exponent tuples and scales its coefficients, and a power of
-a single term is one term.  Sums stay on fractions, added in place into one
-accumulator by `_add_terms`.
+a single term is one term.  `substitute` and `PolyMap.compose` pack each
+binding once and add every term's product into one packed accumulator.
+Sums stay on fractions, added in place into one accumulator by
+`_add_terms`.
 
 Gcds, and so squarefree parts, take integer gcds of values first: GCDHEU
 evaluates at integer points xi >= 2 min(|p|oo, |q|oo) + 29 and accepts the
@@ -455,43 +457,73 @@ def substitute(p: Polynomial, bindings, target_variables) -> Polynomial:
     Every occurring variable must be bound, and every polynomial value must
     live over `target_variables`, the output ring.
     """
+    return _substitute_all((p,), bindings, target_variables)[0]
+
+
+def _substitute_all(polys, bindings, target_variables) -> list:
+    """`substitute` of each polynomial of `polys`, which share a variable
+    list, under the same bindings, on packed integers.
+
+    Each binding P_j/d_j is packed once, in a grlex layout sized for the
+    largest image degree, and its powers go into one table that every
+    polynomial shares.  A polynomial's image is taken over the lcm of its
+    coefficients' denominators times d_j^e_j, e_j the largest exponent of
+    variable j in it: each term's product is added into one {packed
+    monomial: int} map as soon as it is formed, and the map is unpacked once.
+    """
     ring_vars = tuple(target_variables)
     for v in bindings.values():
         if isinstance(v, Polynomial) and v.variables != ring_vars:
             raise VariableMismatchError("a bound polynomial is not over the target ring")
-
-    needed = p.support_variables()
-    missing = sorted(needed - set(bindings))
+    names = polys[0].variables
+    tops = []  # the largest exponent of each variable, per polynomial
+    for p in polys:
+        top = [0] * len(names)
+        for m in p.terms:
+            top = list(map(max, top, m))
+        tops.append(top)
+    used = {j for top in tops for j, e in enumerate(top) if e}
+    missing = sorted({names[j] for j in used} - set(bindings))
     if missing:
         raise ValueError(f"unbound variable(s): {', '.join(missing)}")
 
-    values = {}
-    for name in needed:
-        v = bindings[name]
-        if not isinstance(v, Polynomial):
-            v = Polynomial.constant(ring_vars, v)
-        values[name] = v
+    bound = {}  # j -> the binding of variable j, as a polynomial
+    degrees = [0] * len(names)
+    for j in used:
+        v = bindings[names[j]]
+        bound[j] = v if isinstance(v, Polynomial) else Polynomial.constant(ring_vars, v)
+        degrees[j] = max(0, bound[j].total_degree())
+    image_degree = max((sum(map(mul, m, degrees)) for p in polys for m in p.terms), default=0)
+    layout = _grlex_layout(len(ring_vars), image_degree)
+    dens, tables = {}, {}  # j -> d_j, and j -> [P_j, P_j^2, ...] filled in on demand
+    for j, v in bound.items():
+        dens[j], packed = _pack(v.terms, layout)
+        tables[j] = [packed]
 
-    # sum of c * prod(values[x]^e), caching the powers of each value
-    one = Polynomial.one(ring_vars)
-    powers = {name: [one, v] for name, v in values.items()}
+    def power(j, e):
+        table = tables[j]
+        while len(table) < e:
+            prod = _mul_into({}, table[-1], table[0])
+            table.append([(k, c) for k, c in prod.items() if c])
+        return table[e - 1]
 
-    def power(name, e):
-        cache = powers[name]
-        while len(cache) <= e:
-            cache.append(cache[-1] * cache[1])
-        return cache[e]
-
-    total = {}
-    for m, c in p.terms.items():
-        prod = one
-        for name, e in zip(p.variables, m):
-            if e:
-                prod = power(name, e) if prod is one else prod * power(name, e)
-                if prod.is_zero():
-                    break
-        _add_terms(total, prod.terms, c)
-    return Polynomial._raw(ring_vars, total)
+    images = []
+    for p, top in zip(polys, tops):
+        den, nums = _clear_denominators(p.terms.values())
+        scaled = [(j, dens[j], e) for j, e in enumerate(top) if e and dens[j] != 1]
+        for _, d, e in scaled:
+            den *= d**e
+        acc = {}
+        for m, num in zip(p.terms, nums):
+            for j, d, e in scaled:
+                num *= d ** (e - m[j])
+            prod = [(0, num)]  # packed 0 is the monomial 1
+            factors = [power(j, e) for j, e in enumerate(m) if e]
+            for f in factors[:-1]:
+                prod = [(k, c) for k, c in _mul_into({}, prod, f).items() if c]
+            _mul_into(acc, prod, factors[-1] if factors else [(0, 1)])
+        images.append(_from_packed(ring_vars, acc.items(), den, layout))
+    return images
 
 
 # ---- ring-surgery helpers ----
@@ -1178,9 +1210,7 @@ class PolyMap:
                 "outer map arity does not match inner component count"
             )
         bindings = dict(zip(self.variables, inner.components))
-        return PolyMap(
-            [substitute(c, bindings, inner.variables) for c in self.components]
-        )
+        return PolyMap(_substitute_all(self.components, bindings, inner.variables))
 
     def compose_truncated(self, inner: "PolyMap", cap: int) -> "PolyMap":
         # kept only because bench/tracing.py wraps this name; nothing calls it

@@ -12,8 +12,7 @@ from fractions import Fraction
 from ._linalg import fraction_matrix_inverse
 from .errors import InternalCheckError
 from .keller import CubicLinearForm, is_keller
-from .polyring import (Polynomial, PolyMap, _as_int, fresh_names, substitute,
-                       with_variables)
+from .polyring import Polynomial, PolyMap, _as_int, fresh_names, with_variables
 
 
 def scale_conjugate(F: PolyMap, r) -> PolyMap:
@@ -33,6 +32,24 @@ def scale_conjugate(F: PolyMap, r) -> PolyMap:
         Polynomial._raw(F.variables, {m: c * r ** (sum(m) - 1) for m, c in p.terms.items()})
         for p in F.components
     ])
+
+
+def _diagonal_conjugate(F: PolyMap, s) -> PolyMap:
+    """S^-1 F(S X) for a square F and S = diag(s), s nonzero: the rule of
+    `scale_conjugate` with one scale per variable, c X^m in component i
+    becoming c prod_j s_j^m_j / s_i X^m."""
+    top = max(0, F.max_degree())
+    powers = [[x**e for e in range(top + 1)] for x in s]
+    comps = []
+    for si, p in zip(s, F.components):
+        terms = {}
+        for m, c in p.terms.items():
+            for pw, e in zip(powers, m):
+                if e:
+                    c *= pw[e]
+            terms[m] = c / si
+        comps.append(Polynomial._raw(F.variables, terms))
+    return PolyMap(comps)
 
 
 def extend_variables(F: PolyMap, m: int) -> PolyMap:
@@ -72,12 +89,9 @@ def translate_to_origin(F: PolyMap, a) -> PolyMap:
     a = [Fraction(x) for x in a]
     if len(a) != len(variables):
         raise ValueError("translation vector length does not match variables")
-    bindings = {
-        v: Polynomial.variable(variables, v) - ai for v, ai in zip(variables, a)
-    }
+    shift = PolyMap([Polynomial.variable(variables, v) - ai for v, ai in zip(variables, a)])
     origin = (0,) * len(variables)
-    shifted = [substitute(c, bindings, variables) for c in F.components]
-    return PolyMap([c - c.coefficient(origin) for c in shifted])
+    return PolyMap([c - c.coefficient(origin) for c in F.compose(shift).components])
 
 
 @dataclass(frozen=True)
@@ -101,41 +115,48 @@ class DiagonalTransform:
         return math.prod(self.cubes)
 
 
+def _theoremB_rows(matrix, w):
+    """a_i = (w_i^-1 prod_j w_j^2) (w_j^3 b_ij)_j for the rows b_i of `matrix`."""
+    prod_w2 = math.prod(x * x for x in w)
+    rows = []
+    for i, b in enumerate(matrix):
+        scale = Fraction(prod_w2, w[i])
+        row = tuple(scale * w[j] ** 3 * b[j] for j in range(len(b)))
+        if any(x.denominator != 1 for x in row):
+            raise InternalCheckError("diagonal transform produced a non-integer row")
+        rows.append(row)
+    return rows
+
+
 def theoremB_diagonal(form: CubicLinearForm, transform: DiagonalTransform) -> CubicLinearForm:
     """Integer cubic-linear form of (1/delta) T^-1 o F o T(delta X).
 
     Closed form for the output rows: a_i = (w_i^-1 prod_j w_j^2) (v_j b_ij)_j
     with v_j = w_j^3.  The closed formula is verified against the defining
-    composition on every call; a mismatch raises InternalCheckError.
+    composition on every call; a mismatch raises InternalCheckError.  X ->
+    delta T X is diagonal, so the composition is taken term by term: c X^m
+    in component i becomes c prod_j (delta v_j)^m_j / (delta v_i) X^m.  The
+    output form keeps the map it was checked against.
     """
     if len(transform.weights) != form.n:
         raise ValueError("weight count does not match the form dimension")
     if not form.is_integral():
         raise ValueError("input form must have integer entries")
-    w = transform.weights
-    v = transform.cubes
-    delta = transform.delta
-    prod_w2 = math.prod(x * x for x in w)
-    rows = []
-    for i, b in enumerate(form.matrix):
-        scale = Fraction(prod_w2, w[i])
-        row = tuple(scale * v[j] * b[j] for j in range(form.n))
-        if any(x.denominator != 1 for x in row):
-            raise InternalCheckError("diagonal transform produced a non-integer row")
-        rows.append(row)
-    result = CubicLinearForm(tuple(rows))
+    result = CubicLinearForm(tuple(_theoremB_rows(form.matrix, transform.weights)))
 
-    # defining composition: G(X) = (1/delta) T^-1(F(T(delta X)))
-    n = form.n
-    variables = tuple(f"x{i}" for i in range(1, n + 1))
-    scaling = [[delta * v[j] if j == i else 0 for j in range(n)] for i in range(n)]
-    inner = form.to_map(variables).compose(PolyMap.linear(scaling, variables))
-    composed = PolyMap(
-        [c * Fraction(1, delta * v[i]) for i, c in enumerate(inner.components)]
-    )
+    variables = tuple(f"x{i}" for i in range(1, form.n + 1))
+    delta = transform.delta
+    composed = _diagonal_conjugate(form.to_map(variables), [delta * v for v in transform.cubes])
     if composed != result.to_map(variables):
         raise InternalCheckError("closed row formula disagrees with the composition")
     return result
+
+
+def _cor1_rows(matrix):
+    """The rows of `matrix`, each with its sum appended, and a zero row."""
+    rows = [tuple(row) + (sum(row),) for row in matrix]
+    rows.append(tuple(Fraction(0) for _ in range(len(matrix) + 1)))
+    return rows
 
 
 def cor1_extension(form: CubicLinearForm) -> CubicLinearForm:
@@ -145,12 +166,11 @@ def cor1_extension(form: CubicLinearForm) -> CubicLinearForm:
     column, and adds a zero row, realizing
     G_i = F_i(X_1 + X_{n+1}, ..., X_n + X_{n+1}) - X_{n+1} with
     G_{n+1} = X_{n+1}.  Verifies the composition identity and that the
-    extension is Keller whenever the input is.
+    extension is Keller whenever the input is; F and G are the forms' own
+    maps, so the output form keeps the G it was checked against.
     """
     n = form.n
-    rows = [tuple(row) + (sum(row),) for row in form.matrix]
-    rows.append(tuple(Fraction(0) for _ in range(n + 1)))
-    result = CubicLinearForm(tuple(rows))
+    result = CubicLinearForm(tuple(_cor1_rows(form.matrix)))
 
     variables = tuple(f"x{i}" for i in range(1, n + 2))
     last = Polynomial.variable(variables, variables[n])

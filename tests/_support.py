@@ -19,6 +19,7 @@ from kellerlab.errors import (
     NotDominantError,
     NotZeroDimensionalError,
     ParseError,
+    VariableMismatchError,
 )
 from kellerlab.expr_io import MAX_POWER_DEGREE, MAX_POWER_TERMS, parse_int, parse_system_file
 from kellerlab.fibers import bifurcation_data, poly_D
@@ -35,7 +36,6 @@ from kellerlab.polyring import (
     poly_gcd,
     rename_variables,
     squarefree_part,
-    substitute,
     with_variables,
 )
 
@@ -181,6 +181,30 @@ def random_sl2(rng, steps=6):
     return [[a, b], [c, d]]
 
 
+def reference_cubic_map(matrix, variables) -> PolyMap:
+    """X_i + <a_i, X>^3 for each row a_i of `matrix`, the cube expanded by
+    `reference_pow` on Fractions."""
+    xs = [Polynomial.variable(variables, v) for v in variables]
+    return PolyMap([
+        x + reference_pow(sum((Fraction(a) * y for a, y in zip(row, xs)),
+                              Polynomial.zero(variables)), 3)
+        for x, row in zip(xs, matrix)
+    ])
+
+
+def random_rational_matrix(rng, n) -> tuple:
+    """An n x n matrix of `random_rational` entries, about a third of them
+    zero, with each row zero with probability 1/4."""
+    rows = []
+    for _ in range(n):
+        if rng.random() < 0.25:
+            rows.append((0,) * n)
+        else:
+            rows.append(tuple(random_rational(rng, 4, (1, 2, 3, 7)) if rng.random() < 0.67
+                              else 0 for _ in range(n)))
+    return tuple(rows)
+
+
 def random_triangular_form(rng, n, coeff_bound=2) -> CubicLinearForm:
     """Strictly lower-triangular integer cubic-linear form (always Keller)."""
     rows = []
@@ -269,6 +293,42 @@ def reference_pow(p: Polynomial, e: int) -> Polynomial:
     for _ in range(e):
         out = reference_mul(out, p)
     return out
+
+
+def reference_substitute(p: Polynomial, bindings, target_variables) -> Polynomial:
+    """Image of p under variable -> polynomial/number bindings on Fraction
+    term maps: each term is the product of cached powers of its bindings,
+    added with its coefficient into one accumulator."""
+    ring_vars = tuple(target_variables)
+    for v in bindings.values():
+        if isinstance(v, Polynomial) and v.variables != ring_vars:
+            raise VariableMismatchError("a bound polynomial is not over the target ring")
+    needed = p.support_variables()
+    missing = sorted(needed - set(bindings))
+    if missing:
+        raise ValueError(f"unbound variable(s): {', '.join(missing)}")
+    one = Polynomial.one(ring_vars)
+    powers = {}
+    for name in needed:
+        v = bindings[name]
+        if not isinstance(v, Polynomial):
+            v = Polynomial.constant(ring_vars, v)
+        powers[name] = [one, v]
+
+    def power(name, e):
+        cache = powers[name]
+        while len(cache) <= e:
+            cache.append(cache[-1] * cache[1])
+        return cache[e]
+
+    total = {}
+    for m, c in p.terms.items():
+        prod = one
+        for name, e in zip(p.variables, m):
+            if e:
+                prod = prod * power(name, e)
+        _add_terms(total, prod.terms, c)
+    return Polynomial(ring_vars, total)
 
 
 def random_expression(rng, variables, depth=2, max_degree=6):
@@ -941,7 +1001,7 @@ def _on_line(p: Polynomial, us, vs):
         bindings[name] = (
             Polynomial.variable(ring, uname) + t * Polynomial.variable(ring, vname)
         )
-    return substitute(p, bindings, ring)
+    return reference_substitute(p, bindings, ring)
 
 
 def _line_resultant(p: Polynomial, q: Polynomial, us, vs) -> Polynomial:
@@ -994,13 +1054,14 @@ def reference_scale_conjugate(F: PolyMap, r) -> PolyMap:
     """(1/r) F(rX) by substituting r x for each variable x."""
     r = Fraction(r)
     bindings = {v: r * Polynomial.variable(F.variables, v) for v in F.variables}
-    return PolyMap([substitute(c, bindings, F.variables) * (1 / r) for c in F.components])
+    return PolyMap([reference_substitute(c, bindings, F.variables) * (1 / r)
+                    for c in F.components])
 
 
 def reference_extend_variables(F: PolyMap, ring) -> PolyMap:
     """(F(X), Y) over `ring` = X followed by Y, substituting each x by itself."""
     bindings = {v: Polynomial.variable(ring, v) for v in F.variables}
-    comps = [substitute(c, bindings, ring) for c in F.components]
+    comps = [reference_substitute(c, bindings, ring) for c in F.components]
     comps.extend(Polynomial.variable(ring, v) for v in ring[len(F.variables):])
     return PolyMap(comps)
 
@@ -1010,7 +1071,7 @@ def reference_translate_to_origin(F: PolyMap, a) -> PolyMap:
     variables = F.variables
     bindings = {v: Polynomial.variable(variables, v) - x for v, x in zip(variables, a)}
     values = F.evaluate([-Fraction(x) for x in a])
-    return PolyMap([substitute(c, bindings, variables) - val
+    return PolyMap([reference_substitute(c, bindings, variables) - val
                     for c, val in zip(F.components, values)])
 
 

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from kellerlab.bundled import bundled_text
-from kellerlab import lattice
+from kellerlab import keller, lattice
 from kellerlab.cli import build_parser, main
 from kellerlab.expr_io import parse_int
 
@@ -157,6 +157,32 @@ def test_transform_theoremB_and_cor1(capsys, tri2):
     code, out, _ = run(capsys, "transform", "cor1", tri2)
     assert code == 0
     assert "vars: x1 x2 x3" in out
+
+
+@pytest.mark.parametrize("name, argv, cubes", [
+    # triangular_2 has one nonzero row, and so has each output; triangular_3
+    # has two, its theoremB output two and its cor1 output two
+    ("triangular_2", ["theoremB", "--weights=2,3"], 1 + 1),
+    ("triangular_2", ["cor1"], 1 + 1),
+    ("triangular_3", ["theoremB", "--weights=2,3,5"], 2 + 2),
+    ("triangular_3", ["cor1"], 2 + 2),
+])
+def test_transform_cubes_each_row_once(capsys, tmp_path, monkeypatch, name, argv, cubes):
+    # recognition cubes each nonzero input row once, and the output map is
+    # expanded once: the check and the printed map share it
+    calls = []
+    inner = keller._packed_cube
+
+    def counting(packed):
+        calls.append(packed)
+        return inner(packed)
+
+    monkeypatch.setattr(keller, "_packed_cube", counting)
+    path = tmp_path / f"{name}.map"
+    path.write_text(bundled_text(f"{name}.map"))
+    code, _, _ = run(capsys, "transform", argv[0], str(path), *argv[1:])
+    assert code == 0
+    assert len(calls) == cubes
 
 
 def test_transform_theoremB_rejects_non_cubic_linear(capsys, bif):

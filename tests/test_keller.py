@@ -20,10 +20,13 @@ from kellerlab.polyring import Polynomial, PolyMap, substitute
 from kellerlab.transforms import conjugate_by_linear
 
 from _support import (
+    load_hardgen,
     random_poly_map,
     random_rational,
+    random_rational_matrix,
     random_triangular_form,
     reference_as_cubic_linear,
+    reference_cubic_map,
 )
 
 V = ("x", "y")
@@ -341,3 +344,59 @@ def test_as_cubic_linear_matches_the_fraction_cube_rule():
         "leading coefficient is not a perfect cube",
         "remainder is not the cube of a linear form",
     }
+
+
+def test_to_map_matches_the_fraction_expansion():
+    # the packed cube: each row's denominators cleared once, zero rows and
+    # rows with one entry included
+    rng = random.Random(3838)
+    zero_rows = 0
+    for n in range(1, 8):
+        variables = tuple(f"x{i}" for i in range(1, n + 1))
+        for _ in range(6):
+            matrix = random_rational_matrix(rng, n)
+            zero_rows += sum(not any(row) for row in matrix)
+            assert CubicLinearForm(matrix).to_map(variables) == reference_cubic_map(
+                matrix, variables), matrix
+    assert zero_rows
+
+
+def test_to_map_expands_once_per_form(monkeypatch):
+    cubes = []
+    inner = kellerlab.keller._packed_cube
+
+    def counting(packed):
+        cubes.append(packed)
+        return inner(packed)
+
+    monkeypatch.setattr(kellerlab.keller, "_packed_cube", counting)
+    form = CubicLinearForm(((0, 1, 1), (0, 0, Fraction(1, 2)), (0, 0, 0)))
+    F = form.to_map()
+    assert form.to_map(("x1", "x2", "x3")) is F
+    G = form.to_map(("a", "b", "c"))  # other names: the kept map, renamed
+    assert len(cubes) == 2  # one per nonzero row
+    assert G.variables == ("a", "b", "c")
+    assert [c.terms for c in G.components] == [c.terms for c in F.components]
+    # the kept maps take no part in equality, hashing or repr
+    fresh = CubicLinearForm(form.matrix)
+    assert (form, hash(form), repr(form)) == (fresh, hash(fresh), repr(fresh))
+
+
+def test_as_cubic_linear_keeps_the_map_it_recognized():
+    rng = random.Random(3939)
+    for n in range(1, 5):
+        variables = tuple(f"y{i}" for i in range(1, n + 1))
+        F = reference_cubic_map(random_rational_matrix(rng, n), variables)
+        form = as_cubic_linear(F)
+        assert isinstance(form, CubicLinearForm)
+        assert form.to_map(F.variables) is F
+
+
+@pytest.mark.parametrize("name", ["c3", "s3"])
+def test_inverse_composed_with_the_map_is_the_identity_on_the_hard_tier(name):
+    # G o F = X for every sign variant of the n = 3 hard-tier automorphisms
+    hardgen = load_hardgen()
+    for signs in hardgen.members(name):
+        F, _ = hardgen.build_map(name, signs)
+        G = formal_inverse(F).map
+        assert G.compose(F) == PolyMap.identity(F.variables), signs

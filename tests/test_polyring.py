@@ -37,6 +37,7 @@ from _support import (
     reference_mul,
     reference_pow,
     reference_squarefree_part,
+    reference_substitute,
 )
 
 V = ("x", "y")
@@ -121,6 +122,52 @@ def test_substitute_line_restriction_hand_expansion():
     img = substitute(H, {"y": u1 + t * v1}, ring)
     expected = t**2 * v1**2 + t * (2 * u1 * v1 - v1) + u1**2 - u1
     assert img == expected
+
+
+def _rational(rng, p):
+    """p with each coefficient over a random denominator, signs kept."""
+    return map_coefficients(p, lambda c: Fraction(c, rng.choice((1, 1, 2, 3, 6))))
+
+
+def _random_binding(rng, ring):
+    """A polynomial of random degree over `ring`, a constant or a zero."""
+    kind = rng.choice(("poly", "poly", "poly", "int", "fraction", "zero", "zero poly"))
+    if kind == "poly":
+        degree = rng.randint(0, 3) if ring else 0
+        return _rational(rng, random_polynomial(rng, ring, degree, 4, 5))
+    if kind == "int":
+        return rng.randint(-4, 4)
+    if kind == "fraction":
+        return random_rational(rng, 4, (2, 3, 5))
+    return 0 if kind == "zero" else Polynomial.zero(ring)
+
+
+def test_substitute_matches_the_fraction_reference():
+    # rational and negative coefficients; constant, zero and unused
+    # bindings; bindings of mixed degree, into a ring of another size
+    rng = random.Random(6262)
+    source = ("x", "y", "z")
+    for trial in range(150):
+        ring = ("s", "t", "u", "w")[: trial % 4]
+        p = _rational(rng, random_polynomial(rng, source, 5, 6))
+        bindings = {v: _random_binding(rng, ring) for v in source}
+        bindings["unused"] = _random_binding(rng, ring)
+        assert substitute(p, bindings, ring) == reference_substitute(p, bindings, ring), (
+            p, bindings)
+
+
+def test_compose_is_substitute_on_each_component():
+    rng = random.Random(6363)
+    for n in (1, 2, 3):
+        variables = ("x", "y", "z")[:n]
+        for _ in range(20):
+            outer = PolyMap([_rational(rng, random_polynomial(rng, variables, 4, 5))
+                             for _ in range(rng.randint(1, 3))])
+            inner = PolyMap([_rational(rng, random_polynomial(rng, variables, 3, 4))
+                             for _ in range(n)])
+            bindings = dict(zip(variables, inner.components))
+            assert outer.compose(inner) == PolyMap([
+                reference_substitute(c, bindings, variables) for c in outer.components])
 
 
 def test_substitute_unbound_variable():

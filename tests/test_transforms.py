@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from kellerlab.bundled import load_bundled_map
-from kellerlab.errors import SingularMatrixError
+import kellerlab.transforms as transforms
+from kellerlab.errors import InternalCheckError, SingularMatrixError
 from kellerlab.expr_io import parse_polynomial as P
-from kellerlab.keller import CubicLinearForm, is_keller
+from kellerlab.keller import CubicLinearForm, as_cubic_linear, is_keller
 from kellerlab.polyring import Polynomial, PolyMap
 from kellerlab.transforms import (
     DiagonalTransform,
@@ -28,6 +29,7 @@ from _support import (
     random_triangular_form,
     reference_extend_variables,
     reference_scale_conjugate,
+    reference_substitute,
     reference_translate_to_origin,
 )
 
@@ -252,6 +254,39 @@ def test_cor1_extension_builds_its_map_once_and_keeps_both_checks(monkeypatch):
     monkeypatch.setattr(transforms, "is_keller", lambda F: F.n == 2)
     with pytest.raises(InternalCheckError, match="not Keller"):
         cor1_extension(form)
+
+
+def test_surgeries_refuse_wrong_closed_form_rows(monkeypatch):
+    # the forms keep the maps they expand, so each check must still compare
+    # the composition with the map of rows built anew: wrong rows raise
+    F = load_bundled_map("triangular_3.map").to_poly_map()
+    theoremB_rows, cor1_rows = transforms._theoremB_rows, transforms._cor1_rows
+    monkeypatch.setattr(transforms, "_theoremB_rows", lambda matrix, w: [
+        tuple(2 * x for x in row) for row in theoremB_rows(matrix, w)])
+    with pytest.raises(InternalCheckError, match="disagrees with the composition"):
+        theoremB_diagonal(as_cubic_linear(F), DiagonalTransform((2, 3, 5)))
+    monkeypatch.setattr(transforms, "_cor1_rows", lambda matrix: [
+        row[:-1] + (row[-1] + 1,) for row in cor1_rows(matrix)])
+    with pytest.raises(InternalCheckError, match="disagrees with the composition"):
+        cor1_extension(as_cubic_linear(F))
+
+
+def test_theoremB_composition_matches_substitution():
+    # the term-by-term composition (1/delta) T^-1 F(T(delta X)) is that of
+    # substituting delta v_j x_j for each x_j
+    rng = random.Random(4141)
+    for n in (1, 2, 3, 4):
+        variables = tuple(f"x{i}" for i in range(1, n + 1))
+        for _ in range(4):
+            form = random_triangular_form(rng, n, coeff_bound=3)
+            T = DiagonalTransform(tuple(rng.choice([-3, -2, -1, 1, 2, 5]) for _ in range(n)))
+            s = [T.delta * v for v in T.cubes]
+            F = form.to_map(variables)
+            bindings = {x: si * Polynomial.variable(variables, x) for x, si in zip(variables, s)}
+            expected = PolyMap([reference_substitute(c, bindings, variables) * Fraction(1, si)
+                                for c, si in zip(F.components, s)])
+            assert transforms._diagonal_conjugate(F, s) == expected
+            assert theoremB_diagonal(form, T).to_map(variables) == expected
 
 
 def test_choose_clearing_scale_examples():
